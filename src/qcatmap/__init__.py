@@ -9,7 +9,7 @@ statistics of eigenfunction matrix elements against their limiting law.
 from .modarith import PrimePower
 from .quantization import DenseOperator, FourierObservable, StateVector, TorusAutomorphism
 from .hecke import HeckeCharacter, HeckeGroup, build_group, classify_prime, eigendecompose
-from .expsum import ExpSumRecord, exp_sum_bruteforce, exp_sum_closed, find_large, scan_characters
+from .expsum import ExpSumTable, exp_sum_bruteforce, exp_sum_closed, find_large, scan_characters
 from .distribution import (
     compare_distribution,
     model_cdf,
@@ -32,7 +32,7 @@ __all__ = [
     "build_group",
     "classify_prime",
     "eigendecompose",
-    "ExpSumRecord",
+    "ExpSumTable",
     "exp_sum_bruteforce",
     "exp_sum_closed",
     "scan_characters",

@@ -11,9 +11,7 @@ was about to be emitted, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -42,7 +40,9 @@ DEFAULT_SEED = 20260809
 # default observable modes; Q values -1, 1, 5, 19, 29, 59 for the default matrix
 DEFAULT_MODES = ((1, 0), (0, 1), (1, 2), (1, 4), (1, 5), (2, 7))
 KS_BOUND = 0.15
+EXPSUM_TOL = 1e-7
 SAMPLER_COUNT = 100_000
+CSV_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -54,8 +54,6 @@ class RunConfig:
     obs_path: str | None = None
     seed: int = DEFAULT_SEED
     out_path: str | None = None
-    fmt: str = "csv"
-    jobs: int = 1
     dense_cap: int = DENSE_CAP_DEFAULT
     explicit_p: bool = False  # user passed --p (ramified members then fail hard)
 
@@ -91,12 +89,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             "obs": str,
             "seed": int,
             "out": str,
-            "format": str,
-            "jobs": int,
             "dense_cap": int,
         }
-        rename = {"p": "p_list", "k": "k_list", "nu": "nu_list", "obs": "obs_path",
-                  "out": "out_path", "format": "fmt"}
+        unknown = sorted(set(raw) - set(fields))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
+        rename = {"p": "p_list", "k": "k_list", "nu": "nu_list", "obs": "obs_path", "out": "out_path"}
         for key, conv in fields.items():
             if key in raw:
                 cfg = replace(cfg, **{rename.get(key, key): conv(raw[key])})
@@ -119,12 +117,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.out:
         cfg = replace(cfg, out_path=args.out)
-    if args.format:
-        cfg = replace(cfg, fmt=args.format)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
-        cfg = replace(cfg, jobs=args.jobs)
     return cfg
 
 
@@ -233,13 +225,12 @@ def _check_expsum(A: TorusAutomorphism, pairs) -> tuple[bool, str]:
         group = hecke.build_group(A, pp)
         nonres = next(v for v in range(2, pp.p) if legendre(v, pp.p) == -1)
         for nu in (1, 2, nonres):
-            for j in range(group.order):
-                chi = group.character(j)
-                diff = abs(expsum.exp_sum_closed(nu, chi) - expsum.exp_sum_bruteforce(nu, chi))
-                worst = max(worst, diff)
-                count += 1
-    ok = worst < 1e-7
-    return ok, f"{count} sums, closed-vs-brute max err {worst:.1e}"
+            table = expsum.scan_characters(group, [nu])
+            for j, value in zip(table.chi_index.tolist(), table.value.tolist()):
+                worst = max(worst, abs(value - expsum.exp_sum_bruteforce(nu, group.character(j))))
+            count += len(table)
+    ok = worst < EXPSUM_TOL
+    return ok, f"{count} sums, closed-vs-brute max err {worst:.1e} (tol {EXPSUM_TOL:g})"
 
 
 def _check_theorem1(A: TorusAutomorphism, pairs) -> tuple[bool, str]:
@@ -322,32 +313,27 @@ def cmd_verify(cfg: RunConfig, stream=None) -> int:
 # -- expsum -------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def records_to_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p", "k", "nu", "chi_index", "re", "im", "theta", "good", "vanished"])
-    for r in records:
-        for val in (r.value.real, r.value.imag) + ((r.theta,) if r.good else ()):
-            if not math.isfinite(val):
-                raise ArithmeticError(f"non-finite value in record {r}")
-        writer.writerow(
-            [
-                r.pp.p,
-                r.pp.k,
-                r.nu,
-                r.chi_index,
-                _fmt(r.value.real),
-                _fmt(r.value.imag),
-                _fmt(r.theta) if r.good else "",
-                "true" if r.good else "false",
-                "true" if r.vanished else "false",
-            ]
+def records_to_csv(table: expsum.ExpSumTable) -> str:
+    """One CSV row per table row; theta is empty on bad rows."""
+    value = table.value
+    finite = np.isfinite(value.real) & np.isfinite(value.imag) & (np.isfinite(table.theta) | ~table.good)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ArithmeticError(
+            f"non-finite value at chi_{table.chi_index[i]}, nu = {table.nu[i]}: E = {value[i]}"
         )
-    return buf.getvalue()
+    flag = ("false", "true")
+    head = f"{table.pp.p},{table.pp.k}"
+    columns = (table.nu, table.chi_index, value.real, value.imag, table.theta, table.good, table.vanished)
+    chunks = ["p,k,nu,chi_index,re,im,theta,good,vanished\n"]
+    # rows are formatted a block at a time to bound the Python objects alive
+    for lo in range(0, len(table), CSV_BLOCK_ROWS):
+        rows = zip(*(col[lo : lo + CSV_BLOCK_ROWS].tolist() for col in columns))
+        chunks.append("".join(
+            f"{head},{nu},{j},{re:.17g},{im:.17g},{f'{th:.17g}' if good else ''},{flag[good]},{flag[van]}\n"
+            for nu, j, re, im, th, good, van in rows
+        ))
+    return "".join(chunks)
 
 
 def cmd_expsum(cfg: RunConfig, stream=None) -> int:
@@ -365,12 +351,12 @@ def cmd_expsum(cfg: RunConfig, stream=None) -> int:
         group = hecke.build_group(A, PrimePower(p, k))
     except RamifiedPrimeError as exc:
         raise ConfigError(str(exc)) from exc
-    records = expsum.scan_characters(group, list(cfg.nu_list), jobs=cfg.jobs)
-    text = records_to_csv(records)
+    table = expsum.scan_characters(group, list(cfg.nu_list))
+    text = records_to_csv(table)
     if cfg.out_path:
         with open(cfg.out_path, "w") as fh:
             fh.write(text)
-        print(f"wrote {len(records)} records to {cfg.out_path}", file=stream)
+        print(f"wrote {len(table)} records to {cfg.out_path}", file=stream)
     else:
         stream.write(text)
     return 0
@@ -405,6 +391,7 @@ def distribution_report(cfg: RunConfig) -> dict:
         raise ConfigError(str(exc)) from exc
     spectrum = dist.twisted_coefficients(f, A)
     winsor = 10.0 * p ** (1.0 / 6.0)
+    group = hecke.build_group(A, pp)
 
     if pp.N <= cfg.dense_cap:
         elements = dist.normalized_elements(f, A, pp)
@@ -415,18 +402,13 @@ def distribution_report(cfg: RunConfig) -> dict:
         rep1 = dist.verify_matrix_element_formula(A, pp, _usable_modes(A, p))
         sign = rep1.sign
         matched = rep1.unique_up_to_ties
+        n_bad = expsum.bad_character_count(group, [nu * pow(2, -1, pp.N) for nu in spectrum])
     else:
-        sample, _ = dist.normalized_elements_closed(f, A, pp)
+        sample, n_bad = dist.normalized_elements_closed(f, A, pp)
         n_eig = len(sample)
         n_excl = None
         sign = None
         matched = None
-
-    group = hecke.build_group(A, pp)
-    halved = sorted({nu * pow(2, -1, pp.N) % pp.N for nu in spectrum})
-    n_bad = sum(
-        1 for j in range(group.order) if any(not group.character(j).is_good(h) for h in halved)
-    )
 
     if len(spectrum) == 1 and pp.k >= 2:
         ((nu, w),) = spectrum.items()
@@ -487,8 +469,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--obs", help="observable JSON path")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out", help="output path")
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--jobs", type=int)
         sp.add_argument("--config", help="JSON config file (flags win)")
     return parser
 

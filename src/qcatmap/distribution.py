@@ -281,25 +281,22 @@ def _exp_sum_table(group, nus: list[int]) -> np.ndarray:
 
     Duplicate nus are evaluated once and broadcast to their columns.
     """
-    order = group.order
-    uniq = sorted(set(int(nu) for nu in nus))
-    out = np.empty((order, len(uniq)), dtype=np.complex128)
+    order, N = group.order, group.pp.N
+    uniq = sorted({int(nu) % N for nu in nus})
     if group.pp.k >= 2:
-        records = expsum.scan_characters(group, uniq)
-        col = {nu: i for i, nu in enumerate(uniq)}
-        for rec in records:
-            out[rec.chi_index, col[rec.nu]] = rec.value
+        out = expsum.scan_characters(group, uniq).value.reshape(order, len(uniq))
     else:
+        out = np.empty((order, len(uniq)), dtype=np.complex128)
         tbl = expsum.brute_force_table(group)
         xs = np.nonzero(tbl >= 0)[0]
         dlogs = tbl[xs]
-        roots_N = roots_table(group.pp.N)
+        roots_N = roots_table(N)
         for i, nu in enumerate(uniq):
-            add = roots_N[nu * xs % group.pp.N]
+            add = roots_N[nu * xs % N]
             for j in range(order):
                 out[j, i] = complex((add * group.roots[j * dlogs % order]).sum())
-        col = {nu: i for i, nu in enumerate(uniq)}
-    return out[:, [col[int(nu)] for nu in nus]]
+    col = {nu: i for i, nu in enumerate(uniq)}
+    return out[:, [col[int(nu) % N] for nu in nus]]
 
 
 def normalized_elements_closed(
@@ -313,7 +310,7 @@ def normalized_elements_closed(
     absorbed into the sweep and the global sign dropped (the law is
     symmetric).  The multiset differs from the true eigenfunction one by
     a density-O(1/p) set.  Returns the sample and the count of characters
-    that are bad for at least one class.
+    that are bad for at least one class (None at k = 1).
     """
     if not f.is_real:
         raise ValueError("the statistics are defined for real observables")
@@ -325,12 +322,7 @@ def normalized_elements_closed(
     table = _exp_sum_table(group, halved)
     weights = np.array([complex(spectrum[nu]).real for nu in nus])
     vals = (math.sqrt(pp.N) / group.order) * (table.real @ weights)
-    n_bad = sum(
-        1
-        for j in range(group.order)
-        if any(not group.character(j).is_good(h) for h in halved)
-    )
-    return EmpiricalSet(vals, "characters"), n_bad
+    return EmpiricalSet(vals, "characters"), expsum.bad_character_count(group, halved)
 
 
 # -- matrix-element formula verification --------------------------------
@@ -533,20 +525,18 @@ def count_y_tuples_with_relation(
     return total
 
 
-# -- record-level statistics --------------------------------------------
+# -- character-sum table statistics ----------------------------------------
 
 
-def vanished_fraction(records) -> float:
-    """Fraction of vanishing sums among the good-character records."""
-    good = [r for r in records if r.good]
-    if not good:
-        raise EmptySetError("no good characters in the record set")
-    return sum(1 for r in good if r.vanished) / len(good)
+def vanished_fraction(table: expsum.ExpSumTable) -> float:
+    """Fraction of vanishing sums among the good-character rows."""
+    if not table.good.any():
+        raise EmptySetError("no good characters in the table")
+    return float(np.mean(table.vanished[table.good]))
 
 
-def angle_moment(records, m: int) -> float:
-    """Mean of (2 cos theta)^m over the good-character records."""
-    vals = [2.0 * math.cos(r.theta) for r in records if r.good]
-    if not vals:
-        raise EmptySetError("no good characters in the record set")
-    return float(np.mean(np.array(vals) ** m))
+def angle_moment(table: expsum.ExpSumTable, m: int) -> float:
+    """Mean of (2 cos theta)^m over the good-character rows."""
+    if not table.good.any():
+        raise EmptySetError("no good characters in the table")
+    return float(np.mean((2.0 * np.cos(table.theta[table.good])) ** m))

@@ -41,8 +41,8 @@ class KTooSmallError(QcatError, ValueError):
     """Closed-form sum evaluation needs exponent k >= 2."""
 
 
-class BadCharacterError(QcatError, ValueError):
-    """Angle extraction requested for a character outside the good set."""
+class BoundExceededError(QcatError, ArithmeticError):
+    """A good character sum breaks the bound |E| <= 2 p^(k/2)."""
 
 
 class WrongKError(QcatError, ValueError):

@@ -5,8 +5,9 @@ evaluation routes are kept deliberately independent:
 
   * brute force - one term per x in X, character values through the
     discrete-log table (the oracle);
-  * closed form (k >= 2) - the sum collapses to at most two square-root
-    fibers mod p^(k//2), with an extra p-term Gauss factor for odd k.
+  * closed form (k >= 2) - the sum collapses to the square-root fiber
+    mod p^(k//2), with an extra p-term Gauss factor for odd k.  One numpy
+    evaluation covers an array of characters at once.
 
 Conventions: E is always real (terms pair conjugately under x -> -x);
 a character is "good" for nu when 2 t_chi != -nu (mod p), in which case
@@ -15,38 +16,38 @@ a character is "good" for nu when 2 t_chi != -nu (mod p), in which case
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadCharacterError,
-    KTooSmallError,
-    NonUnitError,
-    WrongKError,
-)
-from .hecke import HeckeCharacter, HeckeGroup, build_group
-from .modarith import PrimePower, gauss_quadratic, inv_mod, roots_table, sqrt_set
-from .quantization import TorusAutomorphism
+from .errors import BoundExceededError, KTooSmallError, NonUnitError, WrongKError
+from .hecke import HeckeCharacter, HeckeGroup
+from .modarith import PrimePower, gauss_quadratic_closed, roots_table
 
 LIFT_CHECK_TOL = 1e-9
 REALNESS_TOL = 1e-8
+# slack on |E| <= 2 p^(k/2) for good characters before theta is refused
+THETA_BOUND_TOL = 1e-9
 
 # brute force enumerates the whole domain; keep it at desk scale
 BRUTE_FORCE_LIMIT = 300_000
 
 
-@dataclass(frozen=True)
-class ExpSumRecord:
+@dataclass(frozen=True, eq=False)
+class ExpSumTable:
+    """Closed-form sums as columns, one row per (character, nu), ordered by
+    (chi_index, nu).  theta is NaN on the rows of bad characters."""
+
     pp: PrimePower
-    nu: int
-    chi_index: int
-    value: complex
-    theta: float | None
-    good: bool
-    vanished: bool
+    nu: np.ndarray
+    chi_index: np.ndarray
+    value: np.ndarray
+    theta: np.ndarray
+    good: np.ndarray
+    vanished: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
 
 
 def _check_nu(nu: int, pp: PrimePower) -> int:
@@ -94,8 +95,24 @@ def exp_sum_bruteforce(nu: int, chi: HeckeCharacter) -> complex:
     return complex((chi_part * add_part).sum())
 
 
-def _gauss_factor(group: HeckeGroup, nu: int, t: int, x: int) -> complex:
-    """Gauss sum G(x) for odd k, from the second-order expansion of the
+def _t_parameters(group: HeckeGroup, j: np.ndarray) -> np.ndarray:
+    """t-parameter of chi_j for each index j (see HeckeCharacter.t_parameter)."""
+    mod_t = group.t_modulus
+    return j % mod_t * group.t_unit % mod_t
+
+
+def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
+    """E(nu, chi_j) for each nu (rows) and character index j (columns),
+    with the masks of good characters and of vanished sums.
+
+    E = p^l * sum over x in the square-root set of w = (2t+nu)/(nu D)
+    mod p^l (within the domain) of e_N(nu x) chi(beta(x)) [* G(x) for odd
+    k], with x lifted canonically from [0, p^l).  The summand is
+    independent of the lift exactly on the fiber; every term is recomputed
+    at x + p^l and compared.  A sum vanishes when no fiber point lies in
+    the domain.
+
+    For odd k, G(x) is the Gauss sum of the second-order expansion of the
     Cayley map along the fiber x + p^l y:
 
         f = 2 t D x / (D x^2 - 1)^2  (mod p)
@@ -106,198 +123,128 @@ def _gauss_factor(group: HeckeGroup, nu: int, t: int, x: int) -> complex:
     so good characters always see a nondegenerate Gauss sum.
     """
     pp = group.pp
-    p = pp.p
-    l = pp.k // 2
-    pl1 = p ** (l + 1)
-    D = group.ring.D
-    denom = (D * x * x - 1) % pl1
-    den_inv = pow(denom, -1, pl1)  # unit: D x^2 != 1 mod p
-    f = 2 * t * D * x * den_inv * den_inv % p
-    val = (nu - 2 * t * den_inv) % pl1
-    if val % (pl1 // p) != 0:
-        raise RuntimeError("square-root fiber violates the divisibility constraint")
-    g = val // (pl1 // p) % p
-    return gauss_quadratic(f, g, p)
-
-
-def _closed_term(group: HeckeGroup, nu: int, chi: HeckeCharacter, t: int, x: int) -> complex:
-    pp = group.pp
-    term = roots_table(pp.N)[nu * x % pp.N] * chi.value(group.ring.cayley_transform(x))
-    if pp.k % 2 == 1:
-        term *= _gauss_factor(group, nu, t, x)
-    return term
-
-
-def exp_sum_closed(nu: int, chi: HeckeCharacter, check_lift: bool = True) -> complex:
-    """Closed-form evaluation for k >= 2.
-
-    E = p^l * sum over x in the square-root set of (2t+nu)/(nu D) mod p^l
-    (within the domain) of e_N(nu x) chi(beta(x)) [* G(x) for odd k],
-    with x lifted canonically from [0, p^l).  The summand is independent
-    of the lift exactly on the square-root fiber; with check_lift the
-    term is recomputed at x + p^l and compared.
-    """
-    group = chi.group
-    pp = group.pp
     if pp.k < 2:
         raise KTooSmallError("closed form needs k >= 2; use exp_sum_bruteforce")
-    nu = _check_nu(nu, pp)
-    p, l = pp.p, pp.k // 2
-    pl = p**l
-    ppl = PrimePower(p, l)
-    t = chi.t_parameter
-    w = (2 * t + nu) * inv_mod(nu * group.ring.D, ppl) % pl
-    total = 0.0 + 0.0j
-    contributed = False
-    for x in sqrt_set(w, p, l):
-        if not group.ring.in_domain(x):
-            continue
-        term = _closed_term(group, nu, chi, t, x)
-        if check_lift:
-            other = _closed_term(group, nu, chi, t, x + pl)
-            if abs(term - other) > LIFT_CHECK_TOL * (1.0 + abs(term)):
-                raise RuntimeError(f"lift dependence at x = {x}: {term} vs {other}")
-        total += term
-        contributed = True
-    value = pl * total
-    if abs(value.imag) > REALNESS_TOL * (1.0 + abs(value)):
-        raise RuntimeError(f"sum failed the realness check: {value}")
-    return value if contributed else complex(0.0)
-
-
-def theta_angle(record: ExpSumRecord) -> float:
-    """theta in [0, pi] with E = 2 p^(k/2) cos(theta), good characters only."""
-    if not record.good:
-        raise BadCharacterError("theta is defined for good characters only")
-    scale = 2.0 * record.pp.p ** (record.pp.k / 2.0)
-    return math.acos(min(1.0, max(-1.0, record.value.real / scale)))
-
-
-def _make_record(pp: PrimePower, nu: int, chi_index: int, value: complex, good: bool, vanished: bool) -> ExpSumRecord:
-    rec = ExpSumRecord(pp, nu, chi_index, value, None, good, vanished)
-    if good:
-        return ExpSumRecord(pp, nu, chi_index, value, theta_angle(rec), good, vanished)
-    return rec
-
-
-def _sqrt_table_mod_p(p: int) -> np.ndarray:
-    """tbl[v] = smallest square root of v mod p, or -1."""
-    tbl = np.full(p, -1, dtype=np.int64)
-    r = np.arange(p - 1, -1, -1, dtype=np.int64)
-    tbl[(r * r) % p] = r
-    return tbl
-
-
-def _scan_k2_vectorized(group: HeckeGroup, nu: int) -> list[ExpSumRecord]:
-    """All characters at once for k = 2 (one square-root fiber mod p)."""
-    pp = group.pp
+    nus = [_check_nu(int(nu), pp) for nu in nus]
     p, N, order = pp.p, pp.N, group.order
-    nu = _check_nu(nu, pp)
-    ring = group.ring
+    l = pp.k // 2
+    pl, pl1 = p**l, p ** (l + 1)
+    odd = pp.k % 2 == 1
+    D = group.ring.D
+    j = np.asarray(j, dtype=np.int64)
+    t = _t_parameters(group, j)
 
-    dom = [x for x in range(p) if ring.in_domain(x)]
-    dlog1 = np.full(p, -1, dtype=np.int64)
-    dlog1[dom] = _cayley_dlogs(group, dom)
-    dlog2 = np.full(p, -1, dtype=np.int64)
-    dlog2[dom] = _cayley_dlogs(group, [x + p for x in dom])
+    # per-x tables over [0, p^l) (row 0) and the lifts x + p^l (row 1):
+    # dlog beta(x), -1 outside the domain, and for odd k 1/(D x^2 - 1)
+    xs = np.arange(pl, dtype=np.int64)
+    dom = np.nonzero((D % p * (xs % p) ** 2 - 1) % p)[0]
+    dlogs = np.full((2, pl), -1, dtype=np.int64)
+    den_inv = np.zeros((2, pl), dtype=np.int64)
+    for lift in (0, 1):
+        shifted = [int(x) + lift * pl for x in dom]
+        dlogs[lift, dom] = _cayley_dlogs(group, shifted)
+        if odd:
+            den_inv[lift, dom] = [pow((D * x * x - 1) % pl1, -1, pl1) for x in shifted]
 
-    j = np.arange(order, dtype=np.int64)
-    t = j * group.t_unit % p
-    tw = (2 * t + nu) % p
-    good = tw != 0
-    w = tw * pow(nu * ring.D % p, -1, p) % p
-    root = _sqrt_table_mod_p(p)[w]
+    # every square root mod p^l of every w, from one sort of the squares
+    squares = xs * xs % pl
+    by_square = np.argsort(squares, kind="stable")
+    squares = squares[by_square]
+    roots_N, roots_C = roots_table(N), group.roots
 
-    roots_N = roots_table(N)
-    roots_C = group.roots
-    value = np.zeros(order, dtype=np.complex128)
-    vanished = np.ones(order, dtype=bool)
+    value = np.zeros((len(nus), len(j)), dtype=np.complex128)
+    good = np.empty((len(nus), len(j)), dtype=bool)
+    vanished = np.empty((len(nus), len(j)), dtype=bool)
+    for row, nu in enumerate(nus):
+        good[row] = (2 * t + nu) % p != 0
+        w = (2 * t + nu) % pl * pow(nu * D % pl, -1, pl) % pl
+        lo = np.searchsorted(squares, w, side="left")
+        count = np.searchsorted(squares, w, side="right") - lo
+        owner = np.repeat(np.arange(len(j)), count)
+        pos = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        x = by_square[pos]
+        in_dom = dlogs[0, x] >= 0
+        owner, x = owner[in_dom], x[in_dom]
+        jo, to = j[owner], t[owner]
 
-    def fiber_terms(xs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
-        out = np.zeros(order, dtype=np.complex128)
-        sel = np.nonzero(mask)[0]
-        x = xs[sel]
-        out[sel] = roots_N[nu * (x % N) % N] * roots_C[j[sel] * table[x % p] % order]
-        return out
+        terms = []
+        for lift in (0, 1):
+            xl = x + lift * pl
+            term = roots_N[nu * xl % N] * roots_C[jo * dlogs[lift, x] % order]
+            if odd:
+                den = den_inv[lift, x]
+                f = 2 * to * (D % p) % p * (xl % p) % p * (den % p) ** 2 % p
+                rest = (nu - 2 * to * den) % pl1
+                if np.any(rest % pl):
+                    raise RuntimeError("square-root fiber violates the divisibility constraint")
+                term = term * gauss_quadratic_closed(f, rest // pl, p)
+            terms.append(term)
+        term, lifted = terms
+        drift = np.abs(term - lifted) > LIFT_CHECK_TOL * (1.0 + np.abs(term))
+        if drift.any():
+            i = int(np.argmax(drift))
+            raise RuntimeError(f"lift dependence at x = {x[i]} for chi_{jo[i]}: {term[i]} vs {lifted[i]}")
+        value[row].real = pl * np.bincount(owner, weights=term.real, minlength=len(j))
+        value[row].imag = pl * np.bincount(owner, weights=term.imag, minlength=len(j))
+        vanished[row] = np.bincount(owner, minlength=len(j)) == 0
 
-    # bad characters: w = 0, single root x = 0 (always in the domain)
-    bad = ~good
-    if bad.any():
-        value[bad] = p * roots_C[j[bad] * int(dlog1[0]) % order]
-        vanished[bad] = False
-
-    live = good & (root >= 0)
-    for r in (root, (p - root) % p):
-        in_dom = live & (dlog1[np.clip(r, 0, p - 1)] >= 0)
-        term = fiber_terms(r, in_dom, dlog1)
-        lifted = fiber_terms(r + p, in_dom, dlog2)
-        err = np.abs(term - lifted)
-        if err.size and err.max() > LIFT_CHECK_TOL * 2:
-            raise RuntimeError("lift dependence in the vectorized fiber sum")
-        value += p * term
-        vanished &= ~in_dom
-
-    im_bad = np.abs(value.imag) > REALNESS_TOL * (1.0 + np.abs(value))
-    if im_bad.any():
-        raise RuntimeError("vectorized sums failed the realness check")
-
-    return [
-        _make_record(pp, nu, int(ji), complex(value[ji]), bool(good[ji]), bool(vanished[ji]))
-        for ji in range(order)
-    ]
+    complex_ = np.abs(value.imag) > REALNESS_TOL * (1.0 + np.abs(value))
+    if complex_.any():
+        raise RuntimeError(f"sum failed the realness check: {value[complex_][0]}")
+    return value, good, vanished
 
 
-def _scan_generic(group: HeckeGroup, nu: int, lo: int, hi: int) -> list[ExpSumRecord]:
+def exp_sum_closed(nu: int, chi: HeckeCharacter) -> complex:
+    """The closed form (k >= 2) at one character."""
+    value, _, _ = _closed_form(chi.group, [nu], [chi.index])
+    return complex(value[0, 0])
+
+
+def theta_angle(pp: PrimePower, value: np.ndarray, good: np.ndarray) -> np.ndarray:
+    """theta in [0, pi] with E = 2 p^(k/2) cos(theta) on good rows, NaN on
+    bad rows.  A good row with |E| / (2 p^(k/2)) above 1 + THETA_BOUND_TOL
+    breaks the paper's bound and raises BoundExceededError."""
+    scale = 2.0 * pp.p ** (pp.k / 2.0)
+    ratio = np.abs(value) / scale
+    if good.any() and ratio[good].max() > 1.0 + THETA_BOUND_TOL:
+        i = int(np.argmax(np.where(good, ratio, -1.0)))
+        raise BoundExceededError(
+            f"good sum above 2 p^(k/2) at {pp}: worst |E|/(2 p^(k/2)) = {ratio[i]:.12g} "
+            f"(row {i}, tolerance 1 + {THETA_BOUND_TOL:g})"
+        )
+    theta = np.full(len(value), np.nan)
+    theta[good] = np.arccos(np.clip(value.real[good] / scale, -1.0, 1.0))
+    return theta
+
+
+def scan_characters(group: HeckeGroup, nus) -> ExpSumTable:
+    """The closed form for every character and every nu, as one table
+    ordered by (chi_index, nu)."""
     pp = group.pp
-    out = []
-    for ji in range(lo, hi):
-        chi = group.character(ji)
-        value = exp_sum_closed(nu, chi)
-        good = chi.is_good(nu)
-        vanished = value == 0
-        out.append(_make_record(pp, nu, ji, value, good, vanished))
-    return out
+    nus = sorted(int(nu) % pp.N for nu in nus)
+    j = np.arange(group.order, dtype=np.int64)
+    value, good, vanished = (a.T.ravel() for a in _closed_form(group, nus, j))
+    return ExpSumTable(
+        pp=pp,
+        nu=np.tile(np.asarray(nus, dtype=np.int64), group.order),
+        chi_index=np.repeat(j, len(nus)),
+        value=value,
+        theta=theta_angle(pp, value, good),
+        good=good,
+        vanished=vanished,
+    )
 
 
-def _scan_chunk(args):
-    flat, p, k, nu, lo, hi = args
-    group = build_group(TorusAutomorphism.from_flat(flat), PrimePower(p, k))
-    recs = _scan_generic(group, nu, lo, hi)
-    return [(r.nu, r.chi_index, r.value, r.theta, r.good, r.vanished) for r in recs]
+def bad_character_count(group: HeckeGroup, nus) -> int | None:
+    """Characters bad for at least one of the nus (2 t_chi = -nu mod p).
 
-
-def scan_characters(group: HeckeGroup, nus, jobs: int = 1) -> list[ExpSumRecord]:
-    """One closed-form record per (character, nu), ordered by (chi_index, nu).
-
-    k = 2 runs a fully vectorized path; other k iterate characters and may
-    partition the range across processes (results re-sorted, so the output
-    is independent of the parallelism degree).
+    None at k = 1, where characters carry no t-parameter.
     """
     if group.pp.k < 2:
-        raise KTooSmallError("scan needs k >= 2")
-    records: list[ExpSumRecord] = []
-    for nu in nus:
-        if group.pp.k == 2:
-            records.extend(_scan_k2_vectorized(group, int(nu)))
-        elif jobs <= 1:
-            records.extend(_scan_generic(group, _check_nu(int(nu), group.pp), 0, group.order))
-        else:
-            nu_ok = _check_nu(int(nu), group.pp)
-            A = group.A
-            flat = (A.a, A.b, A.c, A.d)
-            step = -(-group.order // jobs)
-            chunks = [
-                (flat, group.pp.p, group.pp.k, nu_ok, lo, min(lo + step, group.order))
-                for lo in range(0, group.order, step)
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_scan_chunk, chunks):
-                    records.extend(
-                        ExpSumRecord(group.pp, n, ci, v, th, g, va)
-                        for (n, ci, v, th, g, va) in part
-                    )
-    records.sort(key=lambda r: (r.chi_index, r.nu))
-    return records
+        return None
+    t = _t_parameters(group, np.arange(group.order, dtype=np.int64))
+    residues = [-int(nu) % group.pp.p for nu in nus]
+    return int(np.count_nonzero(np.isin(2 * t % group.pp.p, residues)))
 
 
 def find_large(group: HeckeGroup, nu: int, rel_tol: float = 1e-6) -> list[tuple[int, complex]]:
@@ -312,10 +259,10 @@ def find_large(group: HeckeGroup, nu: int, rel_tol: float = 1e-6) -> list[tuple[
     p2 = pp.p**2
     # 2 t_chi = 2 j t_unit = -nu (mod p^2) has order/p^2 solutions j
     j0 = -nu * pow(2 * group.t_unit % p2, -1, p2) % p2
-    out = []
-    for j in range(j0, group.order, p2):
-        value = exp_sum_closed(nu, group.character(j))
-        if abs(abs(value) - p2) > rel_tol * p2:
-            raise RuntimeError(f"|E| = {abs(value)} != p^2 = {p2} at chi_{j}")
-        out.append((j, value))
-    return out
+    j = np.arange(j0, group.order, p2, dtype=np.int64)
+    value = _closed_form(group, [nu], j)[0][0]
+    off = np.abs(np.abs(value) - p2) > rel_tol * p2
+    if off.any():
+        i = int(np.argmax(off))
+        raise RuntimeError(f"|E| = {abs(value[i])} != p^2 = {p2} at chi_{j[i]}")
+    return list(zip(j.tolist(), value.tolist()))

@@ -202,5 +202,30 @@ def gauss_quadratic(f: int, g: int, p: int) -> complex:
     return complex(roots_table(p)[expo].sum())
 
 
+def gauss_quadratic_closed(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """gauss_quadratic for arrays of (f, g) mod p, in closed form.
+
+    Completing the square gives (f|p) eps_p sqrt(p) e_p(-g^2/(4f)) for
+    f != 0, with eps_p = 1 or i as p = 1 or 3 (mod 4).  For f = 0 the sum
+    is p when g = 0 and 0 otherwise.
+    """
+    if p == 2:
+        raise EvenPrimeError("Gauss sums are evaluated for odd p only")
+    f = np.asarray(f, dtype=np.int64) % p
+    g = np.asarray(g, dtype=np.int64) % p
+    units = np.arange(1, p, dtype=np.int64)
+    symbol = np.full(p, -1.0)
+    symbol[0] = 0.0
+    symbol[units * units % p] = 1.0
+    inverse = np.zeros(p, dtype=np.int64)
+    inverse[units] = [pow(int(u), -1, p) for u in units]
+    eps_sqrt = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
+    out = np.where(g == 0, complex(p), 0j)
+    unit = f != 0
+    expo = -(g[unit] ** 2) * inverse[4 * f[unit] % p] % p
+    out[unit] = symbol[f[unit]] * eps_sqrt * roots_table(p)[expo]
+    return out
+
+
 def binomial(n: int, r: int) -> int:
     return math.comb(n, r)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from qcatmap.quantization import TorusAutomorphism
 
@@ -23,3 +24,8 @@ def cat_map_p5():
 def matrix_for_prime(p: int) -> TorusAutomorphism:
     """Default matrix except at the ramified prime 5."""
     return A_TRACE4 if p == 5 else A_DEFAULT
+
+
+# property tests draw the same examples on every run
+settings.register_profile("qcatmap", derandomize=True, deadline=None, max_examples=30)
+settings.load_profile("qcatmap")

@@ -121,6 +121,47 @@ def test_config_file_with_flag_override(tmp_path):
     assert all(line.split(",")[2] == "2" for line in lines[1:])
 
 
+def test_distribution_k1_reports_null_bad_count(tmp_path):
+    obs = tmp_path / "obs.json"
+    write_obs(obs, {(1, 0): 0.5 + 0j, (-1, 0): 0.5 + 0j})  # cos 2 pi x1
+    out = tmp_path / "r.json"
+    assert run_cli(["distribution", "--p", "13", "--k", "1", "--obs", str(obs), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["n_eigenfunctions"] == 13
+    assert report["n_bad_character"] is None
+
+
+def test_expsum_sum_above_bound_exits_1(monkeypatch, capsys):
+    from qcatmap import expsum
+
+    closed_form = expsum._closed_form
+
+    def inflated(*args):
+        value, good, vanished = closed_form(*args)
+        return 2 * value, good, vanished
+
+    monkeypatch.setattr(expsum, "_closed_form", inflated)
+    assert run_cli(["expsum", "--p", "11", "--k", "2", "--nu", "1"]) == 1
+    assert "worst |E|/(2 p^(k/2))" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--format", "json"]])
+def test_removed_flags_exit_2(flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["expsum", "--p", "11", "--k", "2", "--nu", "1"] + flag)
+    assert exc.value.code == 2
+
+
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    assert run_cli(["verify", "--p", "3", "--k", "1", "--config", str(cfg)]) == 2
+    assert "jobs" in capsys.readouterr().err
+    # the keys that remain still apply
+    cfg.write_text(json.dumps({"dense_cap": 400}))
+    assert run_cli(["verify", "--p", "3", "--k", "1-2", "--config", str(cfg)]) == 0
+
+
 @pytest.mark.slow
 def test_verify_default_config_passes(capsys):
     # the full default battery: p in {3,5,7,11,13}, k <= 3 (5 skipped as ramified)

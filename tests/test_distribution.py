@@ -314,9 +314,9 @@ def test_count_y_tuples_with_relation(cat_map):
 
 def test_vanished_fraction_and_moments(cat_map):
     group = build_group(cat_map, PrimePower(101, 2))
-    records = expsum.scan_characters(group, [1])
-    assert abs(vanished_fraction(records) - 0.5) < 3 / math.sqrt(101)
-    assert abs(angle_moment(records, 2) - 1.0) < 5 / math.sqrt(101)
-    assert abs(angle_moment(records, 4) - 3.0) < 5 / math.sqrt(101)
+    table = expsum.scan_characters(group, [1])
+    assert abs(vanished_fraction(table) - 0.5) < 3 / math.sqrt(101)
+    assert abs(angle_moment(table, 2) - 1.0) < 5 / math.sqrt(101)
+    assert abs(angle_moment(table, 4) - 3.0) < 5 / math.sqrt(101)
     with pytest.raises(EmptySetError):
-        vanished_fraction([])
+        vanished_fraction(expsum.scan_characters(group, []))

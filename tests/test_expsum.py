@@ -3,17 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from qcatmap.errors import (
-    BadCharacterError,
+    BoundExceededError,
     KTooSmallError,
     NonUnitError,
+    QcatError,
     WrongKError,
 )
-from qcatmap.modarith import PrimePower, legendre, sqrt_set
+from qcatmap.modarith import (
+    PrimePower,
+    gauss_quadratic,
+    gauss_quadratic_closed,
+    legendre,
+    roots_table,
+    sqrt_set,
+)
 from qcatmap.hecke import build_group
-from qcatmap import expsum
 from qcatmap.expsum import (
-    ExpSumRecord,
+    bad_character_count,
     exp_sum_bruteforce,
     exp_sum_closed,
     find_large,
@@ -66,12 +76,24 @@ def test_sums_are_real():
         assert abs(val.imag) < 1e-8 * (1 + abs(val))
 
 
+def assert_table_equals_bruteforce(group, nus):
+    table = scan_characters(group, nus)
+    assert len(table) == group.order * len(nus)
+    for nu, j, value, vanished in zip(table.nu, table.chi_index, table.value, table.vanished):
+        assert abs(value - exp_sum_bruteforce(int(nu), group.character(int(j)))) < 1e-7
+        assert not vanished or value == 0
+    return table
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2), (5, 3), (5, 4), (11, 2)])
 def test_closed_form_equals_bruteforce(p, k):
     group = build_group(matrix_for_prime(p), PrimePower(p, k))
-    for nu in (1, 2, non_residue(p)):
-        for j in range(group.order):
-            chi = group.character(j)
+    nus = (1, 2, non_residue(p))
+    assert_table_equals_bruteforce(group, nus)
+    # the single-character entry point is the same closed form
+    for j in (0, 1, group.order // 2, group.order - 1):
+        chi = group.character(j)
+        for nu in nus:
             assert abs(exp_sum_closed(nu, chi) - exp_sum_bruteforce(nu, chi)) < 1e-7
 
 
@@ -100,22 +122,27 @@ def test_good_bound_and_pair_structure():
     for p, k in [(3, 3), (11, 2), (7, 2)]:
         group = build_group(A_DEFAULT, PrimePower(p, k))
         bound = 2 * p ** (k / 2) * (1 + 1e-8)
-        records = scan_characters(group, [1])
-        for rec in records:
-            if rec.good:
-                assert abs(rec.value) <= bound
-            assert abs(rec.value.imag) < 1e-8 * (1 + abs(rec.value))
+        table = scan_characters(group, [1])
+        assert np.all(np.abs(table.value[table.good]) <= bound)
+        assert np.all(np.abs(table.value.imag) < 1e-8 * (1 + np.abs(table.value)))
 
 
 def test_theta_angle():
-    pp = PrimePower(3, 2)
-    mk = lambda v: ExpSumRecord(pp, 1, 0, complex(v), None, True, v == 0)
-    assert theta_angle(mk(0)) == pytest.approx(math.pi / 2)
-    assert theta_angle(mk(2 * 3.0)) == pytest.approx(0.0)
-    assert theta_angle(mk(-2 * 3.0)) == pytest.approx(math.pi)
-    bad = ExpSumRecord(pp, 1, 0, complex(1.0), None, False, False)
-    with pytest.raises(BadCharacterError):
-        theta_angle(bad)
+    pp = PrimePower(3, 2)  # 2 p^(k/2) = 6
+    theta = theta_angle(pp, np.array([0, 6.0, -6.0, 1.0, 7.0]), np.array([True, True, True, False, False]))
+    assert theta[:3] == pytest.approx([math.pi / 2, 0.0, math.pi])
+    assert np.isnan(theta[3:]).all()  # bad rows carry no angle, whatever |E|
+    # the table's angles reproduce its values
+    group = build_group(A_DEFAULT, PrimePower(11, 2))
+    table = scan_characters(group, [1, 2])
+    scale = 2 * 11.0
+    assert np.allclose(scale * np.cos(table.theta[table.good]), table.value.real[table.good], atol=1e-9)
+    assert np.isnan(table.theta[~table.good]).all()
+    # a good sum above the bound is refused, not clamped to 0 or pi
+    theta_angle(pp, np.array([6.0 * (1 + 1e-12)]), np.array([True]))  # within tolerance
+    with pytest.raises(BoundExceededError, match="1.01"):
+        theta_angle(pp, np.array([1.0, -6.06]), np.array([True, True]))
+    assert issubclass(BoundExceededError, QcatError) and issubclass(BoundExceededError, ArithmeticError)
 
 
 def test_scan_bad_character_count_and_rows():
@@ -123,46 +150,43 @@ def test_scan_bad_character_count_and_rows():
     # restriction to the level-one subgroup
     for p, k in [(3, 2), (3, 3), (11, 2)]:
         group = build_group(A_DEFAULT, PrimePower(p, k))
-        records = scan_characters(group, [1, 2])
-        assert len(records) == 2 * group.order
-        assert records == sorted(records, key=lambda r: (r.chi_index, r.nu))
+        table = scan_characters(group, [2, 1])
+        assert len(table) == 2 * group.order
+        assert table.chi_index.tolist() == sorted(table.chi_index.tolist())
+        assert table.nu.tolist() == [1, 2] * group.order
         for nu in (1, 2):
-            n_bad = sum(1 for r in records if r.nu == nu and not r.good)
+            n_bad = int(np.count_nonzero((table.nu == nu) & ~table.good))
             assert n_bad == group.order // (p ** (k - 1)) * p ** (k - 2)
+            assert bad_character_count(group, [nu]) == n_bad
+        # a character bad for both classes counts once
+        assert bad_character_count(group, [1, 1 + p]) == n_bad
+    # at k = 1 characters carry no t-parameter
+    assert bad_character_count(build_group(A_DEFAULT, PrimePower(13, 1)), [1]) is None
 
 
-def test_scan_k2_matches_generic_path():
-    group = build_group(A_DEFAULT, PrimePower(7, 2))
-    fast = scan_characters(group, [1])
-    slow = expsum._scan_generic(group, 1, 0, group.order)
-    assert len(fast) == len(slow)
-    for a, b in zip(fast, slow):
-        assert a.chi_index == b.chi_index
-        assert abs(a.value - b.value) < 1e-9
-        assert a.good == b.good and a.vanished == b.vanished
-
-
-def test_scan_parallel_jobs_deterministic():
-    group = build_group(A_DEFAULT, PrimePower(3, 3))
-    serial = scan_characters(group, [1], jobs=1)
-    parallel = scan_characters(group, [1], jobs=2)
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert (a.chi_index, a.nu, a.good, a.vanished) == (b.chi_index, b.nu, b.good, b.vanished)
-        assert abs(a.value - b.value) < 1e-12
+@pytest.mark.parametrize("p,k", [(7, 2), (5, 3), (3, 4)])
+def test_scan_table_equals_bruteforce(p, k):
+    group = build_group(matrix_for_prime(p), PrimePower(p, k))
+    table = assert_table_equals_bruteforce(group, [1])
+    assert table.chi_index.tolist() == list(range(group.order))
 
 
 def test_good_fiber_terms_conjugate():
     # nonvanishing good sum = p^l * (z + conj(z)) over the two roots
-    group = build_group(A_DEFAULT, PrimePower(11, 2))
-    rec = next(r for r in scan_characters(group, [1]) if r.good and not r.vanished)
-    chi = group.character(rec.chi_index)
-    w = (2 * chi.t_parameter + rec.nu) * pow(rec.nu * group.ring.D % 11, -1, 11) % 11
-    r1, r2 = sqrt_set(w, 11, 1)
-    t1 = expsum._closed_term(group, rec.nu, chi, chi.t_parameter, r1)
-    t2 = expsum._closed_term(group, rec.nu, chi, chi.t_parameter, r2)
+    p = 11
+    group = build_group(A_DEFAULT, PrimePower(p, 2))
+    table = scan_characters(group, [1])
+    row = int(np.argmax(table.good & ~table.vanished))
+    nu, chi = int(table.nu[row]), group.character(int(table.chi_index[row]))
+    w = (2 * chi.t_parameter + nu) * pow(nu * group.ring.D % p, -1, p) % p
+    r1, r2 = sqrt_set(w, p, 1)
+
+    def term(x):
+        return roots_table(p * p)[nu * x % (p * p)] * chi.value(group.ring.cayley_transform(x))
+
+    t1, t2 = term(r1), term(r2)
     assert abs(t1 - t2.conjugate()) < 1e-10
-    assert abs(11 * (t1 + t2) - rec.value) < 1e-9
+    assert abs(p * (t1 + t2) - table.value[row]) < 1e-9
 
 
 def test_find_large_p3():
@@ -171,8 +195,7 @@ def test_find_large_p3():
     assert hits
     for j, value in hits:
         assert abs(abs(value) - 9) < 1e-6 * 9
-        rec = ExpSumRecord(group.pp, 1, j, value, None, group.character(j).is_good(1), False)
-        assert not rec.good  # 2t = -nu mod p^2 implies bad mod p
+        assert not group.character(j).is_good(1)  # 2t = -nu mod p^2 implies bad mod p
     # the large set is the fiber of the t-restriction: order / p^2 members
     assert len(hits) == group.order // 9
 
@@ -187,3 +210,38 @@ def test_find_large_wrong_k():
     group = build_group(A_DEFAULT, PrimePower(3, 2))
     with pytest.raises(WrongKError):
         find_large(group, 1)
+
+
+# -- property tests (derandomized profile, see conftest.py) ---------------
+
+SPACES = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2), (11, 3), (13, 2)]
+
+
+@st.composite
+def space_and_nu(draw):
+    p, k = draw(st.sampled_from(SPACES))
+    nu = draw(st.integers(1, p**k - 1).filter(lambda v: v % p != 0))
+    return p, k, nu
+
+
+@given(space_and_nu())
+def test_property_table_equals_bruteforce(case):
+    p, k, nu = case
+    assert_table_equals_bruteforce(build_group(matrix_for_prime(p), PrimePower(p, k)), [nu])
+
+
+@given(st.sampled_from([5, 13, 17, 29, 3, 7, 11, 19, 23]))
+def test_property_gauss_closed_form(p):
+    f, g = (a.ravel() for a in np.meshgrid(np.arange(p), np.arange(p)))
+    closed = gauss_quadratic_closed(f, g, p)
+    direct = np.array([gauss_quadratic(int(a), int(b), p) for a, b in zip(f, g)])
+    assert np.abs(closed - direct).max() < 1e-9
+
+
+@given(space_and_nu())
+def test_property_good_matches_is_good(case):
+    p, k, nu = case
+    group = build_group(matrix_for_prime(p), PrimePower(p, k))
+    table = scan_characters(group, [nu])
+    expect = [group.character(int(j)).is_good(nu) for j in table.chi_index]
+    assert table.good.tolist() == expect
