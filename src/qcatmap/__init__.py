@@ -8,7 +8,7 @@ statistics of eigenfunction matrix elements against their limiting law.
 
 from .modarith import PrimePower
 from .quantization import DenseOperator, FourierObservable, StateVector, TorusAutomorphism
-from .hecke import HeckeCharacter, HeckeGroup, build_group, classify_prime, eigendecompose
+from .hecke import HeckeCharacter, HeckeGroup, classify_prime, eigendecompose
 from .expsum import ExpSumTable, exp_sum_bruteforce, exp_sum_closed, find_large, scan_characters
 from .distribution import (
     compare_distribution,
@@ -29,7 +29,6 @@ __all__ = [
     "DenseOperator",
     "HeckeGroup",
     "HeckeCharacter",
-    "build_group",
     "classify_prime",
     "eigendecompose",
     "ExpSumTable",

@@ -11,6 +11,7 @@ was about to be emitted, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -109,13 +110,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg = replace(cfg, p_list=_parse_int_list(args.p), explicit_p=True)
     if args.k:
         cfg = replace(cfg, k_list=_parse_int_list(args.k))
-    if args.nu:
+    if getattr(args, "nu", None):
         cfg = replace(cfg, nu_list=_parse_int_list(args.nu))
-    if args.obs:
+    if getattr(args, "obs", None):
         cfg = replace(cfg, obs_path=args.obs)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.out:
+    if getattr(args, "out", None):
         cfg = replace(cfg, out_path=args.out)
     return cfg
 
@@ -150,8 +151,6 @@ class CheckTable:
     def run(self, name: str, fn):
         try:
             ok, detail = fn()
-        except QcatError as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
         except Exception as exc:  # loud but recorded
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         self.add(name, ok, detail)
@@ -159,6 +158,23 @@ class CheckTable:
     @property
     def all_ok(self) -> bool:
         return all(ok for _, ok, _ in self.rows)
+
+
+@dataclass
+class Space:
+    """A dense space of the verify sweep: its group and eigendecomposition are
+    built on first use and freed with it; a build error fails each check using it."""
+
+    A: TorusAutomorphism
+    pp: PrimePower
+
+    @functools.cached_property
+    def group(self) -> hecke.HeckeGroup:
+        return hecke.build_group(self.A, self.pp)
+
+    @functools.cached_property
+    def decomp(self) -> hecke.EigenDecomposition:
+        return hecke.eigendecompose(self.group)
 
 
 def _check_modarith() -> tuple[bool, str]:
@@ -181,96 +197,99 @@ def _check_modarith() -> tuple[bool, str]:
     return True, "inverses, legendre, sqrt sets, gauss magnitudes"
 
 
-def _check_quantization(A: TorusAutomorphism, pairs) -> tuple[bool, str]:
-    worst_u = worst_e = 0.0
-    for pp in pairs:
-        U = propagator(A, pp)
-        N = pp.N
-        err = np.abs(U.entries @ U.entries.conj().T - np.eye(N)).max()
-        worst_u = max(worst_u, float(err))
-        Amod = A.mat_mod(N)
-        for n in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 5)]:
-            lhs = U.entries.conj().T @ elementary_matrix(n, pp, twisted=True).entries @ U.entries
-            rhs = elementary_matrix(row_action(n, Amod), pp, twisted=True).entries
-            worst_e = max(worst_e, float(np.abs(lhs - rhs).max()))
+def _quantization_part(space: Space) -> tuple[float, float]:
+    pp = space.pp
+    U = propagator(space.A, pp)
+    N = pp.N
+    worst_u = float(np.abs(U.entries @ U.entries.conj().T - np.eye(N)).max())
+    worst_e = 0.0
+    Amod = space.A.mat_mod(N)
+    for n in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 5)]:
+        lhs = U.entries.conj().T @ elementary_matrix(n, pp, twisted=True).entries @ U.entries
+        rhs = elementary_matrix(row_action(n, Amod), pp, twisted=True).entries
+        worst_e = max(worst_e, float(np.abs(lhs - rhs).max()))
+    return worst_u, worst_e
+
+
+def _quantization_summary(parts) -> tuple[bool, str]:
+    worst_u = max([0.0] + [u for u, _ in parts])
+    worst_e = max([0.0] + [e for _, e in parts])
     ok = worst_u < 1e-8 and worst_e < 1e-8
-    return ok, f"unitarity {worst_u:.1e}, egorov {worst_e:.1e} over {len(pairs)} spaces"
+    return ok, f"unitarity {worst_u:.1e}, egorov {worst_e:.1e} over {len(parts)} spaces"
 
 
-def _check_hecke(A: TorusAutomorphism, pairs) -> tuple[bool, str]:
-    notes = []
-    for pp in pairs:
-        group = hecke.build_group(A, pp)
-        expected = pp.p ** (pp.k - 1) * (pp.p - 1 if group.kind == "split" else pp.p + 1)
-        assert group.order == expected
-        decomp = hecke.eigendecompose(A, pp)
-        mults = sorted(len(v) for v in decomp.clusters.values())
-        assert sum(mults) == pp.N
-        if group.kind == "inert":
-            assert mults[-1] == 1, f"inert multiplicity > 1 at {pp}"
-        tr2 = hecke.trace_magnitudes_sq_via_spectrum(decomp)
-        for m in range(group.order):
-            ker = hecke.qz.fixed_point_count(group.ring.matrix_of(group.element(m)), pp)
-            assert abs(tr2[m] - ker) <= 1e-6 * ker, f"trace mismatch at {pp}, m={m}"
-        notes.append(f"{pp}:{group.kind[0]}")
-    return True, "orders, multiplicities, trace sweep (" + " ".join(notes) + ")"
+def _hecke_part(space: Space) -> str:
+    pp, group = space.pp, space.group
+    expected = pp.p ** (pp.k - 1) * (pp.p - 1 if group.kind == "split" else pp.p + 1)
+    assert group.order == expected
+    decomp = space.decomp
+    mults = sorted(len(v) for v in decomp.clusters.values())
+    assert sum(mults) == pp.N
+    if group.kind == "inert":
+        assert mults[-1] == 1, f"inert multiplicity > 1 at {pp}"
+    tr2 = hecke.trace_magnitudes_sq_via_spectrum(decomp)
+    for m in range(group.order):
+        ker = hecke.qz.fixed_point_count(group.ring.matrix_of(group.element(m)), pp)
+        assert abs(tr2[m] - ker) <= 1e-6 * ker, f"trace mismatch at {pp}, m={m}"
+    return f"{pp}:{group.kind[0]}"
 
 
-def _check_expsum(A: TorusAutomorphism, pairs) -> tuple[bool, str]:
+def _expsum_part(space: Space) -> tuple[float, int]:
+    pp, group = space.pp, space.group
     worst = 0.0
     count = 0
-    for pp in pairs:
-        if pp.k < 2:
-            continue
-        group = hecke.build_group(A, pp)
-        nonres = next(v for v in range(2, pp.p) if legendre(v, pp.p) == -1)
-        for nu in (1, 2, nonres):
-            table = expsum.scan_characters(group, [nu])
-            for j, value in zip(table.chi_index.tolist(), table.value.tolist()):
-                worst = max(worst, abs(value - expsum.exp_sum_bruteforce(nu, group.character(j))))
-            count += len(table)
+    nonres = next(v for v in range(2, pp.p) if legendre(v, pp.p) == -1)
+    for nu in (1, 2, nonres):
+        table = expsum.scan_characters(group, [nu])
+        for j, value in zip(table.chi_index.tolist(), table.value.tolist()):
+            worst = max(worst, abs(value - expsum.exp_sum_bruteforce(nu, group.character(j))))
+        count += len(table)
+    return worst, count
+
+
+def _expsum_summary(parts) -> tuple[bool, str]:
+    worst = max([0.0] + [w for w, _ in parts])
+    count = sum(c for _, c in parts)
     ok = worst < EXPSUM_TOL
     return ok, f"{count} sums, closed-vs-brute max err {worst:.1e} (tol {EXPSUM_TOL:g})"
 
 
-def _check_theorem1(A: TorusAutomorphism, pairs) -> tuple[bool, str]:
-    notes = []
-    for pp in pairs:
-        modes = _usable_modes(A, pp.p)
-        rep = dist.verify_matrix_element_formula(A, pp, modes)
-        if not rep.unique_up_to_ties:
+def _formula_part(space: Space) -> tuple[PrimePower, bool, int]:
+    rep = dist.verify_matrix_element_formula(space.decomp, _usable_modes(space.A, space.pp.p))
+    return space.pp, rep.unique_up_to_ties, rep.sign
+
+
+def _formula_summary(parts) -> tuple[bool, str]:
+    for pp, unique, _ in parts:
+        if not unique:
             return False, f"match not unique at {pp}"
-        notes.append(f"{pp}:{rep.sign:+d}")
-    return True, "signs " + " ".join(notes)
+    return True, "signs " + " ".join(f"{pp}:{sign:+d}" for pp, _, sign in parts)
 
 
-def _check_slow_decay(A: TorusAutomorphism, primes) -> tuple[bool, str]:
-    notes = []
-    for p in primes:
-        pp = PrimePower(p, 3)
-        group = hecke.build_group(A, pp)
-        n = next(m for m in DEFAULT_MODES if dist.quadratic_form(A, m) % p != 0)
-        nu = dist.quadratic_form(A, n) * pow(2, -1, pp.N) % pp.N
-        big = expsum.find_large(group, nu)
-        assert big, f"no large sums at p={p}"
-        decomp = hecke.eigendecompose(A, pp)
-        target = p * p / group.order
-        hits = 0
-        for _, col in decomp.multiplicity_one_items():
-            psi = decomp.state(col)
-            el = abs(dist.inner_product(dist.apply_elementary(n, psi), psi))
-            if abs(el - target) <= 1e-6 * target:
-                hits += 1
-        assert hits, f"no eigenfunction realizes 1/(p+-1) at p={p}"
-        notes.append(f"p={p}:{len(big)}ch/{hits}ef")
-    return True, " ".join(notes)
+def _slow_decay_part(space: Space) -> tuple[int, str]:
+    A, pp, group = space.A, space.pp, space.group
+    p = pp.p
+    n = next(m for m in DEFAULT_MODES if dist.quadratic_form(A, m) % p != 0)
+    nu = dist.quadratic_form(A, n) * pow(2, -1, pp.N) % pp.N
+    big = expsum.find_large(group, nu)
+    assert big, f"no large sums at p={p}"
+    decomp = space.decomp
+    target = p * p / group.order
+    hits = 0
+    for _, col in decomp.multiplicity_one_items():
+        psi = decomp.state(col)
+        el = abs(dist.inner_product(dist.apply_elementary(n, psi), psi))
+        if abs(el - target) <= 1e-6 * target:
+            hits += 1
+    assert hits, f"no eigenfunction realizes 1/(p+-1) at p={p}"
+    return p, f"p={p}:{len(big)}ch/{hits}ef"
 
 
 def _check_distribution(A: TorusAutomorphism, seed: int) -> tuple[bool, str]:
     p = next(q for q in (101, 103, 107, 109) if A.disc % q != 0)
     pp = PrimePower(p, 2)
     f = FourierObservable.harmonic_pair((1, 0))
-    sample, _ = dist.normalized_elements_closed(f, A, pp)
+    sample, _ = dist.normalized_elements_closed(f, hecke.build_group(A, pp))
     spectrum = dist.twisted_coefficients(f, A)
     model = dist.sample_limit_variable(spectrum, seed, SAMPLER_COUNT)
     rep = dist.compare_distribution(sample, model, winsor_bound=10 * p ** (1 / 6))
@@ -299,13 +318,31 @@ def cmd_verify(cfg: RunConfig, stream=None) -> int:
         table.add("dense cap", True, "skipped " + " ".join(str(pp) for pp in skipped))
 
     table.run("modarith oracles", _check_modarith)
-    table.run("quantization invariants", lambda: _check_quantization(A, dense))
-    table.run("hecke group/eigen", lambda: _check_hecke(A, dense))
-    table.run("expsum oracle equivalence", lambda: _check_expsum(A, dense))
-    table.run("matrix-element formula", lambda: _check_theorem1(A, [pp for pp in dense if pp.k >= 2]))
-    p3 = sorted({pp.p for pp in dense if pp.k == 3})
-    if p3:
-        table.run("slow decay (k=3)", lambda: _check_slow_decay(A, p3))
+    # row name, the spaces it checks, its part on one space, the row from its parts
+    rows = [
+        ("quantization invariants", lambda pp: True, _quantization_part, _quantization_summary),
+        ("hecke group/eigen", lambda pp: True, _hecke_part,
+         lambda notes: (True, "orders, multiplicities, trace sweep (" + " ".join(notes) + ")")),
+        ("expsum oracle equivalence", lambda pp: pp.k >= 2, _expsum_part, _expsum_summary),
+        ("matrix-element formula", lambda pp: pp.k >= 2, _formula_part, _formula_summary),
+        # one note per prime, in increasing order whatever the order of --p
+        ("slow decay (k=3)", lambda pp: pp.k == 3, _slow_decay_part,
+         lambda notes: (True, " ".join(note for _, note in sorted(set(notes))))),
+    ]
+    if not any(pp.k == 3 for pp in dense):
+        rows.pop()
+    parts: dict[str, list] = {name: [] for name, *_ in rows}
+    failed: dict[str, str] = {}  # the first error of a row; it then skips the remaining spaces
+    for pp in dense:
+        space = Space(A, pp)  # frees the previous space before this one builds anything
+        for name, when, part, _ in rows:
+            if name not in failed and when(pp):
+                try:
+                    parts[name].append(part(space))
+                except Exception as exc:  # loud but recorded
+                    failed[name] = f"{type(exc).__name__}: {exc}"
+    for name, _, _, summary in rows:
+        table.add(name, *((False, failed[name]) if name in failed else summary(parts[name])))
     table.run("limiting distribution", lambda: _check_distribution(A, cfg.seed))
     return 0 if table.all_ok else 1
 
@@ -386,25 +423,25 @@ def distribution_report(cfg: RunConfig) -> dict:
     p, k = cfg.p_list[0], cfg.k_list[0]
     pp = PrimePower(p, k)
     try:
-        kind = hecke.classify_prime(A, p)
+        group = hecke.build_group(A, pp)
     except RamifiedPrimeError as exc:
         raise ConfigError(str(exc)) from exc
     spectrum = dist.twisted_coefficients(f, A)
     winsor = 10.0 * p ** (1.0 / 6.0)
-    group = hecke.build_group(A, pp)
 
     if pp.N <= cfg.dense_cap:
-        elements = dist.normalized_elements(f, A, pp)
+        decomp = hecke.eigendecompose(group)
+        elements = dist.normalized_elements(f, decomp)
         sample = elements.empirical
         n_eig = len(sample)
         n_excl = elements.n_excluded_multiplicity
         # the sign is a property of (p, k); pin it on the default mode set
-        rep1 = dist.verify_matrix_element_formula(A, pp, _usable_modes(A, p))
+        rep1 = dist.verify_matrix_element_formula(decomp, _usable_modes(A, p))
         sign = rep1.sign
         matched = rep1.unique_up_to_ties
         n_bad = expsum.bad_character_count(group, [nu * pow(2, -1, pp.N) for nu in spectrum])
     else:
-        sample, n_bad = dist.normalized_elements_closed(f, A, pp)
+        sample, n_bad = dist.normalized_elements_closed(f, group)
         n_eig = len(sample)
         n_excl = None
         sign = None
@@ -421,7 +458,7 @@ def distribution_report(cfg: RunConfig) -> dict:
     report = {
         "p": p,
         "k": k,
-        "kind": kind,
+        "kind": group.kind,
         "observable_digest": observable_digest(f),
         "n_eigenfunctions": n_eig,
         "n_excluded_multiplicity": n_excl,
@@ -460,15 +497,21 @@ def cmd_distribution(cfg: RunConfig, stream=None) -> int:
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcatmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command registers only the flags it reads, so any other exits 2;
+    # config-file keys stay one shared set
     for name in ("verify", "expsum", "distribution"):
         sp = sub.add_parser(name)
         sp.add_argument("--matrix", help="a,b,c,d of the automorphism")
         sp.add_argument("--p", help="prime list, e.g. 3,5,7")
         sp.add_argument("--k", help="exponent list or range, e.g. 1-3")
-        sp.add_argument("--nu", help="class values, e.g. 1,2")
-        sp.add_argument("--obs", help="observable JSON path")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", help="output path")
+        if name == "expsum":
+            sp.add_argument("--nu", help="class values, e.g. 1,2")
+        if name == "distribution":
+            sp.add_argument("--obs", help="observable JSON path")
+        if name in ("verify", "distribution"):
+            sp.add_argument("--seed", type=int)
+        if name in ("expsum", "distribution"):
+            sp.add_argument("--out", help="output path")
         sp.add_argument("--config", help="JSON config file (flags win)")
     return parser
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import expsum
 from .errors import BadNuError, EmptySetError, NoMatchError
-from .hecke import EigenDecomposition, build_group, eigendecompose
-from .modarith import PrimePower, binomial, legendre, roots_table
+from .hecke import EigenDecomposition, HeckeGroup, build_group
+from .modarith import PrimePower, binomial, legendre
 from .quantization import (
     FourierObservable,
     TorusAutomorphism,
@@ -248,17 +248,13 @@ class NormalizedElements:
     n_excluded_multiplicity: int
 
 
-def normalized_elements(
-    f: FourierObservable, A: TorusAutomorphism, pp: PrimePower, decomp: EigenDecomposition | None = None
-) -> NormalizedElements:
+def normalized_elements(f: FourierObservable, decomp: EigenDecomposition) -> NormalizedElements:
     """sqrt(N)(<Op(f) psi, psi> - fhat(0)) over multiplicity-one
     eigenfunctions; higher-multiplicity clusters are excluded and counted."""
     if not f.is_real:
         raise ValueError("the statistics are defined for real observables")
-    spectrum = twisted_coefficients(f, A)
-    _reduced_classes(spectrum, pp)  # validates p does not divide any class
-    if decomp is None:
-        decomp = eigendecompose(A, pp)
+    pp = decomp.group.pp
+    _reduced_classes(twisted_coefficients(f, decomp.group.A), pp)  # validates p does not divide any class
     items = decomp.multiplicity_one_items()
     op = op_of_observable(f, pp).entries
     labels = np.array([lab for lab, _ in items], dtype=np.int64)
@@ -276,8 +272,9 @@ def normalized_elements(
     )
 
 
-def _exp_sum_table(group, nus: list[int]) -> np.ndarray:
-    """E(nu, chi_j) for all characters j (rows) and the given nus (cols).
+def _exp_sum_table(group: HeckeGroup, nus: list[int]) -> np.ndarray:
+    """E(nu, chi_j) for all characters j (rows) and the given nus (cols),
+    in closed form at k >= 2 and by brute force at k = 1.
 
     Duplicate nus are evaluated once and broadcast to their columns.
     """
@@ -286,22 +283,14 @@ def _exp_sum_table(group, nus: list[int]) -> np.ndarray:
     if group.pp.k >= 2:
         out = expsum.scan_characters(group, uniq).value.reshape(order, len(uniq))
     else:
-        out = np.empty((order, len(uniq)), dtype=np.complex128)
-        tbl = expsum.brute_force_table(group)
-        xs = np.nonzero(tbl >= 0)[0]
-        dlogs = tbl[xs]
-        roots_N = roots_table(N)
-        for i, nu in enumerate(uniq):
-            add = roots_N[nu * xs % N]
-            for j in range(order):
-                out[j, i] = complex((add * group.roots[j * dlogs % order]).sum())
+        out = np.array(
+            [[expsum.exp_sum_bruteforce(nu, group.character(j)) for nu in uniq] for j in range(order)]
+        )
     col = {nu: i for i, nu in enumerate(uniq)}
     return out[:, [col[int(nu) % N] for nu in nus]]
 
 
-def normalized_elements_closed(
-    f: FourierObservable, A: TorusAutomorphism, pp: PrimePower
-) -> tuple[EmpiricalSet, int]:
+def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple[EmpiricalSet, int | None]:
     """Closed-form model of the F_j sample: one value per character,
 
         F_chi = sqrt(N)/#C * sum_nu f#(nu) E(nu/2, chi).
@@ -314,8 +303,8 @@ def normalized_elements_closed(
     """
     if not f.is_real:
         raise ValueError("the statistics are defined for real observables")
-    group = build_group(A, pp)
-    spectrum = _reduced_classes(twisted_coefficients(f, A), pp)
+    pp = group.pp
+    spectrum = _reduced_classes(twisted_coefficients(f, group.A), pp)
     inv2 = pow(2, -1, pp.N)
     nus = sorted(spectrum)
     halved = [nu * inv2 % pp.N for nu in nus]
@@ -350,11 +339,7 @@ class FormulaReport:
 
 
 def verify_matrix_element_formula(
-    A: TorusAutomorphism,
-    pp: PrimePower,
-    n_list: list[tuple[int, int]],
-    tol: float = 1e-7,
-    decomp: EigenDecomposition | None = None,
+    decomp: EigenDecomposition, n_list: list[tuple[int, int]], tol: float = 1e-7
 ) -> FormulaReport:
     """Match measured matrix elements against the character-sum formula.
 
@@ -369,9 +354,8 @@ def verify_matrix_element_formula(
     whole n-list match any character with a vanishing row; they are
     counted separately and impose no uniqueness constraint.
     """
-    group = build_group(A, pp)
-    if decomp is None:
-        decomp = eigendecompose(A, pp)
+    group = decomp.group
+    A, pp = group.A, group.pp
     inv2 = pow(2, -1, pp.N)
     qs = [quadratic_form(A, n) for n in n_list]
     for n, q in zip(n_list, qs):

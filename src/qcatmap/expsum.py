@@ -29,9 +29,6 @@ REALNESS_TOL = 1e-8
 # slack on |E| <= 2 p^(k/2) for good characters before theta is refused
 THETA_BOUND_TOL = 1e-9
 
-# brute force enumerates the whole domain; keep it at desk scale
-BRUTE_FORCE_LIMIT = 300_000
-
 
 @dataclass(frozen=True, eq=False)
 class ExpSumTable:
@@ -57,38 +54,12 @@ def _check_nu(nu: int, pp: PrimePower) -> int:
     return nu
 
 
-def _cayley_dlogs(group: HeckeGroup, xs) -> np.ndarray:
-    """dlog(beta(x)) for each x (must be in the domain)."""
-    ring = group.ring
-    enc = np.fromiter(
-        (group.encode(ring.cayley_transform(int(x))) for x in xs),
-        dtype=np.int64,
-    )
-    return group.dlog_encoded(enc) if len(enc) else enc
-
-
-def brute_force_table(group: HeckeGroup) -> np.ndarray:
-    """dlog(beta(x)) over x = 0..N-1, -1 outside the domain (cached)."""
-    tbl = getattr(group, "_cayley_table", None)
-    if tbl is not None:
-        return tbl
-    N = group.pp.N
-    if N > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute-force table for N = {N} is out of desk scale")
-    ring = group.ring
-    xs = [x for x in range(N) if ring.in_domain(x)]
-    tbl = np.full(N, -1, dtype=np.int64)
-    tbl[xs] = _cayley_dlogs(group, xs)
-    group._cayley_table = tbl
-    return tbl
-
-
 def exp_sum_bruteforce(nu: int, chi: HeckeCharacter) -> complex:
     """Direct summation over the whole domain (the oracle route)."""
     group = chi.group
     pp = group.pp
     nu = _check_nu(nu, pp)
-    tbl = brute_force_table(group)
+    tbl = group.cayley_table
     xs = np.nonzero(tbl >= 0)[0]
     chi_part = group.roots[chi.index * tbl[xs] % group.order]
     add_part = roots_table(pp.N)[nu * xs % pp.N]
@@ -142,7 +113,7 @@ def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
     den_inv = np.zeros((2, pl), dtype=np.int64)
     for lift in (0, 1):
         shifted = [int(x) + lift * pl for x in dom]
-        dlogs[lift, dom] = _cayley_dlogs(group, shifted)
+        dlogs[lift, dom] = group.cayley_dlogs(shifted)
         if odd:
             den_inv[lift, dom] = [pow((D * x * x - 1) % pl1, -1, pl1) for x in shifted]
 

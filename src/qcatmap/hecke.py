@@ -33,6 +33,9 @@ from .quantization import StateVector, TorusAutomorphism, propagator
 
 OrderElement = tuple[int, int]
 
+# brute force enumerates the whole domain; keep it at desk scale
+BRUTE_FORCE_LIMIT = 300_000
+
 
 def classify_prime(A: TorusAutomorphism, p: int) -> str:
     """'split' when D = tr(A)^2 - 4 is a square mod p, 'inert' otherwise."""
@@ -231,6 +234,25 @@ class HeckeGroup:
             raise KeyError("element outside the norm-one group")
         return self._sort_perm[i]
 
+    def cayley_dlogs(self, xs) -> np.ndarray:
+        """dlog(beta(x)) for each x (must be in the domain)."""
+        enc = np.fromiter(
+            (self.encode(self.ring.cayley_transform(int(x))) for x in xs),
+            dtype=np.int64,
+        )
+        return self.dlog_encoded(enc) if len(enc) else enc
+
+    @functools.cached_property
+    def cayley_table(self) -> np.ndarray:
+        """dlog(beta(x)) over x = 0..N-1, -1 outside the domain (brute force)."""
+        N = self.pp.N
+        if N > BRUTE_FORCE_LIMIT:
+            raise ValueError(f"brute-force table for N = {N} is out of desk scale")
+        xs = [x for x in range(N) if self.ring.in_domain(x)]
+        tbl = np.full(N, -1, dtype=np.int64)
+        tbl[xs] = self.cayley_dlogs(xs)
+        return tbl
+
     def congruence_level(self, u: OrderElement) -> int:
         return self.ring.congruence_level(u)
 
@@ -285,8 +307,8 @@ class HeckeGroup:
         return m1 // q
 
 
-@functools.lru_cache(maxsize=64)
 def build_group(A: TorusAutomorphism, pp: PrimePower) -> HeckeGroup:
+    """C(p^k) for A, not memoized: the caller owns it and passes it on."""
     return HeckeGroup(A, pp)
 
 
@@ -379,9 +401,6 @@ def _mat_inv_sl2(M: qz.Mat2, N: int) -> qz.Mat2:
 def unit_dlog_array(group: HeckeGroup, diag: SplitDiagonalizer) -> np.ndarray:
     """Discrete log of every unit y mod p^k relative to the image of the
     group generator under beta -> eigenvalue of (aI + bA); -1 at non-units."""
-    cached = getattr(group, "_unit_dlog", None)
-    if cached is not None:
-        return cached
     N = group.pp.N
     ga, gb = group.gen
     x_g = (ga + gb * diag.y) % N
@@ -392,30 +411,25 @@ def unit_dlog_array(group: HeckeGroup, diag: SplitDiagonalizer) -> np.ndarray:
         x = x * x_g % N
     if x != 1:
         raise RuntimeError("unit group walk did not close")
-    group._unit_dlog = arr
     return arr
 
 
-def unit_character_values(group: HeckeGroup, diag: SplitDiagonalizer, index: int) -> np.ndarray:
-    """chi as a function on Z/p^k: chi at units via the isomorphism
+def unit_character_values(group: HeckeGroup, unit_dlogs: np.ndarray, index: int) -> np.ndarray:
+    """chi on Z/p^k from unit_dlog_array: chi at units via the isomorphism
     beta -> eigenvalue of (aI + bA), zero on non-units."""
-    arr = unit_dlog_array(group, diag)
     vals = np.zeros(group.pp.N, dtype=np.complex128)
-    units = arr >= 0
-    vals[units] = group.roots[index * arr[units] % group.order]
+    units = unit_dlogs >= 0
+    vals[units] = group.roots[index * unit_dlogs[units] % group.order]
     return vals
 
 
-def split_eigenfunction(
-    chi: HeckeCharacter, diag: SplitDiagonalizer, U_M: np.ndarray | None = None
-) -> StateVector:
-    """Joint eigenfunction U(M) chi~ (normalized), chi~ = chi on units, else 0."""
+def split_eigenfunction(chi: HeckeCharacter, diag: SplitDiagonalizer, U_M: np.ndarray) -> StateVector:
+    """Joint eigenfunction U(M) chi~ (normalized), chi~ = chi on units, else 0;
+    U_M is the dense propagator(diag.M, pp)."""
     group = chi.group
     if group.kind != "split":
         raise NotSplitError("explicit eigenfunctions exist in the split case only")
-    if U_M is None:
-        U_M = propagator(diag.M, group.pp).entries
-    amps = U_M @ unit_character_values(group, diag, chi.index)
+    amps = U_M @ unit_character_values(group, unit_dlog_array(group, diag), chi.index)
     return StateVector(group.pp, amps).normalized()
 
 
@@ -429,15 +443,8 @@ def _eig_unitary(U: np.ndarray, tol: float = 1e-8, tries: int = 6):
     two distinct eigenphases collide in cos(th) + gamma sin(th); the
     residual check detects that and retries with a fresh gamma.
     """
-    try:
-        from scipy.linalg import eigh as _eigh
-
-        def eigh(H):
-            return _eigh(H, overwrite_a=True, check_finite=False, driver="evd")
-
-    except ImportError:  # pragma: no cover
-        def eigh(H):
-            return np.linalg.eigh(H)
+    # imported on first use: scipy.linalg takes longer to import than this package
+    from scipy.linalg import eigh
 
     rng = np.random.default_rng(0xEC0)
     n = U.shape[0]
@@ -446,7 +453,7 @@ def _eig_unitary(U: np.ndarray, tol: float = 1e-8, tries: int = 6):
         # H = (0.5 - 0.5j*gamma) U + (0.5 + 0.5j*gamma) U*
         H = (0.5 - 0.5j * gamma) * U
         H += (0.5 + 0.5j * gamma) * U.conj().T
-        _, V = eigh(H)
+        _, V = eigh(H, overwrite_a=True, check_finite=False, driver="evd")
         del H
         lam = np.empty(n, dtype=np.complex128)
         resid = 0.0
@@ -519,8 +526,7 @@ class EigenDecomposition:
 CLUSTER_TOL = 1e-6
 
 
-@functools.lru_cache(maxsize=4)
-def eigendecompose(A: TorusAutomorphism, pp: PrimePower) -> EigenDecomposition:
+def eigendecompose(group: HeckeGroup) -> EigenDecomposition:
     """Diagonalize U(iota(g)) for a group generator g and label the clusters.
 
     The group is cyclic, so eigenspaces of this single unitary are exactly
@@ -528,8 +534,7 @@ def eigendecompose(A: TorusAutomorphism, pp: PrimePower) -> EigenDecomposition:
     relative to a fitted global phase and are therefore only defined up to
     one common shift (a global character twist).
     """
-    group = build_group(A, pp)
-    U = propagator(group.ring.matrix_of(group.gen), pp).entries
+    U = propagator(group.ring.matrix_of(group.gen), group.pp).entries
     lam, V = _eig_unitary(U)
     del U
     unit_lam = lam / np.abs(lam)
@@ -542,10 +547,10 @@ def eigendecompose(A: TorusAutomorphism, pp: PrimePower) -> EigenDecomposition:
     if err > CLUSTER_TOL:
         raise EigenClusterError(f"eigenvalue off the root-of-unity grid by {err:.2e}")
     decomp = EigenDecomposition(group, lam, V, labels, phase)
-    expected = predicted_cluster_count(group.kind, pp)
+    expected = predicted_cluster_count(group.kind, group.pp)
     if len(decomp.clusters) != expected:
         raise EigenClusterError(
-            f"{len(decomp.clusters)} clusters, predicted {expected} for {group.kind} {pp}"
+            f"{len(decomp.clusters)} clusters, predicted {expected} for {group.kind} {group.pp}"
         )
     return decomp
 
@@ -607,11 +612,7 @@ class SplitMatchReport:
 
 
 def split_match_report(
-    A: TorusAutomorphism,
-    pp: PrimePower,
-    decomp: EigenDecomposition | None = None,
-    batch: int = 256,
-    sample: list[int] | None = None,
+    decomp: EigenDecomposition, batch: int = 256, sample: list[int] | None = None
 ) -> SplitMatchReport:
     """Locate explicit split eigenfunctions in the numerical eigenbasis.
 
@@ -622,11 +623,11 @@ def split_match_report(
     multiplicity of every character's cluster is then checked against the
     predicted k - l + 1 for its level l, over the whole dual group.
     """
-    if decomp is None:
-        decomp = eigendecompose(A, pp)
     group = decomp.group
-    diag = build_split_diagonalizer(A, pp)
+    pp = group.pp
+    diag = build_split_diagonalizer(group.A, pp)
     U_M = propagator(diag.M, pp).entries
+    unit_dlogs = unit_dlog_array(group, diag)
     N = pp.N
     order = group.order
     idx_all = np.arange(order) if sample is None else np.asarray(sorted(set(sample)))
@@ -639,7 +640,7 @@ def split_match_report(
         idx = idx_all[start : start + batch]
         block = np.empty((N, len(idx)), dtype=np.complex128)
         for j, ci in enumerate(idx):
-            block[:, j] = unit_character_values(group, diag, int(ci))
+            block[:, j] = unit_character_values(group, unit_dlogs, int(ci))
         block = U_M @ block
         block /= np.linalg.norm(block, axis=0)[None, :]
         # coefficients in the eigenbasis: V* block, without copying V

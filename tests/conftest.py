@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import settings
 
+from qcatmap.hecke import build_group, eigendecompose
+from qcatmap.modarith import PrimePower
 from qcatmap.quantization import TorusAutomorphism
 
 # canonical hyperbolic matrix, trace 3, discriminant 5 (split at 11, 19;
@@ -24,6 +26,11 @@ def cat_map_p5():
 def matrix_for_prime(p: int) -> TorusAutomorphism:
     """Default matrix except at the ramified prime 5."""
     return A_TRACE4 if p == 5 else A_DEFAULT
+
+
+def decompose(A: TorusAutomorphism, p: int, k: int):
+    """The dense eigendecomposition of L^2(Z/p^k), built from a fresh group."""
+    return eigendecompose(build_group(A, PrimePower(p, k)))
 
 
 # property tests draw the same examples on every run

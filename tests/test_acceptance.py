@@ -21,7 +21,7 @@ from qcatmap import expsum, hecke
 from qcatmap import distribution as dist
 from qcatmap.hecke import build_group, eigendecompose, split_match_report, unit_character_level
 
-from conftest import matrix_for_prime
+from conftest import decompose, matrix_for_prime
 
 EGOROV_MODES = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 5)]
 FORMULA_MODES = [(1, 0), (0, 1), (1, 2), (1, 4), (1, 5), (2, 7)]  # Q: -1,1,5,19,29,59
@@ -56,7 +56,7 @@ def test_criterion2_inert_trace_and_multiplicity(p):
     A = matrix_for_prime(p)
     for k in (1, 2, 3):
         pp = PrimePower(p, k)
-        decomp = eigendecompose(A, pp)
+        decomp = eigendecompose(build_group(A, pp))
         group = decomp.group
         assert group.kind == "inert"
         mults = [len(c) for c in decomp.clusters.values()]
@@ -77,7 +77,7 @@ def test_criterion3_split_multiplicities(p, k):
     """Level-l characters have multiplicity k-l+1; explicit eigenfunctions
     match the eigensolver basis with residual < 1e-7."""
     A = matrix_for_prime(p)
-    rep = split_match_report(A, PrimePower(p, k))
+    rep = split_match_report(decompose(A, p, k))
     assert rep.max_residual < 1e-7
     assert rep.shift_ok
     assert rep.multiplicities_ok
@@ -94,7 +94,7 @@ def test_criterion3_split_multiplicities_19_cubed():
     low_level = [j for j in range(group.order) if unit_character_level(group, j) < 3]
     high = list(range(0, group.order, 20))
     sample = sorted(set(low_level) | set(high))
-    rep = split_match_report(A, pp, sample=sample)
+    rep = split_match_report(eigendecompose(group), sample=sample)
     assert rep.max_residual < 1e-7
     assert rep.shift_ok
     assert rep.multiplicities_ok
@@ -130,10 +130,11 @@ def test_criterion5_matrix_element_formula(p, k):
     pp = PrimePower(p, k)
     qs = {dist.quadratic_form(A, n) % pp.N for n in FORMULA_MODES}
     assert len(qs) >= 4
-    rep = dist.verify_matrix_element_formula(A, pp, FORMULA_MODES, tol=1e-7)
+    decomp = eigendecompose(build_group(A, pp))
+    rep = dist.verify_matrix_element_formula(decomp, FORMULA_MODES, tol=1e-7)
     assert rep.unique_up_to_ties
     assert not rep.sign_ambiguous
-    expect_sign = -1 if build_group(A, pp).kind == "inert" and k % 2 == 1 else 1
+    expect_sign = -1 if decomp.group.kind == "inert" and k % 2 == 1 else 1
     assert rep.sign == expect_sign
     _pass(
         f"criterion 5: (p,k)=({p},{k}) sign {rep.sign:+d}, unique match "
@@ -156,7 +157,7 @@ def test_criterion6_slow_decay(p):
     for _, value in big:
         assert abs(abs(value) - p * p) <= 1e-6 * p * p
     target = p * p / group.order  # = 1/(p +- 1)
-    decomp = eigendecompose(A, pp)
+    decomp = eigendecompose(group)
     hits = 0
     for _, col in decomp.multiplicity_one_items():
         psi = decomp.state(col)
@@ -195,7 +196,7 @@ def test_criterion7c_limiting_distribution_ks():
     A = matrix_for_prime(101)
     pp = PrimePower(101, 2)
     f = FourierObservable.harmonic_pair((1, 0))
-    sample, n_bad = dist.normalized_elements_closed(f, A, pp)
+    sample, n_bad = dist.normalized_elements_closed(f, build_group(A, pp))
     model = dist.sample_limit_variable(dist.twisted_coefficients(f, A), seed=20260809, count=100_000)
     rep = dist.compare_distribution(sample, model, winsor_bound=10 * 101 ** (1 / 6))
     assert rep.ks <= 0.15

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qcatmap.cli import _parse_int_list, main, observable_digest
+from qcatmap.errors import EigenClusterError
 from qcatmap.quantization import FourierObservable
 
 
@@ -145,11 +146,66 @@ def test_expsum_sum_above_bound_exits_1(monkeypatch, capsys):
     assert "worst |E|/(2 p^(k/2))" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--format", "json"]])
-def test_removed_flags_exit_2(flag):
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        pytest.param("expsum", ["--jobs", "2"], id="expsum-jobs"),
+        pytest.param("expsum", ["--format", "json"], id="expsum-format"),
+        # flags a command would parse and then ignore are not registered on it
+        pytest.param("verify", ["--nu", "1"], id="verify-nu"),
+        pytest.param("distribution", ["--nu", "1"], id="distribution-nu"),
+        pytest.param("verify", ["--obs", "obs.json"], id="verify-obs"),
+        pytest.param("expsum", ["--obs", "obs.json"], id="expsum-obs"),
+        pytest.param("verify", ["--out", "out.txt"], id="verify-out"),
+        pytest.param("expsum", ["--seed", "1"], id="expsum-seed"),
+    ],
+)
+def test_removed_flags_exit_2(command, flag):
     with pytest.raises(SystemExit) as exc:
-        run_cli(["expsum", "--p", "11", "--k", "2", "--nu", "1"] + flag)
+        run_cli([command, "--p", "11", "--k", "2"] + flag)
     assert exc.value.code == 2
+
+
+def test_one_eigendecomposition_per_dense_space(monkeypatch, tmp_path):
+    from qcatmap import hecke
+
+    sizes = []
+    eig_unitary = hecke._eig_unitary
+
+    def counted(U, *args, **kwargs):
+        sizes.append(U.shape[0])
+        return eig_unitary(U, *args, **kwargs)
+
+    monkeypatch.setattr(hecke, "_eig_unitary", counted)
+    assert run_cli(["verify", "--p", "3,7", "--k", "1-3"]) == 0
+    assert sorted(sizes) == [3, 7, 9, 27, 49, 343]
+    sizes.clear()
+    obs = tmp_path / "obs.json"
+    write_obs(obs, {(1, 0): 0.5 + 0j, (-1, 0): 0.5 + 0j})
+    assert run_cli(["distribution", "--p", "13", "--k", "2", "--obs", str(obs)]) == 0
+    assert sizes == [169]
+
+
+def test_verify_space_error_fails_only_its_rows(monkeypatch, capsys):
+    from qcatmap import hecke
+
+    eigendecompose = hecke.eigendecompose
+
+    def failing_at_9(group):
+        if group.pp.N == 9:
+            raise EigenClusterError("injected")
+        return eigendecompose(group)
+
+    monkeypatch.setattr(hecke, "eigendecompose", failing_at_9)
+    assert run_cli(["verify", "--p", "3", "--k", "1-3"]) == 1
+    out = capsys.readouterr().out
+    # rows that need the 3^2 decomposition fail with its error ...
+    assert "[FAIL] hecke group/eigen: EigenClusterError: injected" in out
+    assert "[FAIL] matrix-element formula: EigenClusterError: injected" in out
+    # ... the others still check every space
+    assert "[PASS] quantization invariants: unitarity" in out and "over 3 spaces" in out
+    assert "[PASS] expsum oracle equivalence" in out
+    assert "[PASS] slow decay (k=3): p=3:4ch/4ef" in out
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

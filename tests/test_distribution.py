@@ -31,6 +31,7 @@ from qcatmap.distribution import (
     verify_matrix_element_formula,
 )
 
+from conftest import decompose
 
 
 # -- quadratic form and twisted spectrum --------------------------------
@@ -170,7 +171,7 @@ def test_compare_distribution_winsorizes():
 
 def test_normalized_elements_constant_observable(cat_map):
     f = FourierObservable({(0, 0): 2.5})
-    out = normalized_elements(f, cat_map, PrimePower(3, 2))
+    out = normalized_elements(f, decompose(cat_map, 3, 2))
     assert np.abs(out.values).max() < 1e-9
 
 
@@ -178,18 +179,18 @@ def test_normalized_elements_real_and_slow_decay_scale(cat_map):
     # p = 3, k = 3: the N^(-1/3)-scale element exists: max |F_j| >= sqrt(N)/(p+1)
     pp = PrimePower(3, 3)
     f = FourierObservable.harmonic_pair((1, 0))
-    out = normalized_elements(f, cat_map, pp)
+    out = normalized_elements(f, eigendecompose(build_group(cat_map, pp)))
     assert out.empirical.values.dtype == float
     assert np.abs(out.values).max() >= math.sqrt(pp.N) / 4 * (1 - 1e-9)
 
 
 def test_normalized_elements_rejects_divisible_class(cat_map):
-    pp = PrimePower(3, 2)
+    decomp = decompose(cat_map, 3, 2)
     f = FourierObservable.harmonic_pair((1, 2))  # Q = 5 ... fine at 3? 5 % 3 != 0
-    normalized_elements(f, cat_map, pp)
+    normalized_elements(f, decomp)
     g = FourierObservable.harmonic_pair((0, 3))  # Q(0,3) = 9, divisible by 3
     with pytest.raises(BadNuError):
-        normalized_elements(g, cat_map, pp)
+        normalized_elements(g, decomp)
 
 
 def test_bad_character_exceptional_bound(cat_map):
@@ -198,7 +199,7 @@ def test_bad_character_exceptional_bound(cat_map):
         pp = PrimePower(p, k)
         group = build_group(cat_map, pp)
         f = FourierObservable.harmonic_pair((1, 0))
-        out = normalized_elements(f, cat_map, pp)
+        out = normalized_elements(f, eigendecompose(group))
         total = sum(abs(w) for w in twisted_coefficients(f, cat_map).values())
         ceiling = 2 * total * (1 + p**-0.5) * math.sqrt(pp.N) * p ** (k / 2) / group.order
         n_exceed = int(np.sum(np.abs(out.values) > ceiling))
@@ -213,20 +214,20 @@ MODES = [(1, 0), (0, 1), (1, 2), (1, 4), (1, 5), (2, 7)]
 
 
 def test_formula_brute_force_anchor_k1(cat_map):
-    rep = verify_matrix_element_formula(cat_map, PrimePower(3, 1), MODES)
+    rep = verify_matrix_element_formula(decompose(cat_map, 3, 1), MODES)
     assert rep.unique_up_to_ties
     assert rep.sign == -1  # inert, odd k
 
 
 def test_formula_requires_unit_classes(cat_map):
     with pytest.raises(BadNuError):
-        verify_matrix_element_formula(cat_map, PrimePower(3, 2), [(0, 3)])
+        verify_matrix_element_formula(decompose(cat_map, 3, 2), [(0, 3)])
 
 
 def test_formula_sign_pattern(cat_map):
     # sign +1 except inert with odd k
     for p, k in [(3, 2), (3, 3), (11, 2), (11, 3)]:
-        rep = verify_matrix_element_formula(cat_map, PrimePower(p, k), MODES)
+        rep = verify_matrix_element_formula(decompose(cat_map, p, k), MODES)
         assert rep.unique_up_to_ties
 
         inert = p in (3, 7, 13)
@@ -241,9 +242,9 @@ def test_pipeline_coherence_dense_vs_closed_form(cat_map):
         group = build_group(cat_map, pp)
         n0 = (1, 0)
         f = FourierObservable.harmonic_pair(n0)
-        decomp = eigendecompose(cat_map, pp)
-        out = normalized_elements(f, cat_map, pp, decomp)
-        rep = verify_matrix_element_formula(cat_map, pp, MODES, decomp=decomp)
+        decomp = eigendecompose(group)
+        out = normalized_elements(f, decomp)
+        rep = verify_matrix_element_formula(decomp, MODES)
         chi_of_label = {m.label: m.chi_index for m in rep.matches}
         nu = quadratic_form(cat_map, n0)
         spec = twisted_coefficients(f, cat_map)[nu]
@@ -264,8 +265,8 @@ def test_pipeline_coherence_dense_vs_closed_form(cat_map):
 def test_closed_form_sample_matches_law(cat_map):
     pp = PrimePower(101, 2)
     f = FourierObservable.harmonic_pair((1, 0))
-    sample, n_bad = normalized_elements_closed(f, cat_map, pp)
     group = build_group(cat_map, pp)
+    sample, n_bad = normalized_elements_closed(f, group)
     assert len(sample) == group.order
     assert n_bad == 101 - 1
     scale = math.sqrt(pp.N) * 101 / group.order

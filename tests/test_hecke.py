@@ -25,7 +25,7 @@ from qcatmap.hecke import (
     unit_character_level,
 )
 
-from conftest import A_DEFAULT, matrix_for_prime
+from conftest import A_DEFAULT, decompose, matrix_for_prime
 
 
 def test_classify_prime(cat_map):
@@ -172,7 +172,7 @@ def test_hecke_operators_commute(cat_map):
 
 
 def test_eigendecompose_inert_multiplicity_one(cat_map):
-    decomp = eigendecompose(cat_map, PrimePower(3, 2))
+    decomp = decompose(cat_map, 3, 2)
     assert len(decomp.clusters) == 9
     assert all(len(cols) == 1 for cols in decomp.clusters.values())
     # eigenvalues sit on the fitted root-of-unity grid
@@ -185,14 +185,14 @@ def test_eigendecompose_character_count_identity(cat_map):
     # sum of n_chi^2 equals (1/#C) sum |Tr U(iota(beta))|^2 = p^k
     for p, k in [(3, 2), (3, 3)]:
         pp = PrimePower(p, k)
-        decomp = eigendecompose(cat_map, pp)
+        decomp = eigendecompose(build_group(cat_map, pp))
         tr2 = hecke.trace_magnitudes_sq_via_spectrum(decomp)
         assert abs(tr2.sum() / decomp.group.order - pp.N) < 1e-6 * pp.N
         assert sum(len(c) for c in decomp.clusters.values()) == pp.N
 
 
 def test_eigendecompose_split_multiplicity_pattern(cat_map):
-    decomp = eigendecompose(cat_map, PrimePower(11, 2))
+    decomp = decompose(cat_map, 11, 2)
     sizes = Counter(len(cols) for cols in decomp.clusters.values())
     # mult k-l+1 at level l: 1 three-dim (trivial), p-2 two-dim, rest simple
     assert sizes == {1: 100, 2: 9, 3: 1}
@@ -236,7 +236,7 @@ def test_split_eigenfunction_is_joint_eigenfunction(cat_map):
 
 
 def test_split_match_report_small(cat_map):
-    rep = split_match_report(cat_map, PrimePower(11, 2))
+    rep = split_match_report(decompose(cat_map, 11, 2))
     assert rep.max_residual < 1e-7
     assert rep.multiplicities_ok
     assert rep.shift_ok
@@ -265,7 +265,7 @@ def test_trace_magnitude_check(cat_map):
 def test_trace_spectral_sweep_matches_kernels(cat_map):
     for p, k in [(3, 2), (11, 1)]:
         pp = PrimePower(p, k)
-        decomp = eigendecompose(cat_map, pp)
+        decomp = eigendecompose(build_group(cat_map, pp))
         group = decomp.group
         tr2 = hecke.trace_magnitudes_sq_via_spectrum(decomp)
         for m in range(group.order):
