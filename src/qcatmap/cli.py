@@ -4,8 +4,9 @@
     qcatmap expsum       --p 101 --k 2 --nu 1 [--out sums.csv]
     qcatmap distribution --p 101 --k 2 --obs observable.json [--out rep.json]
 
-Exit codes: 0 all checks pass, 1 a check failed or a non-finite number
-was about to be emitted, 2 configuration error.
+Exit codes: 0 all checks pass, 1 a check failed, a non-finite number
+was about to be emitted or an array would exceed the size cap, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ import numpy as np
 
 from . import distribution as dist
 from . import expsum, hecke
-from .errors import QcatError, RamifiedPrimeError
+from .errors import QcatError, RamifiedPrimeError, SizeLimitError
 from .modarith import PrimePower, gauss_quadratic, inv_mod, legendre, sqrt_set
 from .quantization import (
     DENSE_CAP_DEFAULT,
     FourierObservable,
     TorusAutomorphism,
+    elementary_diagonal,
     elementary_matrix,
     load_observable,
     propagator,
@@ -197,24 +199,30 @@ def _check_modarith() -> tuple[bool, str]:
     return True, "inverses, legendre, sqrt sets, gauss magnitudes"
 
 
+def _worst(errors) -> float:
+    """The largest error, 0.0 for none; a NaN error makes the result NaN
+    (Python's max would drop it)."""
+    return float(np.max([0.0, *errors]))
+
+
 def _quantization_part(space: Space) -> tuple[float, float]:
     pp = space.pp
     U = propagator(space.A, pp)
     N = pp.N
     worst_u = float(np.abs(U.entries @ U.entries.conj().T - np.eye(N)).max())
-    worst_e = 0.0
+    errs_e = []
     Amod = space.A.mat_mod(N)
     for n in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 5)]:
         lhs = U.entries.conj().T @ elementary_matrix(n, pp, twisted=True).entries @ U.entries
         rhs = elementary_matrix(row_action(n, Amod), pp, twisted=True).entries
-        worst_e = max(worst_e, float(np.abs(lhs - rhs).max()))
-    return worst_u, worst_e
+        errs_e.append(float(np.abs(lhs - rhs).max()))
+    return worst_u, _worst(errs_e)
 
 
 def _quantization_summary(parts) -> tuple[bool, str]:
-    worst_u = max([0.0] + [u for u, _ in parts])
-    worst_e = max([0.0] + [e for _, e in parts])
-    ok = worst_u < 1e-8 and worst_e < 1e-8
+    worst_u = _worst(u for u, _ in parts)
+    worst_e = _worst(e for _, e in parts)
+    ok = worst_u < 1e-8 and worst_e < 1e-8  # False on a NaN
     return ok, f"unitarity {worst_u:.1e}, egorov {worst_e:.1e} over {len(parts)} spaces"
 
 
@@ -236,21 +244,19 @@ def _hecke_part(space: Space) -> str:
 
 def _expsum_part(space: Space) -> tuple[float, int]:
     pp, group = space.pp, space.group
-    worst = 0.0
-    count = 0
+    errs = []
     nonres = next(v for v in range(2, pp.p) if legendre(v, pp.p) == -1)
     for nu in (1, 2, nonres):
         table = expsum.scan_characters(group, [nu])
         for j, value in zip(table.chi_index.tolist(), table.value.tolist()):
-            worst = max(worst, abs(value - expsum.exp_sum_bruteforce(nu, group.character(j))))
-        count += len(table)
-    return worst, count
+            errs.append(abs(value - expsum.exp_sum_bruteforce(nu, group.character(j))))
+    return _worst(errs), len(errs)
 
 
 def _expsum_summary(parts) -> tuple[bool, str]:
-    worst = max([0.0] + [w for w, _ in parts])
+    worst = _worst(w for w, _ in parts)
     count = sum(c for _, c in parts)
-    ok = worst < EXPSUM_TOL
+    ok = worst < EXPSUM_TOL  # False on a NaN
     return ok, f"{count} sums, closed-vs-brute max err {worst:.1e} (tol {EXPSUM_TOL:g})"
 
 
@@ -275,12 +281,9 @@ def _slow_decay_part(space: Space) -> tuple[int, str]:
     assert big, f"no large sums at p={p}"
     decomp = space.decomp
     target = p * p / group.order
-    hits = 0
-    for _, col in decomp.multiplicity_one_items():
-        psi = decomp.state(col)
-        el = abs(dist.inner_product(dist.apply_elementary(n, psi), psi))
-        if abs(el - target) <= 1e-6 * target:
-            hits += 1
+    cols = [col for _, col in decomp.multiplicity_one_items()]
+    el = np.abs(elementary_diagonal(n, decomp.vectors[:, cols]))
+    hits = int(np.count_nonzero(np.abs(el - target) <= 1e-6 * target))
     assert hits, f"no eigenfunction realizes 1/(p+-1) at p={p}"
     return p, f"p={p}:{len(big)}ch/{hits}ef"
 
@@ -528,7 +531,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,14 +27,7 @@ from . import expsum
 from .errors import BadNuError, EmptySetError, NoMatchError
 from .hecke import EigenDecomposition, HeckeGroup, build_group
 from .modarith import PrimePower, binomial, legendre
-from .quantization import (
-    FourierObservable,
-    TorusAutomorphism,
-    apply_elementary,
-    inner_product,
-    op_of_observable,
-    row_action,
-)
+from .quantization import FourierObservable, TorusAutomorphism, elementary_diagonal, row_action
 
 SNAP_ZERO_TOL = 1e-9
 
@@ -256,11 +249,13 @@ def normalized_elements(f: FourierObservable, decomp: EigenDecomposition) -> Nor
     pp = decomp.group.pp
     _reduced_classes(twisted_coefficients(f, decomp.group.A), pp)  # validates p does not divide any class
     items = decomp.multiplicity_one_items()
-    op = op_of_observable(f, pp).entries
     labels = np.array([lab for lab, _ in items], dtype=np.int64)
     cols = np.array([col for _, col in items], dtype=np.int64)
     V = decomp.vectors[:, cols]
-    quad = np.einsum("ij,ij->j", V.conj(), op @ V)
+    # <Op(f) psi, psi> = sum_n fhat(n) <T(n) psi, psi>
+    quad = np.zeros(len(cols), dtype=np.complex128)
+    for n, c in sorted(f.coeffs.items()):
+        quad += complex(c) * elementary_diagonal(n, V)
     if np.abs(quad.imag).max() > 1e-7:
         raise RuntimeError("Hermitian quadratic form came out complex")
     vals = math.sqrt(pp.N) * (quad.real - f.mean.real)
@@ -368,9 +363,11 @@ def verify_matrix_element_formula(
     zero_rows = int(np.count_nonzero(np.all(np.abs(model) < tol, axis=1)))
     live: list[tuple[int, dict[int, list[tuple[int, float]]]]] = []
     degenerate: list[FormulaMatch] = []
-    for label, col in decomp.multiplicity_one_items():
-        psi = decomp.state(col)
-        measured = np.array([inner_product(apply_elementary(n, psi), psi) for n in n_list])
+    items = decomp.multiplicity_one_items()
+    V = decomp.vectors[:, [col for _, col in items]]
+    # row i: <T(n) psi, psi> over n_list for the i-th multiplicity-one eigenfunction
+    elements = np.array([elementary_diagonal(n, V) for n in n_list]).T
+    for (label, _), measured in zip(items, elements):
         if np.abs(measured.imag).max() > tol:
             raise NoMatchError(f"matrix elements of cluster {label} are not real")
         meas = measured.real

@@ -63,3 +63,7 @@ class EmptySetError(QcatError, ValueError):
 
 class EigenClusterError(QcatError, RuntimeError):
     """Eigenvalue clustering disagrees with the predicted spectral layout."""
+
+
+class SizeLimitError(QcatError, MemoryError):
+    """A dense or orbit array would exceed MAX_ARRAY_ENTRIES complex entries."""

@@ -6,8 +6,8 @@ group C of the quadratic order Z[alpha], alpha^2 = t*alpha - 1.  C is
 cyclic of order p^(k-1)(p -+ 1) according to whether the discriminant
 D = t^2 - 4 is a square mod p (split) or not (inert).  This module builds
 C with a full discrete-log table, evaluates its characters by exact
-integer exponents, and decomposes H_N into the joint eigenspaces by
-diagonalizing the propagator of a group generator.
+integer exponents, and decomposes H_N into the joint eigenspaces of the
+propagator of a group generator, by FFTs along its orbits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     SingularPointError,
 )
 from .modarith import PrimePower, inv_mod, legendre, roots_table, sqrt_set, valuation
-from .quantization import StateVector, TorusAutomorphism, propagator
+from .quantization import StateVector, TorusAutomorphism, check_array_size, propagator_apply
 
 OrderElement = tuple[int, int]
 
@@ -437,7 +437,8 @@ def split_eigenfunction(chi: HeckeCharacter, diag: SplitDiagonalizer, U_M: np.nd
 
 
 def _eig_unitary(U: np.ndarray, tol: float = 1e-8, tries: int = 6):
-    """Eigenpairs of a unitary matrix via a Hermitian combination.
+    """Eigenpairs of a dense unitary matrix via a Hermitian combination; the
+    oracle that tests hold the orbit eigensolver against.
 
     H = (U + U*)/2 + gamma (U - U*)/(2i) shares eigenvectors with U unless
     two distinct eigenphases collide in cos(th) + gamma sin(th); the
@@ -470,6 +471,91 @@ def _eig_unitary(U: np.ndarray, tol: float = 1e-8, tries: int = 6):
         del V
         gamma = float(rng.uniform(0.3, 3.0))
     raise EigenClusterError(f"unitary eigensolver residual {resid:.2e} > {tol}")
+
+
+# a projection of a unit start vector below this norm is roundoff (about 1e-13)
+RANK_TOL = 1e-8
+RESIDUAL_TOL = 1e-8
+ORBIT_FFT_COLUMNS = 512
+
+
+def _orbit_projections(apply, v: np.ndarray, order: int) -> np.ndarray:
+    """Row j: the projection of v onto the eigenspace of U with eigenvalue
+    omega e(j / order), where U = apply, U^order = omega^order I.
+
+    With the phase omega^m divided out, the orbit v, Uv, ..., U^(order-1) v
+    is periodic in m, and its DFT along m separates every eigenspace at once.
+    """
+    orbit = np.empty((order, len(v)), dtype=np.complex128)
+    w = v
+    for m in range(order):
+        orbit[m] = w
+        w = apply(w)
+    scalar = np.vdot(v, w) / np.vdot(v, v)  # U^order v = scalar * v
+    orbit *= np.exp(-1j * np.angle(scalar) / order * np.arange(order))[:, None]
+    for start in range(0, orbit.shape[1], ORBIT_FFT_COLUMNS):
+        blk = slice(start, start + ORBIT_FFT_COLUMNS)
+        orbit[:, blk] = np.fft.fft(orbit[:, blk], axis=0)  # in place, one block at a time
+    orbit /= order
+    return orbit
+
+
+def _orbit_eig(group: HeckeGroup):
+    """Eigenpairs of U(iota(g)) for the group generator g, from orbit FFTs.
+
+    Each seeded random start vector is projected onto every eigenspace by
+    _orbit_projections.  Eigenspaces are at most one-dimensional for inert
+    primes, so one start vector is enough; split eigenspaces have dimension
+    up to k + 1 (the trivial character), so k + 1 vectors are used and each
+    eigenspace is orthonormalized by QR, its rank read from the R diagonal.
+    After the first vector only the eigenspaces whose rank still grows are
+    kept.  The residual max ||U v - lambda v|| over the columns, with the
+    cluster gap 2 pi / #C, bounds the overlap between eigenspaces.
+    """
+    pp, order = group.pp, group.order
+    N = pp.N
+    apply = propagator_apply(group.ring.matrix_of(group.gen), pp)
+    rng = np.random.default_rng([pp.p, pp.k] + [v % N for row in group.A.mat() for v in row])
+
+    def projections() -> np.ndarray:
+        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        return _orbit_projections(apply, v / np.linalg.norm(v), order)
+
+    first = projections()
+    flat = first.view(np.float64)  # no temporary the size of the orbit
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    live = norms > RANK_TOL
+    first /= np.where(live, norms, 1.0)[:, None]
+    growing = np.flatnonzero(live).tolist()
+    # eigenspace index -> orthonormal rows; views keep the first orbit alive
+    bases = {j: first[j : j + 1] for j in growing}
+    for _ in range(pp.k if group.kind == "split" else 0):
+        proj = projections()
+        still = []
+        for j in growing:
+            q, r = np.linalg.qr(np.vstack([bases[j], proj[j : j + 1]]).T)
+            if abs(r[-1, -1]) > RANK_TOL:
+                bases[j] = q.T
+                still.append(j)
+        growing = still
+        del proj  # before the next orbit is allocated
+    found = sum(len(b) for b in bases.values())
+    if found != N:
+        raise EigenClusterError(f"orbit eigensolver found {found} eigenvectors, dimension {N}")
+    V = np.vstack([bases[j] for j in sorted(bases)]).T
+    del first, bases
+    lam = np.empty(N, dtype=np.complex128)
+    resid = 0.0
+    for start in range(0, N, 256):
+        blk = slice(start, min(start + 256, N))
+        Vb = V[:, blk]
+        Wb = apply(Vb)
+        lam[blk] = np.einsum("ij,ij->j", Vb.conj(), Wb)
+        Wb -= Vb * lam[blk][None, :]
+        resid = float(np.max([resid, np.linalg.norm(Wb, axis=0).max()]))  # keeps a NaN
+    if not resid < RESIDUAL_TOL:
+        raise EigenClusterError(f"orbit eigensolver residual {resid:.2e}, tolerance {RESIDUAL_TOL}")
+    return lam, V
 
 
 def predicted_cluster_count(kind: str, pp: PrimePower) -> int:
@@ -534,9 +620,9 @@ def eigendecompose(group: HeckeGroup) -> EigenDecomposition:
     relative to a fitted global phase and are therefore only defined up to
     one common shift (a global character twist).
     """
-    U = propagator(group.ring.matrix_of(group.gen), group.pp).entries
-    lam, V = _eig_unitary(U)
-    del U
+    pp = group.pp
+    check_array_size(max(pp.N, group.order) * pp.N, f"orbit eigensolver at {pp}")
+    lam, V = _orbit_eig(group)
     unit_lam = lam / np.abs(lam)
     wbar = np.mean(unit_lam**group.order)
     phase = float(np.angle(wbar)) / group.order
@@ -626,7 +712,7 @@ def split_match_report(
     group = decomp.group
     pp = group.pp
     diag = build_split_diagonalizer(group.A, pp)
-    U_M = propagator(diag.M, pp).entries
+    apply_M = propagator_apply(diag.M, pp)
     unit_dlogs = unit_dlog_array(group, diag)
     N = pp.N
     order = group.order
@@ -641,7 +727,7 @@ def split_match_report(
         block = np.empty((N, len(idx)), dtype=np.complex128)
         for j, ci in enumerate(idx):
             block[:, j] = unit_character_values(group, unit_dlogs, int(ci))
-        block = U_M @ block
+        block = apply_M(block)
         block /= np.linalg.norm(block, axis=0)[None, :]
         # coefficients in the eigenbasis: V* block, without copying V
         W = (V.T @ block.conj()).conj()

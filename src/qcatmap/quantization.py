@@ -9,12 +9,18 @@ det B = 1 (mod N) is assembled from the sum
 normalized by 1/(sqrt(#ker(B-I)) * N) so that the result is unitary; the
 remaining global phase is a free convention.  Twisted operators Ttw(n)
 only depend on n mod N, which is what makes the m-sum well defined.
+
+That dense assembly is the oracle for the matrix-free propagator_apply,
+which uses the constant-modulus chirp kernel of U(B) (Hannay & Berry,
+Physica D 1, 1980): chirp, DFT, chirp and an index dilation, O(N log N)
+per vector.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     NotNormalizedError,
     NotUnimodularError,
+    SizeLimitError,
 )
 from .modarith import PrimePower, roots_table
 
@@ -30,7 +37,18 @@ from .modarith import PrimePower, roots_table
 # the cost (large eigenproblems) may pass their own cap.
 DENSE_CAP_DEFAULT = 2048
 
+# Largest dense (N x N) or orbit (N x #C) array, in complex entries (1 GiB);
+# the 6859-dimensional space 19^3 needs 4.7e7.
+MAX_ARRAY_ENTRIES = 1 << 26
+
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
+
+
+def check_array_size(entries: int, what: str) -> None:
+    """Raise SizeLimitError, before allocating, if an array would hold
+    more than MAX_ARRAY_ENTRIES complex entries."""
+    if entries > MAX_ARRAY_ENTRIES:
+        raise SizeLimitError(f"{what} needs {entries} complex entries, cap {MAX_ARRAY_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -236,9 +254,23 @@ def apply_twisted(n: tuple[int, int], psi: StateVector) -> StateVector:
     return out
 
 
+def elementary_diagonal(n: tuple[int, int], V: np.ndarray) -> np.ndarray:
+    """<T(n) v_j, v_j> in the standard inner product, for each column v_j of V.
+
+    For a std-unit column v, psi = sqrt(N) v is a unit vector of H_N and
+    this is its matrix element <T(n) psi, psi>; one roll and one phase, O(N)
+    per column.
+    """
+    N = V.shape[0]
+    n1, n2 = int(n[0]), int(n[1])
+    phases = roots_table(2 * N)[(n1 * n2) % (2 * N)] * roots_table(N)[(n2 * np.arange(N)) % N]
+    return np.einsum("ij,ij->j", phases[:, None] * np.roll(V, -n1 % N, axis=0), V.conj())
+
+
 def elementary_matrix(n: tuple[int, int], pp: PrimePower, twisted: bool = False) -> DenseOperator:
     """Dense matrix of T(n) (or Ttw(n)): entry [y, y+n1] = phase(n, y)."""
     N = pp.N
+    check_array_size(N * N, f"dense T(n) at N = {N}")
     n1, n2 = int(n[0]), int(n[1])
     y = np.arange(N)
     phase0 = roots_table(2 * N)[(n1 * n2) % (2 * N)]
@@ -253,6 +285,7 @@ def elementary_matrix(n: tuple[int, int], pp: PrimePower, twisted: bool = False)
 def op_of_observable(f: FourierObservable, pp: PrimePower) -> DenseOperator:
     """Quantization Op_N(f) = sum_n fhat(n) T(n) as a dense matrix."""
     N = pp.N
+    check_array_size(N * N, f"dense Op(f) at N = {N}")
     y = np.arange(N)
     entries = np.zeros((N, N), dtype=np.complex128)
     two_n = roots_table(2 * N)
@@ -320,6 +353,7 @@ def propagator(B, pp: PrimePower) -> DenseOperator:
     B = _reduce_mat(B, N)
     if mat_det(B) % N != 1:
         raise NotUnimodularError(f"det = {mat_det(B) % N} != 1 mod {N}")
+    check_array_size(N * N, f"dense propagator at N = {N}")
     ker = kernel_count(mat_sub(B, IDENTITY2), N)
     coeff = _twist_coefficients(B, pp)
     norm = 1.0 / (math.sqrt(ker) * N)
@@ -334,6 +368,50 @@ def propagator(B, pp: PrimePower) -> DenseOperator:
         shift = (n1 * inv2) % N
         entries[y, (y + n1) % N] = norm * rows[n1][(y + shift) % N]
     return DenseOperator(pp, entries)
+
+
+def _chirp_apply(B: Mat2, N: int) -> Callable[[np.ndarray], np.ndarray]:
+    """psi -> U(B) psi for B = [[a, b], [c, d]] (reduced mod N) with c a unit.
+
+    Up to a global phase U(B)[x, y] = N^(-1/2) e_N((a x^2 - 2xy + d y^2) / (2c)),
+    so (U(B) psi)(x) = N^(-1/2) e_N(a x^2 / 2c) DFT(e_N(d y^2 / 2c) psi)[x / c].
+    """
+    (a, _), (c, d) = B
+    s = pow(2 * c, -1, N)
+    x = np.arange(N, dtype=np.int64)
+    sq = x * x % N
+    roots = roots_table(N)
+    pre = roots[d * sq % N * s % N]
+    post = roots[a * sq % N * s % N] / math.sqrt(N)
+    dilate = x * pow(c, -1, N) % N
+
+    def apply(psi: np.ndarray) -> np.ndarray:
+        col = (slice(None),) + (None,) * (psi.ndim - 1)
+        return post[col] * np.fft.fft(pre[col] * psi, axis=0)[dilate]
+
+    return apply
+
+
+def propagator_apply(B, pp: PrimePower) -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free U(B) for det B = 1 (mod N), equal to propagator(B) up to
+    a global phase: the returned function maps an array of N-vectors (along
+    axis 0) to their images, at O(N log N) per vector.
+
+    The chirp kernel needs B21 = c to be a unit mod p.  Otherwise B = L R
+    with L = [[1, 0], [1, 1]] and R = [[a, b], [c - a, d - b]], where
+    c - a = -a (mod p) is a unit since ad = 1 (mod p).  In the row-vector
+    convention, U(B)* T(n) U(B) = T(nB), U(L R) is U(L) U(R) up to a phase.
+    """
+    N = pp.N
+    B = _reduce_mat(B, N)
+    if mat_det(B) % N != 1:
+        raise NotUnimodularError(f"det = {mat_det(B) % N} != 1 mod {N}")
+    (a, b), (c, d) = B
+    if c % pp.p:
+        return _chirp_apply(B, N)
+    right = _chirp_apply(((a, b), ((c - a) % N, (d - b) % N)), N)
+    left = _chirp_apply(((1, 0), (1, 1)), N)
+    return lambda psi: left(right(psi))
 
 
 def propagator_trace_magnitude_sq(B, pp: PrimePower) -> float:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from qcatmap.cli import _parse_int_list, main, observable_digest
@@ -170,13 +174,13 @@ def test_one_eigendecomposition_per_dense_space(monkeypatch, tmp_path):
     from qcatmap import hecke
 
     sizes = []
-    eig_unitary = hecke._eig_unitary
+    orbit_eig = hecke._orbit_eig
 
-    def counted(U, *args, **kwargs):
-        sizes.append(U.shape[0])
-        return eig_unitary(U, *args, **kwargs)
+    def counted(group, *args, **kwargs):
+        sizes.append(group.pp.N)
+        return orbit_eig(group, *args, **kwargs)
 
-    monkeypatch.setattr(hecke, "_eig_unitary", counted)
+    monkeypatch.setattr(hecke, "_orbit_eig", counted)
     assert run_cli(["verify", "--p", "3,7", "--k", "1-3"]) == 0
     assert sorted(sizes) == [3, 7, 9, 27, 49, 343]
     sizes.clear()
@@ -184,6 +188,36 @@ def test_one_eigendecomposition_per_dense_space(monkeypatch, tmp_path):
     write_obs(obs, {(1, 0): 0.5 + 0j, (-1, 0): 0.5 + 0j})
     assert run_cli(["distribution", "--p", "13", "--k", "2", "--obs", str(obs)]) == 0
     assert sizes == [169]
+
+
+def test_verify_nan_fails_quantization_row(monkeypatch, capsys):
+    from qcatmap import cli
+
+    dense = cli.propagator
+
+    def with_nan(B, pp):
+        U = dense(B, pp)
+        U.entries[0, 0] = np.nan
+        return U
+
+    monkeypatch.setattr(cli, "propagator", with_nan)
+    assert run_cli(["verify", "--p", "3", "--k", "1-2"]) == 1
+    assert "[FAIL] quantization invariants: unitarity nan, egorov nan" in capsys.readouterr().out
+
+
+def test_dense_distribution_does_not_import_scipy_linalg(tmp_path):
+    obs = tmp_path / "obs.json"
+    write_obs(obs, {(1, 0): 0.5 + 0j, (-1, 0): 0.5 + 0j})
+    code = (
+        "import sys\n"
+        "from qcatmap.cli import main\n"
+        f"assert main(['distribution', '--p', '13', '--k', '2', '--obs', {str(obs)!r}]) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_verify_space_error_fails_only_its_rows(monkeypatch, capsys):

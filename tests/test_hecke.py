@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from qcatmap.errors import (
     NotSplitError,
     RamifiedPrimeError,
     SingularPointError,
+    SizeLimitError,
 )
 from qcatmap.modarith import PrimePower
 from qcatmap.quantization import propagator
@@ -189,6 +191,40 @@ def test_eigendecompose_character_count_identity(cat_map):
         tr2 = hecke.trace_magnitudes_sq_via_spectrum(decomp)
         assert abs(tr2.sum() / decomp.group.order - pp.N) < 1e-6 * pp.N
         assert sum(len(c) for c in decomp.clusters.values()) == pp.N
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (13, 2), (11, 2), (11, 3)])
+def test_orbit_eigendecompose_matches_dense_oracle(cat_map, p, k, monkeypatch):
+    group = build_group(cat_map, PrimePower(p, k))
+    N, order = group.pp.N, group.order
+    orbit = eigendecompose(group)
+    U = propagator(group.ring.matrix_of(group.gen), group.pp).entries
+    monkeypatch.setattr(hecke, "_orbit_eig", lambda group: hecke._eig_unitary(U))
+    dense = eigendecompose(group)
+    V = orbit.vectors
+    assert np.abs(V.conj().T @ V - np.eye(N)).max() < 1e-10
+    # residual against the dense propagator; its Rayleigh quotients fit its phase
+    W = U @ V
+    lam = np.einsum("ij,ij->j", V.conj(), W)
+    assert np.linalg.norm(W - V * lam[None, :], axis=0).max() < 1e-8
+    # the same cluster projectors up to one label shift: for orthonormal
+    # bases, ||P_c - P'_c||_F^2 = dim P' - dim P + 2 * (the weight of cluster
+    # c's columns outside dense cluster c' = c + shift)
+    M = np.abs(dense.vectors.conj().T @ V) ** 2
+    shift = (dense.labels[np.argmax(M[:, 0])] - orbit.labels[0]) % order
+    outside = (dense.labels[:, None] - orbit.labels[None, :] - shift) % order != 0
+    leak = (M * outside).sum(axis=0)
+    worst = max(
+        math.sqrt(dense.multiplicity((label + shift) % order) - len(cols) + 2 * leak[cols].sum())
+        for label, cols in orbit.clusters.items()
+    )
+    assert worst < 1e-9
+
+
+def test_eigendecompose_size_cap(cat_map):
+    group = build_group(cat_map, PrimePower(101, 2))  # orbit 10201 x 10100
+    with pytest.raises(SizeLimitError):
+        eigendecompose(group)
 
 
 def test_eigendecompose_split_multiplicity_pattern(cat_map):

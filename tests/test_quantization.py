@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcatmap.errors import (
     DimensionMismatchError,
     NotNormalizedError,
     NotUnimodularError,
+    SizeLimitError,
 )
 from qcatmap.modarith import PrimePower
 from qcatmap.quantization import (
@@ -15,6 +18,7 @@ from qcatmap.quantization import (
     TorusAutomorphism,
     apply_elementary,
     apply_twisted,
+    elementary_diagonal,
     elementary_matrix,
     fixed_point_count,
     inner_product,
@@ -23,9 +27,12 @@ from qcatmap.quantization import (
     matrix_element,
     op_of_observable,
     propagator,
+    propagator_apply,
     row_action,
     smith_diagonal,
 )
+
+from conftest import decompose
 
 PP5 = PrimePower(5, 1)
 PP9 = PrimePower(3, 2)
@@ -169,6 +176,8 @@ def test_propagator_identity_and_unimodularity():
     assert np.abs(U.entries - np.eye(9)).max() < 1e-12
     with pytest.raises(NotUnimodularError):
         propagator(((2, 0), (0, 1)), PP9)
+    with pytest.raises(NotUnimodularError):
+        propagator_apply(((2, 0), (0, 1)), PP9)
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (7, 1), (3, 3), (11, 1)])
@@ -245,3 +254,65 @@ def test_diagonal_propagator_is_scaled_permutation():
         support = np.nonzero(np.abs(col) > 1e-9)[0]
         assert list(support) == [(xinv * y) % 11]
         assert abs(abs(col[support[0]]) - 1) < 1e-10
+
+
+def test_size_cap_raises_before_allocating(cat_map):
+    pp = PrimePower(101, 3)  # N^2 is about 1e12 entries
+    with pytest.raises(SizeLimitError):
+        propagator(cat_map, pp)
+    with pytest.raises(SizeLimitError):
+        op_of_observable(FourierObservable.harmonic_pair((1, 0)), pp)
+    with pytest.raises(SizeLimitError):
+        elementary_matrix((1, 0), pp)
+
+
+# -- matrix-free propagator against the dense oracle --------------------
+
+
+@st.composite
+def sl2_mod_prime_power(draw):
+    """(pp, B) with B in SL2(Z/p^k); about half have p | B21, where the
+    chirp kernel needs a two-factor split.  13^3 is left out: its dense
+    oracle alone takes a second."""
+    p, k = draw(st.sampled_from([(p, k) for p in (3, 7, 11, 13) for k in (1, 2, 3) if p**k < 2000]))
+    N = p**k
+    entry = st.integers(0, N - 1)
+    unit = entry.filter(lambda v: v % p != 0)
+    if draw(st.booleans()):
+        c = p * draw(entry) % N
+        a, b = draw(unit), draw(entry)
+        d = (1 + b * c) * pow(a, -1, N) % N
+    else:
+        c, a, d = draw(unit), draw(entry), draw(entry)
+        b = (a * d - 1) * pow(c, -1, N) % N
+    return PrimePower(p, k), ((a, b), (c, d))
+
+
+@given(sl2_mod_prime_power())
+def test_property_propagator_apply_equals_dense(case):
+    pp, B = case
+    dense = propagator(B, pp).entries
+    apply = propagator_apply(B, pp)
+    applied = apply(np.eye(pp.N))
+    i = np.unravel_index(np.argmax(np.abs(dense)), dense.shape)
+    phase = applied[i] / dense[i]  # the one free global phase
+    assert abs(abs(phase) - 1) < 1e-10
+    assert np.abs(applied - phase * dense).max() < 1e-10
+    psi = random_state(pp, 13).amplitudes
+    assert np.abs(apply(psi) - applied @ psi).max() < 1e-10
+
+
+@pytest.mark.parametrize("p,k", [(13, 2), (7, 3), (11, 2)])
+def test_elementary_diagonal_matches_dense_oracles(cat_map, p, k):
+    decomp = decompose(cat_map, p, k)
+    pp, V = decomp.group.pp, decomp.vectors
+    f = FourierObservable(
+        {(0, 0): 0.7, (1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.3 - 0.1j, (-1, -2): 0.3 + 0.1j, (2, 7): 0.2, (-2, -7): 0.2}
+    )
+    quad = sum(complex(c) * elementary_diagonal(n, V) for n, c in f.coeffs.items())
+    dense = np.einsum("ij,ij->j", V.conj(), op_of_observable(f, pp).entries @ V)
+    assert np.abs(quad - dense).max() < 1e-12
+    for n in [(1, 0), (2, 7), (-3, 5)]:
+        diag = elementary_diagonal(n, V)
+        oracle = [inner_product(apply_elementary(n, decomp.state(j)), decomp.state(j)) for j in range(pp.N)]
+        assert np.abs(diag - np.array(oracle)).max() < 1e-12
