@@ -26,7 +26,7 @@ import numpy as np
 from . import expsum
 from .errors import BadNuError, EmptySetError, NoMatchError
 from .hecke import EigenDecomposition, HeckeGroup, build_group
-from .modarith import PrimePower, binomial, legendre
+from .modarith import PrimePower, legendre
 from .quantization import FourierObservable, TorusAutomorphism, elementary_diagonal, row_action
 
 SNAP_ZERO_TOL = 1e-9
@@ -67,7 +67,7 @@ def model_moment(m: int) -> Fraction:
         return Fraction(1)
     if m % 2:
         return Fraction(0)
-    return Fraction(binomial(m, m // 2), 2)
+    return Fraction(math.comb(m, m // 2), 2)
 
 
 def model_cdf(v: float) -> float:
@@ -106,10 +106,9 @@ class ScaledLimitLaw:
 
 @dataclass
 class EmpiricalSet:
-    """Sorted sample of real values with a provenance tag."""
+    """Sorted sample of real values."""
 
     values: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         self.values = np.sort(np.asarray(self.values, dtype=float))
@@ -133,7 +132,7 @@ def sample_limit_variable(spectrum: dict[int, complex], seed: int, count: int) -
         atom = rng.random(count) < 0.5
         angles = rng.random(count) * math.pi
         total += np.where(atom, 0.0, 2.0 * w.real * np.cos(angles))
-    return EmpiricalSet(total, "sampler")
+    return EmpiricalSet(total)
 
 
 # -- Kolmogorov-Smirnov distances ---------------------------------------
@@ -260,7 +259,7 @@ def normalized_elements(f: FourierObservable, decomp: EigenDecomposition) -> Nor
         raise RuntimeError("Hermitian quadratic form came out complex")
     vals = math.sqrt(pp.N) * (quad.real - f.mean.real)
     return NormalizedElements(
-        EmpiricalSet(vals, "eigenfunctions"),
+        EmpiricalSet(vals),
         vals,
         labels,
         pp.N - len(items),
@@ -306,7 +305,7 @@ def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple
     table = _exp_sum_table(group, halved)
     weights = np.array([complex(spectrum[nu]).real for nu in nus])
     vals = (math.sqrt(pp.N) / group.order) * (table.real @ weights)
-    return EmpiricalSet(vals, "characters"), expsum.bad_character_count(group, halved)
+    return EmpiricalSet(vals), expsum.bad_character_count(group, halved)
 
 
 # -- matrix-element formula verification --------------------------------
@@ -341,7 +340,7 @@ def verify_matrix_element_formula(
     For every multiplicity-one eigenfunction psi the measured vector
     (<T(n) psi, psi>)_n must equal s * (-1)^(n1 n2) E(Q(n)/2, chi')/#C
     for a character chi' and a sign s common to all eigenfunctions.
-    Uniqueness of chi' is asserted at two levels: strict (exactly one
+    Uniqueness of chi' is checked at two levels: strict (exactly one
     character index), and up to ties, where several characters whose model
     rows agree on the entire n-list count as one match (no finite n-list
     can separate them; each tied class may absorb at most its own size in

@@ -221,7 +221,7 @@ def bad_character_count(group: HeckeGroup, nus) -> int | None:
 def find_large(group: HeckeGroup, nu: int, rel_tol: float = 1e-6) -> list[tuple[int, complex]]:
     """Characters with 2 t_chi = -nu (mod p^2) at k = 3; each has |E| = p^2.
 
-    Returns (chi_index, E) pairs; the magnitude is asserted.
+    Returns (chi_index, E) pairs; any other magnitude raises RuntimeError.
     """
     pp = group.pp
     if pp.k != 3:

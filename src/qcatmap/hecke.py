@@ -216,9 +216,6 @@ class HeckeGroup:
         e = int(self.elements_enc[m % self.order])
         return (e // self.pp.N, e % self.pp.N)
 
-    def __iter__(self):
-        return (self.element(m) for m in range(self.order))
-
     def __contains__(self, u: OrderElement) -> bool:
         e = self.encode(u)
         i = int(np.searchsorted(self._sorted_enc, e))
@@ -656,29 +653,35 @@ def trace_magnitudes_sq_via_spectrum(decomp: EigenDecomposition) -> np.ndarray:
     return out
 
 
+# relative tolerance of |Tr U(iota(beta))|^2 against #ker(iota(beta) - I)
+TRACE_TOL = 1e-6
+
+
 @dataclass(frozen=True)
-class TraceCheck:
-    trace_sq: float
-    kernel: int
-    level: int
-    passed: bool
+class TraceSweep:
+    """Both sides of |Tr U(iota(g^m))|^2 = #ker(iota(g^m) - I), m = 0..#C-1,
+    with the congruence level l of g^m; at inert primes the kernel is
+    p^(2l), which makes every joint eigenspace one-dimensional."""
+
+    trace_sq: np.ndarray  # from the spectrum of the decomposition
+    kernel: np.ndarray  # Smith normal form count
+    level: np.ndarray
+
+    @property
+    def worst_gap(self) -> float:
+        """max_m |trace_sq - kernel| / kernel; NaN when a trace is NaN."""
+        return float(np.max(np.abs(self.trace_sq - self.kernel) / self.kernel))
 
 
-def trace_magnitude_check(beta: OrderElement, group: HeckeGroup, rel_tol: float = 1e-6) -> TraceCheck:
-    """|Tr U(iota(beta))|^2 against #ker(iota(beta) - I), dense route.
-
-    For inert primes the kernel count equals p^(2l) with l the congruence
-    level of beta, which is what makes every joint eigenspace at most
-    one-dimensional.
-    """
-    B = group.ring.matrix_of(beta)
-    tr2 = qz.propagator_trace_magnitude_sq(B, group.pp)
-    ker = qz.fixed_point_count(B, group.pp)
-    level = group.congruence_level(beta)
-    ok = abs(tr2 - ker) <= rel_tol * ker
-    if ok and group.kind == "inert":
-        ok = ker == group.pp.p ** (2 * level)
-    return TraceCheck(tr2, ker, level, ok)
+def trace_sweep(decomp: EigenDecomposition) -> TraceSweep:
+    """The trace identity over every element g^m of the group."""
+    group = decomp.group
+    betas = [group.element(m) for m in range(group.order)]
+    return TraceSweep(
+        trace_magnitudes_sq_via_spectrum(decomp),
+        np.array([qz.fixed_point_count(group.ring.matrix_of(b), group.pp) for b in betas]),
+        np.array([group.congruence_level(b) for b in betas]),
+    )
 
 
 # -- split-case verification -----------------------------------------

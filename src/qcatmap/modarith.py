@@ -1,8 +1,8 @@
 """Exact arithmetic over Z/p^k for odd primes p.
 
-Inverses, Legendre symbols, square-root sets with Hensel lifting,
-roots of unity, and quadratic Gauss sums.  Everything here works on
-plain Python integers; nothing modular ever passes through floats.
+Inverses, Legendre symbols, square-root sets with Hensel lifting, a
+table of roots of unity, and quadratic Gauss sums.  Everything here works
+on plain Python integers; nothing modular ever passes through floats.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvenPrimeError, NonUnitError
-
-# Above this modulus sqrt_set switches from exhaustive search to
-# Tonelli-Shanks + Hensel lifting.
-EXHAUSTIVE_SQRT_LIMIT = 10_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -143,22 +139,16 @@ def hensel_sqrt(a: int, p: int, m: int) -> int:
     return root % p**m
 
 
-def sqrt_set(nu: int, p: int, l: int, method: str = "auto") -> tuple[int, ...]:
+def sqrt_set(nu: int, p: int, l: int) -> tuple[int, ...]:
     """All x mod p^l with x^2 = nu (mod p^l), as a sorted tuple.
 
     For nu = p^a * u with u a unit, solutions exist iff a is even and u is
-    a square mod p; there are then 2*p^(a/2) of them.  For nu = 0 the set
-    is the multiples of p^ceil(l/2).  Small moduli are searched
-    exhaustively; larger ones go through Tonelli-Shanks and Hensel
-    lifting.  Both paths agree on their overlap.
+    a square mod p; there are then 2*p^(a/2) of them, lifted from a root
+    of u by Tonelli-Shanks and Hensel lifting.  For nu = 0 the set is the
+    multiples of p^ceil(l/2).
     """
-    if method not in ("auto", "exhaustive", "lifted"):
-        raise ValueError(f"unknown method {method!r}")
     N = p**l
     nu %= N
-    if method == "exhaustive" or (method == "auto" and N <= EXHAUSTIVE_SQRT_LIMIT):
-        x = np.arange(N, dtype=np.int64)
-        return tuple(int(v) for v in np.nonzero((x * x) % N == nu)[0])
     if nu == 0:
         step = p ** ((l + 1) // 2)
         return tuple(range(0, N, step))
@@ -182,11 +172,6 @@ def roots_table(N: int) -> np.ndarray:
     table = np.exp(2j * np.pi * np.arange(N) / N)
     table.flags.writeable = False
     return table
-
-
-def root_of_unity(x: int, N: int) -> complex:
-    """e(x/N) with the exponent reduced mod N before any float appears."""
-    return complex(np.exp(2j * np.pi * (x % N) / N))
 
 
 def gauss_quadratic(f: int, g: int, p: int) -> complex:
@@ -225,7 +210,3 @@ def gauss_quadratic_closed(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     expo = -(g[unit] ** 2) * inverse[4 * f[unit] % p] % p
     out[unit] = symbol[f[unit]] * eps_sqrt * roots_table(p)[expo]
     return out
-
-
-def binomial(n: int, r: int) -> int:
-    return math.comb(n, r)

@@ -113,32 +113,14 @@ def mat_sub(X: Mat2, Y: Mat2) -> Mat2:
 IDENTITY2: Mat2 = ((1, 0), (0, 1))
 
 
-def smith_diagonal(M: Mat2) -> tuple[int, int]:
-    """Smith normal form diagonal (d1, d2) of an integer 2x2 matrix, d1 | d2."""
-    entries = [M[0][0], M[0][1], M[1][0], M[1][1]]
-    d1 = 0
-    for v in entries:
-        d1 = math.gcd(d1, v)
-    if d1 == 0:
-        return (0, 0)
-    det = abs(mat_det(M))
-    return (d1, det // d1)
-
-
 def kernel_count(M: Mat2, N: int) -> int:
-    """#{n in (Z/NZ)^2 : nM = 0 (mod N)}.
-
-    Exhaustive count up to N = 1000, Smith-normal-form count above;
-    the two agree wherever both run.
-    """
-    if N <= 1000:
-        n1 = np.arange(N, dtype=np.int64)[:, None]
-        n2 = np.arange(N, dtype=np.int64)[None, :]
-        c1 = (n1 * (M[0][0] % N) + n2 * (M[1][0] % N)) % N
-        c2 = (n1 * (M[0][1] % N) + n2 * (M[1][1] % N)) % N
-        return int(np.count_nonzero((c1 == 0) & (c2 == 0)))
-    d1, d2 = smith_diagonal(M)
-    return math.gcd(d1, N) * math.gcd(d2, N)
+    """#{n in (Z/NZ)^2 : nM = 0 (mod N)} from the Smith normal form
+    diag(d1, d2) of M, with d1 the gcd of the entries and d1 d2 = |det M|:
+    gcd(d1, N) * gcd(d2, N), the same for every integer lift of M mod N."""
+    d1 = math.gcd(*M[0], *M[1])
+    if d1 == 0:
+        return N * N
+    return math.gcd(d1, N) * math.gcd(abs(mat_det(M)) // d1, N)
 
 
 @dataclass
@@ -412,11 +394,6 @@ def propagator_apply(B, pp: PrimePower) -> Callable[[np.ndarray], np.ndarray]:
     right = _chirp_apply(((a, b), ((c - a) % N, (d - b) % N)), N)
     left = _chirp_apply(((1, 0), (1, 1)), N)
     return lambda psi: left(right(psi))
-
-
-def propagator_trace_magnitude_sq(B, pp: PrimePower) -> float:
-    """|Tr U(B)|^2 from the dense construction (phase-free quantity)."""
-    return abs(np.trace(propagator(B, pp).entries)) ** 2
 
 
 def fixed_point_count(B, pp: PrimePower) -> int:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -31,6 +32,16 @@ def matrix_for_prime(p: int) -> TorusAutomorphism:
 def decompose(A: TorusAutomorphism, p: int, k: int):
     """The dense eigendecomposition of L^2(Z/p^k), built from a fresh group."""
     return eigendecompose(build_group(A, PrimePower(p, k)))
+
+
+def kernel_count_exhaustive(M, N: int) -> int:
+    """#{n in (Z/NZ)^2 : nM = 0 (mod N)} by trying every n: the oracle of
+    the Smith-normal-form quantization.kernel_count."""
+    n1 = np.arange(N, dtype=np.int64)[:, None]
+    n2 = np.arange(N, dtype=np.int64)[None, :]
+    c1 = (n1 * (M[0][0] % N) + n2 * (M[1][0] % N)) % N
+    c2 = (n1 * (M[0][1] % N) + n2 * (M[1][1] % N)) % N
+    return int(np.count_nonzero((c1 == 0) & (c2 == 0)))
 
 
 # property tests draw the same examples on every run

@@ -64,13 +64,9 @@ def test_criterion2_inert_trace_and_multiplicity(p):
         mults = [len(c) for c in decomp.clusters.values()]
         assert sum(mults) == pp.N
         assert max(mults) == 1
-        tr2 = hecke.trace_magnitudes_sq_via_spectrum(decomp)
-        for m in range(group.order):
-            beta = group.element(m)
-            ker = hecke.qz.fixed_point_count(group.ring.matrix_of(beta), pp)
-            assert abs(tr2[m] - ker) <= 1e-6 * ker
-            level = group.congruence_level(beta)
-            assert ker == p ** (2 * level)
+        sweep = hecke.trace_sweep(decomp)
+        assert sweep.worst_gap <= 1e-6
+        assert np.array_equal(sweep.kernel, p ** (2 * sweep.level))
     _pass(f"criterion 2: p={p}, k<=3: traces match kernels, all multiplicities 1")
 
 

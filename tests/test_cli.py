@@ -6,13 +6,20 @@ import sys
 import numpy as np
 import pytest
 
-from qcatmap.cli import _parse_int_list, main, observable_digest
+from qcatmap.cli import ConfigError, _parse_int_list, build_config, main, make_parser, observable_digest
 from qcatmap.errors import EigenClusterError
 from qcatmap.quantization import FourierObservable
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def run_python(*args):
+    """A fresh interpreter on this checkout's package: python ARGS."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def test_parse_int_list():
@@ -214,9 +221,8 @@ def test_dense_distribution_does_not_import_scipy_linalg(tmp_path):
         f"assert main(['distribution', '--p', '13', '--k', '2', '--obs', {str(obs)!r}]) == 0\n"
         "print('scipy.linalg' in sys.modules)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "False"
 
 
@@ -242,14 +248,68 @@ def test_verify_space_error_fails_only_its_rows(monkeypatch, capsys):
     assert "[PASS] slow decay (k=3): p=3:4ch/4ef" in out
 
 
+CONFIG_VALUES = {
+    "matrix": [2, 1, 1, 1], "p": [11], "k": [2], "nu": [1], "obs": "obs.json",
+    "seed": 1, "out": "out.txt", "dense_cap": 400, "jobs": 2,
+}
+# the keys each command reads: its flags, plus dense_cap where a dense path exists
+CONFIG_KEYS = {
+    "verify": {"matrix", "p", "k", "seed", "dense_cap"},
+    "expsum": {"matrix", "p", "k", "nu", "out"},
+    "distribution": {"matrix", "p", "k", "obs", "seed", "out", "dense_cap"},
+}
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"jobs": 2}))
-    assert run_cli(["verify", "--p", "3", "--k", "1", "--config", str(cfg)]) == 2
-    assert "jobs" in capsys.readouterr().err
+    for command, keys in CONFIG_KEYS.items():
+        for key, value in CONFIG_VALUES.items():
+            cfg.write_text(json.dumps({key: value}))
+            if key in keys:
+                build_config(make_parser().parse_args([command, "--config", str(cfg)]))
+            else:
+                # refused before any work, whatever else the command needs
+                assert run_cli([command, "--config", str(cfg)]) == 2, (command, key)
+                assert f"['{key}']" in capsys.readouterr().err
+                with pytest.raises(ConfigError):
+                    build_config(make_parser().parse_args([command, "--config", str(cfg)]))
     # the keys that remain still apply
     cfg.write_text(json.dumps({"dense_cap": 400}))
     assert run_cli(["verify", "--p", "3", "--k", "1-2", "--config", str(cfg)]) == 0
+
+
+def test_verify_rows_fail_by_value(monkeypatch, capsys):
+    from qcatmap import cli, expsum
+
+    monkeypatch.setattr(cli, "sqrt_set", lambda nu, p, l: ())
+    monkeypatch.setattr(expsum, "find_large", lambda group, nu: [])
+    assert run_cli(["verify", "--p", "3", "--k", "1-3"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] modarith oracles: mismatches: sqrt sets 4\n" in out  # the squares 0, 1, 4, 7 mod 9
+    assert "[FAIL] slow decay (k=3): no large sum or no eigenfunction at 1/(p+-1): p=3:0ch/4ef\n" in out
+    assert "[PASS] hecke group/eigen" in out
+
+
+def test_verify_checks_survive_optimize_flag():
+    args = ["-m", "qcatmap.cli", "verify", "--p", "3,7", "--k", "1-3"]
+    plain, optimized = run_python(*args), run_python("-O", *args)
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    assert optimized.stdout == plain.stdout
+
+
+def test_verify_zeroed_traces_fail_under_optimize_flag():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from qcatmap import hecke\n"
+        "from qcatmap.cli import main\n"
+        "hecke.trace_magnitudes_sq_via_spectrum = lambda decomp: np.zeros(decomp.group.order)\n"
+        "sys.exit(main(['verify', '--p', '3,7', '--k', '1-3']))\n"
+    )
+    out = run_python("-O", "-c", code)
+    assert out.returncode == 1, out.stderr
+    assert "[FAIL] hecke group/eigen: trace gap 1.0e+00 > tol 1e-06 at 3^1:i" in out.stdout
+    assert "[FAIL]" not in out.stdout.replace("[FAIL] hecke group/eigen", "")
 
 
 @pytest.mark.slow

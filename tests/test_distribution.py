@@ -145,22 +145,22 @@ def test_ks_vs_law_handles_the_atom():
     assert ks_vs_law(sample.values, law) < 0.02
     # a sample with noisy zeros must be snapped first, or the atom drifts
     noisy = sample.values + np.where(sample.values == 0.0, -1e-13, 0.0)
-    rep = compare_distribution(EmpiricalSet(noisy, "test"), law)
+    rep = compare_distribution(EmpiricalSet(noisy), law)
     assert rep.ks < 0.02
 
 
 def test_compare_distribution_identical_and_empty():
     vals = np.linspace(-1, 1, 101)
-    rep = compare_distribution(EmpiricalSet(vals, "a"), EmpiricalSet(vals.copy(), "b"))
+    rep = compare_distribution(EmpiricalSet(vals), EmpiricalSet(vals.copy()))
     assert rep.ks == 0.0
     with pytest.raises(EmptySetError):
-        compare_distribution(EmpiricalSet(np.array([]), "a"), EmpiricalSet(vals, "b"))
+        compare_distribution(EmpiricalSet(np.array([])), EmpiricalSet(vals))
 
 
 def test_compare_distribution_winsorizes():
     vals = np.array([0.0] * 98 + [50.0, -50.0])
     rep = compare_distribution(
-        EmpiricalSet(vals, "a"), EmpiricalSet(vals.copy(), "b"), winsor_bound=10.0
+        EmpiricalSet(vals), EmpiricalSet(vals.copy()), winsor_bound=10.0
     )
     assert rep.winsorized_left == 2
     assert rep.moments_left[1] == pytest.approx(2 * 100 / 100.0)

@@ -13,7 +13,7 @@ from qcatmap.errors import (
     SizeLimitError,
 )
 from qcatmap.modarith import PrimePower
-from qcatmap.quantization import propagator
+from qcatmap.quantization import IDENTITY2, mat_sub, propagator
 from qcatmap import hecke
 from qcatmap.hecke import (
     brute_force_norm_one,
@@ -23,11 +23,11 @@ from qcatmap.hecke import (
     eigendecompose,
     split_eigenfunction,
     split_match_report,
-    trace_magnitude_check,
+    trace_sweep,
     unit_character_level,
 )
 
-from conftest import A_DEFAULT, decompose, matrix_for_prime
+from conftest import A_DEFAULT, decompose, kernel_count_exhaustive, matrix_for_prime
 
 
 def test_classify_prime(cat_map):
@@ -278,32 +278,41 @@ def test_split_match_report_small(cat_map):
     assert rep.shift_ok
 
 
-def test_trace_magnitude_check(cat_map):
+def test_trace_sweep_matches_dense_propagator(cat_map):
     pp = PrimePower(3, 3)
     group = build_group(cat_map, pp)
-    # identity: |Tr|^2 = p^(2k)
-    check = trace_magnitude_check((1, 0), group)
-    assert check.passed and check.kernel == 3**6 and check.level == 3
-    # levels 0 and 1 hit p^0 and p^2 exactly (inert)
-    seen = set()
-    for m in range(group.order):
-        beta = group.element(m)
-        level = group.congruence_level(beta)
-        if level in seen or level == 3:
-            continue
-        seen.add(level)
-        check = trace_magnitude_check(beta, group)
-        assert check.passed
-        assert check.kernel == 3 ** (2 * level)
-    assert {0, 1, 2} <= seen | {2}
+    sweep = trace_sweep(eigendecompose(group))
+    # the identity: level 3, |Tr|^2 = #ker = p^(2k)
+    assert sweep.level[0] == 3 and sweep.kernel[0] == 3**6
+    # one element of each level 0, 1, 2 (inert: #ker = p^(2l)), and a few more
+    first_of_level = {}
+    for m, level in enumerate(sweep.level.tolist()):
+        first_of_level.setdefault(level, m)
+    assert {0, 1, 2, 3} <= set(first_of_level)
+    sample = sorted({first_of_level[level] for level in (0, 1, 2)} | {1, 5, group.order - 1})
+    for m in sample:
+        U = propagator(group.ring.matrix_of(group.element(m)), pp).entries
+        dense = abs(np.trace(U)) ** 2
+        assert abs(dense - sweep.trace_sq[m]) <= hecke.TRACE_TOL * sweep.kernel[m]
+        assert sweep.kernel[m] == 3 ** (2 * sweep.level[m])
 
 
 def test_trace_spectral_sweep_matches_kernels(cat_map):
-    for p, k in [(3, 2), (11, 1)]:
+    for p, k in [(3, 3), (7, 2), (13, 2), (11, 2)]:
         pp = PrimePower(p, k)
         decomp = eigendecompose(build_group(cat_map, pp))
         group = decomp.group
-        tr2 = hecke.trace_magnitudes_sq_via_spectrum(decomp)
-        for m in range(group.order):
-            ker = hecke.qz.fixed_point_count(group.ring.matrix_of(group.element(m)), pp)
-            assert abs(tr2[m] - ker) <= 1e-6 * ker
+        sweep = trace_sweep(decomp)
+        assert sweep.worst_gap <= hecke.TRACE_TOL
+        oracle = [
+            kernel_count_exhaustive(mat_sub(group.ring.matrix_of(group.element(m)), IDENTITY2), pp.N)
+            for m in range(group.order)
+        ]
+        assert sweep.kernel.tolist() == oracle
+        assert sweep.level.tolist() == [group.congruence_level(group.element(m)) for m in range(group.order)]
+        if group.kind == "inert":
+            assert np.array_equal(sweep.kernel, p ** (2 * sweep.level))
+    # one NaN trace makes the worst gap NaN, which fails every <= tolerance
+    trace_sq = sweep.trace_sq.copy()
+    trace_sq[3] = np.nan
+    assert np.isnan(hecke.TraceSweep(trace_sq, sweep.kernel, sweep.level).worst_gap)

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcatmap.errors import EvenPrimeError, NonUnitError
 from qcatmap.modarith import (
@@ -12,7 +14,6 @@ from qcatmap.modarith import (
     inv_mod,
     is_prime,
     legendre,
-    root_of_unity,
     sqrt_set,
     tonelli_shanks,
     valuation,
@@ -107,24 +108,47 @@ def test_sqrt_set_zero_has_p_to_half_k_elements():
         assert len(sqrt_set(0, p, l)) == p ** (l // 2)
 
 
+def sqrt_set_exhaustive(nu: int, p: int, l: int) -> tuple[int, ...]:
+    """The oracle of sqrt_set: every x mod p^l tried, as a sorted tuple."""
+    N = p**l
+    x = np.arange(N, dtype=np.int64)
+    return tuple(int(v) for v in np.nonzero((x * x) % N == nu % N)[0])
+
+
 def test_sqrt_set_complete_and_unit_counts():
     for p, l in [(3, 2), (5, 2), (7, 3), (11, 2)]:
         N = p**l
         for nu in range(N):
             roots = sqrt_set(nu, p, l)
-            brute = {x for x in range(N) if x * x % N == nu}
-            assert set(roots) == brute
+            assert roots == sqrt_set_exhaustive(nu, p, l)
             if nu % p != 0:
                 assert len(roots) in (0, 2)
 
 
 def test_sqrt_set_paths_agree_on_overlap():
-    # exhaustive vs Tonelli-Shanks + Hensel on the same moduli
+    # Tonelli-Shanks + Hensel against exhaustive search on the same moduli
     rng = random.Random(3)
     for p, l in [(3, 7), (7, 4), (11, 3), (97, 2)]:
         for _ in range(40):
             nu = rng.randrange(p**l)
-            assert sqrt_set(nu, p, l, method="exhaustive") == sqrt_set(nu, p, l, method="lifted")
+            assert sqrt_set(nu, p, l) == sqrt_set_exhaustive(nu, p, l)
+
+
+@st.composite
+def class_mod_prime_power(draw):
+    """(nu, p, l) with p^l <= 30000 and nu = p^a u, a <= l drawn apart from u."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]))
+    l = draw(st.integers(1, int(math.log(30_000) / math.log(p))))
+    a = draw(st.integers(0, l))
+    u = draw(st.integers(0, p ** (l - a) - 1))
+    return p**a * u, p, l
+
+
+@settings(max_examples=200)
+@given(class_mod_prime_power())
+def test_property_sqrt_set_equals_exhaustive(case):
+    nu, p, l = case
+    assert sqrt_set(nu, p, l) == sqrt_set_exhaustive(nu, p, l)
 
 
 def test_sqrt_set_nonunit_classes():
@@ -142,12 +166,6 @@ def test_valuation():
     assert valuation(5, 3) == 0
     with pytest.raises(ValueError):
         valuation(0, 3)
-
-
-def test_root_of_unity_reduction():
-    # reduction happens before floats: huge exponents stay exact
-    big = 10**18 + 3
-    assert abs(root_of_unity(big, 7) - root_of_unity(big % 7, 7)) < 1e-15
 
 
 def test_gauss_quadratic_magnitude_classes():
