@@ -249,11 +249,12 @@ def _hecke_part(space: Space) -> tuple[str, list[str], float]:
     of its trace sweep."""
     pp, group = space.pp, space.group
     note = f"{pp}:{group.kind[0]}"
-    expected = pp.p ** (pp.k - 1) * (pp.p - 1 if group.kind == "split" else pp.p + 1)
     mults = [len(v) for v in space.decomp.clusters.values()]
     faults = []
-    if group.order != expected:
-        faults.append(f"{note} order {group.order}, expected {expected}")
+    # the decomposition passed the size cap on max(N, #C) N, which bounds these N^2 pairs
+    count = len(hecke.brute_force_norm_one(space.A, pp))
+    if group.order != count:
+        faults.append(f"{note} order {group.order}, brute-force count {count}")
     if sum(mults) != pp.N:
         faults.append(f"{note} multiplicities sum to {sum(mults)}, expected {pp.N}")
     if group.kind == "inert" and max(mults) > 1:
@@ -388,8 +389,28 @@ def cmd_verify(cfg: RunConfig, stream=None) -> int:
 # -- expsum -------------------------------------------------------------
 
 
+def _distinct_text(col: np.ndarray, text) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct value of col formatted once by text(value): the strings
+    as a byte matrix, NUL-padded on the right, and the row of it for each
+    entry.  Floats are told apart by their bits, so -0.0 prints as -0."""
+    floats = col.dtype.kind == "f"
+    keys = np.ascontiguousarray(col).view(np.int64) if floats else col
+    distinct, row = np.unique(keys, return_inverse=True)
+    if floats:
+        distinct = distinct.view(np.float64)
+    strings = np.array(list(map(text, distinct.tolist())), dtype="S")
+    # the rows live until the last block is gathered: keep them small
+    row = row.astype(np.min_scalar_type(len(strings)))
+    return strings.view(np.uint8).reshape(len(strings), strings.itemsize), row
+
+
 def records_to_csv(table: expsum.ExpSumTable) -> str:
-    """One CSV row per table row; theta is empty on bad rows."""
+    """One CSV row per table row; theta is empty on bad rows.
+
+    The table repeats its values, so each column formats every distinct
+    value once, with the separator that follows it, and the rows are
+    gathered from those strings as bytes, CSV_BLOCK_ROWS rows at a time.
+    """
     value = table.value
     finite = np.isfinite(value.real) & np.isfinite(value.imag) & (np.isfinite(table.theta) | ~table.good)
     if not finite.all():
@@ -397,17 +418,23 @@ def records_to_csv(table: expsum.ExpSumTable) -> str:
         raise ArithmeticError(
             f"non-finite value at chi_{table.chi_index[i]}, nu = {table.nu[i]}: E = {value[i]}"
         )
-    flag = ("false", "true")
-    head = f"{table.pp.p},{table.pp.k}"
-    columns = (table.nu, table.chi_index, value.real, value.imag, table.theta, table.good, table.vanished)
+    # good rows are finite, so a NaN theta marks exactly the bad rows
+    theta = np.where(table.good, table.theta, np.nan)
+    columns = [  # (byte matrix of the distinct strings, row of it per table row)
+        _distinct_text(table.nu, f"{table.pp.p},{table.pp.k},{{}},".format),
+        _distinct_text(table.chi_index, "{},".format),
+        _distinct_text(value.real, "{:.17g},".format),
+        _distinct_text(value.imag, "{:.17g},".format),
+        _distinct_text(theta, lambda th: "," if math.isnan(th) else f"{th:.17g},"),
+        _distinct_text(table.good, lambda good: "true," if good else "false,"),
+        _distinct_text(table.vanished, lambda van: "true\n" if van else "false\n"),
+    ]
+    del theta
     chunks = ["p,k,nu,chi_index,re,im,theta,good,vanished\n"]
-    # rows are formatted a block at a time to bound the Python objects alive
     for lo in range(0, len(table), CSV_BLOCK_ROWS):
-        rows = zip(*(col[lo : lo + CSV_BLOCK_ROWS].tolist() for col in columns))
-        chunks.append("".join(
-            f"{head},{nu},{j},{re:.17g},{im:.17g},{f'{th:.17g}' if good else ''},{flag[good]},{flag[van]}\n"
-            for nu, j, re, im, th, good, van in rows
-        ))
+        block = np.hstack([strings.take(row[lo : lo + CSV_BLOCK_ROWS], axis=0) for strings, row in columns])
+        chunks.append(block[block != 0].tobytes().decode("ascii"))
+    del columns  # before the join doubles the text
     return "".join(chunks)
 
 

@@ -60,9 +60,12 @@ class QuadOrderMod:
     one: OrderElement = (1, 0)
 
     def mul(self, u: OrderElement, v: OrderElement) -> OrderElement:
+        """Product of Python ints, or elementwise of int64 arrays: b*d is
+        reduced before it meets t, so every product stays below N^2."""
         a, b = u
         c, d = v
-        return ((a * c - b * d) % self.N, (a * d + b * c + b * d * self.t) % self.N)
+        bd = b * d % self.N
+        return ((a * c - bd) % self.N, (a * d + b * c + bd * self.t) % self.N)
 
     def norm(self, u: OrderElement) -> int:
         a, b = u
@@ -144,6 +147,36 @@ class QuadOrderMod:
         return level
 
 
+# entries of the temporaries of one block of _power_blocks
+POWER_BLOCK = 1 << 16
+
+
+def _power_blocks(g, one, mul, count: int):
+    """Yield (m0, x) with x[..., i] = g^(m0 + i), covering m = 0..count-1
+    in increasing blocks.
+
+    mul multiplies Python elements and, elementwise with broadcasting,
+    int64 arrays of them (a pair of arrays for an order element).  The
+    s = isqrt(count) baby steps g^j and the giant steps (g^s)^i are walked
+    in Python; g^(i s + j) is then one array product per block of i.
+    """
+    s = math.isqrt(count)
+    babies = [one]
+    for _ in range(s):
+        babies.append(mul(babies[-1], g))
+    giants = [one]
+    for _ in range(-(-count // s) - 1):
+        giants.append(mul(giants[-1], babies[s]))
+    baby = np.array(babies[:s], dtype=np.int64).T  # shape (s,), or (2, s) for pairs
+    giant = np.array(giants, dtype=np.int64).T
+    rows = max(1, POWER_BLOCK // s)
+    for i0 in range(0, len(giants), rows):
+        block = np.asarray(mul(giant[..., i0 : i0 + rows, None], baby))
+        block = block.reshape(block.shape[:-2] + (-1,))
+        m0 = i0 * s
+        yield m0, block[..., : count - m0]
+
+
 def _factor_small(n: int) -> set[int]:
     out = set()
     d = 2
@@ -193,18 +226,15 @@ class HeckeGroup:
 
     def _walk(self):
         """Enumerate g^m for m = 0..order-1 and index them for dlog."""
-        N = self.pp.N
-        ga, gb = self.gen
-        t = self.ring.t
-        enc = np.empty(self.order, dtype=np.int64)
-        a, b = 1, 0
-        for m in range(self.order):
-            enc[m] = a * N + b
-            a, b = (a * ga - b * gb) % N, (a * gb + b * ga + b * gb * t) % N
-        if (a, b) != (1, 0):
+        ring = self.ring
+        if ring.pow(self.gen, self.order) != ring.one:
             raise RuntimeError("generator order mismatch")
+        enc = np.empty(self.order, dtype=np.int64)
+        for m0, (a, b) in _power_blocks(self.gen, ring.one, ring.mul, self.order):
+            enc[m0 : m0 + len(a)] = a * self.pp.N + b
         self.elements_enc = enc
-        self._sort_perm = np.argsort(enc, kind="stable")
+        # the elements are distinct, so every sort gives this permutation
+        self._sort_perm = np.argsort(enc)
         self._sorted_enc = enc[self._sort_perm]
 
     # -- element access -----------------------------------------------
@@ -312,6 +342,7 @@ def build_group(A: TorusAutomorphism, pp: PrimePower) -> HeckeGroup:
 def brute_force_norm_one(A: TorusAutomorphism, pp: PrimePower) -> set[OrderElement]:
     """All (a, b) mod p^k with a^2 + abt + b^2 = 1, by exhaustive search."""
     N = pp.N
+    check_array_size(N * N, f"brute-force norm-one search at {pp}")
     t = A.trace % N
     a = np.arange(N, dtype=np.int64)[:, None]
     b = np.arange(N, dtype=np.int64)[None, :]
@@ -401,13 +432,11 @@ def unit_dlog_array(group: HeckeGroup, diag: SplitDiagonalizer) -> np.ndarray:
     N = group.pp.N
     ga, gb = group.gen
     x_g = (ga + gb * diag.y) % N
-    arr = np.full(N, -1, dtype=np.int64)
-    x = 1
-    for m in range(group.order):
-        arr[x] = m
-        x = x * x_g % N
-    if x != 1:
+    if pow(x_g, group.order, N) != 1:
         raise RuntimeError("unit group walk did not close")
+    arr = np.full(N, -1, dtype=np.int64)
+    for m0, x in _power_blocks(x_g, 1, lambda u, v: u * v % N, group.order):
+        arr[x] = np.arange(m0, m0 + len(x))
     return arr
 
 
@@ -609,6 +638,12 @@ class EigenDecomposition:
 CLUSTER_TOL = 1e-6
 
 
+def _phase_labels(lam: np.ndarray, phase: float, order: int) -> np.ndarray:
+    """The nearest exponent j with lam ~ e^(i phase) e(j / order), mod order."""
+    rel = np.angle(lam) - phase
+    return np.rint(rel * order / (2 * np.pi)).astype(np.int64) % order
+
+
 def eigendecompose(group: HeckeGroup) -> EigenDecomposition:
     """Diagonalize U(iota(g)) for a group generator g and label the clusters.
 
@@ -623,8 +658,7 @@ def eigendecompose(group: HeckeGroup) -> EigenDecomposition:
     unit_lam = lam / np.abs(lam)
     wbar = np.mean(unit_lam**group.order)
     phase = float(np.angle(wbar)) / group.order
-    rel = np.angle(unit_lam) - phase
-    labels = np.rint(rel * group.order / (2 * np.pi)).astype(np.int64) % group.order
+    labels = _phase_labels(unit_lam, phase, group.order)
     model = np.exp(1j * (phase + 2 * np.pi * labels / group.order))
     err = float(np.abs(unit_lam - model).max())
     if err > CLUSTER_TOL:
@@ -705,45 +739,41 @@ def split_match_report(
 ) -> SplitMatchReport:
     """Locate explicit split eigenfunctions in the numerical eigenbasis.
 
-    The sampled characters (default: all) are built explicitly, projected
-    onto the eigenbasis, and must sit inside a single cluster with a small
-    residual; the matched labels must differ from the character indices by
-    one common shift (the free global twist).  Using that shift, the
-    multiplicity of every character's cluster is then checked against the
-    predicted k - l + 1 for its level l, over the whole dual group.
+    Each sampled character (default: all) is built explicitly as b; its
+    label comes from the Rayleigh quotient <U(g) b, b> on the phase grid
+    of eigendecompose, and its residual ||b - V_c V_c^* b|| from the
+    columns V_c of that label's cluster alone.  The matched labels must
+    differ from the character indices by one common shift (the free global
+    twist).  Using that shift, the multiplicity of every character's
+    cluster is then checked against the predicted k - l + 1 for its level
+    l, over the whole dual group.
     """
     group = decomp.group
     pp = group.pp
     diag = build_split_diagonalizer(group.A, pp)
     apply_M = propagator_apply(diag.M, pp)
+    apply_g = propagator_apply(group.ring.matrix_of(group.gen), pp)
     unit_dlogs = unit_dlog_array(group, diag)
-    N = pp.N
     order = group.order
     idx_all = np.arange(order) if sample is None else np.asarray(sorted(set(sample)))
 
-    label_of_col = decomp.labels
     matched = np.empty(len(idx_all), dtype=np.int64)
     resid = np.empty(len(idx_all))
     V = decomp.vectors
     for start in range(0, len(idx_all), batch):
         idx = idx_all[start : start + batch]
-        block = np.empty((N, len(idx)), dtype=np.complex128)
+        block = np.empty((pp.N, len(idx)), dtype=np.complex128)
         for j, ci in enumerate(idx):
             block[:, j] = unit_character_values(group, unit_dlogs, int(ci))
         block = apply_M(block)
         block /= np.linalg.norm(block, axis=0)[None, :]
-        # coefficients in the eigenbasis: V* block, without copying V
-        W = (V.T @ block.conj()).conj()
-        power = (W * W.conj()).real
-        for j, pos in enumerate(range(start, start + len(idx))):
-            best_col = int(np.argmax(power[:, j]))
-            label = int(label_of_col[best_col])
-            matched[pos] = label
-            # leak = sum of |coefficient|^2 outside the cluster; summing the
-            # complement directly avoids cancellation against 1.0
-            outside = np.ones(N, dtype=bool)
-            outside[decomp.clusters[label]] = False
-            resid[pos] = math.sqrt(float(power[outside, j].sum()))
+        rayleigh = np.einsum("ij,ij->j", block.conj(), apply_g(block))
+        labels = _phase_labels(rayleigh, decomp.phase, order)
+        matched[start : start + len(idx)] = labels
+        for j, label in enumerate(labels.tolist()):
+            Vc = V[:, decomp.clusters[label]]
+            b = block[:, j]
+            resid[start + j] = np.linalg.norm(b - Vc @ (Vc.conj().T @ b))
 
     shifts = (matched - idx_all) % order
     shift_ok = bool(np.all(shifts == shifts[0]))

@@ -44,6 +44,48 @@ def kernel_count_exhaustive(M, N: int) -> int:
     return int(np.count_nonzero((c1 == 0) & (c2 == 0)))
 
 
+def group_walk(group) -> np.ndarray:
+    """g^m for m = 0..#C-1, encoded a*N + b, one product at a time: the
+    oracle of the blocked power table in HeckeGroup.elements_enc."""
+    N = group.pp.N
+    ga, gb = group.gen
+    t = group.ring.t
+    enc = np.empty(group.order, dtype=np.int64)
+    a, b = 1, 0
+    for m in range(group.order):
+        enc[m] = a * N + b
+        a, b = (a * ga - b * gb) % N, (a * gb + b * ga + b * gb * t) % N
+    assert (a, b) == (1, 0)
+    return enc
+
+
+def unit_walk(group, diag) -> np.ndarray:
+    """The dlog of every unit mod p^k, -1 at non-units, one product at a
+    time: the oracle of hecke.unit_dlog_array."""
+    N = group.pp.N
+    ga, gb = group.gen
+    x_g = (ga + gb * diag.y) % N
+    arr = np.full(N, -1, dtype=np.int64)
+    x = 1
+    for m in range(group.order):
+        arr[x] = m
+        x = x * x_g % N
+    assert x == 1
+    return arr
+
+
+def csv_rows(table) -> str:
+    """The CSV text of an ExpSumTable, one f-string per row: the oracle of
+    cli.records_to_csv."""
+    flag = ("false", "true")
+    head = f"{table.pp.p},{table.pp.k}"
+    columns = (table.nu, table.chi_index, table.value.real, table.value.imag, table.theta, table.good, table.vanished)
+    return "p,k,nu,chi_index,re,im,theta,good,vanished\n" + "".join(
+        f"{head},{nu},{j},{re:.17g},{im:.17g},{f'{th:.17g}' if good else ''},{flag[good]},{flag[van]}\n"
+        for nu, j, re, im, th, good, van in zip(*(col.tolist() for col in columns))
+    )
+
+
 # property tests draw the same examples on every run
 settings.register_profile("qcatmap", derandomize=True, deadline=None, max_examples=30)
 settings.load_profile("qcatmap")

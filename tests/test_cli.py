@@ -5,10 +5,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qcatmap.cli import ConfigError, _parse_int_list, build_config, main, make_parser, observable_digest
+from qcatmap.cli import ConfigError, _parse_int_list, build_config, main, make_parser, observable_digest, records_to_csv
 from qcatmap.errors import EigenClusterError
+from qcatmap.expsum import ExpSumTable, scan_characters
+from qcatmap.hecke import build_group
+from qcatmap.modarith import PrimePower
 from qcatmap.quantization import FourierObservable
+
+from conftest import csv_rows, matrix_for_prime
 
 
 def run_cli(args):
@@ -72,6 +79,60 @@ def test_expsum_row_count_at_101(tmp_path):
     out = tmp_path / "c.csv"
     assert run_cli(["expsum", "--p", "101", "--k", "2", "--nu", "1", "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) - 1 == 101 * 100
+
+
+# signed zeros, subnormals, huge magnitudes, and neighbours that differ only
+# in the 17th significant digit
+CSV_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+              0.1, float(np.nextafter(0.1, 1.0)), 1 / 3, float(np.nextafter(1 / 3, 0.0)), -2.5]
+
+
+def table_of(pp, nu, chi_index, re, im, theta, good, vanished) -> ExpSumTable:
+    value = np.empty(len(re), dtype=np.complex128)
+    value.real, value.imag = re, im  # keeps the sign of every zero
+    return ExpSumTable(
+        pp, np.asarray(nu, dtype=np.int64), np.asarray(chi_index, dtype=np.int64), value,
+        np.asarray(theta, dtype=np.float64), np.asarray(good, dtype=bool), np.asarray(vanished, dtype=bool),
+    )
+
+
+@st.composite
+def synthetic_tables(draw):
+    n = draw(st.integers(0, 40))
+    # a small pool per table makes repeated values common
+    pool = draw(st.lists(st.sampled_from(CSV_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=8))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    good = column(st.booleans())
+    theta = [th if g else np.nan for th, g in zip(column(st.sampled_from(pool)), good)]
+    return table_of(
+        PrimePower(7, 2), column(st.integers(1, 48)), column(st.integers(0, 10**6)),
+        column(st.sampled_from(pool)), column(st.sampled_from(pool)), theta, good, column(st.booleans()),
+    )
+
+
+EDGE_ROWS = 2 * len(CSV_FLOATS)  # each edge value twice, and -0.0 next to 0.0 in every column
+
+
+@given(synthetic_tables())
+@example(table_of(PrimePower(7, 2), [], [], [], [], [], [], []))
+@example(table_of(
+    PrimePower(7, 2), [1, 3] * len(CSV_FLOATS), range(EDGE_ROWS), CSV_FLOATS * 2, CSV_FLOATS[::-1] * 2,
+    [th if i % 3 else np.nan for i, th in enumerate(CSV_FLOATS * 2)], [i % 3 > 0 for i in range(EDGE_ROWS)],
+    [i % 2 > 0 for i in range(EDGE_ROWS)],
+))
+def test_records_to_csv_matches_row_writer(table):
+    assert records_to_csv(table) == csv_rows(table)
+
+
+@pytest.mark.parametrize("p,k", [(7, 2), (5, 3), (11, 2), (29, 3)])
+def test_records_to_csv_matches_row_writer_on_real_tables(p, k):
+    table = scan_characters(build_group(matrix_for_prime(p), PrimePower(p, k)), [1, 2, 3])
+    assert not table.good.all()  # some rows have an empty theta
+    assert records_to_csv(table) == csv_rows(table)
 
 
 def test_expsum_rejects_bad_nu():
@@ -288,6 +349,18 @@ def test_verify_rows_fail_by_value(monkeypatch, capsys):
     assert "[FAIL] modarith oracles: mismatches: sqrt sets 4\n" in out  # the squares 0, 1, 4, 7 mod 9
     assert "[FAIL] slow decay (k=3): no large sum or no eigenfunction at 1/(p+-1): p=3:0ch/4ef\n" in out
     assert "[PASS] hecke group/eigen" in out
+
+
+def test_verify_wrong_group_order_fails_hecke_row(monkeypatch, capsys):
+    from qcatmap import hecke
+
+    brute_force = hecke.brute_force_norm_one
+    # one norm-one element fewer than the group at 3^2 holds
+    monkeypatch.setattr(hecke, "brute_force_norm_one", lambda A, pp: set(sorted(brute_force(A, pp))[pp.N == 9 :]))
+    assert run_cli(["verify", "--p", "3", "--k", "1-2"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] hecke group/eigen: 3^2:i order 12, brute-force count 11\n" in out
+    assert out.count("[FAIL]") == 1
 
 
 def test_verify_checks_survive_optimize_flag():

@@ -13,9 +13,11 @@ from qcatmap.errors import (
     SizeLimitError,
 )
 from qcatmap.modarith import PrimePower
-from qcatmap.quantization import IDENTITY2, mat_sub, propagator
+from qcatmap.quantization import IDENTITY2, TorusAutomorphism, mat_sub, propagator
 from qcatmap import hecke
 from qcatmap.hecke import (
+    QuadOrderMod,
+    _power_blocks,
     brute_force_norm_one,
     build_group,
     build_split_diagonalizer,
@@ -25,9 +27,10 @@ from qcatmap.hecke import (
     split_match_report,
     trace_sweep,
     unit_character_level,
+    unit_dlog_array,
 )
 
-from conftest import A_DEFAULT, decompose, kernel_count_exhaustive, matrix_for_prime
+from conftest import A_DEFAULT, decompose, group_walk, kernel_count_exhaustive, matrix_for_prime, unit_walk
 
 
 def test_classify_prime(cat_map):
@@ -48,6 +51,59 @@ def test_group_order(p, k, kind, order):
     assert group.kind == kind
     assert group.order == order
     assert (1, 0) in group
+
+
+# inert at 3, 5, 7 and split at 11, 19, for k = 1..4; the orders 4 and 36 are
+# perfect squares, the others (12, 108, 8, 392, 30, 10, 1210, 13310, 6498, ...) are not
+POWER_TABLE_SPACES = [(3, 1), (3, 2), (3, 3), (3, 4), (7, 1), (7, 3), (5, 2), (11, 1), (11, 2), (11, 3), (11, 4), (19, 3)]
+
+
+@pytest.mark.parametrize("p,k", POWER_TABLE_SPACES)
+def test_power_tables_match_sequential_walks(p, k):
+    A = matrix_for_prime(p)
+    group = build_group(A, PrimePower(p, k))
+    assert np.array_equal(group.elements_enc, group_walk(group))
+    assert np.array_equal(group._sorted_enc, np.sort(group_walk(group)))
+    if group.kind == "split":
+        diag = build_split_diagonalizer(A, group.pp)
+        assert np.array_equal(unit_dlog_array(group, diag), unit_walk(group, diag))
+
+
+def test_power_tables_keep_closing_checks(cat_map):
+    group = build_group(cat_map, PrimePower(11, 2))
+    diag = build_split_diagonalizer(cat_map, group.pp)
+    N, (ga, gb) = group.pp.N, group.gen
+    # a y that is not the eigenvalue maps g to an x with x^#C != 1
+    y = next(y for y in range(2, N) if pow((ga + gb * y) % N, group.order, N) != 1)
+    with pytest.raises(RuntimeError, match="unit group walk did not close"):
+        unit_dlog_array(group, hecke.SplitDiagonalizer(diag.pp, diag.M, y))
+    group.gen = (11, 0)  # not a unit
+    with pytest.raises(RuntimeError, match="generator order mismatch"):
+        group._walk()
+
+
+@pytest.mark.parametrize("block", [1000, hecke.POWER_BLOCK])
+@pytest.mark.parametrize("p", [3001, 10007])
+def test_power_blocks_without_int64_overflow(p, block, monkeypatch):
+    """The first 10^4 powers of an element mod p^2 in a ring whose t is near
+    N: unreduced, b*d*t would be near N^3 > 2^63.  Blocks of 1000 entries
+    are 10 rows of 100 powers each."""
+    monkeypatch.setattr(hecke, "POWER_BLOCK", block)
+    pp = PrimePower(p, 2)
+    N = pp.N
+    ring = QuadOrderMod(TorusAutomorphism(N - 6, 1, N - 7, 1), pp)  # trace N - 5
+    assert ring.t == N - 5 and (N - 1) ** 3 > 2**63 > 3 * N**2
+    g = (N - 2, N - 3)
+    want = np.empty((2, 10**4), dtype=np.int64)
+    a, b = ring.one
+    for m in range(10**4):  # Python ints do not overflow
+        want[:, m] = a, b
+        a, b = (a * g[0] - b * g[1]) % N, (a * g[1] + b * g[0] + b * g[1] * ring.t) % N
+    blocks = list(_power_blocks(g, ring.one, ring.mul, 10**4))
+    sizes = [x.shape[1] for _, x in blocks]
+    assert [m0 for m0, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+    assert len(blocks) == -(-(10**4) // block)
+    assert np.array_equal(np.concatenate([x for _, x in blocks], axis=1), want)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (11, 1), (11, 2), (7, 2), (5, 2)])
