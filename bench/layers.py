@@ -1,15 +1,14 @@
 """Per-layer benchmark: the group build and the expsum CSV writer at fixed sizes.
 
-    python bench/layers.py --out BENCH_<n>.json [--tree LABEL=SRC_DIR ...] [--repeats 3]
+    python bench/layers.py --out BENCH_<n>.json --tree LABEL=SRC_DIR [--tree LABEL=SRC_DIR ...]
 
 Each case runs in a fresh interpreter with `SRC_DIR` on PYTHONPATH and
 one BLAS/OpenMP thread.  The child times its own layer with
 `time.perf_counter` and reports its own peak RSS from
 `getrusage(RUSAGE_SELF)`, which, unlike `wait4` in the parent, does not
 count the RSS this script had when it forked.  A case records the median
-over `--repeats` fresh runs.  With several `--tree`s (default: this
-checkout's `src`), the runs alternate between the trees, so drift on the
-machine hits each tree alike.  The output also records the machine:
+over REPEATS fresh runs.  The runs alternate between the `--tree`s, so
+drift on the machine hits each tree alike.  The output also records the machine:
 cores, CPU, BLAS, thread settings, Python and numpy.
 
 Cases (matrix (2, 1, 1, 1), split at every p below):
@@ -33,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CASES = [("group", 349), ("group", 1009), ("group", 3001), ("csv", 349), ("csv", 1009)]
+REPEATS = 3
 
 # argv: layer, p.  Prints {"s": layer seconds, "peak_rss_mb": ..., "items": ...}.
 CHILD = r"""
@@ -106,15 +106,13 @@ def machine(src: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--tree", action="append", metavar="LABEL=SRC_DIR",
-                        help="a source directory to measure (repeatable; default: this checkout)")
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC_DIR",
+                        help="a source directory to measure (repeatable)")
     args = parser.parse_args()
-    trees = dict(t.split("=", 1) for t in args.tree) if args.tree else {"this": "src"}
-    trees = {label: (ROOT / src).resolve() for label, src in trees.items()}
+    trees = {label: (ROOT / src).resolve() for label, src in (t.split("=", 1) for t in args.tree)}
 
     runs: dict[str, dict[str, list[dict]]] = {label: {} for label in trees}
-    for rep in range(args.repeats):
+    for rep in range(REPEATS):
         for layer, p in CASES:
             # alternate which tree goes first from one repeat to the next
             for label in list(trees)[:: 1 if rep % 2 == 0 else -1]:
@@ -124,7 +122,7 @@ def main() -> int:
 
     result = {
         "machine": machine(next(iter(trees.values()))),
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "trees": {
             label: dict(
                 tree_info(src),
