@@ -30,6 +30,8 @@ from .modarith import PrimePower, legendre
 from .quantization import FourierObservable, TorusAutomorphism, elementary_diagonal, row_action
 
 SNAP_ZERO_TOL = 1e-9
+MOMENT_ORDERS = range(1, 7)  # the moment tables of compare_distribution
+FORMULA_TOL = 1e-7  # measured against model matrix elements, absolute
 
 
 # -- quadratic form and twisted coefficients ---------------------------
@@ -162,10 +164,10 @@ def ks_vs_law(values: np.ndarray, law: ScaledLimitLaw) -> float:
     return d
 
 
-def snap_zeros(values: np.ndarray, tol: float = SNAP_ZERO_TOL) -> np.ndarray:
+def snap_zeros(values: np.ndarray) -> np.ndarray:
     """Collapse numerical noise around the atom at 0 to exact zeros."""
     out = np.asarray(values, dtype=float).copy()
-    out[np.abs(out) < tol] = 0.0
+    out[np.abs(out) < SNAP_ZERO_TOL] = 0.0
     return out
 
 
@@ -178,21 +180,19 @@ class ComparisonReport:
     winsorized_right: int
 
 
-def _winsorized_moments(values: np.ndarray, bound: float | None, orders) -> tuple[list[float], int]:
+def _winsorized_moments(values: np.ndarray, bound: float | None) -> tuple[list[float], int]:
     v = np.asarray(values, dtype=float)
     clipped = 0
     if bound is not None:
         clipped = int(np.count_nonzero(np.abs(v) > bound))
         v = np.clip(v, -bound, bound)
-    return [float(np.mean(v**m)) for m in orders], clipped
+    return [float(np.mean(v**m)) for m in MOMENT_ORDERS], clipped
 
 
 def compare_distribution(
     left: EmpiricalSet,
     right: EmpiricalSet | ScaledLimitLaw,
     winsor_bound: float | None = None,
-    snap_tol: float = SNAP_ZERO_TOL,
-    moment_orders=range(1, 7),
 ) -> ComparisonReport:
     """KS distance plus moment tables between a sample and a second sample
     or the scaled limit law.
@@ -202,17 +202,17 @@ def compare_distribution(
     """
     if len(left) == 0:
         raise EmptySetError("left sample is empty")
-    lv = snap_zeros(left.values, snap_tol)
-    ml, wl = _winsorized_moments(lv, winsor_bound, moment_orders)
+    lv = snap_zeros(left.values)
+    ml, wl = _winsorized_moments(lv, winsor_bound)
     if isinstance(right, ScaledLimitLaw):
         ks = ks_vs_law(lv, right)
-        mr, wr = [right.moment(m) for m in moment_orders], 0
+        mr, wr = [right.moment(m) for m in MOMENT_ORDERS], 0
     else:
         if len(right) == 0:
             raise EmptySetError("right sample is empty")
-        rv = snap_zeros(right.values, snap_tol)
+        rv = snap_zeros(right.values)
         ks = ks_two_sample(lv, rv)
-        mr, wr = _winsorized_moments(rv, winsor_bound, moment_orders)
+        mr, wr = _winsorized_moments(rv, winsor_bound)
     return ComparisonReport(ks, ml, mr, wl, wr)
 
 
@@ -332,9 +332,7 @@ class FormulaReport:
     sign_ambiguous: bool = False
 
 
-def verify_matrix_element_formula(
-    decomp: EigenDecomposition, n_list: list[tuple[int, int]], tol: float = 1e-7
-) -> FormulaReport:
+def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple[int, int]]) -> FormulaReport:
     """Match measured matrix elements against the character-sum formula.
 
     For every multiplicity-one eigenfunction psi the measured vector
@@ -359,7 +357,7 @@ def verify_matrix_element_formula(
     signs_n = np.array([-1.0 if (n[0] * n[1]) % 2 else 1.0 for n in n_list])
     model = _exp_sum_table(group, halved).real * signs_n[None, :] / group.order
 
-    zero_rows = int(np.count_nonzero(np.all(np.abs(model) < tol, axis=1)))
+    zero_rows = int(np.count_nonzero(np.all(np.abs(model) < FORMULA_TOL, axis=1)))
     live: list[tuple[int, dict[int, list[tuple[int, float]]]]] = []
     degenerate: list[FormulaMatch] = []
     items = decomp.multiplicity_one_items()
@@ -367,10 +365,10 @@ def verify_matrix_element_formula(
     # row i: <T(n) psi, psi> over n_list for the i-th multiplicity-one eigenfunction
     elements = np.array([elementary_diagonal(n, V) for n in n_list]).T
     for (label, _), measured in zip(items, elements):
-        if np.abs(measured.imag).max() > tol:
+        if np.abs(measured.imag).max() > FORMULA_TOL:
             raise NoMatchError(f"matrix elements of cluster {label} are not real")
         meas = measured.real
-        if np.abs(meas).max() < tol:
+        if np.abs(meas).max() < FORMULA_TOL:
             # the whole element vector vanishes: consistent with (and only
             # with) the vanishing character rows, no sign information
             if zero_rows == 0:
@@ -380,12 +378,12 @@ def verify_matrix_element_formula(
         resid_plus = np.abs(model - meas[None, :]).max(axis=1)
         resid_minus = np.abs(model + meas[None, :]).max(axis=1)
         hits = {
-            +1: [(int(j), float(resid_plus[j])) for j in np.nonzero(resid_plus < tol)[0]],
-            -1: [(int(j), float(resid_minus[j])) for j in np.nonzero(resid_minus < tol)[0]],
+            +1: [(int(j), float(resid_plus[j])) for j in np.nonzero(resid_plus < FORMULA_TOL)[0]],
+            -1: [(int(j), float(resid_minus[j])) for j in np.nonzero(resid_minus < FORMULA_TOL)[0]],
         }
         if not hits[+1] and not hits[-1]:
             best = min(float(resid_plus.min()), float(resid_minus.min()))
-            raise NoMatchError(f"cluster {label}: best residual {best:.3e} > {tol}")
+            raise NoMatchError(f"cluster {label}: best residual {best:.3e} > {FORMULA_TOL}")
         live.append((label, hits))
 
     # the sign is a property of (p, k): one sign must cover every
@@ -409,7 +407,7 @@ def verify_matrix_element_formula(
             # a multiple hit is benign only when the colliding characters
             # have identical model rows on the whole n-list
             base = model[min(js)]
-            if any(float(np.abs(model[j] - base).max()) > 2 * tol for j in js):
+            if any(float(np.abs(model[j] - base).max()) > 2 * FORMULA_TOL for j in js):
                 tie_unique = False
         for j in js:
             if hit_set_of.setdefault(j, js) != js:

@@ -28,6 +28,7 @@ LIFT_CHECK_TOL = 1e-9
 REALNESS_TOL = 1e-8
 # slack on |E| <= 2 p^(k/2) for good characters before theta is refused
 THETA_BOUND_TOL = 1e-9
+LARGE_SUM_TOL = 1e-6  # relative, on |E| = p^2 in find_large
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +219,7 @@ def bad_character_count(group: HeckeGroup, nus) -> int | None:
     return int(np.count_nonzero(np.isin(2 * t % group.pp.p, residues)))
 
 
-def find_large(group: HeckeGroup, nu: int, rel_tol: float = 1e-6) -> list[tuple[int, complex]]:
+def find_large(group: HeckeGroup, nu: int) -> list[tuple[int, complex]]:
     """Characters with 2 t_chi = -nu (mod p^2) at k = 3; each has |E| = p^2.
 
     Returns (chi_index, E) pairs; any other magnitude raises RuntimeError.
@@ -232,7 +233,7 @@ def find_large(group: HeckeGroup, nu: int, rel_tol: float = 1e-6) -> list[tuple[
     j0 = -nu * pow(2 * group.t_unit % p2, -1, p2) % p2
     j = np.arange(j0, group.order, p2, dtype=np.int64)
     value = _closed_form(group, [nu], j)[0][0]
-    off = np.abs(np.abs(value) - p2) > rel_tol * p2
+    off = np.abs(np.abs(value) - p2) > LARGE_SUM_TOL * p2
     if off.any():
         i = int(np.argmax(off))
         raise RuntimeError(f"|E| = {abs(value[i])} != p^2 = {p2} at chi_{j[i]}")

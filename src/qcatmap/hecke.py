@@ -5,7 +5,7 @@ unitaries U(aI + bA) where beta = a + b*alpha runs through the norm-one
 group C of the quadratic order Z[alpha], alpha^2 = t*alpha - 1.  C is
 cyclic of order p^(k-1)(p -+ 1) according to whether the discriminant
 D = t^2 - 4 is a square mod p (split) or not (inert).  This module builds
-C with a full discrete-log table, evaluates its characters by exact
+C with one sorted discrete-log table, evaluates its characters by exact
 integer exponents, and decomposes H_N into the joint eigenspaces of the
 propagator of a group generator, by FFTs along its orbits.
 """
@@ -155,10 +155,10 @@ def _power_blocks(g, one, mul, count: int):
     """Yield (m0, x) with x[..., i] = g^(m0 + i), covering m = 0..count-1
     in increasing blocks.
 
-    mul multiplies Python elements and, elementwise with broadcasting,
-    int64 arrays of them (a pair of arrays for an order element).  The
-    s = isqrt(count) baby steps g^j and the giant steps (g^s)^i are walked
-    in Python; g^(i s + j) is then one array product per block of i.
+    mul multiplies Python order elements and, elementwise with
+    broadcasting, pairs of int64 arrays.  The s = isqrt(count) baby steps
+    g^j and the giant steps (g^s)^i are walked in Python; g^(i s + j) is
+    then one array product per block of i.
     """
     s = math.isqrt(count)
     babies = [one]
@@ -167,7 +167,7 @@ def _power_blocks(g, one, mul, count: int):
     giants = [one]
     for _ in range(-(-count // s) - 1):
         giants.append(mul(giants[-1], babies[s]))
-    baby = np.array(babies[:s], dtype=np.int64).T  # shape (s,), or (2, s) for pairs
+    baby = np.array(babies[:s], dtype=np.int64).T  # shape (2, s)
     giant = np.array(giants, dtype=np.int64).T
     rows = max(1, POWER_BLOCK // s)
     for i0 in range(0, len(giants), rows):
@@ -225,17 +225,17 @@ class HeckeGroup:
         raise RuntimeError(f"no generator found for C({self.pp})")
 
     def _walk(self):
-        """Enumerate g^m for m = 0..order-1 and index them for dlog."""
+        """The dlog table: the encoded powers g^m sorted, and their exponents m."""
         ring = self.ring
         if ring.pow(self.gen, self.order) != ring.one:
             raise RuntimeError("generator order mismatch")
         enc = np.empty(self.order, dtype=np.int64)
         for m0, (a, b) in _power_blocks(self.gen, ring.one, ring.mul, self.order):
             enc[m0 : m0 + len(a)] = a * self.pp.N + b
-        self.elements_enc = enc
         # the elements are distinct, so every sort gives this permutation
         self._sort_perm = np.argsort(enc)
-        self._sorted_enc = enc[self._sort_perm]
+        enc.sort()
+        self._sorted_enc = enc
 
     # -- element access -----------------------------------------------
 
@@ -243,13 +243,10 @@ class HeckeGroup:
         return (u[0] % self.pp.N) * self.pp.N + (u[1] % self.pp.N)
 
     def element(self, m: int) -> OrderElement:
-        e = int(self.elements_enc[m % self.order])
-        return (e // self.pp.N, e % self.pp.N)
+        return self.ring.pow(self.gen, m % self.order)
 
     def __contains__(self, u: OrderElement) -> bool:
-        e = self.encode(u)
-        i = int(np.searchsorted(self._sorted_enc, e))
-        return i < self.order and self._sorted_enc[i] == e
+        return self.ring.norm(u) == 1  # C is the norm-one group
 
     def dlog(self, u: OrderElement) -> int:
         """Exponent m with g^m = u."""
@@ -364,9 +361,6 @@ class HeckeCharacter:
     def value(self, beta: OrderElement) -> complex:
         return complex(self.group.roots[self.exponent(beta)])
 
-    def __mul__(self, other: "HeckeCharacter") -> "HeckeCharacter":
-        return HeckeCharacter(self.group, (self.index + other.index) % self.group.order)
-
     @property
     def t_parameter(self) -> int:
         """t with chi(principal_unit(x)) = e(t*x / t_modulus) for all x."""
@@ -427,36 +421,35 @@ def _mat_inv_sl2(M: qz.Mat2, N: int) -> qz.Mat2:
 
 
 def unit_dlog_array(group: HeckeGroup, diag: SplitDiagonalizer) -> np.ndarray:
-    """Discrete log of every unit y mod p^k relative to the image of the
-    group generator under beta -> eigenvalue of (aI + bA); -1 at non-units."""
+    """Discrete log of every unit mod p^k relative to the image of the group
+    generator under the ring map a + b*alpha -> a + b*y (mod N), which takes
+    C onto the units; read from the group's dlog table.  -1 at non-units."""
     N = group.pp.N
     ga, gb = group.gen
-    x_g = (ga + gb * diag.y) % N
-    if pow(x_g, group.order, N) != 1:
+    if pow((ga + gb * diag.y) % N, group.order, N) != 1:
         raise RuntimeError("unit group walk did not close")
+    enc = group._sorted_enc
     arr = np.full(N, -1, dtype=np.int64)
-    for m0, x in _power_blocks(x_g, 1, lambda u, v: u * v % N, group.order):
-        arr[x] = np.arange(m0, m0 + len(x))
+    arr[(enc // N + enc % N * diag.y) % N] = group._sort_perm
+    hit = np.count_nonzero(arr[np.arange(N) % group.pp.p != 0] >= 0)
+    if hit != group.order:
+        raise RuntimeError(f"the group maps onto {hit} units, expected {group.order}")
     return arr
 
 
-def unit_character_values(group: HeckeGroup, unit_dlogs: np.ndarray, index: int) -> np.ndarray:
-    """chi on Z/p^k from unit_dlog_array: chi at units via the isomorphism
-    beta -> eigenvalue of (aI + bA), zero on non-units."""
-    vals = np.zeros(group.pp.N, dtype=np.complex128)
-    units = unit_dlogs >= 0
-    vals[units] = group.roots[index * unit_dlogs[units] % group.order]
-    return vals
-
-
-def split_eigenfunction(chi: HeckeCharacter, diag: SplitDiagonalizer, U_M: np.ndarray) -> StateVector:
-    """Joint eigenfunction U(M) chi~ (normalized), chi~ = chi on units, else 0;
-    U_M is the dense propagator(diag.M, pp)."""
-    group = chi.group
-    if group.kind != "split":
-        raise NotSplitError("explicit eigenfunctions exist in the split case only")
-    amps = U_M @ unit_character_values(group, unit_dlog_array(group, diag), chi.index)
-    return StateVector(group.pp, amps).normalized()
+def split_eigenvectors(group: HeckeGroup, diag: SplitDiagonalizer, unit_dlogs: np.ndarray, index) -> np.ndarray:
+    """Std-unit columns U(M) chi~_j, one per character index j, where
+    chi~_j is chi_j on the units (read through unit_dlog_array) and 0 on
+    the non-units: explicit joint eigenfunctions of the split case."""
+    N = group.pp.N
+    index = np.asarray(index, dtype=np.int64)
+    check_array_size(N * len(index), f"split eigenvectors at {group.pp}")
+    units = np.flatnonzero(unit_dlogs >= 0)
+    block = np.zeros((N, len(index)), dtype=np.complex128)
+    block[units] = group.roots[np.outer(unit_dlogs[units], index) % group.order]
+    block = propagator_apply(diag.M, group.pp)(block)
+    block /= np.linalg.norm(block, axis=0)[None, :]
+    return block
 
 
 # -- eigendecomposition ----------------------------------------------
@@ -710,15 +703,20 @@ class TraceSweep:
 def trace_sweep(decomp: EigenDecomposition) -> TraceSweep:
     """The trace identity over every element g^m of the group."""
     group = decomp.group
-    betas = [group.element(m) for m in range(group.order)]
-    return TraceSweep(
-        trace_magnitudes_sq_via_spectrum(decomp),
-        np.array([qz.fixed_point_count(group.ring.matrix_of(b), group.pp) for b in betas]),
-        np.array([group.congruence_level(b) for b in betas]),
-    )
+    ring = group.ring
+    kernel, level = [], []
+    beta = ring.one
+    for _ in range(group.order):
+        kernel.append(qz.fixed_point_count(ring.matrix_of(beta), group.pp))
+        level.append(ring.congruence_level(beta))
+        beta = ring.mul(beta, group.gen)
+    return TraceSweep(trace_magnitudes_sq_via_spectrum(decomp), np.array(kernel), np.array(level))
 
 
 # -- split-case verification -----------------------------------------
+
+
+SPLIT_BATCH = 256  # characters built and matched at a time by split_match_report
 
 
 @dataclass
@@ -734,15 +732,13 @@ class SplitMatchReport:
     max_residual: float
 
 
-def split_match_report(
-    decomp: EigenDecomposition, batch: int = 256, sample: list[int] | None = None
-) -> SplitMatchReport:
+def split_match_report(decomp: EigenDecomposition, sample: list[int] | None = None) -> SplitMatchReport:
     """Locate explicit split eigenfunctions in the numerical eigenbasis.
 
-    Each sampled character (default: all) is built explicitly as b; its
-    label comes from the Rayleigh quotient <U(g) b, b> on the phase grid
-    of eigendecompose, and its residual ||b - V_c V_c^* b|| from the
-    columns V_c of that label's cluster alone.  The matched labels must
+    Each sampled character (default: all) is built by split_eigenvectors
+    as b; its label comes from the Rayleigh quotient <U(g) b, b> on the
+    phase grid of eigendecompose, and its residual ||b - V_c V_c^* b|| from
+    the columns V_c of that label's cluster alone.  The matched labels must
     differ from the character indices by one common shift (the free global
     twist).  Using that shift, the multiplicity of every character's
     cluster is then checked against the predicted k - l + 1 for its level
@@ -751,7 +747,6 @@ def split_match_report(
     group = decomp.group
     pp = group.pp
     diag = build_split_diagonalizer(group.A, pp)
-    apply_M = propagator_apply(diag.M, pp)
     apply_g = propagator_apply(group.ring.matrix_of(group.gen), pp)
     unit_dlogs = unit_dlog_array(group, diag)
     order = group.order
@@ -760,16 +755,11 @@ def split_match_report(
     matched = np.empty(len(idx_all), dtype=np.int64)
     resid = np.empty(len(idx_all))
     V = decomp.vectors
-    for start in range(0, len(idx_all), batch):
-        idx = idx_all[start : start + batch]
-        block = np.empty((pp.N, len(idx)), dtype=np.complex128)
-        for j, ci in enumerate(idx):
-            block[:, j] = unit_character_values(group, unit_dlogs, int(ci))
-        block = apply_M(block)
-        block /= np.linalg.norm(block, axis=0)[None, :]
+    for start in range(0, len(idx_all), SPLIT_BATCH):
+        block = split_eigenvectors(group, diag, unit_dlogs, idx_all[start : start + SPLIT_BATCH])
         rayleigh = np.einsum("ij,ij->j", block.conj(), apply_g(block))
         labels = _phase_labels(rayleigh, decomp.phase, order)
-        matched[start : start + len(idx)] = labels
+        matched[start : start + len(labels)] = labels
         for j, label in enumerate(labels.tolist()):
             Vc = V[:, decomp.clusters[label]]
             b = block[:, j]

@@ -185,8 +185,8 @@ class FourierObservable:
         return cls({n: complex(amplitude), (-n[0], -n[1]): complex(amplitude).conjugate()})
 
 
-def load_observable(path: str, require_real: bool = False) -> FourierObservable:
-    """Read a JSON array of {n1, n2, re, im} records."""
+def load_observable(path: str) -> FourierObservable:
+    """Read a JSON array of {n1, n2, re, im} records of a real observable."""
     with open(path) as fh:
         records = json.load(fh)
     coeffs: dict[tuple[int, int], complex] = {}
@@ -196,7 +196,7 @@ def load_observable(path: str, require_real: bool = False) -> FourierObservable:
             raise ValueError(f"duplicate mode {n} in {path}")
         coeffs[n] = complex(float(rec["re"]), float(rec["im"]))
     obs = FourierObservable(coeffs)
-    if require_real and not obs.is_real:
+    if not obs.is_real:
         raise ValueError(f"{path} is not a real-valued observable")
     return obs
 

@@ -46,7 +46,7 @@ def kernel_count_exhaustive(M, N: int) -> int:
 
 def group_walk(group) -> np.ndarray:
     """g^m for m = 0..#C-1, encoded a*N + b, one product at a time: the
-    oracle of the blocked power table in HeckeGroup.elements_enc."""
+    oracle of the sorted dlog table of HeckeGroup."""
     N = group.pp.N
     ga, gb = group.gen
     t = group.ring.t

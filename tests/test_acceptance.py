@@ -129,7 +129,8 @@ def test_criterion5_matrix_element_formula(p, k):
     qs = {dist.quadratic_form(A, n) % pp.N for n in FORMULA_MODES}
     assert len(qs) >= 4
     decomp = eigendecompose(build_group(A, pp))
-    rep = dist.verify_matrix_element_formula(decomp, FORMULA_MODES, tol=1e-7)
+    assert dist.FORMULA_TOL == 1e-7
+    rep = dist.verify_matrix_element_formula(decomp, FORMULA_MODES)
     assert rep.unique_up_to_ties
     assert not rep.sign_ambiguous
     expect_sign = -1 if decomp.group.kind == "inert" and k % 2 == 1 else 1

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -261,16 +262,39 @@ def test_one_eigendecomposition_per_dense_space(monkeypatch, tmp_path):
 def test_verify_nan_fails_quantization_row(monkeypatch, capsys):
     from qcatmap import cli
 
-    dense = cli.propagator
+    matrix_free = cli.propagator_apply
 
     def with_nan(B, pp):
-        U = dense(B, pp)
-        U.entries[0, 0] = np.nan
-        return U
+        apply = matrix_free(B, pp)
 
-    monkeypatch.setattr(cli, "propagator", with_nan)
+        def nan_apply(psi):
+            out = apply(psi)
+            out[0] = np.nan
+            return out
+
+        return nan_apply
+
+    monkeypatch.setattr(cli, "propagator_apply", with_nan)
     assert run_cli(["verify", "--p", "3", "--k", "1-2"]) == 1
     assert "[FAIL] quantization invariants: unitarity nan, egorov nan" in capsys.readouterr().out
+
+
+def test_verify_wrong_propagator_fails_quantization_row(monkeypatch, capsys):
+    """U(A) times a non-constant diagonal phase is unitary, but breaks Egorov."""
+    from qcatmap import cli
+
+    matrix_free = cli.propagator_apply
+
+    def with_phase(B, pp):
+        apply = matrix_free(B, pp)
+        phase = np.exp(1j * np.sqrt(np.arange(pp.N)))[:, None]
+        return lambda psi: apply(phase * psi)
+
+    monkeypatch.setattr(cli, "propagator_apply", with_phase)
+    assert run_cli(["verify", "--p", "3,7", "--k", "1-2"]) == 1
+    row = next(line for line in capsys.readouterr().out.splitlines() if "quantization invariants" in line)
+    unitarity, egorov = (float(x) for x in re.search(r"unitarity (\S+), egorov (\S+) over", row).groups())
+    assert row.startswith("[FAIL]") and unitarity < 1e-12 and egorov > 1e-2
 
 
 def test_dense_distribution_does_not_import_scipy_linalg(tmp_path):

@@ -1,9 +1,12 @@
+import functools
 import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcatmap.errors import (
     EvenPrimeError,
@@ -12,7 +15,7 @@ from qcatmap.errors import (
     SingularPointError,
     SizeLimitError,
 )
-from qcatmap.modarith import PrimePower
+from qcatmap.modarith import PrimePower, is_prime, legendre
 from qcatmap.quantization import IDENTITY2, TorusAutomorphism, mat_sub, propagator
 from qcatmap import hecke
 from qcatmap.hecke import (
@@ -23,7 +26,7 @@ from qcatmap.hecke import (
     build_split_diagonalizer,
     classify_prime,
     eigendecompose,
-    split_eigenfunction,
+    split_eigenvectors,
     split_match_report,
     trace_sweep,
     unit_character_level,
@@ -62,8 +65,9 @@ POWER_TABLE_SPACES = [(3, 1), (3, 2), (3, 3), (3, 4), (7, 1), (7, 3), (5, 2), (1
 def test_power_tables_match_sequential_walks(p, k):
     A = matrix_for_prime(p)
     group = build_group(A, PrimePower(p, k))
-    assert np.array_equal(group.elements_enc, group_walk(group))
-    assert np.array_equal(group._sorted_enc, np.sort(group_walk(group)))
+    walk = group_walk(group)
+    assert np.array_equal(group._sorted_enc, np.sort(walk))
+    assert np.array_equal(group._sort_perm, np.argsort(walk))
     if group.kind == "split":
         diag = build_split_diagonalizer(A, group.pp)
         assert np.array_equal(unit_dlog_array(group, diag), unit_walk(group, diag))
@@ -76,6 +80,11 @@ def test_power_tables_keep_closing_checks(cat_map):
     # a y that is not the eigenvalue maps g to an x with x^#C != 1
     y = next(y for y in range(2, N) if pow((ga + gb * y) % N, group.order, N) != 1)
     with pytest.raises(RuntimeError, match="unit group walk did not close"):
+        unit_dlog_array(group, hecke.SplitDiagonalizer(diag.pp, diag.M, y))
+    # any unit x_g closes, since #C = phi(N); a y that is not an eigenvalue
+    # then maps the group onto fewer than #C units
+    y = next(y for y in range(N) if y not in (diag.y, diag.y_inv) and pow((ga + gb * y) % N, group.order, N) == 1)
+    with pytest.raises(RuntimeError, match=r"maps onto \d+ units, expected 110"):
         unit_dlog_array(group, hecke.SplitDiagonalizer(diag.pp, diag.M, y))
     group.gen = (11, 0)  # not a unit
     with pytest.raises(RuntimeError, match="generator order mismatch"):
@@ -196,6 +205,65 @@ def test_dlog_roundtrip():
         group.dlog((0, 0))
 
 
+# inert at 3, 5 (trace 4), 7, 13 and split at 11, 19; #C up to 123,462
+DLOG_SPACES = [(p, k) for p in (3, 5, 7, 11, 13, 19) for k in (1, 2, 3, 4)]
+
+
+@functools.cache
+def shared_group(p: int, k: int):
+    return build_group(matrix_for_prime(p), PrimePower(p, k))
+
+
+@given(st.sampled_from(DLOG_SPACES), st.data())
+def test_property_dlog_inverts_element(space, data):
+    group = shared_group(*space)
+    m = data.draw(st.integers(0, group.order - 1))
+    assert group.dlog(group.element(m)) == m
+
+
+@given(st.sampled_from(DLOG_SPACES), st.sampled_from(["pair", "element", "shifted"]), st.data())
+def test_property_membership_matches_dlog_table(space, kind, data):
+    """A random pair, a group element, or one shifted by a multiple of
+    p^(k-1) in one coordinate (a near miss) is in the group exactly when
+    the dlog table finds it."""
+    group = shared_group(*space)
+    N, p = group.pp.N, group.pp.p
+    if kind == "pair":
+        u = (data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1)))
+    else:
+        u = group.element(data.draw(st.integers(0, group.order - 1)))
+    if kind == "shifted":
+        step = data.draw(st.integers(1, p - 1)) * (N // p)
+        u = ((u[0] + step) % N, u[1]) if data.draw(st.booleans()) else (u[0], (u[1] + step) % N)
+    try:
+        group.dlog_encoded(np.array([group.encode(u)]))
+        found = True
+    except KeyError:
+        found = False
+    assert (u in group) == found
+    assert found or kind != "element"
+
+
+# A = [[t - 1, 1], [t - 2, 1]] has trace t; (t, p, k) with p split for it
+SPLIT_CASES = [
+    (t, p, k)
+    for t in range(3, 30)
+    for p in range(3, 60)
+    if is_prime(p) and (t * t - 4) % p and legendre(t * t - 4, p) == 1
+    for k in (1, 2, 3, 4)
+    if p**k <= 100_000
+]
+
+
+@given(st.sampled_from(SPLIT_CASES))
+def test_property_unit_dlogs_equal_unit_walk(case):
+    t, p, k = case
+    A = TorusAutomorphism(t - 1, 1, t - 2, 1)
+    group = build_group(A, PrimePower(p, k))
+    diag = build_split_diagonalizer(A, group.pp)
+    assert np.array_equal(unit_dlog_array(group, diag), unit_walk(group, diag))
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (3, 5), (11, 2), (5, 3)])
 def test_t_parameter_defining_relation_exhaustive(p, k):
     """chi(unit(x)) = e(t x / t_mod) for every character and every x."""
@@ -217,7 +285,7 @@ def test_t_parameter_additivity_and_trivial():
     mod_t = group.t_modulus
     for i, j in [(1, 2), (5, 7), (10, 3)]:
         s = (group.character(i).t_parameter + group.character(j).t_parameter) % mod_t
-        assert (group.character(i) * group.character(j)).t_parameter == s
+        assert group.character(i + j).t_parameter == s
 
 
 def test_hecke_operators_commute(cat_map):
@@ -314,12 +382,10 @@ def test_split_eigenfunction_is_joint_eigenfunction(cat_map):
         pp = PrimePower(p, k)
         group = build_group(cat_map, pp)
         diag = build_split_diagonalizer(cat_map, pp)
-        U_M = propagator(diag.M, pp).entries
         ops = [propagator(group.ring.matrix_of(group.element(m)), pp).entries for m in (1, 5)]
-        for j in (1, 3, group.order - 1):
-            psi = split_eigenfunction(group.character(j), diag, U_M)
-            assert abs(psi.norm() - 1) < 1e-10
-            v = psi.amplitudes
+        block = split_eigenvectors(group, diag, unit_dlog_array(group, diag), [1, 3, group.order - 1])
+        assert np.abs(np.linalg.norm(block, axis=0) - 1).max() < 1e-10
+        for v in block.T * math.sqrt(pp.N):  # unit vectors of H_N
             for op in ops:
                 w = op @ v
                 lam = np.vdot(v, w) / np.vdot(v, v)
