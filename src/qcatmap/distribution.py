@@ -99,9 +99,6 @@ class ScaledLimitLaw:
     def cdf_left(self, v: float) -> float:
         return model_cdf_left(v / abs(self.scale))
 
-    def moment(self, m: int) -> float:
-        return abs(self.scale) ** m * float(model_moment(m))
-
 
 # -- empirical sets ----------------------------------------------------
 
@@ -175,9 +172,7 @@ def snap_zeros(values: np.ndarray) -> np.ndarray:
 class ComparisonReport:
     ks: float
     moments_left: list[float]
-    moments_right: list[float]
     winsorized_left: int
-    winsorized_right: int
 
 
 def _winsorized_moments(values: np.ndarray, bound: float | None) -> tuple[list[float], int]:
@@ -194,8 +189,8 @@ def compare_distribution(
     right: EmpiricalSet | ScaledLimitLaw,
     winsor_bound: float | None = None,
 ) -> ComparisonReport:
-    """KS distance plus moment tables between a sample and a second sample
-    or the scaled limit law.
+    """KS distance between a sample and a second sample or the scaled limit
+    law, plus the moment table of the sample.
 
     Moments are winsorized at +-winsor_bound (exceptional values clipped,
     their count reported) so rare unbounded elements cannot dominate.
@@ -206,14 +201,11 @@ def compare_distribution(
     ml, wl = _winsorized_moments(lv, winsor_bound)
     if isinstance(right, ScaledLimitLaw):
         ks = ks_vs_law(lv, right)
-        mr, wr = [right.moment(m) for m in MOMENT_ORDERS], 0
     else:
         if len(right) == 0:
             raise EmptySetError("right sample is empty")
-        rv = snap_zeros(right.values)
-        ks = ks_two_sample(lv, rv)
-        mr, wr = _winsorized_moments(rv, winsor_bound)
-    return ComparisonReport(ks, ml, mr, wl, wr)
+        ks = ks_two_sample(lv, snap_zeros(right.values))
+    return ComparisonReport(ks, ml, wl)
 
 
 # -- matrix-element pipelines -------------------------------------------
@@ -277,9 +269,7 @@ def _exp_sum_table(group: HeckeGroup, nus: list[int]) -> np.ndarray:
     if group.pp.k >= 2:
         out = expsum.scan_characters(group, uniq).value.reshape(order, len(uniq))
     else:
-        out = np.array(
-            [[expsum.exp_sum_bruteforce(nu, group.character(j)) for nu in uniq] for j in range(order)]
-        )
+        out = np.column_stack([expsum.exp_sum_bruteforce(group, nu) for nu in uniq])
     col = {nu: i for i, nu in enumerate(uniq)}
     return out[:, [col[int(nu) % N] for nu in nus]]
 
@@ -323,8 +313,6 @@ class FormulaMatch:
 class FormulaReport:
     matches: list[FormulaMatch]
     sign: int
-    n_degenerate: int
-    matched_unique: bool  # every eigenfunction pinned one character exactly
     max_residual: float
     # uniqueness after merging characters whose model rows coincide on the
     # whole n-list (such characters are indistinguishable by the data)
@@ -338,13 +326,12 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
     For every multiplicity-one eigenfunction psi the measured vector
     (<T(n) psi, psi>)_n must equal s * (-1)^(n1 n2) E(Q(n)/2, chi')/#C
     for a character chi' and a sign s common to all eigenfunctions.
-    Uniqueness of chi' is checked at two levels: strict (exactly one
-    character index), and up to ties, where several characters whose model
-    rows agree on the entire n-list count as one match (no finite n-list
-    can separate them; each tied class may absorb at most its own size in
+    chi' must be unique up to ties: several characters whose model rows
+    agree on the entire n-list count as one match (no finite n-list can
+    separate them; each tied class may absorb at most its own size in
     eigenfunctions).  Eigenfunctions whose element vector vanishes on the
-    whole n-list match any character with a vanishing row; they are
-    counted separately and impose no uniqueness constraint.
+    whole n-list match any character with a vanishing row; they get the
+    chi_index None and impose no uniqueness constraint.
     """
     group = decomp.group
     A, pp = group.A, group.pp
@@ -394,7 +381,6 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
         raise NoMatchError("no single sign covers all eigenfunctions")
     sign = covering[0]
     matches: list[FormulaMatch] = list(degenerate)
-    strict_unique = True
     tie_unique = True
     max_resid = 0.0
     hit_set_of: dict[int, frozenset[int]] = {}
@@ -403,7 +389,6 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
         chosen = hits[sign]
         js = frozenset(j for j, _ in chosen)
         if len(js) > 1:
-            strict_unique = False
             # a multiple hit is benign only when the colliding characters
             # have identical model rows on the whole n-list
             base = model[min(js)]
@@ -422,8 +407,6 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
     return FormulaReport(
         matches=matches,
         sign=sign,
-        n_degenerate=len(degenerate),
-        matched_unique=strict_unique,
         unique_up_to_ties=tie_unique,
         max_residual=max_resid,
         sign_ambiguous=len(covering) > 1,

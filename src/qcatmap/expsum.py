@@ -3,15 +3,16 @@
 The sum runs over the Cayley domain X = {x : D x^2 != 1 mod p}.  Two
 evaluation routes are kept deliberately independent:
 
-  * brute force - one term per x in X, character values through the
-    discrete-log table (the oracle);
+  * brute force - one term per x in X through the discrete-log table,
+    for every character at once (the oracle);
   * closed form (k >= 2) - the sum collapses to the square-root fiber
     mod p^(k//2), with an extra p-term Gauss factor for odd k.  One numpy
     evaluation covers an array of characters at once.
 
-Conventions: E is always real (terms pair conjugately under x -> -x);
-a character is "good" for nu when 2 t_chi != -nu (mod p), in which case
-|E| <= 2 p^(k/2) and an angle theta with E = 2 p^(k/2) cos(theta) exists.
+Conventions: a character chi_j is its index j = 0..#C-1 (see hecke).
+E is always real (terms pair conjugately under x -> -x); a character is
+"good" for nu when 2 t_chi != -nu (mod p), in which case |E| <= 2 p^(k/2)
+and an angle theta with E = 2 p^(k/2) cos(theta) exists.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundExceededError, KTooSmallError, NonUnitError, WrongKError
-from .hecke import HeckeCharacter, HeckeGroup
+from .hecke import HeckeGroup
 from .modarith import PrimePower, gauss_quadratic_closed, roots_table
 
 LIFT_CHECK_TOL = 1e-9
@@ -55,22 +56,27 @@ def _check_nu(nu: int, pp: PrimePower) -> int:
     return nu
 
 
-def exp_sum_bruteforce(nu: int, chi: HeckeCharacter) -> complex:
-    """Direct summation over the whole domain (the oracle route)."""
-    group = chi.group
+def exp_sum_bruteforce(group: HeckeGroup, nu: int) -> np.ndarray:
+    """E(nu, chi_j) for every index j = 0..#C-1, summed over the whole
+    domain (the oracle route).
+
+    The terms are grouped by the exponent m = dlog beta(x): with c_m the
+    sum of e_N(nu x) over those x, E(nu, chi_j) = sum_m c_m e(j m / #C),
+    which is #C times the inverse DFT of c.
+    """
     pp = group.pp
     nu = _check_nu(nu, pp)
     tbl = group.cayley_table
-    xs = np.nonzero(tbl >= 0)[0]
-    chi_part = group.roots[chi.index * tbl[xs] % group.order]
-    add_part = roots_table(pp.N)[nu * xs % pp.N]
-    return complex((chi_part * add_part).sum())
+    xs = np.flatnonzero(tbl >= 0)
+    add = roots_table(pp.N)[nu * xs % pp.N]
+    m, order = tbl[xs], group.order
+    c = np.bincount(m, weights=add.real, minlength=order) + 1j * np.bincount(m, weights=add.imag, minlength=order)
+    return order * np.fft.ifft(c)
 
 
-def _t_parameters(group: HeckeGroup, j: np.ndarray) -> np.ndarray:
-    """t-parameter of chi_j for each index j (see HeckeCharacter.t_parameter)."""
-    mod_t = group.t_modulus
-    return j % mod_t * group.t_unit % mod_t
+def _good(pp: PrimePower, t: np.ndarray, nu: int) -> np.ndarray:
+    """Good for nu: 2 t != -nu (mod p), for each t-parameter t."""
+    return (2 * t + nu) % pp.p != 0
 
 
 def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
@@ -104,7 +110,7 @@ def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
     odd = pp.k % 2 == 1
     D = group.ring.D
     j = np.asarray(j, dtype=np.int64)
-    t = _t_parameters(group, j)
+    t = group.t_parameters(j)
 
     # per-x tables over [0, p^l) (row 0) and the lifts x + p^l (row 1):
     # dlog beta(x), -1 outside the domain, and for odd k 1/(D x^2 - 1)
@@ -128,7 +134,7 @@ def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
     good = np.empty((len(nus), len(j)), dtype=bool)
     vanished = np.empty((len(nus), len(j)), dtype=bool)
     for row, nu in enumerate(nus):
-        good[row] = (2 * t + nu) % p != 0
+        good[row] = _good(pp, t, nu)
         w = (2 * t + nu) % pl * pow(nu * D % pl, -1, pl) % pl
         lo = np.searchsorted(squares, w, side="left")
         count = np.searchsorted(squares, w, side="right") - lo
@@ -166,10 +172,9 @@ def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
     return value, good, vanished
 
 
-def exp_sum_closed(nu: int, chi: HeckeCharacter) -> complex:
-    """The closed form (k >= 2) at one character."""
-    value, _, _ = _closed_form(chi.group, [nu], [chi.index])
-    return complex(value[0, 0])
+def exp_sum_closed(group: HeckeGroup, nu: int, j) -> np.ndarray:
+    """The closed form (k >= 2) E(nu, chi_j) for each character index j."""
+    return _closed_form(group, [nu], j)[0][0]
 
 
 def theta_angle(pp: PrimePower, value: np.ndarray, good: np.ndarray) -> np.ndarray:
@@ -214,9 +219,9 @@ def bad_character_count(group: HeckeGroup, nus) -> int | None:
     """
     if group.pp.k < 2:
         return None
-    t = _t_parameters(group, np.arange(group.order, dtype=np.int64))
-    residues = [-int(nu) % group.pp.p for nu in nus]
-    return int(np.count_nonzero(np.isin(2 * t % group.pp.p, residues)))
+    t = group.t_parameters(np.arange(group.order))
+    good = np.logical_and.reduce([_good(group.pp, t, int(nu)) for nu in nus])
+    return int(np.count_nonzero(~good))
 
 
 def find_large(group: HeckeGroup, nu: int) -> list[tuple[int, complex]]:
@@ -232,7 +237,7 @@ def find_large(group: HeckeGroup, nu: int) -> list[tuple[int, complex]]:
     # 2 t_chi = 2 j t_unit = -nu (mod p^2) has order/p^2 solutions j
     j0 = -nu * pow(2 * group.t_unit % p2, -1, p2) % p2
     j = np.arange(j0, group.order, p2, dtype=np.int64)
-    value = _closed_form(group, [nu], j)[0][0]
+    value = exp_sum_closed(group, nu, j)
     off = np.abs(np.abs(value) - p2) > LARGE_SUM_TOL * p2
     if off.any():
         i = int(np.argmax(off))

@@ -5,9 +5,9 @@ unitaries U(aI + bA) where beta = a + b*alpha runs through the norm-one
 group C of the quadratic order Z[alpha], alpha^2 = t*alpha - 1.  C is
 cyclic of order p^(k-1)(p -+ 1) according to whether the discriminant
 D = t^2 - 4 is a square mod p (split) or not (inert).  This module builds
-C with one sorted discrete-log table, evaluates its characters by exact
-integer exponents, and decomposes H_N into the joint eigenspaces of the
-propagator of a group generator, by FFTs along its orbits.
+C with one sorted discrete-log table and decomposes H_N into the joint
+eigenspaces of the propagator of a group generator, by FFTs along its
+orbits.  A character of C is its integer index j: chi_j(g^m) = e(j m / #C).
 """
 
 from __future__ import annotations
@@ -290,9 +290,6 @@ class HeckeGroup:
     def roots(self) -> np.ndarray:
         return roots_table(self.order)
 
-    def character(self, index: int) -> "HeckeCharacter":
-        return HeckeCharacter(self, index % self.order)
-
     # -- restriction to the principal congruence subgroup ---------------
 
     @functools.cached_property
@@ -330,6 +327,12 @@ class HeckeGroup:
             raise RuntimeError("principal congruence parametrization failed")
         return m1 // q
 
+    def t_parameters(self, j) -> np.ndarray:
+        """t-parameter of chi_j for each character index j: the t with
+        chi_j(principal_unit(x)) = e(t*x / t_modulus) for all x."""
+        mod_t = self.t_modulus
+        return np.asarray(j, dtype=np.int64) % mod_t * self.t_unit % mod_t
+
 
 def build_group(A: TorusAutomorphism, pp: PrimePower) -> HeckeGroup:
     """C(p^k) for A, not memoized: the caller owns it and passes it on."""
@@ -346,29 +349,6 @@ def brute_force_norm_one(A: TorusAutomorphism, pp: PrimePower) -> set[OrderEleme
     norm = (a * a % N + a * b % N * t + b * b % N) % N
     ii, jj = np.nonzero(norm == 1)
     return {(int(x), int(y)) for x, y in zip(ii, jj)}
-
-
-@dataclass(frozen=True)
-class HeckeCharacter:
-    """chi_j(g^m) = e(j*m / #C), held as the exact integer exponent j."""
-
-    group: HeckeGroup
-    index: int
-
-    def exponent(self, beta: OrderElement) -> int:
-        return self.index * self.group.dlog(beta) % self.group.order
-
-    def value(self, beta: OrderElement) -> complex:
-        return complex(self.group.roots[self.exponent(beta)])
-
-    @property
-    def t_parameter(self) -> int:
-        """t with chi(principal_unit(x)) = e(t*x / t_modulus) for all x."""
-        return self.index * self.group.t_unit % self.group.t_modulus
-
-    def is_good(self, nu: int) -> bool:
-        """Good for nu: 2*t_parameter != -nu (mod p)."""
-        return (2 * self.t_parameter + nu) % self.group.pp.p != 0
 
 
 # -- split case -------------------------------------------------------
@@ -426,8 +406,8 @@ def unit_dlog_array(group: HeckeGroup, diag: SplitDiagonalizer) -> np.ndarray:
     C onto the units; read from the group's dlog table.  -1 at non-units."""
     N = group.pp.N
     ga, gb = group.gen
-    if pow((ga + gb * diag.y) % N, group.order, N) != 1:
-        raise RuntimeError("unit group walk did not close")
+    if (ga + gb * diag.y) % group.pp.p == 0:
+        raise RuntimeError("the group generator maps to a non-unit")
     enc = group._sorted_enc
     arr = np.full(N, -1, dtype=np.int64)
     arr[(enc // N + enc % N * diag.y) % N] = group._sort_perm
@@ -723,10 +703,6 @@ SPLIT_BATCH = 256  # characters built and matched at a time by split_match_repor
 class SplitMatchReport:
     """Outcome of matching explicit split eigenfunctions to the eigensolver."""
 
-    sample: np.ndarray  # character indices verified by projection
-    residuals: np.ndarray  # per sampled character
-    matched_labels: np.ndarray  # cluster label for each sampled character
-    shift: int  # matched_label = index + shift (the free global twist)
     multiplicities_ok: bool  # checked for every character via the shift
     shift_ok: bool
     max_residual: float
@@ -774,10 +750,6 @@ def split_match_report(decomp: EigenDecomposition, sample: list[int] | None = No
         for ci in range(order)
     )
     return SplitMatchReport(
-        sample=idx_all,
-        residuals=resid,
-        matched_labels=matched,
-        shift=shift,
         multiplicities_ok=mult_ok,
         shift_ok=shift_ok,
         max_residual=float(resid.max()),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from qcatmap.hecke import build_group, eigendecompose
-from qcatmap.modarith import PrimePower
+from qcatmap.modarith import PrimePower, roots_table
 from qcatmap.quantization import TorusAutomorphism
 
 # canonical hyperbolic matrix, trace 3, discriminant 5 (split at 11, 19;
@@ -72,6 +72,26 @@ def unit_walk(group, diag) -> np.ndarray:
         x = x * x_g % N
     assert x == 1
     return arr
+
+
+def exp_sum_direct(group, nu: int, j: int) -> complex:
+    """E(nu, chi_j) as one term e_N(nu x) chi_j(beta(x)) per x of the
+    Cayley domain: the oracle of expsum.exp_sum_bruteforce."""
+    N = group.pp.N
+    tbl = group.cayley_table
+    xs = np.flatnonzero(tbl >= 0)
+    return complex((group.roots[j * tbl[xs] % group.order] * roots_table(N)[nu * xs % N]).sum())
+
+
+def good_by_definition(group, nu: int) -> np.ndarray:
+    """The good mask 2 t_j + nu != 0 (mod p) over every index j, with t_j
+    read off chi_j(principal_unit(1)) = e(j m1 / #C) = e(t_j / t_modulus),
+    where m1 = dlog principal_unit(1)."""
+    m1 = group.dlog(group.principal_unit(1))
+    mod_t, order = group.t_modulus, group.order
+    assert m1 * mod_t % order == 0
+    t = [j * m1 * mod_t // order % mod_t for j in range(order)]
+    return np.array([(2 * tj + nu) % group.pp.p != 0 for tj in t])
 
 
 def csv_rows(table) -> str:

@@ -423,3 +423,23 @@ def test_observable_digest_stable():
     g = FourierObservable({(-1, 0): 0.5, (1, 0): 0.5})
     assert observable_digest(f) == observable_digest(g)
     assert len(observable_digest(f)) == 16
+
+
+def test_benchmark_tracer_finds_its_targets(tmp_path):
+    """perfbench/tracer.py wraps qcatmap functions by name: each must still
+    exist, and the verify sweep makes one oracle call per (space, nu)."""
+    import importlib.util
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tracer_py = os.path.join(root, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_py)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    cfg, spans = tmp_path / "cfg.json", tmp_path / "spans.json"
+    cfg.write_text(json.dumps({"dense_cap": 400}))
+    out = run_python(tracer_py, str(spans), "verify", "--p", "3,7", "--k", "1-3", "--config", str(cfg))
+    assert out.returncode == 0, out.stderr
+    functions = json.loads(spans.read_text())["functions"]
+    assert set(tracer.TRACED) <= set(functions)
+    # 4 spaces with k >= 2 (3^2, 3^3, 7^2, 7^3) times nu in {1, 2, non-residue}
+    assert functions["expsum.exp_sum_bruteforce"]["calls"] == 12

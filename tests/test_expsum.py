@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from qcatmap.modarith import (
     sqrt_set,
 )
 from qcatmap.hecke import build_group
+from qcatmap.quantization import TorusAutomorphism
 from qcatmap.expsum import (
     bad_character_count,
     exp_sum_bruteforce,
@@ -31,7 +33,7 @@ from qcatmap.expsum import (
     theta_angle,
 )
 
-from conftest import A_DEFAULT, matrix_for_prime
+from conftest import A_DEFAULT, exp_sum_direct, good_by_definition, matrix_for_prime
 
 
 def non_residue(p):
@@ -42,9 +44,8 @@ def test_bruteforce_trivial_character_inert_k1():
     # inert: the domain is all of Z/p, so the trivial-character sum is a
     # complete additive sum and vanishes
     group = build_group(A_DEFAULT, PrimePower(3, 1))
-    chi0 = group.character(0)
     for nu in (1, 2):
-        assert abs(exp_sum_bruteforce(nu, chi0)) < 1e-12
+        assert abs(exp_sum_bruteforce(group, nu)[0]) < 1e-12
 
 
 def test_bruteforce_trivial_character_split_k1():
@@ -55,13 +56,13 @@ def test_bruteforce_trivial_character_split_k1():
     dinv = pow(d, -1, p)
     for nu in (1, 2, 3):
         expect = -2 * math.cos(2 * math.pi * nu * dinv / p)
-        assert abs(exp_sum_bruteforce(nu, group.character(0)) - expect) < 1e-12
+        assert abs(exp_sum_bruteforce(group, nu)[0] - expect) < 1e-12
 
 
 def test_bruteforce_rejects_non_unit():
     group = build_group(A_DEFAULT, PrimePower(3, 2))
     with pytest.raises(NonUnitError):
-        exp_sum_bruteforce(3, group.character(1))
+        exp_sum_bruteforce(group, 3)
 
 
 def test_sums_are_real():
@@ -72,17 +73,30 @@ def test_sums_are_real():
         nu = int(rng.integers(1, 125))
         if nu % 5 == 0:
             continue
-        val = exp_sum_bruteforce(nu, group.character(j))
+        val = exp_sum_bruteforce(group, nu)[j]
         assert abs(val.imag) < 1e-8 * (1 + abs(val))
 
 
 def assert_table_equals_bruteforce(group, nus):
     table = scan_characters(group, nus)
     assert len(table) == group.order * len(nus)
-    for nu, j, value, vanished in zip(table.nu, table.chi_index, table.value, table.vanished):
-        assert abs(value - exp_sum_bruteforce(int(nu), group.character(int(j)))) < 1e-7
-        assert not vanished or value == 0
+    # column i holds the i-th of the sorted nus, one row per character
+    columns = table.value.reshape(group.order, len(nus)).T
+    for nu, column in zip(sorted(nu % group.pp.N for nu in nus), columns):
+        assert np.abs(column - exp_sum_bruteforce(group, nu)).max() < 1e-7
+    assert np.all(table.value[table.vanished] == 0)
     return table
+
+
+# the oracle's exponent grouping and DFT against one term per x, at k = 1 too
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (13, 2), (7, 3), (11, 3), (13, 3), (3, 4)])
+def test_bruteforce_equals_direct_sum(p, k):
+    group = build_group(matrix_for_prime(p), PrimePower(p, k))
+    for nu in (1, non_residue(p)):
+        brute = exp_sum_bruteforce(group, nu)
+        assert brute.shape == (group.order,)
+        direct = np.array([exp_sum_direct(group, nu, j) for j in range(group.order)])
+        assert np.abs(brute - direct).max() < 1e-12
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2), (5, 3), (5, 4), (11, 2)])
@@ -90,30 +104,27 @@ def test_closed_form_equals_bruteforce(p, k):
     group = build_group(matrix_for_prime(p), PrimePower(p, k))
     nus = (1, 2, non_residue(p))
     assert_table_equals_bruteforce(group, nus)
-    # the single-character entry point is the same closed form
-    for j in (0, 1, group.order // 2, group.order - 1):
-        chi = group.character(j)
-        for nu in nus:
-            assert abs(exp_sum_closed(nu, chi) - exp_sum_bruteforce(nu, chi)) < 1e-7
+    # the index-array entry point is the same closed form
+    j = np.array([0, 1, group.order // 2, group.order - 1])
+    for nu in nus:
+        assert np.abs(exp_sum_closed(group, nu, j) - exp_sum_bruteforce(group, nu)[j]).max() < 1e-7
 
 
 def test_closed_form_rejects_k1():
     group = build_group(A_DEFAULT, PrimePower(3, 1))
     with pytest.raises(KTooSmallError):
-        exp_sum_closed(1, group.character(1))
+        exp_sum_closed(group, 1, [1])
 
 
 def test_closed_form_vanishing_is_structural():
     # a good character whose square-root target is a non-residue gives 0
     group = build_group(A_DEFAULT, PrimePower(3, 2))
-    seen_zero = False
-    for j in range(group.order):
-        chi = group.character(j)
-        if chi.is_good(1) and exp_sum_closed(1, chi) == 0:
-            seen_zero = True
-            w = (2 * chi.t_parameter + 1) * pow(group.ring.D % 3, -1, 3) % 3
-            assert legendre(w, 3) == -1 or not group.ring.in_domain(min(sqrt_set(w, 3, 1), default=0))
-    assert seen_zero
+    table = scan_characters(group, [1])
+    zero = table.good & (exp_sum_closed(group, 1, table.chi_index) == 0)
+    assert zero.any()
+    for t in group.t_parameters(table.chi_index[zero]).tolist():
+        w = (2 * t + 1) * pow(group.ring.D % 3, -1, 3) % 3
+        assert legendre(w, 3) == -1 or not group.ring.in_domain(min(sqrt_set(w, 3, 1), default=0))
 
 
 def test_good_bound_and_pair_structure():
@@ -177,12 +188,13 @@ def test_good_fiber_terms_conjugate():
     group = build_group(A_DEFAULT, PrimePower(p, 2))
     table = scan_characters(group, [1])
     row = int(np.argmax(table.good & ~table.vanished))
-    nu, chi = int(table.nu[row]), group.character(int(table.chi_index[row]))
-    w = (2 * chi.t_parameter + nu) * pow(nu * group.ring.D % p, -1, p) % p
+    nu, j = int(table.nu[row]), int(table.chi_index[row])
+    w = (2 * int(group.t_parameters(j)) + nu) * pow(nu * group.ring.D % p, -1, p) % p
     r1, r2 = sqrt_set(w, p, 1)
 
     def term(x):
-        return roots_table(p * p)[nu * x % (p * p)] * chi.value(group.ring.cayley_transform(x))
+        chi = group.roots[j * group.dlog(group.ring.cayley_transform(x)) % group.order]
+        return roots_table(p * p)[nu * x % (p * p)] * chi
 
     t1, t2 = term(r1), term(r2)
     assert abs(t1 - t2.conjugate()) < 1e-10
@@ -195,7 +207,7 @@ def test_find_large_p3():
     assert hits
     for j, value in hits:
         assert abs(abs(value) - 9) < 1e-6 * 9
-        assert not group.character(j).is_good(1)  # 2t = -nu mod p^2 implies bad mod p
+        assert (2 * group.t_parameters(j) + 1) % 3 == 0  # 2t = -nu mod p^2 implies bad mod p
     # the large set is the fiber of the t-restriction: order / p^2 members
     assert len(hits) == group.order // 9
 
@@ -243,5 +255,30 @@ def test_property_good_matches_is_good(case):
     p, k, nu = case
     group = build_group(matrix_for_prime(p), PrimePower(p, k))
     table = scan_characters(group, [nu])
-    expect = [group.character(int(j)).is_good(nu) for j in table.chi_index]
-    assert table.good.tolist() == expect
+    assert table.good.tolist() == good_by_definition(group, nu).tolist()
+
+
+# hyperbolic A in SL2(Z) with entries in [-5, 5]: 168 matrices, 6 discriminants
+HYPERBOLIC = [
+    (a, b, c, d)
+    for a, b, c, d in itertools.product(range(-5, 6), repeat=4)
+    if a * d - b * c == 1 and abs(a + d) > 2
+]
+
+
+@st.composite
+def hyperbolic_space_and_nu(draw):
+    A = TorusAutomorphism(*draw(st.sampled_from(HYPERBOLIC)))
+    p = draw(st.sampled_from([p for p in (3, 5, 7, 11, 13) if A.disc % p]))
+    k = draw(st.sampled_from([k for k in (2, 3) if p**k <= 2197]))
+    nu = draw(st.integers(1, p**k - 1).filter(lambda v: v % p != 0))
+    return A, p, k, nu
+
+
+@given(hyperbolic_space_and_nu())
+def test_property_closed_form_random_matrix(case):
+    A, p, k, nu = case
+    group = build_group(A, PrimePower(p, k))
+    table = scan_characters(group, [nu])
+    assert np.abs(table.value - exp_sum_bruteforce(group, nu)).max() < 1e-7
+    assert table.good.tolist() == good_by_definition(group, nu).tolist()

@@ -77,13 +77,13 @@ def test_power_tables_keep_closing_checks(cat_map):
     group = build_group(cat_map, PrimePower(11, 2))
     diag = build_split_diagonalizer(cat_map, group.pp)
     N, (ga, gb) = group.pp.N, group.gen
-    # a y that is not the eigenvalue maps g to an x with x^#C != 1
-    y = next(y for y in range(2, N) if pow((ga + gb * y) % N, group.order, N) != 1)
-    with pytest.raises(RuntimeError, match="unit group walk did not close"):
+    # a y that is not the eigenvalue may map g to a non-unit x_g
+    y = next(y for y in range(2, N) if (ga + gb * y) % 11 == 0)
+    with pytest.raises(RuntimeError, match="generator maps to a non-unit"):
         unit_dlog_array(group, hecke.SplitDiagonalizer(diag.pp, diag.M, y))
-    # any unit x_g closes, since #C = phi(N); a y that is not an eigenvalue
-    # then maps the group onto fewer than #C units
-    y = next(y for y in range(N) if y not in (diag.y, diag.y_inv) and pow((ga + gb * y) % N, group.order, N) == 1)
+    # a y that is not an eigenvalue but maps g to a unit maps the group
+    # onto fewer than #C units
+    y = next(y for y in range(N) if y not in (diag.y, diag.y_inv) and (ga + gb * y) % 11 != 0)
     with pytest.raises(RuntimeError, match=r"maps onto \d+ units, expected 110"):
         unit_dlog_array(group, hecke.SplitDiagonalizer(diag.pp, diag.M, y))
     group.gen = (11, 0)  # not a unit
@@ -270,22 +270,21 @@ def test_t_parameter_defining_relation_exhaustive(p, k):
     group = build_group(matrix_for_prime(p), PrimePower(p, k))
     mod_t = group.t_modulus
     order = group.order
-    for j in range(order):
-        chi = group.character(j)
-        t = chi.t_parameter
-        for x in range(mod_t):
-            lhs = chi.exponent(group.principal_unit(x))
-            # e(lhs/order) must equal e(t x / mod_t), i.e. lhs*mod_t = t*x*order
-            assert (lhs * mod_t - t * x * order) % (order * mod_t) == 0
+    j = np.arange(order)
+    t = group.t_parameters(j)
+    for x in range(mod_t):
+        lhs = j * group.dlog(group.principal_unit(x)) % order  # exponent of chi_j(unit(x))
+        # e(lhs/order) must equal e(t x / mod_t), i.e. lhs*mod_t = t*x*order
+        assert np.all((lhs * mod_t - t * x * order) % (order * mod_t) == 0)
 
 
 def test_t_parameter_additivity_and_trivial():
     group = build_group(A_DEFAULT, PrimePower(3, 3))
-    assert group.character(0).t_parameter == 0
+    assert group.t_parameters(0) == 0
     mod_t = group.t_modulus
     for i, j in [(1, 2), (5, 7), (10, 3)]:
-        s = (group.character(i).t_parameter + group.character(j).t_parameter) % mod_t
-        assert group.character(i + j).t_parameter == s
+        s = (group.t_parameters(i) + group.t_parameters(j)) % mod_t
+        assert group.t_parameters((i + j) % group.order) == s
 
 
 def test_hecke_operators_commute(cat_map):
