@@ -1,4 +1,5 @@
-"""Per-layer benchmark: the group build and the expsum CSV writer at fixed sizes.
+"""Per-layer benchmark: the group build, the expsum CSV writer and the dense
+matrix elements at fixed sizes.
 
     python bench/layers.py --out BENCH_<n>.json --tree LABEL=SRC_DIR [--tree LABEL=SRC_DIR ...]
 
@@ -11,10 +12,17 @@ over REPEATS fresh runs.  The runs alternate between the `--tree`s, so
 drift on the machine hits each tree alike.  The output also records the machine:
 cores, CPU, BLAS, thread settings, Python and numpy.
 
-Cases (matrix (2, 1, 1, 1), split at every p below):
-  group p^2  -- `hecke.build_group` at 349^2, 1009^2 and 3001^2
-  csv p^2    -- `cli.records_to_csv` of `scan_characters(group, [1])` at
-                349^2 and 1009^2 (the group and the scan are not timed)
+Cases (matrix (2, 1, 1, 1): split at every p below but 37):
+  group p^2     -- `hecke.build_group` at 349^2, 1009^2 and 3001^2
+  csv p^2       -- `cli.records_to_csv` of `scan_characters(group, [1])` at
+                   349^2 and 1009^2 (the group and the scan are not timed)
+  elements p^2  -- `distribution.normalized_elements` of the observable
+                   with the modes +-n of `cli.DEFAULT_MODES`, plus
+                   `distribution.verify_matrix_element_formula` over those
+                   n, at 37^2 (inert) and 41^2 (split).  `eigendecompose`
+                   is timed apart as `eigendecompose_s`, and
+                   `eigendecompose_peak_rss_mb` is the peak RSS when it
+                   returns, so `peak_rss_mb` above it is the elements' own.
 """
 
 from __future__ import annotations
@@ -31,28 +39,47 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-CASES = [("group", 349), ("group", 1009), ("group", 3001), ("csv", 349), ("csv", 1009)]
+CASES = [
+    ("group", 349), ("group", 1009), ("group", 3001), ("csv", 349), ("csv", 1009),
+    ("elements", 37), ("elements", 41),
+]
 REPEATS = 3
 
-# argv: layer, p.  Prints {"s": layer seconds, "peak_rss_mb": ..., "items": ...}.
+# argv: layer, p.  Prints {"s": layer seconds, "peak_rss_mb": ..., "items": ...},
+# and for the elements layer also the eigendecompose_* keys.
 CHILD = r"""
 import json, resource, sys, time
-from qcatmap import cli, expsum, hecke
+from qcatmap import cli, distribution, expsum, hecke
 from qcatmap.modarith import PrimePower
-from qcatmap.quantization import TorusAutomorphism
+from qcatmap.quantization import FourierObservable, TorusAutomorphism
+
+def peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
 layer, p = sys.argv[1], int(sys.argv[2])
 A, pp = TorusAutomorphism(2, 1, 1, 1), PrimePower(p, 2)
+extra = {}
 if layer == "group":
     t0 = time.perf_counter()
     group = hecke.build_group(A, pp)
     s, items = time.perf_counter() - t0, group.order
-else:
+elif layer == "csv":
     table = expsum.scan_characters(hecke.build_group(A, pp), [1])
     t0 = time.perf_counter()
     text = cli.records_to_csv(table)
     s, items = time.perf_counter() - t0, len(text)
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"s": s, "peak_rss_mb": rss, "items": items}))
+else:
+    group = hecke.build_group(A, pp)
+    t0 = time.perf_counter()
+    decomp = hecke.eigendecompose(group)
+    extra = {"eigendecompose_s": time.perf_counter() - t0, "eigendecompose_peak_rss_mb": peak_rss_mb()}
+    modes = list(cli.DEFAULT_MODES)
+    f = FourierObservable({m: 0.5 for n in modes for m in (n, (-n[0], -n[1]))})
+    t0 = time.perf_counter()
+    distribution.normalized_elements(f, decomp)
+    distribution.verify_matrix_element_formula(decomp, modes)
+    s, items = time.perf_counter() - t0, pp.N
+print(json.dumps({"s": s, "peak_rss_mb": peak_rss_mb(), "items": items, **extra}))
 """
 
 # what the child interpreter reports about its numpy and BLAS
@@ -118,7 +145,7 @@ def main() -> int:
             for label in list(trees)[:: 1 if rep % 2 == 0 else -1]:
                 res = run_child(trees[label], layer, p)
                 runs[label].setdefault(f"{layer} {p}^2", []).append(res)
-                print(f"{label:10s} {layer:5s} {p}^2  {res['s']:8.3f} s  {res['peak_rss_mb']:7.1f} MB", flush=True)
+                print(f"{label:10s} {layer:8s} {p}^2  {res['s']:8.3f} s  {res['peak_rss_mb']:7.1f} MB", flush=True)
 
     result = {
         "machine": machine(next(iter(trees.values()))),
@@ -128,8 +155,7 @@ def main() -> int:
                 tree_info(src),
                 cases={
                     case: {
-                        "s": statistics.median(r["s"] for r in rs),
-                        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs),
+                        **{key: statistics.median(r[key] for r in rs) for key in rs[0] if key != "items"},
                         "items": rs[0]["items"],
                         "runs_s": [r["s"] for r in rs],
                     }

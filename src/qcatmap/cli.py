@@ -29,7 +29,7 @@ from .quantization import (
     DENSE_CAP_DEFAULT,
     FourierObservable,
     TorusAutomorphism,
-    elementary_diagonal,
+    elementary_diagonals,
     load_observable,
     propagator_apply,
     row_action,
@@ -235,11 +235,11 @@ def _quantization_part(space: Space) -> tuple[float, float]:
     V /= np.linalg.norm(V, axis=0)
     W = propagator_apply(A, pp)(V)
     worst_u = float(np.abs(W.conj().T @ W - V.conj().T @ V).max())
-    errs_e = []
-    for n in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 5)]:
-        m = row_action(n, A.mat_mod(N))
-        sign = (-1) ** ((n[0] * n[1] + m[0] * m[1]) % 2)  # Ttw(n) = (-1)^(n1 n2) T(n)
-        errs_e.append(float(np.abs(elementary_diagonal(n, W) - sign * elementary_diagonal(m, V)).max()))
+    ns = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 5)]
+    ms = [row_action(n, A.mat_mod(N)) for n in ns]
+    # Ttw(n) = (-1)^(n1 n2) T(n)
+    signs = np.array([(-1) ** ((n[0] * n[1] + m[0] * m[1]) % 2) for n, m in zip(ns, ms)])
+    errs_e = np.abs(elementary_diagonals(ns, W) - signs[:, None] * elementary_diagonals(ms, V)).max(axis=1)
     return worst_u, _worst(errs_e)
 
 
@@ -323,7 +323,7 @@ def _slow_decay_part(space: Space) -> tuple[int, int, int]:
     decomp = space.decomp
     target = p * p / group.order
     cols = [col for _, col in decomp.multiplicity_one_items()]
-    el = np.abs(elementary_diagonal(n, decomp.vectors[:, cols]))
+    el = np.abs(elementary_diagonals([n], decomp.vectors, cols)[0])
     hits = int(np.count_nonzero(np.abs(el - target) <= 1e-6 * target))
     return p, len(big), hits
 

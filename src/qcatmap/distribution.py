@@ -27,7 +27,7 @@ from . import expsum
 from .errors import BadNuError, EmptySetError, NoMatchError
 from .hecke import EigenDecomposition, HeckeGroup, build_group
 from .modarith import PrimePower, legendre
-from .quantization import FourierObservable, TorusAutomorphism, elementary_diagonal, row_action
+from .quantization import FourierObservable, TorusAutomorphism, elementary_diagonals, row_action
 
 SNAP_ZERO_TOL = 1e-9
 MOMENT_ORDERS = range(1, 7)  # the moment tables of compare_distribution
@@ -242,11 +242,12 @@ def normalized_elements(f: FourierObservable, decomp: EigenDecomposition) -> Nor
     items = decomp.multiplicity_one_items()
     labels = np.array([lab for lab, _ in items], dtype=np.int64)
     cols = np.array([col for _, col in items], dtype=np.int64)
-    V = decomp.vectors[:, cols]
     # <Op(f) psi, psi> = sum_n fhat(n) <T(n) psi, psi>
+    coeffs = sorted(f.coeffs.items())
+    diagonals = elementary_diagonals([n for n, _ in coeffs], decomp.vectors, cols)
     quad = np.zeros(len(cols), dtype=np.complex128)
-    for n, c in sorted(f.coeffs.items()):
-        quad += complex(c) * elementary_diagonal(n, V)
+    for (_, c), diagonal in zip(coeffs, diagonals):
+        quad += complex(c) * diagonal
     if np.abs(quad.imag).max() > 1e-7:
         raise RuntimeError("Hermitian quadratic form came out complex")
     vals = math.sqrt(pp.N) * (quad.real - f.mean.real)
@@ -302,22 +303,13 @@ def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple
 
 
 @dataclass
-class FormulaMatch:
-    label: int
-    chi_index: int | None  # None when the element vector vanishes
-    sign: int | None
-    residual: float
-
-
-@dataclass
 class FormulaReport:
-    matches: list[FormulaMatch]
     sign: int
     max_residual: float
     # uniqueness after merging characters whose model rows coincide on the
     # whole n-list (such characters are indistinguishable by the data)
-    unique_up_to_ties: bool = True
-    sign_ambiguous: bool = False
+    unique_up_to_ties: bool
+    sign_ambiguous: bool
 
 
 def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple[int, int]]) -> FormulaReport:
@@ -330,8 +322,8 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
     agree on the entire n-list count as one match (no finite n-list can
     separate them; each tied class may absorb at most its own size in
     eigenfunctions).  Eigenfunctions whose element vector vanishes on the
-    whole n-list match any character with a vanishing row; they get the
-    chi_index None and impose no uniqueness constraint.
+    whole n-list match any character with a vanishing row and impose no
+    uniqueness constraint.
     """
     group = decomp.group
     A, pp = group.A, group.pp
@@ -345,12 +337,10 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
     model = _exp_sum_table(group, halved).real * signs_n[None, :] / group.order
 
     zero_rows = int(np.count_nonzero(np.all(np.abs(model) < FORMULA_TOL, axis=1)))
-    live: list[tuple[int, dict[int, list[tuple[int, float]]]]] = []
-    degenerate: list[FormulaMatch] = []
+    live: list[dict[int, list[tuple[int, float]]]] = []
     items = decomp.multiplicity_one_items()
-    V = decomp.vectors[:, [col for _, col in items]]
     # row i: <T(n) psi, psi> over n_list for the i-th multiplicity-one eigenfunction
-    elements = np.array([elementary_diagonal(n, V) for n in n_list]).T
+    elements = elementary_diagonals(n_list, decomp.vectors, [col for _, col in items]).T
     for (label, _), measured in zip(items, elements):
         if np.abs(measured.imag).max() > FORMULA_TOL:
             raise NoMatchError(f"matrix elements of cluster {label} are not real")
@@ -360,7 +350,6 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
             # with) the vanishing character rows, no sign information
             if zero_rows == 0:
                 raise NoMatchError("vanishing element vector but no vanishing character row")
-            degenerate.append(FormulaMatch(label, None, None, float(np.abs(meas).max())))
             continue
         resid_plus = np.abs(model - meas[None, :]).max(axis=1)
         resid_minus = np.abs(model + meas[None, :]).max(axis=1)
@@ -371,21 +360,20 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
         if not hits[+1] and not hits[-1]:
             best = min(float(resid_plus.min()), float(resid_minus.min()))
             raise NoMatchError(f"cluster {label}: best residual {best:.3e} > {FORMULA_TOL}")
-        live.append((label, hits))
+        live.append(hits)
 
     # the sign is a property of (p, k): one sign must cover every
     # eigenfunction (an individual psi may also collide with some other
     # character at the opposite sign, which carries no information)
-    covering = [s for s in (+1, -1) if all(hits[s] for _, hits in live)]
+    covering = [s for s in (+1, -1) if all(hits[s] for hits in live)]
     if not covering:
         raise NoMatchError("no single sign covers all eigenfunctions")
     sign = covering[0]
-    matches: list[FormulaMatch] = list(degenerate)
     tie_unique = True
     max_resid = 0.0
     hit_set_of: dict[int, frozenset[int]] = {}
     class_uses: dict[frozenset[int], int] = {}
-    for label, hits in live:
+    for hits in live:
         chosen = hits[sign]
         js = frozenset(j for j, _ in chosen)
         if len(js) > 1:
@@ -398,17 +386,13 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
             if hit_set_of.setdefault(j, js) != js:
                 tie_unique = False
         class_uses[js] = class_uses.get(js, 0) + 1
-        j, resid = min(chosen)
-        max_resid = max(max_resid, resid)
-        matches.append(FormulaMatch(label, j, sign, resid))
+        max_resid = max(max_resid, min(chosen)[1])
     if any(uses > len(js) for js, uses in class_uses.items()):
         tie_unique = False
-    matches.sort(key=lambda m: m.label)
     return FormulaReport(
-        matches=matches,
         sign=sign,
-        unique_up_to_ties=tie_unique,
         max_residual=max_resid,
+        unique_up_to_ties=tie_unique,
         sign_ambiguous=len(covering) > 1,
     )
 

@@ -475,7 +475,7 @@ def _eig_unitary(U: np.ndarray, tol: float = 1e-8, tries: int = 6):
 # a projection of a unit start vector below this norm is roundoff (about 1e-13)
 RANK_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
-ORBIT_FFT_COLUMNS = 512
+ORBIT_FFT_COLUMNS = 128  # orbit columns per FFT call; bounds its transients
 
 
 def _orbit_projections(apply, v: np.ndarray, order: int) -> np.ndarray:
@@ -508,8 +508,10 @@ def _orbit_eig(group: HeckeGroup):
     up to k + 1 (the trivial character), so k + 1 vectors are used and each
     eigenspace is orthonormalized by QR, its rank read from the R diagonal.
     After the first vector only the eigenspaces whose rank still grows are
-    kept.  The residual max ||U v - lambda v|| over the columns, with the
-    cluster gap 2 pi / #C, bounds the overlap between eigenspaces.
+    kept.  At inert primes V is a view of the first orbit's array, its live
+    rows moved to the front; at split primes the QR bases are stacked into
+    a new array.  The residual max ||U v - lambda v|| over the columns,
+    with the cluster gap 2 pi / #C, bounds the overlap between eigenspaces.
     """
     pp, order = group.pp, group.order
     N = pp.N
@@ -541,8 +543,16 @@ def _orbit_eig(group: HeckeGroup):
     found = sum(len(b) for b in bases.values())
     if found != N:
         raise EigenClusterError(f"orbit eigensolver found {found} eigenvectors, dimension {N}")
-    V = np.vstack([bases[j] for j in sorted(bases)]).T
-    del first, bases
+    if group.kind == "inert":
+        # every eigenspace is one live row of the first orbit; moving rows
+        # forward in increasing order never overwrites a row still to move
+        for dst, src in enumerate(np.flatnonzero(live).tolist()):
+            if dst != src:
+                first[dst] = first[src]
+        V = first[:N].T
+    else:
+        V = np.vstack([bases[j] for j in sorted(bases)]).T
+        del first, bases
     lam = np.empty(N, dtype=np.complex128)
     resid = 0.0
     for start in range(0, N, 256):
@@ -590,10 +600,10 @@ class EigenDecomposition:
 
     @functools.cached_property
     def clusters(self) -> dict[int, np.ndarray]:
-        out: dict[int, np.ndarray] = {}
-        for label in np.unique(self.labels):
-            out[int(label)] = np.nonzero(self.labels == label)[0]
-        return out
+        """Label -> its columns, ascending; labels in ascending order."""
+        by_label = np.argsort(self.labels, kind="stable")
+        labels, starts = np.unique(self.labels[by_label], return_index=True)
+        return {int(label): cols for label, cols in zip(labels, np.split(by_label, starts[1:]))}
 
     def multiplicity(self, label: int) -> int:
         return len(self.clusters.get(int(label), ()))

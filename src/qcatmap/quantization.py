@@ -41,6 +41,10 @@ DENSE_CAP_DEFAULT = 2048
 # the 6859-dimensional space 19^3 needs 4.7e7.
 MAX_ARRAY_ENTRIES = 1 << 26
 
+# columns per block of elementary_diagonals: its temporaries are a few
+# N x ELEMENT_BLOCK_COLUMNS arrays, whatever the number of columns
+ELEMENT_BLOCK_COLUMNS = 256
+
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
@@ -236,17 +240,42 @@ def apply_twisted(n: tuple[int, int], psi: StateVector) -> StateVector:
     return out
 
 
-def elementary_diagonal(n: tuple[int, int], V: np.ndarray) -> np.ndarray:
-    """<T(n) v_j, v_j> in the standard inner product, for each column v_j of V.
+def elementary_diagonals(modes, V: np.ndarray, cols=None) -> np.ndarray:
+    """<T(n) v_j, v_j> in the standard inner product: row i for the i-th
+    mode n, column j for the j-th column v_j of V[:, cols] (all columns
+    when cols is None).
 
     For a std-unit column v, psi = sqrt(N) v is a unit vector of H_N and
     this is its matrix element <T(n) psi, psi>; one roll and one phase, O(N)
-    per column.
+    per column and mode.  The columns go through in blocks of
+    ELEMENT_BLOCK_COLUMNS, so no temporary is larger than N x that block,
+    and each block is conjugated once and rolled once per distinct shift n1.
     """
     N = V.shape[0]
-    n1, n2 = int(n[0]), int(n[1])
-    phases = roots_table(2 * N)[(n1 * n2) % (2 * N)] * roots_table(N)[(n2 * np.arange(N)) % N]
-    return np.einsum("ij,ij->j", phases[:, None] * np.roll(V, -n1 % N, axis=0), V.conj())
+    modes = [(int(n1), int(n2)) for n1, n2 in modes]
+    y = np.arange(N)
+    phases = [roots_table(2 * N)[(n1 * n2) % (2 * N)] * roots_table(N)[(n2 * y) % N] for n1, n2 in modes]
+    rows_of_shift: dict[int, list[int]] = {}
+    for i, (n1, _) in enumerate(modes):
+        rows_of_shift.setdefault(-n1 % N, []).append(i)
+    if cols is not None:
+        cols = np.asarray(cols, dtype=np.intp)
+    width = V.shape[1] if cols is None else len(cols)
+    out = np.empty((len(modes), width), dtype=np.complex128)
+    for start in range(0, width, ELEMENT_BLOCK_COLUMNS):
+        blk = slice(start, start + ELEMENT_BLOCK_COLUMNS)
+        W = V[:, blk] if cols is None else V[:, cols[blk]]
+        W_conj = W.conj()
+        for shift, rows in rows_of_shift.items():
+            rolled = np.roll(W, shift, axis=0)
+            for i in rows:
+                out[i, blk] = np.einsum("ij,ij->j", phases[i][:, None] * rolled, W_conj)
+    return out
+
+
+def elementary_diagonal(n: tuple[int, int], V: np.ndarray) -> np.ndarray:
+    """<T(n) v_j, v_j> for each column v_j of V: one mode of elementary_diagonals."""
+    return elementary_diagonals([n], V)[0]
 
 
 def elementary_matrix(n: tuple[int, int], pp: PrimePower, twisted: bool = False) -> DenseOperator:

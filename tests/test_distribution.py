@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 
 from qcatmap.errors import BadNuError, EmptySetError
 from qcatmap.modarith import PrimePower
-from qcatmap.quantization import FourierObservable
+from qcatmap.quantization import ELEMENT_BLOCK_COLUMNS, FourierObservable, elementary_diagonals
 from qcatmap.hecke import build_group, eigendecompose
 from qcatmap import expsum
 from qcatmap.distribution import (
+    FORMULA_TOL,
     EmpiricalSet,
     ScaledLimitLaw,
     angle_moment,
@@ -234,6 +236,55 @@ def test_formula_sign_pattern(cat_map):
         assert rep.sign == (-1 if inert and k % 2 else 1)
 
 
+def test_dense_pipeline_memory_footprint(cat_map):
+    """At the inert 37^2 the orbit eigensolver keeps its basis in the first
+    orbit (no second N x N array), and the matrix elements go through
+    column blocks, not copies of the basis: both peaks are traced by
+    tracemalloc, which sees every numpy allocation."""
+    group = build_group(cat_map, PrimePower(37, 2))
+    assert group.kind == "inert"
+    tracemalloc.start()
+    try:
+        decomp = eigendecompose(group)
+        eig_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        f = FourierObservable({(1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.25, (-1, -2): 0.25})
+        normalized_elements(f, decomp)
+        verify_matrix_element_formula(decomp, MODES)
+        elements_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    N = group.pp.N
+    assert eig_peak < 2 * decomp.vectors.nbytes
+    assert elements_peak < 6 * N * ELEMENT_BLOCK_COLUMNS * 16
+
+
+def matched_characters(decomp, sign: int) -> dict[int, int | None]:
+    """Label -> the character j whose model row sign * (-1)^(n1 n2)
+    E(Q(n)/2, chi_j) / #C over MODES is nearest the measured
+    <T(n) psi, psi> of that multiplicity-one eigenfunction; None when the
+    measured vector vanishes.  The nearest row must lie within FORMULA_TOL."""
+    group = decomp.group
+    N, order = group.pp.N, group.order
+    model = np.column_stack(
+        [
+            (-1) ** (n[0] * n[1] % 2)
+            * expsum.exp_sum_closed(group, quadratic_form(group.A, n) * pow(2, -1, N) % N, np.arange(order)).real
+            for n in MODES
+        ]
+    ) * (sign / order)
+    items = decomp.multiplicity_one_items()
+    measured = elementary_diagonals(MODES, decomp.vectors, [col for _, col in items]).real.T
+    out: dict[int, int | None] = {}
+    for (label, _), meas in zip(items, measured):
+        resid = np.abs(model - meas[None, :]).max(axis=1)
+        j = int(np.argmin(resid))
+        assert resid[j] < FORMULA_TOL
+        out[label] = None if np.abs(meas).max() < FORMULA_TOL else j
+    return out
+
+
 def test_pipeline_coherence_dense_vs_closed_form(cat_map):
     """F_j from dense eigenfunctions equals the character-sum prediction
     through the matched character, value by value."""
@@ -245,11 +296,11 @@ def test_pipeline_coherence_dense_vs_closed_form(cat_map):
         decomp = eigendecompose(group)
         out = normalized_elements(f, decomp)
         rep = verify_matrix_element_formula(decomp, MODES)
-        chi_of_label = {m.label: m.chi_index for m in rep.matches}
         nu = quadratic_form(cat_map, n0)
         spec = twisted_coefficients(f, cat_map)[nu]
         half = nu * pow(2, -1, pp.N) % pp.N
         closed = expsum.exp_sum_closed(group, half, np.arange(group.order))
+        chi_of_label = matched_characters(decomp, rep.sign)
         checked = 0
         for label, value in zip(out.labels, out.values):
             j = chi_of_label[int(label)]

@@ -17,6 +17,7 @@ from qcatmap.quantization import (
     apply_elementary,
     apply_twisted,
     elementary_diagonal,
+    elementary_diagonals,
     elementary_matrix,
     fixed_point_count,
     inner_product,
@@ -310,3 +311,59 @@ def test_elementary_diagonal_matches_dense_oracles(cat_map, p, k):
         diag = elementary_diagonal(n, V)
         oracle = [inner_product(apply_elementary(n, decomp.state(j)), decomp.state(j)) for j in range(pp.N)]
         assert np.abs(diag - np.array(oracle)).max() < 1e-12
+
+
+def diagonals_by_dense_oracle(modes, V: np.ndarray, pp: PrimePower) -> np.ndarray:
+    """<T(n) v, v> = v^* T(n) v with the dense T(n) of elementary_matrix,
+    one row per mode and one column per column of V."""
+    return np.array([np.einsum("ij,ij->j", V.conj(), elementary_matrix(n, pp).entries @ V) for n in modes])
+
+
+def random_columns(N: int, width: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((N, width)) + 1j * rng.standard_normal((N, width))
+    return V / np.linalg.norm(V, axis=0)
+
+
+# a repeated shift n1 = 1, negative n1 and n2, and n1 = 0 and n1 = N (both shift 0)
+def awkward_modes(N: int) -> list[tuple[int, int]]:
+    return [(1, 0), (1, 3), (-2, 5), (0, 1), (N, -4), (3, -7), (-1, -1), (1, 3)]
+
+
+# 17^2 and 7^3 exceed ELEMENT_BLOCK_COLUMNS, so their last block is partial
+@pytest.mark.parametrize("p,k", [(17, 2), (7, 3), (3, 2)])
+def test_elementary_diagonals_match_dense_oracle(p, k):
+    pp = PrimePower(p, k)
+    N = pp.N
+    V = random_columns(N, N + 5, seed=p * k)
+    modes = awkward_modes(N)
+    want = diagonals_by_dense_oracle(modes, V, pp)
+    got = elementary_diagonals(modes, V)
+    assert got.shape == (len(modes), N + 5)
+    assert np.abs(got - want).max() < 1e-12
+    # an unsorted subset of the columns
+    cols = np.random.default_rng(k).permutation(N + 5)[: N - 2]
+    assert np.abs(elementary_diagonals(modes, V, cols) - want[:, cols]).max() < 1e-12
+    for i, n in enumerate(modes):
+        assert np.array_equal(elementary_diagonal(n, V), got[i])
+
+
+def test_elementary_diagonals_empty_inputs():
+    V = random_columns(9, 4, seed=1)
+    assert elementary_diagonals([], V).shape == (0, 4)
+    assert elementary_diagonals([(1, 1)], V, []).shape == (1, 0)
+
+
+@given(
+    st.sampled_from([(5, 1), (3, 2), (13, 1), (17, 2)]),
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=6),
+    st.data(),
+)
+def test_property_elementary_diagonals_equal_dense(space, modes, data):
+    pp = PrimePower(*space)
+    N = pp.N
+    width = data.draw(st.integers(1, N + 3))
+    V = random_columns(N, width, seed=N + width)
+    cols = data.draw(st.lists(st.integers(0, width - 1), max_size=2 * width))
+    want = diagonals_by_dense_oracle(modes, V[:, cols], pp)
+    assert np.abs(elementary_diagonals(modes, V, cols) - want).max(initial=0.0) < 1e-12
