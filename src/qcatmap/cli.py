@@ -6,7 +6,8 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, a non-finite number
 was about to be emitted or an array would exceed the size cap, 2
-configuration error.
+configuration error (a `distribution` observable with a class Q(n)
+divisible by p included).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import distribution as dist
 from . import expsum, hecke
-from .errors import QcatError, RamifiedPrimeError, SizeLimitError
+from .errors import BadNuError, QcatError, RamifiedPrimeError, SizeLimitError
 from .modarith import PrimePower, gauss_quadratic, inv_mod, legendre, sqrt_set
 from .quantization import (
     DENSE_CAP_DEFAULT,
@@ -302,7 +303,7 @@ def _expsum_summary(parts) -> tuple[bool, str]:
 
 def _formula_part(space: Space) -> tuple[PrimePower, bool, int]:
     rep = dist.verify_matrix_element_formula(space.decomp, _usable_modes(space.A, space.pp.p))
-    return space.pp, rep.unique_up_to_ties, rep.sign
+    return space.pp, rep.unique, rep.sign
 
 
 def _formula_summary(parts) -> tuple[bool, str]:
@@ -485,6 +486,11 @@ def observable_digest(f: FourierObservable) -> str:
 
 
 def distribution_report(cfg: RunConfig) -> dict:
+    """The `distribution` report.  Up to dense_cap it comes from the dense
+    eigenfunctions, and the sign and matched_unique come from the
+    one-shift match of the matrix-element formula; above it, from the
+    closed-form character sums.  A class of the observable divisible by p
+    is a ConfigError, raised before the group is built."""
     A = _automorphism(cfg)
     if len(cfg.p_list) != 1 or len(cfg.k_list) != 1:
         raise ConfigError("distribution needs exactly one p and one k")
@@ -496,11 +502,12 @@ def distribution_report(cfg: RunConfig) -> dict:
         raise ConfigError(f"bad observable file: {exc}") from exc
     p, k = cfg.p_list[0], cfg.k_list[0]
     pp = PrimePower(p, k)
-    try:
-        group = hecke.build_group(A, pp)
-    except RamifiedPrimeError as exc:
-        raise ConfigError(str(exc)) from exc
     spectrum = dist.twisted_coefficients(f, A)
+    try:
+        dist.reduced_classes(spectrum, pp)  # every class a unit mod p, before any work
+        group = hecke.build_group(A, pp)
+    except (BadNuError, RamifiedPrimeError) as exc:
+        raise ConfigError(str(exc)) from exc
     winsor = 10.0 * p ** (1.0 / 6.0)
 
     if pp.N <= cfg.dense_cap:
@@ -512,7 +519,7 @@ def distribution_report(cfg: RunConfig) -> dict:
         # the sign is a property of (p, k); pin it on the default mode set
         rep1 = dist.verify_matrix_element_formula(decomp, _usable_modes(A, p))
         sign = rep1.sign
-        matched = rep1.unique_up_to_ties
+        matched = rep1.unique
         n_bad = expsum.bad_character_count(group, [nu * pow(2, -1, pp.N) for nu in spectrum])
     else:
         sample, n_bad = dist.normalized_elements_closed(f, group)

@@ -211,7 +211,7 @@ def compare_distribution(
 # -- matrix-element pipelines -------------------------------------------
 
 
-def _reduced_classes(spectrum: dict[int, complex], pp: PrimePower) -> dict[int, complex]:
+def reduced_classes(spectrum: dict[int, complex], pp: PrimePower) -> dict[int, complex]:
     """Check every class index is a unit mod p and reduce it mod N."""
     out: dict[int, complex] = {}
     for nu, w in sorted(spectrum.items()):
@@ -238,7 +238,7 @@ def normalized_elements(f: FourierObservable, decomp: EigenDecomposition) -> Nor
     if not f.is_real:
         raise ValueError("the statistics are defined for real observables")
     pp = decomp.group.pp
-    _reduced_classes(twisted_coefficients(f, decomp.group.A), pp)  # validates p does not divide any class
+    reduced_classes(twisted_coefficients(f, decomp.group.A), pp)  # validates p does not divide any class
     items = decomp.multiplicity_one_items()
     labels = np.array([lab for lab, _ in items], dtype=np.int64)
     cols = np.array([col for _, col in items], dtype=np.int64)
@@ -251,12 +251,7 @@ def normalized_elements(f: FourierObservable, decomp: EigenDecomposition) -> Nor
     if np.abs(quad.imag).max() > 1e-7:
         raise RuntimeError("Hermitian quadratic form came out complex")
     vals = math.sqrt(pp.N) * (quad.real - f.mean.real)
-    return NormalizedElements(
-        EmpiricalSet(vals),
-        vals,
-        labels,
-        pp.N - len(items),
-    )
+    return NormalizedElements(EmpiricalSet(vals), vals, labels, pp.N - len(items))
 
 
 def _exp_sum_table(group: HeckeGroup, nus: list[int]) -> np.ndarray:
@@ -289,7 +284,7 @@ def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple
     if not f.is_real:
         raise ValueError("the statistics are defined for real observables")
     pp = group.pp
-    spectrum = _reduced_classes(twisted_coefficients(f, group.A), pp)
+    spectrum = reduced_classes(twisted_coefficients(f, group.A), pp)
     inv2 = pow(2, -1, pp.N)
     nus = sorted(spectrum)
     halved = [nu * inv2 % pp.N for nu in nus]
@@ -305,28 +300,28 @@ def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple
 @dataclass
 class FormulaReport:
     sign: int
+    shift: int  # the eigenfunction labelled j matches the character (j + shift) mod #C
     max_residual: float
-    # uniqueness after merging characters whose model rows coincide on the
-    # whole n-list (such characters are indistinguishable by the data)
-    unique_up_to_ties: bool
-    sign_ambiguous: bool
+    unique: bool  # exactly one (sign, shift) pair fits
 
 
 def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple[int, int]]) -> FormulaReport:
     """Match measured matrix elements against the character-sum formula.
 
-    For every multiplicity-one eigenfunction psi the measured vector
-    (<T(n) psi, psi>)_n must equal s * (-1)^(n1 n2) E(Q(n)/2, chi')/#C
-    for a character chi' and a sign s common to all eigenfunctions.
-    chi' must be unique up to ties: several characters whose model rows
-    agree on the entire n-list count as one match (no finite n-list can
-    separate them; each tied class may absorb at most its own size in
-    eigenfunctions).  Eigenfunctions whose element vector vanishes on the
-    whole n-list match any character with a vanishing row and impose no
-    uniqueness constraint.
+    The eigensolver labels characters up to one global twist, so every
+    multiplicity-one eigenfunction psi, labelled j, must satisfy
+
+        <T(n) psi, psi> = s (-1)^(n1 n2) E(Q(n)/2, chi_(j + c)) / #C
+
+    on the whole n-list, for one sign s and one shift c per space.  The
+    candidate pairs (s, c) come from the first eigenfunction whose element
+    vector does not vanish: each character whose row fits it at sign s.
+    Each candidate is then compared on every eigenfunction at once, the
+    vanishing ones included.  Raises NoMatchError if no pair fits or if
+    every element vector vanishes.
     """
     group = decomp.group
-    A, pp = group.A, group.pp
+    A, pp, order = group.A, group.pp, group.order
     inv2 = pow(2, -1, pp.N)
     qs = [quadratic_form(A, n) for n in n_list]
     for n, q in zip(n_list, qs):
@@ -334,67 +329,30 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
             raise BadNuError(f"Q({n}) = {q} is divisible by p")
     halved = [q * inv2 % pp.N for q in qs]
     signs_n = np.array([-1.0 if (n[0] * n[1]) % 2 else 1.0 for n in n_list])
-    model = _exp_sum_table(group, halved).real * signs_n[None, :] / group.order
+    model = _exp_sum_table(group, halved).real * signs_n[None, :] / order
 
-    zero_rows = int(np.count_nonzero(np.all(np.abs(model) < FORMULA_TOL, axis=1)))
-    live: list[dict[int, list[tuple[int, float]]]] = []
     items = decomp.multiplicity_one_items()
+    labels = np.array([lab for lab, _ in items], dtype=np.int64)
     # row i: <T(n) psi, psi> over n_list for the i-th multiplicity-one eigenfunction
     elements = elementary_diagonals(n_list, decomp.vectors, [col for _, col in items]).T
-    for (label, _), measured in zip(items, elements):
-        if np.abs(measured.imag).max() > FORMULA_TOL:
-            raise NoMatchError(f"matrix elements of cluster {label} are not real")
-        meas = measured.real
-        if np.abs(meas).max() < FORMULA_TOL:
-            # the whole element vector vanishes: consistent with (and only
-            # with) the vanishing character rows, no sign information
-            if zero_rows == 0:
-                raise NoMatchError("vanishing element vector but no vanishing character row")
-            continue
-        resid_plus = np.abs(model - meas[None, :]).max(axis=1)
-        resid_minus = np.abs(model + meas[None, :]).max(axis=1)
-        hits = {
-            +1: [(int(j), float(resid_plus[j])) for j in np.nonzero(resid_plus < FORMULA_TOL)[0]],
-            -1: [(int(j), float(resid_minus[j])) for j in np.nonzero(resid_minus < FORMULA_TOL)[0]],
-        }
-        if not hits[+1] and not hits[-1]:
-            best = min(float(resid_plus.min()), float(resid_minus.min()))
-            raise NoMatchError(f"cluster {label}: best residual {best:.3e} > {FORMULA_TOL}")
-        live.append(hits)
-
-    # the sign is a property of (p, k): one sign must cover every
-    # eigenfunction (an individual psi may also collide with some other
-    # character at the opposite sign, which carries no information)
-    covering = [s for s in (+1, -1) if all(hits[s] for hits in live)]
-    if not covering:
-        raise NoMatchError("no single sign covers all eigenfunctions")
-    sign = covering[0]
-    tie_unique = True
-    max_resid = 0.0
-    hit_set_of: dict[int, frozenset[int]] = {}
-    class_uses: dict[frozenset[int], int] = {}
-    for hits in live:
-        chosen = hits[sign]
-        js = frozenset(j for j, _ in chosen)
-        if len(js) > 1:
-            # a multiple hit is benign only when the colliding characters
-            # have identical model rows on the whole n-list
-            base = model[min(js)]
-            if any(float(np.abs(model[j] - base).max()) > 2 * FORMULA_TOL for j in js):
-                tie_unique = False
-        for j in js:
-            if hit_set_of.setdefault(j, js) != js:
-                tie_unique = False
-        class_uses[js] = class_uses.get(js, 0) + 1
-        max_resid = max(max_resid, min(chosen)[1])
-    if any(uses > len(js) for js, uses in class_uses.items()):
-        tie_unique = False
-    return FormulaReport(
-        sign=sign,
-        max_residual=max_resid,
-        unique_up_to_ties=tie_unique,
-        sign_ambiguous=len(covering) > 1,
-    )
+    if np.abs(elements.imag).max() > FORMULA_TOL:
+        raise NoMatchError("matrix elements are not real")
+    measured = elements.real
+    live = np.flatnonzero(np.abs(measured).max(axis=1) >= FORMULA_TOL)
+    if not len(live):
+        raise NoMatchError("every element vector vanishes on the n-list")
+    first = live[0]
+    candidates = [
+        (s, int(j - labels[first]) % order)
+        for s in (+1, -1)
+        for j in np.flatnonzero(np.abs(s * model - measured[first]).max(axis=1) < FORMULA_TOL)
+    ]
+    resid = [float(np.abs(s * model[(labels + c) % order] - measured).max()) for s, c in candidates]
+    fits = [(s, c, r) for (s, c), r in zip(candidates, resid) if r < FORMULA_TOL]
+    if not fits:
+        raise NoMatchError(f"none of the {len(candidates)} (sign, shift) pairs from cluster {labels[first]} fits")
+    sign, shift, max_resid = fits[0]
+    return FormulaReport(sign=sign, shift=shift, max_residual=max_resid, unique=len(fits) == 1)
 
 
 # -- brute-force counting oracles ---------------------------------------

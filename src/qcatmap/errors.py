@@ -50,7 +50,7 @@ class WrongKError(QcatError, ValueError):
 
 
 class NoMatchError(QcatError, RuntimeError):
-    """No (sign, character) pair reproduces the measured matrix elements."""
+    """No (sign, shift) pair reproduces the measured matrix elements."""
 
 
 class BadNuError(QcatError, ValueError):

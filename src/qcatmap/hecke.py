@@ -478,25 +478,30 @@ RESIDUAL_TOL = 1e-8
 ORBIT_FFT_COLUMNS = 128  # orbit columns per FFT call; bounds its transients
 
 
-def _orbit_projections(apply, v: np.ndarray, order: int) -> np.ndarray:
+def _orbit_projections(apply, v: np.ndarray, order: int, angle: float | None) -> tuple[np.ndarray, float]:
     """Row j: the projection of v onto the eigenspace of U with eigenvalue
-    omega e(j / order), where U = apply, U^order = omega^order I.
+    omega e(j / order), where U = apply, U^order = omega^order I and
+    omega = e^(i angle / order); also returns angle.
 
     With the phase omega^m divided out, the orbit v, Uv, ..., U^(order-1) v
     is periodic in m, and its DFT along m separates every eigenspace at once.
+    angle = None takes it from this orbit's U^order v.  Orbits that share
+    one angle share one row numbering: at U^order ~ -I, roundoff alone would
+    put one orbit's angle at +pi and another's at -pi, a shift of one row.
     """
     orbit = np.empty((order, len(v)), dtype=np.complex128)
     w = v
     for m in range(order):
         orbit[m] = w
         w = apply(w)
-    scalar = np.vdot(v, w) / np.vdot(v, v)  # U^order v = scalar * v
-    orbit *= np.exp(-1j * np.angle(scalar) / order * np.arange(order))[:, None]
+    if angle is None:
+        angle = float(np.angle(np.vdot(v, w) / np.vdot(v, v)))  # U^order v = scalar * v
+    orbit *= np.exp(-1j * angle / order * np.arange(order))[:, None]
     for start in range(0, orbit.shape[1], ORBIT_FFT_COLUMNS):
         blk = slice(start, start + ORBIT_FFT_COLUMNS)
         orbit[:, blk] = np.fft.fft(orbit[:, blk], axis=0)  # in place, one block at a time
     orbit /= order
-    return orbit
+    return orbit, angle
 
 
 def _orbit_eig(group: HeckeGroup):
@@ -518,11 +523,11 @@ def _orbit_eig(group: HeckeGroup):
     apply = propagator_apply(group.ring.matrix_of(group.gen), pp)
     rng = np.random.default_rng([pp.p, pp.k] + [v % N for row in group.A.mat() for v in row])
 
-    def projections() -> np.ndarray:
+    def projections(angle: float | None) -> tuple[np.ndarray, float]:
         v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        return _orbit_projections(apply, v / np.linalg.norm(v), order)
+        return _orbit_projections(apply, v / np.linalg.norm(v), order, angle)
 
-    first = projections()
+    first, angle = projections(None)  # every later orbit reuses this phase
     flat = first.view(np.float64)  # no temporary the size of the orbit
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     live = norms > RANK_TOL
@@ -531,7 +536,7 @@ def _orbit_eig(group: HeckeGroup):
     # eigenspace index -> orthonormal rows; views keep the first orbit alive
     bases = {j: first[j : j + 1] for j in growing}
     for _ in range(pp.k if group.kind == "split" else 0):
-        proj = projections()
+        proj, _ = projections(angle)
         still = []
         for j in growing:
             q, r = np.linalg.qr(np.vstack([bases[j], proj[j : j + 1]]).T)

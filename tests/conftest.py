@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,6 +24,15 @@ def cat_map():
 @pytest.fixture(scope="session")
 def cat_map_p5():
     return A_TRACE4
+
+
+# hyperbolic A in SL2(Z) with entries in [-5, 5], negative traces included:
+# 168 matrices, 6 discriminants
+HYPERBOLIC = [
+    (a, b, c, d)
+    for a, b, c, d in itertools.product(range(-5, 6), repeat=4)
+    if a * d - b * c == 1 and abs(a + d) > 2
+]
 
 
 def matrix_for_prime(p: int) -> TorusAutomorphism:

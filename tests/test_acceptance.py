@@ -120,8 +120,8 @@ def test_criterion4_closed_form_oracle_equivalence():
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (7, 2), (11, 2), (11, 3), (13, 2)])
 def test_criterion5_matrix_element_formula(p, k):
-    """Unique matched character (up to data-indistinguishable row ties) and
-    one common sign per (p, k), tolerance 1e-7."""
+    """One sign and one label shift per (p, k) match every eigenfunction to
+    its character, and no other pair does, tolerance 1e-7."""
     A = matrix_for_prime(p)
     pp = PrimePower(p, k)
     qs = {dist.quadratic_form(A, n) % pp.N for n in FORMULA_MODES}
@@ -129,13 +129,12 @@ def test_criterion5_matrix_element_formula(p, k):
     decomp = eigendecompose(build_group(A, pp))
     assert dist.FORMULA_TOL == 1e-7
     rep = dist.verify_matrix_element_formula(decomp, FORMULA_MODES)
-    assert rep.unique_up_to_ties
-    assert not rep.sign_ambiguous
+    assert rep.unique
     expect_sign = -1 if decomp.group.kind == "inert" and k % 2 == 1 else 1
     assert rep.sign == expect_sign
     _pass(
-        f"criterion 5: (p,k)=({p},{k}) sign {rep.sign:+d}, unique match "
-        f"(ties merged), residual {rep.max_residual:.1e}"
+        f"criterion 5: (p,k)=({p},{k}) sign {rep.sign:+d}, shift {rep.shift}, unique, "
+        f"residual {rep.max_residual:.1e}"
     )
 
 

@@ -184,6 +184,22 @@ def test_distribution_ramified_prime(tmp_path):
     assert run_cli(["distribution", "--p", "5", "--k", "2", "--obs", str(obs)]) == 2
 
 
+@pytest.mark.parametrize("k", [2, 3])  # the dense path and the closed form
+def test_distribution_rejects_class_divisible_by_p_first(k, tmp_path, monkeypatch, capsys):
+    """Q(1, 4) = 19 for the default matrix: at p = 19 the observable is not
+    admissible, which exits 2 before the group is built."""
+    from qcatmap import hecke
+
+    def no_work(*args):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(hecke, "build_group", no_work)
+    obs = tmp_path / "obs.json"
+    write_obs(obs, {(1, 4): 0.5 + 0j, (-1, -4): 0.5 + 0j})
+    assert run_cli(["distribution", "--p", "19", "--k", str(k), "--obs", str(obs)]) == 2
+    assert "class nu = 19 is divisible by p = 19" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": [11], "k": [2], "nu": [1]}))

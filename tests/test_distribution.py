@@ -1,15 +1,24 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from qcatmap.errors import BadNuError, EmptySetError
-from qcatmap.modarith import PrimePower
-from qcatmap.quantization import ELEMENT_BLOCK_COLUMNS, FourierObservable, elementary_diagonals
+from qcatmap.errors import BadNuError, EmptySetError, NoMatchError
+from qcatmap.modarith import PrimePower, valuation
+from qcatmap.quantization import (
+    DENSE_CAP_DEFAULT,
+    ELEMENT_BLOCK_COLUMNS,
+    FourierObservable,
+    TorusAutomorphism,
+    elementary_diagonals,
+)
 from qcatmap.hecke import build_group, eigendecompose
-from qcatmap import expsum
+from qcatmap import cli, expsum
 from qcatmap.distribution import (
     FORMULA_TOL,
     EmpiricalSet,
@@ -33,7 +42,7 @@ from qcatmap.distribution import (
     verify_matrix_element_formula,
 )
 
-from conftest import decompose
+from conftest import HYPERBOLIC, decompose
 
 
 # -- quadratic form and twisted spectrum --------------------------------
@@ -217,7 +226,7 @@ MODES = [(1, 0), (0, 1), (1, 2), (1, 4), (1, 5), (2, 7)]
 
 def test_formula_brute_force_anchor_k1(cat_map):
     rep = verify_matrix_element_formula(decompose(cat_map, 3, 1), MODES)
-    assert rep.unique_up_to_ties
+    assert rep.unique
     assert rep.sign == -1  # inert, odd k
 
 
@@ -230,8 +239,7 @@ def test_formula_sign_pattern(cat_map):
     # sign +1 except inert with odd k
     for p, k in [(3, 2), (3, 3), (11, 2), (11, 3)]:
         rep = verify_matrix_element_formula(decompose(cat_map, p, k), MODES)
-        assert rep.unique_up_to_ties
-
+        assert rep.unique
         inert = p in (3, 7, 13)
         assert rep.sign == (-1 if inert and k % 2 else 1)
 
@@ -260,34 +268,67 @@ def test_dense_pipeline_memory_footprint(cat_map):
     assert elements_peak < 6 * N * ELEMENT_BLOCK_COLUMNS * 16
 
 
-def matched_characters(decomp, sign: int) -> dict[int, int | None]:
-    """Label -> the character j whose model row sign * (-1)^(n1 n2)
-    E(Q(n)/2, chi_j) / #C over MODES is nearest the measured
-    <T(n) psi, psi> of that multiplicity-one eigenfunction; None when the
-    measured vector vanishes.  The nearest row must lie within FORMULA_TOL."""
+def matched_characters(decomp, sign: int) -> dict[int, set[int] | None]:
+    """Label -> the characters j whose model rows sign * (-1)^(n1 n2)
+    E(Q(n)/2, chi_j) / #C over MODES lie within FORMULA_TOL of the measured
+    <T(n) psi, psi> of that multiplicity-one eigenfunction (more than one
+    where rows tie on MODES); None when the measured vector vanishes.  The
+    all-pairs oracle of the one-shift match, on brute-force sums."""
     group = decomp.group
     N, order = group.pp.N, group.order
     model = np.column_stack(
         [
             (-1) ** (n[0] * n[1] % 2)
-            * expsum.exp_sum_closed(group, quadratic_form(group.A, n) * pow(2, -1, N) % N, np.arange(order)).real
+            * expsum.exp_sum_bruteforce(group, quadratic_form(group.A, n) * pow(2, -1, N) % N).real
             for n in MODES
         ]
     ) * (sign / order)
     items = decomp.multiplicity_one_items()
     measured = elementary_diagonals(MODES, decomp.vectors, [col for _, col in items]).real.T
-    out: dict[int, int | None] = {}
+    out: dict[int, set[int] | None] = {}
     for (label, _), meas in zip(items, measured):
-        resid = np.abs(model - meas[None, :]).max(axis=1)
-        j = int(np.argmin(resid))
-        assert resid[j] < FORMULA_TOL
-        out[label] = None if np.abs(meas).max() < FORMULA_TOL else j
+        fits = set(np.flatnonzero(np.abs(model - meas[None, :]).max(axis=1) < FORMULA_TOL).tolist())
+        assert fits
+        out[label] = None if np.abs(meas).max() < FORMULA_TOL else fits
     return out
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (7, 2), (11, 1), (11, 2), (11, 3)])
+def test_one_shift_equals_all_pairs_match(cat_map, p, k):
+    """Every eigenfunction whose elements do not vanish matches, over all
+    characters, the one its label plus the global shift names, and only it
+    unless another character's row ties with it on MODES."""
+    decomp = decompose(cat_map, p, k)
+    order = decomp.group.order
+    rep = verify_matrix_element_formula(decomp, MODES)
+    assert rep.unique
+    matched = {label: js for label, js in matched_characters(decomp, rep.sign).items() if js is not None}
+    assert len(matched) > 0.5 * len(decomp.multiplicity_one_items())
+    assert all((label + rep.shift) % order in js for label, js in matched.items())
+    assert sum(len(js) == 1 for js in matched.values()) > 0.8 * len(matched)
+
+
+@pytest.mark.parametrize("p,k", [(7, 2), (11, 2), (3, 3)])
+def test_swapped_labels_match_no_shift(cat_map, p, k):
+    """Two eigenfunctions with distinct element vectors trade labels: a
+    per-eigenfunction search still finds a character for each, but no one
+    global shift fits them all."""
+    decomp = decompose(cat_map, p, k)
+    items = decomp.multiplicity_one_items()
+    measured = elementary_diagonals(MODES, decomp.vectors, [col for _, col in items]).real.T
+    live = np.flatnonzero(np.abs(measured).max(axis=1) >= FORMULA_TOL)
+    a = live[0]
+    b = next(i for i in live[1:] if np.abs(measured[i] - measured[a]).max() > 1e-3)
+    labels = decomp.labels.copy()
+    (la, ca), (lb, cb) = items[a], items[b]
+    labels[ca], labels[cb] = lb, la
+    with pytest.raises(NoMatchError):
+        verify_matrix_element_formula(dataclasses.replace(decomp, labels=labels), MODES)
 
 
 def test_pipeline_coherence_dense_vs_closed_form(cat_map):
     """F_j from dense eigenfunctions equals the character-sum prediction
-    through the matched character, value by value."""
+    through the matched character (label + shift), value by value."""
     for p in (7, 11):
         pp = PrimePower(p, 2)
         group = build_group(cat_map, pp)
@@ -299,17 +340,57 @@ def test_pipeline_coherence_dense_vs_closed_form(cat_map):
         nu = quadratic_form(cat_map, n0)
         spec = twisted_coefficients(f, cat_map)[nu]
         half = nu * pow(2, -1, pp.N) % pp.N
-        closed = expsum.exp_sum_closed(group, half, np.arange(group.order))
-        chi_of_label = matched_characters(decomp, rep.sign)
-        checked = 0
-        for label, value in zip(out.labels, out.values):
-            j = chi_of_label[int(label)]
-            if j is None:
-                continue
-            model = rep.sign * spec.real * math.sqrt(pp.N) / group.order * closed[j]
-            assert abs(value - model.real) < 1e-6
-            checked += 1
-        assert checked > 0.8 * len(out.values)
+        closed = expsum.exp_sum_closed(group, half, (out.labels + rep.shift) % group.order)
+        model = rep.sign * spec.real * math.sqrt(pp.N) / group.order * closed.real
+        assert np.abs(out.values - model).max() < 1e-6
+
+
+SMALL_SPACES = [(p, k) for p in (3, 5, 7, 11, 13, 17, 19) for k in range(1, 6) if p**k <= 400]
+
+
+@given(st.sampled_from(HYPERBOLIC), st.sampled_from(SMALL_SPACES))
+def test_property_one_shift_match_random_matrix(mat, space):
+    """One (sign, shift) pair fits at every unramified p^k <= 400, and the
+    sign is -1 exactly at inert primes with odd k."""
+    A, (p, k) = TorusAutomorphism(*mat), space
+    assume(A.disc % p != 0)
+    modes = [n for n in MODES if quadratic_form(A, n) % p != 0]
+    assume(len({quadratic_form(A, n) for n in modes}) >= 4)
+    decomp = decompose(A, p, k)
+    rep = verify_matrix_element_formula(decomp, modes)
+    assert rep.unique
+    assert rep.sign == (-1 if decomp.group.kind == "inert" and k % 2 else 1)
+
+
+def character_mask(group) -> np.ndarray:
+    """The characters the multiplicity-one eigenfunctions carry, by rule:
+    at split primes the level-k ones, j % p != 0; at inert primes those
+    with d even, d = min(v_p(j), k - 1) and d = k at j = 0."""
+    p, k = group.pp.p, group.pp.k
+    if group.kind == "split":
+        return np.arange(group.order) % p != 0
+    d = [k] + [min(valuation(j, p), k - 1) for j in range(1, group.order)]
+    return np.array(d) % 2 == 0
+
+
+VERIFY_SWEEP = [
+    (p, k)
+    for p in cli.DEFAULT_PRIMES
+    for k in cli.DEFAULT_KS
+    if TorusAutomorphism(*cli.DEFAULT_MATRIX).disc % p and p**k <= DENSE_CAP_DEFAULT
+]
+
+
+@pytest.mark.parametrize("p,k", VERIFY_SWEEP)
+def test_one_shift_match_equals_character_mask(p, k):
+    """On every dense space of the default verify sweep, the matched
+    characters (label + shift) of the multiplicity-one eigenfunctions are
+    the character mask, each once."""
+    decomp = decompose(TorusAutomorphism(*cli.DEFAULT_MATRIX), p, k)
+    rep = verify_matrix_element_formula(decomp, MODES)
+    order = decomp.group.order
+    matched = sorted((label + rep.shift) % order for label, _ in decomp.multiplicity_one_items())
+    assert matched == np.flatnonzero(character_mask(decomp.group)).tolist()
 
 
 def test_closed_form_sample_matches_law(cat_map):

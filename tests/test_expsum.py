@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -33,7 +32,7 @@ from qcatmap.expsum import (
     theta_angle,
 )
 
-from conftest import A_DEFAULT, exp_sum_direct, good_by_definition, matrix_for_prime
+from conftest import A_DEFAULT, HYPERBOLIC, exp_sum_direct, good_by_definition, matrix_for_prime
 
 
 def non_residue(p):
@@ -256,14 +255,6 @@ def test_property_good_matches_is_good(case):
     group = build_group(matrix_for_prime(p), PrimePower(p, k))
     table = scan_characters(group, [nu])
     assert table.good.tolist() == good_by_definition(group, nu).tolist()
-
-
-# hyperbolic A in SL2(Z) with entries in [-5, 5]: 168 matrices, 6 discriminants
-HYPERBOLIC = [
-    (a, b, c, d)
-    for a, b, c, d in itertools.product(range(-5, 6), repeat=4)
-    if a * d - b * c == 1 and abs(a + d) > 2
-]
 
 
 @st.composite

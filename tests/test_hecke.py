@@ -16,7 +16,7 @@ from qcatmap.errors import (
     SizeLimitError,
 )
 from qcatmap.modarith import PrimePower, is_prime, legendre
-from qcatmap.quantization import IDENTITY2, TorusAutomorphism, mat_sub, propagator
+from qcatmap.quantization import IDENTITY2, TorusAutomorphism, mat_sub, propagator, propagator_apply
 from qcatmap import hecke
 from qcatmap.hecke import (
     QuadOrderMod,
@@ -316,9 +316,10 @@ def test_eigendecompose_character_count_identity(cat_map):
         assert sum(len(c) for c in decomp.clusters.values()) == pp.N
 
 
-@pytest.mark.parametrize("p,k", [(3, 3), (13, 2), (11, 2), (11, 3)])
-def test_orbit_eigendecompose_matches_dense_oracle(cat_map, p, k, monkeypatch):
-    group = build_group(cat_map, PrimePower(p, k))
+def assert_orbit_matches_dense_oracle(group, monkeypatch):
+    """eigendecompose through the orbit solver against the dense _eig_unitary
+    route: orthonormality, residuals and cluster projectors; returns the
+    orbit decomposition."""
     N, order = group.pp.N, group.order
     orbit = eigendecompose(group)
     U = propagator(group.ring.matrix_of(group.gen), group.pp).entries
@@ -342,6 +343,28 @@ def test_orbit_eigendecompose_matches_dense_oracle(cat_map, p, k, monkeypatch):
         for label, cols in orbit.clusters.items()
     )
     assert worst < 1e-9
+    return orbit
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (13, 2), (11, 2), (11, 3)])
+def test_orbit_eigendecompose_matches_dense_oracle(cat_map, p, k, monkeypatch):
+    assert_orbit_matches_dense_oracle(build_group(cat_map, PrimePower(p, k)), monkeypatch)
+
+
+def test_orbit_eigendecompose_when_generator_power_is_minus_identity(monkeypatch):
+    """At (1, 1, -5, -4), split 11^1, the matrix-free U(g)^#C is -I: the
+    phase of U^#C v sits at +-pi, and every orbit must use the first one's
+    branch, or the eigenspace rows of later orbits shift by one."""
+    group = build_group(TorusAutomorphism(1, 1, -5, -4), PrimePower(11, 1))
+    assert group.kind == "split"
+    apply = propagator_apply(group.ring.matrix_of(group.gen), group.pp)
+    W = np.eye(group.pp.N, dtype=complex)
+    for _ in range(group.order):
+        W = apply(W)
+    assert np.abs(W + np.eye(group.pp.N)).max() < 1e-12
+    orbit = assert_orbit_matches_dense_oracle(group, monkeypatch)
+    assert len(orbit.clusters) == 10
+    assert Counter(len(cols) for cols in orbit.clusters.values()) == {1: 9, 2: 1}
 
 
 def test_eigendecompose_size_cap(cat_map):
