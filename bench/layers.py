@@ -1,5 +1,5 @@
-"""Per-layer benchmark: the group build, the expsum CSV writer and the dense
-matrix elements at fixed sizes.
+"""Per-layer benchmark: the group build, the expsum CSV writer, the dense
+matrix elements and the eigensolver at fixed sizes.
 
     python bench/layers.py --out BENCH_<n>.json --tree LABEL=SRC_DIR [--tree LABEL=SRC_DIR ...]
 
@@ -12,7 +12,7 @@ over REPEATS fresh runs.  The runs alternate between the `--tree`s, so
 drift on the machine hits each tree alike.  The output also records the machine:
 cores, CPU, BLAS, thread settings, Python and numpy.
 
-Cases (matrix (2, 1, 1, 1): split at every p below but 37):
+Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
   group p^2     -- `hecke.build_group` at 349^2, 1009^2 and 3001^2
   csv p^2       -- `cli.records_to_csv` of `scan_characters(group, [1])` at
                    349^2 and 1009^2 (the group and the scan are not timed)
@@ -23,6 +23,8 @@ Cases (matrix (2, 1, 1, 1): split at every p below but 37):
                    is timed apart as `eigendecompose_s`, and
                    `eigendecompose_peak_rss_mb` is the peak RSS when it
                    returns, so `peak_rss_mb` above it is the elements' own.
+  eigen p^3     -- `hecke.eigendecompose` alone at 13^3 (inert) and 19^3
+                   (split); the group build is not timed.
 """
 
 from __future__ import annotations
@@ -40,12 +42,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CASES = [
-    ("group", 349), ("group", 1009), ("group", 3001), ("csv", 349), ("csv", 1009),
-    ("elements", 37), ("elements", 41),
+    ("group", 349, 2), ("group", 1009, 2), ("group", 3001, 2), ("csv", 349, 2), ("csv", 1009, 2),
+    ("elements", 37, 2), ("elements", 41, 2), ("eigen", 13, 3), ("eigen", 19, 3),
 ]
 REPEATS = 3
 
-# argv: layer, p.  Prints {"s": layer seconds, "peak_rss_mb": ..., "items": ...},
+# argv: layer, p, k.  Prints {"s": layer seconds, "peak_rss_mb": ..., "items": ...},
 # and for the elements layer also the eigendecompose_* keys.
 CHILD = r"""
 import json, resource, sys, time
@@ -56,8 +58,8 @@ from qcatmap.quantization import FourierObservable, TorusAutomorphism
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-layer, p = sys.argv[1], int(sys.argv[2])
-A, pp = TorusAutomorphism(2, 1, 1, 1), PrimePower(p, 2)
+layer, p, k = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+A, pp = TorusAutomorphism(2, 1, 1, 1), PrimePower(p, k)
 extra = {}
 if layer == "group":
     t0 = time.perf_counter()
@@ -68,6 +70,11 @@ elif layer == "csv":
     t0 = time.perf_counter()
     text = cli.records_to_csv(table)
     s, items = time.perf_counter() - t0, len(text)
+elif layer == "eigen":
+    group = hecke.build_group(A, pp)
+    t0 = time.perf_counter()
+    hecke.eigendecompose(group)
+    s, items = time.perf_counter() - t0, pp.N
 else:
     group = hecke.build_group(A, pp)
     t0 = time.perf_counter()
@@ -96,13 +103,13 @@ def child_env(src: Path) -> dict[str, str]:
     return env
 
 
-def run_child(src: Path, layer: str, p: int) -> dict:
+def run_child(src: Path, layer: str, p: int, k: int) -> dict:
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, layer, str(p)],
+        [sys.executable, "-c", CHILD, layer, str(p), str(k)],
         env=child_env(src), capture_output=True, text=True, timeout=600,
     )
     if out.returncode != 0:
-        raise SystemExit(f"error: {layer} {p}^2 under {src} failed:\n{out.stderr}")
+        raise SystemExit(f"error: {layer} {p}^{k} under {src} failed:\n{out.stderr}")
     return json.loads(out.stdout)
 
 
@@ -140,12 +147,12 @@ def main() -> int:
 
     runs: dict[str, dict[str, list[dict]]] = {label: {} for label in trees}
     for rep in range(REPEATS):
-        for layer, p in CASES:
+        for layer, p, k in CASES:
             # alternate which tree goes first from one repeat to the next
             for label in list(trees)[:: 1 if rep % 2 == 0 else -1]:
-                res = run_child(trees[label], layer, p)
-                runs[label].setdefault(f"{layer} {p}^2", []).append(res)
-                print(f"{label:10s} {layer:8s} {p}^2  {res['s']:8.3f} s  {res['peak_rss_mb']:7.1f} MB", flush=True)
+                res = run_child(trees[label], layer, p, k)
+                runs[label].setdefault(f"{layer} {p}^{k}", []).append(res)
+                print(f"{label:10s} {layer:8s} {p}^{k}  {res['s']:8.3f} s  {res['peak_rss_mb']:7.1f} MB", flush=True)
 
     result = {
         "machine": machine(next(iter(trees.values()))),

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import distribution as dist
 from . import expsum, hecke
-from .errors import BadNuError, QcatError, RamifiedPrimeError, SizeLimitError
+from .errors import BadNuError, BadPrimePowerError, QcatError, RamifiedPrimeError, SizeLimitError
 from .modarith import PrimePower, gauss_quadratic, inv_mod, legendre, sqrt_set
 from .quantization import (
     DENSE_CAP_DEFAULT,
@@ -67,17 +67,29 @@ class ConfigError(Exception):
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Comma list with ranges: '3,5,7' or '1-3' or '1-3,5'."""
+    """Comma list with ranges: '3,5,7' or '1-3' or '1-3,5'; anything else
+    is a ConfigError."""
     out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            cut = part.index("-", 1)
-            lo, hi = int(part[:cut]), int(part[cut + 1 :])
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if "-" in part[1:]:
+                cut = part.index("-", 1)
+                lo, hi = int(part[:cut]), int(part[cut + 1 :])
+                out.extend(range(lo, hi + 1))
+            else:
+                out.append(int(part))
+    except ValueError as exc:
+        raise ConfigError(f"bad integer list {text!r}") from exc
     return tuple(out)
+
+
+def _prime_power(p: int, k: int) -> PrimePower:
+    """PrimePower(p, k), with a p that is no odd prime or a k < 1 as a ConfigError."""
+    try:
+        return PrimePower(p, k)
+    except BadPrimePowerError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # config-file keys with no flag, by command
@@ -90,8 +102,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     CONFIG_ONLY_KEYS; any other key is a ConfigError."""
     cfg = RunConfig()
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         fields = {
             "matrix": lambda v: tuple(int(x) for x in v),
             "p": lambda v: tuple(int(x) for x in v),
@@ -109,7 +124,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         rename = {"p": "p_list", "k": "k_list", "nu": "nu_list", "obs": "obs_path", "out": "out_path"}
         for key, conv in fields.items():
             if key in raw:
-                cfg = replace(cfg, **{rename.get(key, key): conv(raw[key])})
+                try:
+                    value = conv(raw[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad config value {key} = {raw[key]!r}") from exc
+                cfg = replace(cfg, **{rename.get(key, key): value})
         if "p" in raw:
             cfg = replace(cfg, explicit_p=True)
     if args.matrix:
@@ -355,6 +374,7 @@ def cmd_verify(cfg: RunConfig, stream=None) -> int:
     table = CheckTable(stream)
     usable: list[PrimePower] = []
     for p in cfg.p_list:
+        spaces = [_prime_power(p, k) for k in sorted(cfg.k_list)]
         try:
             hecke.classify_prime(A, p)
         except RamifiedPrimeError:
@@ -363,7 +383,7 @@ def cmd_verify(cfg: RunConfig, stream=None) -> int:
                 return 2
             table.add(f"p={p}", True, "skipped (ramified)")
             continue
-        usable.extend(PrimePower(p, k) for k in sorted(cfg.k_list))
+        usable.extend(spaces)
     dense = [pp for pp in usable if pp.N <= cfg.dense_cap]
     skipped = [pp for pp in usable if pp.N > cfg.dense_cap]
     if skipped:
@@ -456,11 +476,16 @@ def cmd_expsum(cfg: RunConfig, stream=None) -> int:
     p, k = cfg.p_list[0], cfg.k_list[0]
     if k < 2:
         raise ConfigError("expsum needs k >= 2 (closed form)")
+    pp = _prime_power(p, k)
+    first_of_class: dict[int, int] = {}
     for nu in cfg.nu_list:
         if nu % p == 0:
             raise ConfigError(f"nu = {nu} is not a unit mod {p}")
+        if nu % pp.N in first_of_class:
+            raise ConfigError(f"nu = {first_of_class[nu % pp.N]} and nu = {nu} are the same class mod {pp.N}")
+        first_of_class[nu % pp.N] = nu
     try:
-        group = hecke.build_group(A, PrimePower(p, k))
+        group = hecke.build_group(A, pp)
     except RamifiedPrimeError as exc:
         raise ConfigError(str(exc)) from exc
     table = expsum.scan_characters(group, list(cfg.nu_list))
@@ -501,7 +526,7 @@ def distribution_report(cfg: RunConfig) -> dict:
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"bad observable file: {exc}") from exc
     p, k = cfg.p_list[0], cfg.k_list[0]
-    pp = PrimePower(p, k)
+    pp = _prime_power(p, k)
     spectrum = dist.twisted_coefficients(f, A)
     try:
         dist.reduced_classes(spectrum, pp)  # every class a unit mod p, before any work
@@ -521,6 +546,7 @@ def distribution_report(cfg: RunConfig) -> dict:
         sign = rep1.sign
         matched = rep1.unique
         n_bad = expsum.bad_character_count(group, [nu * pow(2, -1, pp.N) for nu in spectrum])
+        del decomp  # frees the basis before the model sample is drawn
     else:
         sample, n_bad = dist.normalized_elements_closed(f, group)
         n_eig = len(sample)

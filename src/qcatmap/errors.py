@@ -25,7 +25,11 @@ class RamifiedPrimeError(QcatError, ValueError):
     """p divides the discriminant; the norm-one group degenerates."""
 
 
-class EvenPrimeError(QcatError, ValueError):
+class BadPrimePowerError(QcatError, ValueError):
+    """A modulus p^k needs an odd prime p and an exponent k >= 1."""
+
+
+class EvenPrimeError(BadPrimePowerError):
     """p = 2 is outside the supported odd-prime setting."""
 
 

@@ -29,7 +29,7 @@ from .errors import (
     SingularPointError,
 )
 from .modarith import PrimePower, inv_mod, legendre, roots_table, sqrt_set, valuation
-from .quantization import StateVector, TorusAutomorphism, check_array_size, propagator_apply
+from .quantization import StateVector, TorusAutomorphism, block_columns, check_array_size, propagator_apply
 
 OrderElement = tuple[int, int]
 
@@ -457,8 +457,9 @@ def _eig_unitary(U: np.ndarray, tol: float = 1e-8, tries: int = 6):
         del H
         lam = np.empty(n, dtype=np.complex128)
         resid = 0.0
-        for start in range(0, n, 1024):
-            blk = slice(start, min(start + 1024, n))
+        step = block_columns(n)
+        for start in range(0, n, step):
+            blk = slice(start, start + step)
             Vb = V[:, blk]
             Wb = U @ Vb
             lam_b = np.einsum("ij,ij->j", Vb.conj(), Wb)
@@ -475,7 +476,6 @@ def _eig_unitary(U: np.ndarray, tol: float = 1e-8, tries: int = 6):
 # a projection of a unit start vector below this norm is roundoff (about 1e-13)
 RANK_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
-ORBIT_FFT_COLUMNS = 128  # orbit columns per FFT call; bounds its transients
 
 
 def _orbit_projections(apply, v: np.ndarray, order: int, angle: float | None) -> tuple[np.ndarray, float]:
@@ -484,7 +484,8 @@ def _orbit_projections(apply, v: np.ndarray, order: int, angle: float | None) ->
     omega = e^(i angle / order); also returns angle.
 
     With the phase omega^m divided out, the orbit v, Uv, ..., U^(order-1) v
-    is periodic in m, and its DFT along m separates every eigenspace at once.
+    is periodic in m, and its DFT along m separates every eigenspace at once;
+    it is taken in place, block_columns(order) columns at a time.
     angle = None takes it from this orbit's U^order v.  Orbits that share
     one angle share one row numbering: at U^order ~ -I, roundoff alone would
     put one orbit's angle at +pi and another's at -pi, a shift of one row.
@@ -497,9 +498,10 @@ def _orbit_projections(apply, v: np.ndarray, order: int, angle: float | None) ->
     if angle is None:
         angle = float(np.angle(np.vdot(v, w) / np.vdot(v, v)))  # U^order v = scalar * v
     orbit *= np.exp(-1j * angle / order * np.arange(order))[:, None]
-    for start in range(0, orbit.shape[1], ORBIT_FFT_COLUMNS):
-        blk = slice(start, start + ORBIT_FFT_COLUMNS)
-        orbit[:, blk] = np.fft.fft(orbit[:, blk], axis=0)  # in place, one block at a time
+    step = block_columns(order)
+    for start in range(0, orbit.shape[1], step):
+        blk = slice(start, start + step)
+        orbit[:, blk] = np.fft.fft(orbit[:, blk], axis=0)
     orbit /= order
     return orbit, angle
 
@@ -516,7 +518,9 @@ def _orbit_eig(group: HeckeGroup):
     kept.  At inert primes V is a view of the first orbit's array, its live
     rows moved to the front; at split primes the QR bases are stacked into
     a new array.  The residual max ||U v - lambda v|| over the columns,
-    with the cluster gap 2 pi / #C, bounds the overlap between eigenspaces.
+    with the cluster gap 2 pi / #C, bounds the overlap between eigenspaces;
+    it is checked block_columns(N) columns at a time, so beyond the orbits
+    the temporaries take a few BLOCK_BYTES.
     """
     pp, order = group.pp, group.order
     N = pp.N
@@ -560,8 +564,9 @@ def _orbit_eig(group: HeckeGroup):
         del first, bases
     lam = np.empty(N, dtype=np.complex128)
     resid = 0.0
-    for start in range(0, N, 256):
-        blk = slice(start, min(start + 256, N))
+    step = block_columns(N)
+    for start in range(0, N, step):
+        blk = slice(start, start + step)
         Vb = V[:, blk]
         Wb = apply(Vb)
         lam[blk] = np.einsum("ij,ij->j", Vb.conj(), Wb)
@@ -711,9 +716,6 @@ def trace_sweep(decomp: EigenDecomposition) -> TraceSweep:
 # -- split-case verification -----------------------------------------
 
 
-SPLIT_BATCH = 256  # characters built and matched at a time by split_match_report
-
-
 @dataclass
 class SplitMatchReport:
     """Outcome of matching explicit split eigenfunctions to the eigensolver."""
@@ -733,7 +735,8 @@ def split_match_report(decomp: EigenDecomposition, sample: list[int] | None = No
     differ from the character indices by one common shift (the free global
     twist).  Using that shift, the multiplicity of every character's
     cluster is then checked against the predicted k - l + 1 for its level
-    l, over the whole dual group.
+    l, over the whole dual group.  The characters are built and matched
+    block_columns(N) at a time, so the blocks take a few BLOCK_BYTES.
     """
     group = decomp.group
     pp = group.pp
@@ -746,8 +749,9 @@ def split_match_report(decomp: EigenDecomposition, sample: list[int] | None = No
     matched = np.empty(len(idx_all), dtype=np.int64)
     resid = np.empty(len(idx_all))
     V = decomp.vectors
-    for start in range(0, len(idx_all), SPLIT_BATCH):
-        block = split_eigenvectors(group, diag, unit_dlogs, idx_all[start : start + SPLIT_BATCH])
+    step = block_columns(pp.N)
+    for start in range(0, len(idx_all), step):
+        block = split_eigenvectors(group, diag, unit_dlogs, idx_all[start : start + step])
         rayleigh = np.einsum("ij,ij->j", block.conj(), apply_g(block))
         labels = _phase_labels(rayleigh, decomp.phase, order)
         matched[start : start + len(labels)] = labels

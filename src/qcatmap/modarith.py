@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenPrimeError, NonUnitError
+from .errors import BadPrimePowerError, EvenPrimeError, NonUnitError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -53,9 +53,9 @@ class PrimePower:
         if self.p == 2:
             raise EvenPrimeError("p = 2 is not supported")
         if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not an odd prime")
+            raise BadPrimePowerError(f"p = {self.p} is not an odd prime")
         if self.k < 1:
-            raise ValueError(f"exponent k = {self.k} must be >= 1")
+            raise BadPrimePowerError(f"exponent k = {self.k} must be >= 1")
 
     @functools.cached_property
     def N(self) -> int:

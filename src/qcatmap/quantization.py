@@ -41,9 +41,10 @@ DENSE_CAP_DEFAULT = 2048
 # the 6859-dimensional space 19^3 needs 4.7e7.
 MAX_ARRAY_ENTRIES = 1 << 26
 
-# columns per block of elementary_diagonals: its temporaries are a few
-# N x ELEMENT_BLOCK_COLUMNS arrays, whatever the number of columns
-ELEMENT_BLOCK_COLUMNS = 256
+# bytes of one column block of a dense or orbit array; every loop over the
+# columns of such an array takes blocks of block_columns(rows) columns, so
+# its temporaries are a few BLOCK_BYTES whatever the size of the array
+BLOCK_BYTES = 1 << 20
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -53,6 +54,12 @@ def check_array_size(entries: int, what: str) -> None:
     more than MAX_ARRAY_ENTRIES complex entries."""
     if entries > MAX_ARRAY_ENTRIES:
         raise SizeLimitError(f"{what} needs {entries} complex entries, cap {MAX_ARRAY_ENTRIES}")
+
+
+def block_columns(rows: int) -> int:
+    """Columns of a complex block of `rows` rows that fit in BLOCK_BYTES,
+    at least one."""
+    return max(1, BLOCK_BYTES // (16 * rows))
 
 
 @dataclass(frozen=True)
@@ -248,8 +255,8 @@ def elementary_diagonals(modes, V: np.ndarray, cols=None) -> np.ndarray:
     For a std-unit column v, psi = sqrt(N) v is a unit vector of H_N and
     this is its matrix element <T(n) psi, psi>; one roll and one phase, O(N)
     per column and mode.  The columns go through in blocks of
-    ELEMENT_BLOCK_COLUMNS, so no temporary is larger than N x that block,
-    and each block is conjugated once and rolled once per distinct shift n1.
+    block_columns(N), so each temporary takes at most BLOCK_BYTES, and each
+    block is conjugated once and rolled once per distinct shift n1.
     """
     N = V.shape[0]
     modes = [(int(n1), int(n2)) for n1, n2 in modes]
@@ -262,8 +269,9 @@ def elementary_diagonals(modes, V: np.ndarray, cols=None) -> np.ndarray:
         cols = np.asarray(cols, dtype=np.intp)
     width = V.shape[1] if cols is None else len(cols)
     out = np.empty((len(modes), width), dtype=np.complex128)
-    for start in range(0, width, ELEMENT_BLOCK_COLUMNS):
-        blk = slice(start, start + ELEMENT_BLOCK_COLUMNS)
+    step = block_columns(N)
+    for start in range(0, width, step):
+        blk = slice(start, start + step)
         W = V[:, blk] if cols is None else V[:, cols[blk]]
         W_conj = W.conj()
         for shift, rows in rows_of_shift.items():

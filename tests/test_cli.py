@@ -58,6 +58,42 @@ def test_verify_bad_matrix_exits_2():
     assert run_cli(["verify", "--matrix", "2,1,1,2", "--p", "3", "--k", "1"]) == 2
 
 
+def assert_one_line_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(word in err for word in words), err
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (["verify", "--p", "9", "--k", "1"], ["p = 9"]),
+        (["expsum", "--p", "9", "--k", "2"], ["p = 9"]),
+        (["verify", "--p", "3", "--k", "0"], ["k = 0"]),
+        (["verify", "--p", "2", "--k", "1"], ["p = 2"]),
+        (["expsum", "--p", "abc", "--k", "2"], ["'abc'"]),
+        (["distribution", "--p", "3", "--k", "1-x", "--obs", "obs.json"], ["'1-x'"]),
+    ],
+)
+def test_bad_modulus_or_integer_list_exits_2(argv, words, capsys):
+    """A p that is no odd prime, a k < 1 or a list that is not integers is a
+    configuration error: exit 2 and one line on stderr, no traceback."""
+    assert run_cli(argv) == 2
+    assert_one_line_error(capsys, *words)
+
+
+@pytest.mark.parametrize(
+    "text,word", [(json.dumps({"p": ["abc"], "k": [2]}), "abc"), ('{"p": [3', "cfg.json"), (None, "cfg.json")]
+)
+def test_bad_config_file_exits_2(text, word, tmp_path, capsys):
+    """A non-integer list, a file that is no JSON and a missing file."""
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run_cli(["expsum", "--config", str(cfg)]) == 2
+    assert_one_line_error(capsys, word)
+
+
 def test_expsum_row_count_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -139,6 +175,13 @@ def test_records_to_csv_matches_row_writer_on_real_tables(p, k):
 def test_expsum_rejects_bad_nu():
     assert run_cli(["expsum", "--p", "11", "--k", "2", "--nu", "0"]) == 2
     assert run_cli(["expsum", "--p", "11", "--k", "1", "--nu", "1"]) == 2
+
+
+@pytest.mark.parametrize("nus", ["1,50", "3,3"])
+def test_expsum_rejects_repeated_nu_class(nus, capsys):
+    """Two --nu values of one class mod N would write every row twice."""
+    assert run_cli(["expsum", "--p", "7", "--k", "2", "--nu", nus]) == 2
+    assert_one_line_error(capsys, *[f"nu = {nu}" for nu in nus.split(",")], "mod 49")
 
 
 def test_distribution_report_roundtrip(tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from qcatmap.errors import BadNuError, EmptySetError, NoMatchError
 from qcatmap.modarith import PrimePower, valuation
 from qcatmap.quantization import (
+    BLOCK_BYTES,
     DENSE_CAP_DEFAULT,
-    ELEMENT_BLOCK_COLUMNS,
     FourierObservable,
     TorusAutomorphism,
     elementary_diagonals,
@@ -21,6 +21,7 @@ from qcatmap.hecke import build_group, eigendecompose
 from qcatmap import cli, expsum
 from qcatmap.distribution import (
     FORMULA_TOL,
+    _exp_sum_table,
     EmpiricalSet,
     ScaledLimitLaw,
     angle_moment,
@@ -244,13 +245,13 @@ def test_formula_sign_pattern(cat_map):
         assert rep.sign == (-1 if inert and k % 2 else 1)
 
 
-def test_dense_pipeline_memory_footprint(cat_map):
-    """At the inert 37^2 the orbit eigensolver keeps its basis in the first
-    orbit (no second N x N array), and the matrix elements go through
-    column blocks, not copies of the basis: both peaks are traced by
-    tracemalloc, which sees every numpy allocation."""
-    group = build_group(cat_map, PrimePower(37, 2))
-    assert group.kind == "inert"
+def traced_dense_peaks(A: TorusAutomorphism, p: int, kind: str) -> tuple[int, int, int]:
+    """tracemalloc peaks at p^2 (of that kind), which see every numpy
+    allocation: of eigendecompose, and of normalized_elements plus the
+    formula check after it; and the bytes of one orbit, #C x N complex."""
+    group = build_group(A, PrimePower(p, 2))
+    assert group.kind == kind
+    modes = [n for n in MODES if quadratic_form(A, n) % p]
     tracemalloc.start()
     try:
         decomp = eigendecompose(group)
@@ -259,13 +260,29 @@ def test_dense_pipeline_memory_footprint(cat_map):
         base = tracemalloc.get_traced_memory()[0]
         f = FourierObservable({(1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.25, (-1, -2): 0.25})
         normalized_elements(f, decomp)
-        verify_matrix_element_formula(decomp, MODES)
+        verify_matrix_element_formula(decomp, modes)
         elements_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    N = group.pp.N
-    assert eig_peak < 2 * decomp.vectors.nbytes
-    assert elements_peak < 6 * N * ELEMENT_BLOCK_COLUMNS * 16
+    return eig_peak, elements_peak, group.order * group.pp.N * 16
+
+
+def test_dense_pipeline_memory_footprint(cat_map):
+    """At the inert 37^2 the orbit eigensolver keeps its basis in the first
+    orbit.  Beyond that orbit, and in the matrix elements, only column
+    blocks of at most BLOCK_BYTES are held, whatever N."""
+    eig_peak, elements_peak, orbit_bytes = traced_dense_peaks(cat_map, 37, "inert")
+    assert eig_peak < orbit_bytes + 8 * BLOCK_BYTES
+    assert elements_peak < 8 * BLOCK_BYTES
+
+
+def test_split_dense_pipeline_memory_footprint(cat_map):
+    """At the split 29^2 a second orbit, and then the stacked basis, come on
+    top of the first orbit: two orbits is the eigensolver's floor, and only
+    column blocks of at most BLOCK_BYTES are held beyond it."""
+    eig_peak, elements_peak, orbit_bytes = traced_dense_peaks(cat_map, 29, "split")
+    assert eig_peak < 2 * orbit_bytes + 8 * BLOCK_BYTES
+    assert elements_peak < 8 * BLOCK_BYTES
 
 
 def matched_characters(decomp, sign: int) -> dict[int, set[int] | None]:
@@ -391,6 +408,27 @@ def test_one_shift_match_equals_character_mask(p, k):
     order = decomp.group.order
     matched = sorted((label + rep.shift) % order for label, _ in decomp.multiplicity_one_items())
     assert matched == np.flatnonzero(character_mask(decomp.group)).tolist()
+
+
+@pytest.mark.parametrize("p,k", VERIFY_SWEEP)
+def test_character_mask_and_sign_give_the_dense_sample(p, k):
+    """On every dense space of the default verify sweep, the dense sample is
+    the per-character closed form on the character mask, times one sign:
+    sorted normalized_elements(f, decomp).values equals sorted s * F[mask],
+    F_j = sqrt(N)/#C * (E(nu/2, chi_j).real @ f#), with s = +1 at split
+    primes and (-1)^k at inert ones, for three mode pairs."""
+    A = TorusAutomorphism(*cli.DEFAULT_MATRIX)
+    decomp = decompose(A, p, k)
+    group, pp = decomp.group, decomp.group.pp
+    modes = cli._usable_modes(A, p)[:3]
+    f = FourierObservable({m: c for n, c in zip(modes, (0.5, -0.3, 0.2)) for m in (n, (-n[0], -n[1]))})
+    spectrum = twisted_coefficients(f, A)
+    nus = sorted(spectrum)
+    table = _exp_sum_table(group, [nu * pow(2, -1, pp.N) % pp.N for nu in nus])
+    F = math.sqrt(pp.N) / group.order * (table.real @ np.array([complex(spectrum[nu]).real for nu in nus]))
+    sign = 1 if group.kind == "split" else (-1) ** k
+    dense = np.sort(normalized_elements(f, decomp).values)
+    assert np.abs(dense - np.sort(sign * F[character_mask(group)])).max() < 1e-9
 
 
 def test_closed_form_sample_matches_law(cat_map):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcatmap.errors import EvenPrimeError, NonUnitError
+from qcatmap.errors import BadPrimePowerError, EvenPrimeError, NonUnitError
 from qcatmap.modarith import (
     PrimePower,
     gauss_quadratic,
@@ -29,6 +29,9 @@ def test_prime_power_validation():
         PrimePower(9, 1)
     with pytest.raises(ValueError):
         PrimePower(3, 0)
+    for p, k in [(9, 1), (3, 0), (2, 3)]:
+        with pytest.raises(BadPrimePowerError):
+            PrimePower(p, k)
 
 
 def test_is_prime_small():

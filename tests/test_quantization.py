@@ -16,6 +16,7 @@ from qcatmap.quantization import (
     TorusAutomorphism,
     apply_elementary,
     apply_twisted,
+    block_columns,
     elementary_diagonal,
     elementary_diagonals,
     elementary_matrix,
@@ -330,19 +331,20 @@ def awkward_modes(N: int) -> list[tuple[int, int]]:
     return [(1, 0), (1, 3), (-2, 5), (0, 1), (N, -4), (3, -7), (-1, -1), (1, 3)]
 
 
-# 17^2 and 7^3 exceed ELEMENT_BLOCK_COLUMNS, so their last block is partial
+# one full column block of elementary_diagonals and a partial one
 @pytest.mark.parametrize("p,k", [(17, 2), (7, 3), (3, 2)])
 def test_elementary_diagonals_match_dense_oracle(p, k):
     pp = PrimePower(p, k)
     N = pp.N
-    V = random_columns(N, N + 5, seed=p * k)
+    width = block_columns(N) + 5
+    V = random_columns(N, width, seed=p * k)
     modes = awkward_modes(N)
     want = diagonals_by_dense_oracle(modes, V, pp)
     got = elementary_diagonals(modes, V)
-    assert got.shape == (len(modes), N + 5)
+    assert got.shape == (len(modes), width)
     assert np.abs(got - want).max() < 1e-12
-    # an unsorted subset of the columns
-    cols = np.random.default_rng(k).permutation(N + 5)[: N - 2]
+    # an unsorted subset of the columns, again more than one block
+    cols = np.random.default_rng(k).permutation(width)[: width - 2]
     assert np.abs(elementary_diagonals(modes, V, cols) - want[:, cols]).max() < 1e-12
     for i, n in enumerate(modes):
         assert np.array_equal(elementary_diagonal(n, V), got[i])
