@@ -343,7 +343,7 @@ def _slow_decay_part(space: Space) -> tuple[int, int, int]:
     decomp = space.decomp
     target = p * p / group.order
     cols = [col for _, col in decomp.multiplicity_one_items()]
-    el = np.abs(elementary_diagonals([n], decomp.vectors, cols)[0])
+    el = np.abs(elementary_diagonals([n], decomp, cols)[0])
     hits = int(np.count_nonzero(np.abs(el - target) <= 1e-6 * target))
     return p, len(big), hits
 
@@ -379,8 +379,7 @@ def cmd_verify(cfg: RunConfig, stream=None) -> int:
             hecke.classify_prime(A, p)
         except RamifiedPrimeError:
             if cfg.explicit_p:
-                print(f"error: p = {p} is ramified for D = {A.disc}", file=stream)
-                return 2
+                raise ConfigError(f"p = {p} is ramified for D = {A.disc}")
             table.add(f"p={p}", True, "skipped (ramified)")
             continue
         usable.extend(spaces)

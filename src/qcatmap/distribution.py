@@ -244,7 +244,7 @@ def normalized_elements(f: FourierObservable, decomp: EigenDecomposition) -> Nor
     cols = np.array([col for _, col in items], dtype=np.int64)
     # <Op(f) psi, psi> = sum_n fhat(n) <T(n) psi, psi>
     coeffs = sorted(f.coeffs.items())
-    diagonals = elementary_diagonals([n for n, _ in coeffs], decomp.vectors, cols)
+    diagonals = elementary_diagonals([n for n, _ in coeffs], decomp, cols)
     quad = np.zeros(len(cols), dtype=np.complex128)
     for (_, c), diagonal in zip(coeffs, diagonals):
         quad += complex(c) * diagonal
@@ -334,7 +334,7 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
     items = decomp.multiplicity_one_items()
     labels = np.array([lab for lab, _ in items], dtype=np.int64)
     # row i: <T(n) psi, psi> over n_list for the i-th multiplicity-one eigenfunction
-    elements = elementary_diagonals(n_list, decomp.vectors, [col for _, col in items]).T
+    elements = elementary_diagonals(n_list, decomp, [col for _, col in items]).T
     if np.abs(elements.imag).max() > FORMULA_TOL:
         raise NoMatchError("matrix elements are not real")
     measured = elements.real

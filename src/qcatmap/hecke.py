@@ -7,7 +7,8 @@ cyclic of order p^(k-1)(p -+ 1) according to whether the discriminant
 D = t^2 - 4 is a square mod p (split) or not (inert).  This module builds
 C with one sorted discrete-log table and decomposes H_N into the joint
 eigenspaces of the propagator of a group generator, by FFTs along its
-orbits.  A character of C is its integer index j: chi_j(g^m) = e(j m / #C).
+orbits.  Every joint eigenfunction is even or odd, since -1 is in C, and
+is stored folded onto x = 0..(N-1)/2.  A character of C is its integer index j: chi_j(g^m) = e(j m / #C).
 """
 
 from __future__ import annotations
@@ -478,69 +479,108 @@ RANK_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 
 
-def _orbit_projections(apply, v: np.ndarray, order: int, angle: float | None) -> tuple[np.ndarray, float]:
-    """Row j: the projection of v onto the eigenspace of U with eigenvalue
-    omega e(j / order), where U = apply, U^order = omega^order I and
-    omega = e^(i angle / order); also returns angle.
+def fold(v: np.ndarray) -> np.ndarray:
+    """Rows x = 0..(N-1)/2 of the N-vectors v (along axis 0, N odd), the
+    rows x >= 1 times sqrt(2).
 
-    With the phase omega^m divided out, the orbit v, Uv, ..., U^(order-1) v
-    is periodic in m, and its DFT along m separates every eigenspace at once;
-    it is taken in place, block_columns(order) columns at a time.
-    angle = None takes it from this orbit's U^order v.  Orbits that share
-    one angle share one row numbering: at U^order ~ -I, roundoff alone would
-    put one orbit's angle at +pi and another's at -pi, a shift of one row.
+    An even vector, v(-x) = v(x), and an odd one, v(-x) = -v(x), are fixed
+    by these rows, and on either parity the fold is an isometry: it keeps
+    the inner product of two vectors of one parity.
     """
-    orbit = np.empty((order, len(v)), dtype=np.complex128)
-    w = v
-    for m in range(order):
-        orbit[m] = w
+    w = v[: (len(v) + 1) // 2] * math.sqrt(2)
+    w[0] = v[0]
+    return w
+
+
+def unfold(w: np.ndarray, parity, N: int) -> np.ndarray:
+    """The N-vectors whose fold is w (along axis 0), each of its parity:
+    +1 (even) or -1 (odd), one per vector of w.  They are laid out by
+    columns, which the per-column sums of elementary_diagonals read fastest."""
+    h = len(w)
+    v = np.empty((N,) + w.shape[1:], dtype=np.complex128, order="F")
+    np.divide(w, math.sqrt(2), out=v[:h])
+    v[0] = w[0]
+    np.multiply(v[h - 1 : 0 : -1], parity, out=v[h:])  # v(N - x) = parity v(x)
+    return v
+
+
+def _orbit_projections(apply, v: np.ndarray, half: int, angles: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Row j (< half): the folded projection of v onto the even eigenspace
+    of U = apply with eigenvalue e^(i angles[0] / half) e(j / half); row
+    half + j: onto the odd one with e^(i angles[1] / half) e(j / half).
+    Also returns angles.
+
+    g^half = -1 in C, for half = #C / 2, and U(-I) is the parity v(x) ->
+    v(-x) up to a phase, so U^half is a scalar on the even part of v and
+    minus that scalar on its odd part.  With the phase divided out, each
+    part's orbit v_s, U v_s, ..., U^(half-1) v_s is periodic in m, and its
+    DFT along m separates every eigenspace of that parity at once.  Both
+    parts go through U as one N x 2 array per step; only their folds are
+    stored, and the DFT is taken in place, block_columns(half) columns at a
+    time.  angles = None takes them from U^half of this v's parts.  Orbits
+    that share angles share one row numbering: where the scalar is -1,
+    roundoff alone would put one orbit's angle at +pi and another's at -pi,
+    a shift of one row.
+    """
+    N = len(v)
+    reflected = v[-np.arange(N) % N]
+    parts = np.column_stack([v + reflected, v - reflected]) / 2  # even, odd
+    orbit = np.empty((2, half, (N + 1) // 2), dtype=np.complex128)
+    w = parts
+    for m in range(half):
+        orbit[:, m] = fold(w).T
         w = apply(w)
-    if angle is None:
-        angle = float(np.angle(np.vdot(v, w) / np.vdot(v, v)))  # U^order v = scalar * v
-    orbit *= np.exp(-1j * angle / order * np.arange(order))[:, None]
-    step = block_columns(order)
-    for start in range(0, orbit.shape[1], step):
-        blk = slice(start, start + step)
-        orbit[:, blk] = np.fft.fft(orbit[:, blk], axis=0)
-    orbit /= order
-    return orbit, angle
+    if angles is None:  # U^half v_s = scalar * v_s
+        angles = np.angle(np.einsum("ij,ij->j", parts.conj(), w) / np.einsum("ij,ij->j", parts.conj(), parts))
+    orbit *= np.exp(-1j * angles[:, None] / half * np.arange(half))[:, :, None]
+    step = block_columns(half)
+    for part in orbit:
+        for start in range(0, part.shape[1], step):
+            blk = slice(start, start + step)
+            part[:, blk] = np.fft.fft(part[:, blk], axis=0)
+    orbit /= half
+    return orbit.reshape(2 * half, -1), angles
 
 
 def _orbit_eig(group: HeckeGroup):
-    """Eigenpairs of U(iota(g)) for the group generator g, from orbit FFTs.
+    """Eigenpairs of U(iota(g)) for the group generator g, from orbit FFTs:
+    the eigenvalues, the folded eigenvectors as the columns of a
+    (N+1)/2 x N array, and the parity of each column (see fold).
 
     Each seeded random start vector is projected onto every eigenspace by
-    _orbit_projections.  Eigenspaces are at most one-dimensional for inert
-    primes, so one start vector is enough; split eigenspaces have dimension
-    up to k + 1 (the trivial character), so k + 1 vectors are used and each
-    eigenspace is orthonormalized by QR, its rank read from the R diagonal.
-    After the first vector only the eigenspaces whose rank still grows are
-    kept.  At inert primes V is a view of the first orbit's array, its live
-    rows moved to the front; at split primes the QR bases are stacked into
-    a new array.  The residual max ||U v - lambda v|| over the columns,
+    _orbit_projections; every eigenspace lies in one parity, since U^(#C/2)
+    is the parity operator up to a phase.  Eigenspaces are at most
+    one-dimensional for inert primes, so one start vector is enough; split
+    eigenspaces have dimension up to k + 1 (the trivial character), so
+    k + 1 vectors are used and each eigenspace is orthonormalized by QR on
+    its folded rows, its rank read from the R diagonal.  After the first
+    vector only the eigenspaces whose rank still grows are kept.  At inert
+    primes the basis is a view of the first orbit's array, its live rows
+    moved to the front; at split primes the QR bases are stacked into a new
+    array.  The residual max ||U v - lambda v|| over the unfolded columns,
     with the cluster gap 2 pi / #C, bounds the overlap between eigenspaces;
     it is checked block_columns(N) columns at a time, so beyond the orbits
     the temporaries take a few BLOCK_BYTES.
     """
-    pp, order = group.pp, group.order
+    pp, half = group.pp, group.order // 2
     N = pp.N
     apply = propagator_apply(group.ring.matrix_of(group.gen), pp)
     rng = np.random.default_rng([pp.p, pp.k] + [v % N for row in group.A.mat() for v in row])
 
-    def projections(angle: float | None) -> tuple[np.ndarray, float]:
+    def projections(angles: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        return _orbit_projections(apply, v / np.linalg.norm(v), order, angle)
+        return _orbit_projections(apply, v / np.linalg.norm(v), half, angles)
 
-    first, angle = projections(None)  # every later orbit reuses this phase
+    first, angles = projections(None)  # every later orbit reuses these phases
     flat = first.view(np.float64)  # no temporary the size of the orbit
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     live = norms > RANK_TOL
     first /= np.where(live, norms, 1.0)[:, None]
     growing = np.flatnonzero(live).tolist()
-    # eigenspace index -> orthonormal rows; views keep the first orbit alive
+    # eigenspace row -> orthonormal folded rows; views keep the first orbit alive
     bases = {j: first[j : j + 1] for j in growing}
     for _ in range(pp.k if group.kind == "split" else 0):
-        proj, _ = projections(angle)
+        proj, _ = projections(angles)
         still = []
         for j in growing:
             q, r = np.linalg.qr(np.vstack([bases[j], proj[j : j + 1]]).T)
@@ -555,26 +595,30 @@ def _orbit_eig(group: HeckeGroup):
     if group.kind == "inert":
         # every eigenspace is one live row of the first orbit; moving rows
         # forward in increasing order never overwrites a row still to move
-        for dst, src in enumerate(np.flatnonzero(live).tolist()):
+        rows = np.flatnonzero(live)
+        for dst, src in enumerate(rows.tolist()):
             if dst != src:
                 first[dst] = first[src]
         V = first[:N].T
     else:
-        V = np.vstack([bases[j] for j in sorted(bases)]).T
+        keys = sorted(bases)
+        rows = np.repeat(keys, [len(bases[j]) for j in keys])
+        V = np.vstack([bases[j] for j in keys]).T
         del first, bases
+    parity = np.where(rows < half, 1, -1)
     lam = np.empty(N, dtype=np.complex128)
     resid = 0.0
     step = block_columns(N)
     for start in range(0, N, step):
         blk = slice(start, start + step)
-        Vb = V[:, blk]
+        Vb = unfold(V[:, blk], parity[blk], N)
         Wb = apply(Vb)
         lam[blk] = np.einsum("ij,ij->j", Vb.conj(), Wb)
         Wb -= Vb * lam[blk][None, :]
         resid = float(np.max([resid, np.linalg.norm(Wb, axis=0).max()]))  # keeps a NaN
     if not resid < RESIDUAL_TOL:
         raise EigenClusterError(f"orbit eigensolver residual {resid:.2e}, tolerance {RESIDUAL_TOL}")
-    return lam, V
+    return lam, V, parity
 
 
 def predicted_cluster_count(kind: str, pp: PrimePower) -> int:
@@ -594,8 +638,7 @@ def unit_character_level(group: HeckeGroup, index: int) -> int:
     """Smallest l with chi_index trivial on {beta = 1 mod p^l}."""
     if index % group.order == 0:
         return 0
-    v = valuation(index % group.order, group.pp.p) if index % group.order else group.pp.k
-    return group.pp.k - min(v, group.pp.k)
+    return group.pp.k - min(valuation(index % group.order, group.pp.p), group.pp.k)
 
 
 @dataclass
@@ -604,9 +647,21 @@ class EigenDecomposition:
 
     group: HeckeGroup
     eigenvalues: np.ndarray  # N unitary eigenvalues of U(iota(g))
-    vectors: np.ndarray  # std-orthonormal columns
+    folded: np.ndarray  # (N+1)/2 x N: the folds of std-orthonormal columns
+    parity: np.ndarray  # per column: +1 even, -1 odd
     labels: np.ndarray  # per-column exponent relative to the fitted phase
     phase: float  # fitted global phase angle
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the unfolded basis, N x N."""
+        N = self.group.pp.N
+        return (N, N)
+
+    def columns(self, cols) -> np.ndarray:
+        """The std-unit eigenvectors at cols (an index array or a slice),
+        unfolded into an N x len(cols) array."""
+        return unfold(self.folded[:, cols], self.parity[cols], self.group.pp.N)
 
     @functools.cached_property
     def clusters(self) -> dict[int, np.ndarray]:
@@ -624,7 +679,7 @@ class EigenDecomposition:
 
     def state(self, column: int) -> StateVector:
         """Column as a unit vector of H_N (1/N inner product)."""
-        amps = self.vectors[:, column] * math.sqrt(self.group.pp.N)
+        amps = self.columns([column])[:, 0] * math.sqrt(self.group.pp.N)
         return StateVector(self.group.pp, amps)
 
 
@@ -647,7 +702,7 @@ def eigendecompose(group: HeckeGroup) -> EigenDecomposition:
     """
     pp = group.pp
     check_array_size(max(pp.N, group.order) * pp.N, f"orbit eigensolver at {pp}")
-    lam, V = _orbit_eig(group)
+    lam, folded, parity = _orbit_eig(group)
     unit_lam = lam / np.abs(lam)
     wbar = np.mean(unit_lam**group.order)
     phase = float(np.angle(wbar)) / group.order
@@ -656,7 +711,7 @@ def eigendecompose(group: HeckeGroup) -> EigenDecomposition:
     err = float(np.abs(unit_lam - model).max())
     if err > CLUSTER_TOL:
         raise EigenClusterError(f"eigenvalue off the root-of-unity grid by {err:.2e}")
-    decomp = EigenDecomposition(group, lam, V, labels, phase)
+    decomp = EigenDecomposition(group, lam, folded, parity, labels, phase)
     expected = predicted_cluster_count(group.kind, group.pp)
     if len(decomp.clusters) != expected:
         raise EigenClusterError(
@@ -748,7 +803,6 @@ def split_match_report(decomp: EigenDecomposition, sample: list[int] | None = No
 
     matched = np.empty(len(idx_all), dtype=np.int64)
     resid = np.empty(len(idx_all))
-    V = decomp.vectors
     step = block_columns(pp.N)
     for start in range(0, len(idx_all), step):
         block = split_eigenvectors(group, diag, unit_dlogs, idx_all[start : start + step])
@@ -756,7 +810,7 @@ def split_match_report(decomp: EigenDecomposition, sample: list[int] | None = No
         labels = _phase_labels(rayleigh, decomp.phase, order)
         matched[start : start + len(labels)] = labels
         for j, label in enumerate(labels.tolist()):
-            Vc = V[:, decomp.clusters[label]]
+            Vc = decomp.columns(decomp.clusters[label])
             b = block[:, j]
             resid[start + j] = np.linalg.norm(b - Vc @ (Vc.conj().T @ b))
 

@@ -247,18 +247,22 @@ def apply_twisted(n: tuple[int, int], psi: StateVector) -> StateVector:
     return out
 
 
-def elementary_diagonals(modes, V: np.ndarray, cols=None) -> np.ndarray:
+def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
     """<T(n) v_j, v_j> in the standard inner product: row i for the i-th
     mode n, column j for the j-th column v_j of V[:, cols] (all columns
     when cols is None).
 
-    For a std-unit column v, psi = sqrt(N) v is a unit vector of H_N and
-    this is its matrix element <T(n) psi, psi>; one roll and one phase, O(N)
-    per column and mode.  The columns go through in blocks of
-    block_columns(N), so each temporary takes at most BLOCK_BYTES, and each
-    block is conjugated once and rolled once per distinct shift n1.
+    V is an N x w array, or a basis that hands out its columns on demand:
+    V.shape is (N, w) and V.columns(index) returns V[:, index] as an array
+    (hecke.EigenDecomposition, which unfolds them).  For a std-unit column
+    v, psi = sqrt(N) v is a unit vector of H_N and this is its matrix
+    element <T(n) psi, psi>; one roll and one phase, O(N) per column and
+    mode.  The columns go through in blocks of block_columns(N), so each
+    temporary takes at most BLOCK_BYTES, and each block is conjugated once
+    and rolled once per distinct shift n1.
     """
     N = V.shape[0]
+    take = V.columns if hasattr(V, "columns") else lambda index: V[:, index]
     modes = [(int(n1), int(n2)) for n1, n2 in modes]
     y = np.arange(N)
     phases = [roots_table(2 * N)[(n1 * n2) % (2 * N)] * roots_table(N)[(n2 * y) % N] for n1, n2 in modes]
@@ -272,7 +276,7 @@ def elementary_diagonals(modes, V: np.ndarray, cols=None) -> np.ndarray:
     step = block_columns(N)
     for start in range(0, width, step):
         blk = slice(start, start + step)
-        W = V[:, blk] if cols is None else V[:, cols[blk]]
+        W = take(blk if cols is None else cols[blk])
         W_conj = W.conj()
         for shift, rows in rows_of_shift.items():
             rolled = np.roll(W, shift, axis=0)

@@ -50,18 +50,25 @@ def test_verify_small_config_passes(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
-def test_verify_ramified_explicit_prime_exits_2():
-    assert run_cli(["verify", "--p", "5", "--k", "1"]) == 2
-
-
 def test_verify_bad_matrix_exits_2():
     assert run_cli(["verify", "--matrix", "2,1,1,2", "--p", "3", "--k", "1"]) == 2
 
 
 def assert_one_line_error(capsys, *words):
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert all(word in err for word in words), err
+    return captured.out
+
+
+def test_verify_ramified_explicit_prime_exits_2(capsys):
+    """An explicitly requested ramified prime is a configuration error: one
+    line on stderr and nothing on stdout, where the check table goes, also
+    after a usable prime."""
+    for p_list in ("5", "3,5"):
+        assert run_cli(["verify", "--p", p_list, "--k", "1"]) == 2
+        assert assert_one_line_error(capsys, "p = 5", "ramified") == ""
 
 
 @pytest.mark.parametrize(

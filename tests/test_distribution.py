@@ -248,7 +248,8 @@ def test_formula_sign_pattern(cat_map):
 def traced_dense_peaks(A: TorusAutomorphism, p: int, kind: str) -> tuple[int, int, int]:
     """tracemalloc peaks at p^2 (of that kind), which see every numpy
     allocation: of eigendecompose, and of normalized_elements plus the
-    formula check after it; and the bytes of one orbit, #C x N complex."""
+    formula check after it; and the bytes of one folded orbit,
+    #C x (N+1)/2 complex."""
     group = build_group(A, PrimePower(p, 2))
     assert group.kind == kind
     modes = [n for n in MODES if quadratic_form(A, n) % p]
@@ -264,22 +265,23 @@ def traced_dense_peaks(A: TorusAutomorphism, p: int, kind: str) -> tuple[int, in
         elements_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return eig_peak, elements_peak, group.order * group.pp.N * 16
+    return eig_peak, elements_peak, group.order * ((group.pp.N + 1) // 2) * 16
 
 
 def test_dense_pipeline_memory_footprint(cat_map):
-    """At the inert 37^2 the orbit eigensolver keeps its basis in the first
-    orbit.  Beyond that orbit, and in the matrix elements, only column
-    blocks of at most BLOCK_BYTES are held, whatever N."""
+    """At the inert 37^2 the orbit eigensolver keeps its folded basis in the
+    first folded orbit.  Beyond that orbit, and in the matrix elements, only
+    column blocks of at most BLOCK_BYTES are held, whatever N."""
     eig_peak, elements_peak, orbit_bytes = traced_dense_peaks(cat_map, 37, "inert")
     assert eig_peak < orbit_bytes + 8 * BLOCK_BYTES
     assert elements_peak < 8 * BLOCK_BYTES
 
 
 def test_split_dense_pipeline_memory_footprint(cat_map):
-    """At the split 29^2 a second orbit, and then the stacked basis, come on
-    top of the first orbit: two orbits is the eigensolver's floor, and only
-    column blocks of at most BLOCK_BYTES are held beyond it."""
+    """At the split 29^2 a second folded orbit, and then the stacked folded
+    basis, come on top of the first folded orbit: two folded orbits is the
+    eigensolver's floor, and only column blocks of at most BLOCK_BYTES are
+    held beyond it."""
     eig_peak, elements_peak, orbit_bytes = traced_dense_peaks(cat_map, 29, "split")
     assert eig_peak < 2 * orbit_bytes + 8 * BLOCK_BYTES
     assert elements_peak < 8 * BLOCK_BYTES
@@ -301,7 +303,7 @@ def matched_characters(decomp, sign: int) -> dict[int, set[int] | None]:
         ]
     ) * (sign / order)
     items = decomp.multiplicity_one_items()
-    measured = elementary_diagonals(MODES, decomp.vectors, [col for _, col in items]).real.T
+    measured = elementary_diagonals(MODES, decomp, [col for _, col in items]).real.T
     out: dict[int, set[int] | None] = {}
     for (label, _), meas in zip(items, measured):
         fits = set(np.flatnonzero(np.abs(model - meas[None, :]).max(axis=1) < FORMULA_TOL).tolist())
@@ -332,7 +334,7 @@ def test_swapped_labels_match_no_shift(cat_map, p, k):
     global shift fits them all."""
     decomp = decompose(cat_map, p, k)
     items = decomp.multiplicity_one_items()
-    measured = elementary_diagonals(MODES, decomp.vectors, [col for _, col in items]).real.T
+    measured = elementary_diagonals(MODES, decomp, [col for _, col in items]).real.T
     live = np.flatnonzero(np.abs(measured).max(axis=1) >= FORMULA_TOL)
     a = live[0]
     b = next(i for i in live[1:] if np.abs(measured[i] - measured[a]).max() > 1e-3)
@@ -396,6 +398,19 @@ VERIFY_SWEEP = [
     for k in cli.DEFAULT_KS
     if TorusAutomorphism(*cli.DEFAULT_MATRIX).disc % p and p**k <= DENSE_CAP_DEFAULT
 ]
+
+
+@pytest.mark.parametrize("p,k", VERIFY_SWEEP)
+def test_eigenvectors_have_their_recorded_parity(p, k):
+    """On every dense space of the default verify sweep, each unfolded
+    column satisfies v(-x) = s v(x) for its recorded parity s, and exactly
+    (N+1)/2 columns are even: the trace of the parity operator is
+    #{x : x = -x} = 1, at inert and split primes alike."""
+    decomp = decompose(TorusAutomorphism(*cli.DEFAULT_MATRIX), p, k)
+    N = decomp.group.pp.N
+    V = decomp.columns(np.arange(N))
+    assert np.abs(V[-np.arange(N) % N] - V * decomp.parity).max() <= 1e-10
+    assert np.count_nonzero(decomp.parity == 1) == (N + 1) // 2
 
 
 @pytest.mark.parametrize("p,k", VERIFY_SWEEP)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qcatmap.errors import (
@@ -26,11 +26,13 @@ from qcatmap.hecke import (
     build_split_diagonalizer,
     classify_prime,
     eigendecompose,
+    fold,
     split_eigenvectors,
     split_match_report,
     trace_sweep,
     unit_character_level,
     unit_dlog_array,
+    unfold,
 )
 
 from conftest import A_DEFAULT, decompose, group_walk, kernel_count_exhaustive, matrix_for_prime, unit_walk
@@ -316,6 +318,38 @@ def test_eigendecompose_character_count_identity(cat_map):
         assert sum(len(c) for c in decomp.clusters.values()) == pp.N
 
 
+@example(1, 0)  # N = 3
+@given(st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_property_fold_unfold_round_trip(h, seed):
+    """At odd N = 2h + 1, unfold inverts fold on even and odd columns side
+    by side, and the fold keeps the norms and the inner products of the
+    columns of one parity."""
+    N = 2 * h + 1
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((N, 4)) + 1j * rng.standard_normal((N, 4))
+    parity = np.array([1, -1, 1, -1])
+    v = (u + u[-np.arange(N) % N] * parity) / 2
+    w = fold(v)
+    assert w.shape == (h + 1, 4)
+    assert np.abs(unfold(w, parity, N) - v).max() <= 1e-14 * np.abs(v).max()
+    for s in (1, -1):
+        cols = parity == s
+        gram = v[:, cols].conj().T @ v[:, cols]
+        assert np.abs(w[:, cols].conj().T @ w[:, cols] - gram).max() <= 1e-13 * np.abs(gram).max()
+
+
+def dense_oracle_eig(U: np.ndarray):
+    """The eigenpairs of the dense _eig_unitary in the form _orbit_eig
+    returns them: the eigenvalues, the folded columns and their parities.
+    Every dense column must be even or odd: U(g)^(#C/2) is the parity
+    operator up to a phase."""
+    lam, V = hecke._eig_unitary(U)
+    reflected = V[-np.arange(len(V)) % len(V)]
+    parity = np.where(np.einsum("ij,ij->j", V.conj(), reflected).real > 0, 1, -1)
+    assert np.abs(reflected - V * parity).max() < 1e-10
+    return lam, fold(V), parity
+
+
 def assert_orbit_matches_dense_oracle(group, monkeypatch):
     """eigendecompose through the orbit solver against the dense _eig_unitary
     route: orthonormality, residuals and cluster projectors; returns the
@@ -323,9 +357,9 @@ def assert_orbit_matches_dense_oracle(group, monkeypatch):
     N, order = group.pp.N, group.order
     orbit = eigendecompose(group)
     U = propagator(group.ring.matrix_of(group.gen), group.pp).entries
-    monkeypatch.setattr(hecke, "_orbit_eig", lambda group: hecke._eig_unitary(U))
+    monkeypatch.setattr(hecke, "_orbit_eig", lambda group: dense_oracle_eig(U))
     dense = eigendecompose(group)
-    V = orbit.vectors
+    V = orbit.columns(np.arange(N))
     assert np.abs(V.conj().T @ V - np.eye(N)).max() < 1e-10
     # residual against the dense propagator; its Rayleigh quotients fit its phase
     W = U @ V
@@ -334,7 +368,7 @@ def assert_orbit_matches_dense_oracle(group, monkeypatch):
     # the same cluster projectors up to one label shift: for orthonormal
     # bases, ||P_c - P'_c||_F^2 = dim P' - dim P + 2 * (the weight of cluster
     # c's columns outside dense cluster c' = c + shift)
-    M = np.abs(dense.vectors.conj().T @ V) ** 2
+    M = np.abs(dense.columns(np.arange(N)).conj().T @ V) ** 2
     shift = (dense.labels[np.argmax(M[:, 0])] - orbit.labels[0]) % order
     outside = (dense.labels[:, None] - orbit.labels[None, :] - shift) % order != 0
     leak = (M * outside).sum(axis=0)

@@ -301,7 +301,8 @@ def test_property_propagator_apply_equals_dense(case):
 @pytest.mark.parametrize("p,k", [(13, 2), (7, 3), (11, 2)])
 def test_elementary_diagonal_matches_dense_oracles(cat_map, p, k):
     decomp = decompose(cat_map, p, k)
-    pp, V = decomp.group.pp, decomp.vectors
+    pp = decomp.group.pp
+    V = decomp.columns(np.arange(pp.N))
     f = FourierObservable(
         {(0, 0): 0.7, (1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.3 - 0.1j, (-1, -2): 0.3 + 0.1j, (2, 7): 0.2, (-2, -7): 0.2}
     )
@@ -312,6 +313,8 @@ def test_elementary_diagonal_matches_dense_oracles(cat_map, p, k):
         diag = elementary_diagonal(n, V)
         oracle = [inner_product(apply_elementary(n, decomp.state(j)), decomp.state(j)) for j in range(pp.N)]
         assert np.abs(diag - np.array(oracle)).max() < 1e-12
+        # the folded basis, unfolded a block at a time
+        assert np.abs(elementary_diagonals([n], decomp)[0] - np.array(oracle)).max() < 1e-12
 
 
 def diagonals_by_dense_oracle(modes, V: np.ndarray, pp: PrimePower) -> np.ndarray:
