@@ -7,7 +7,7 @@ statistics of eigenfunction matrix elements against their limiting law.
 """
 
 from .modarith import PrimePower
-from .quantization import DenseOperator, FourierObservable, StateVector, TorusAutomorphism
+from .quantization import FourierObservable, TorusAutomorphism
 from .hecke import HeckeGroup, classify_prime, eigendecompose
 from .expsum import ExpSumTable, exp_sum_bruteforce, exp_sum_closed, find_large, scan_characters
 from .distribution import (
@@ -24,9 +24,7 @@ from .distribution import (
 __all__ = [
     "PrimePower",
     "TorusAutomorphism",
-    "StateVector",
     "FourierObservable",
-    "DenseOperator",
     "HeckeGroup",
     "classify_prime",
     "eigendecompose",

@@ -67,8 +67,8 @@ class ConfigError(Exception):
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Comma list with ranges: '3,5,7' or '1-3' or '1-3,5'; anything else
-    is a ConfigError."""
+    """Comma list with ascending ranges: '3,5,7' or '1-3' or '1-3,5';
+    anything else, a descending range included, is a ConfigError."""
     out: list[int] = []
     try:
         for part in text.split(","):
@@ -76,12 +76,23 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
             if "-" in part[1:]:
                 cut = part.index("-", 1)
                 lo, hi = int(part[:cut]), int(part[cut + 1 :])
+                if hi < lo:
+                    raise ConfigError(f"descending range {part!r} in {text!r}")
                 out.extend(range(lo, hi + 1))
             else:
                 out.append(int(part))
     except ValueError as exc:
         raise ConfigError(f"bad integer list {text!r}") from exc
     return tuple(out)
+
+
+def _distinct(name: str, values: tuple[int, ...]) -> tuple[int, ...]:
+    """values, with a repeated entry as a ConfigError: a prime or exponent
+    listed twice would check its spaces twice."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{name} list repeats {', '.join(map(str, repeated))}")
+    return values
 
 
 def _prime_power(p: int, k: int) -> PrimePower:
@@ -109,8 +120,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         fields = {
             "matrix": lambda v: tuple(int(x) for x in v),
-            "p": lambda v: tuple(int(x) for x in v),
-            "k": lambda v: tuple(int(x) for x in v),
+            "p": lambda v: _distinct("p", tuple(int(x) for x in v)),
+            "k": lambda v: _distinct("k", tuple(int(x) for x in v)),
             "nu": lambda v: tuple(int(x) for x in v),
             "obs": str,
             "seed": int,
@@ -137,9 +148,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--matrix needs exactly 4 integers a,b,c,d")
         cfg = replace(cfg, matrix=vals)
     if args.p:
-        cfg = replace(cfg, p_list=_parse_int_list(args.p), explicit_p=True)
+        cfg = replace(cfg, p_list=_distinct("p", _parse_int_list(args.p)), explicit_p=True)
     if args.k:
-        cfg = replace(cfg, k_list=_parse_int_list(args.k))
+        cfg = replace(cfg, k_list=_distinct("k", _parse_int_list(args.k)))
     if getattr(args, "nu", None):
         cfg = replace(cfg, nu_list=_parse_int_list(args.nu))
     if getattr(args, "obs", None):
@@ -277,7 +288,7 @@ def _hecke_part(space: Space) -> tuple[str, list[str], float]:
     note = f"{pp}:{group.kind[0]}"
     mults = [len(v) for v in space.decomp.clusters.values()]
     faults = []
-    # the decomposition passed the size cap on max(N, #C) N, which bounds these N^2 pairs
+    # brute_force_norm_one checks its N^2 pairs against the size cap itself
     count = len(hecke.brute_force_norm_one(space.A, pp))
     if group.order != count:
         faults.append(f"{note} order {group.order}, brute-force count {count}")
@@ -537,7 +548,7 @@ def distribution_report(cfg: RunConfig) -> dict:
     if pp.N <= cfg.dense_cap:
         decomp = hecke.eigendecompose(group)
         elements = dist.normalized_elements(f, decomp)
-        sample = elements.empirical
+        sample = elements.values
         n_eig = len(sample)
         n_excl = elements.n_excluded_multiplicity
         # the sign is a property of (p, k); pin it on the default mode set

@@ -72,19 +72,16 @@ def model_moment(m: int) -> Fraction:
     return Fraction(math.comb(m, m // 2), 2)
 
 
-def model_cdf(v: float) -> float:
-    """P(2cos(theta) <= v): arccos part from the uniform half plus the
-    1/2 atom at zero (right-continuous)."""
-    u = min(1.0, max(-1.0, v / 2.0))
-    base = 0.5 * (1.0 - math.acos(u) / math.pi)
-    return base + (0.5 if v >= 0.0 else 0.0)
-
-
-def model_cdf_left(v: float) -> float:
-    """Left limit of model_cdf (differs only at the atom)."""
-    u = min(1.0, max(-1.0, v / 2.0))
-    base = 0.5 * (1.0 - math.acos(u) / math.pi)
-    return base + (0.5 if v > 0.0 else 0.0)
+def model_cdf(v) -> np.ndarray:
+    """P(2cos(theta) <= v) at each v: the arccos part from the uniform half
+    plus the 1/2 atom at zero (right-continuous), so the left limit is this
+    minus 1/2 at v = 0.  Each arccos is libm's, one value at a time: numpy's
+    SIMD arccos differs from it in the last bit on some CPUs, so the CDF
+    would depend on which SIMD path numpy picks."""
+    v = np.asarray(v, dtype=float)
+    u = np.clip(v / 2.0, -1.0, 1.0)
+    acos = np.fromiter(map(math.acos, u.ravel().tolist()), float, u.size).reshape(u.shape)
+    return 0.5 * (1.0 - acos / math.pi) + np.where(v >= 0.0, 0.5, 0.0)
 
 
 @dataclass(frozen=True)
@@ -93,30 +90,14 @@ class ScaledLimitLaw:
 
     scale: float
 
-    def cdf(self, v: float) -> float:
-        return model_cdf(v / abs(self.scale))
-
-    def cdf_left(self, v: float) -> float:
-        return model_cdf_left(v / abs(self.scale))
+    def cdf(self, v) -> np.ndarray:
+        return model_cdf(np.asarray(v, dtype=float) / abs(self.scale))
 
 
-# -- empirical sets ----------------------------------------------------
+# -- the model sample ----------------------------------------------------
 
 
-@dataclass
-class EmpiricalSet:
-    """Sorted sample of real values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.sort(np.asarray(self.values, dtype=float))
-
-    def __len__(self):
-        return len(self.values)
-
-
-def sample_limit_variable(spectrum: dict[int, complex], seed: int, count: int) -> EmpiricalSet:
+def sample_limit_variable(spectrum: dict[int, complex], seed: int, count: int) -> np.ndarray:
     """count independent draws of Y_f = 2 sum f#(nu) cos(theta_nu).
 
     Each theta_nu is the atom pi/2 with probability 1/2 (contributing an
@@ -131,7 +112,7 @@ def sample_limit_variable(spectrum: dict[int, complex], seed: int, count: int) -
         atom = rng.random(count) < 0.5
         angles = rng.random(count) * math.pi
         total += np.where(atom, 0.0, 2.0 * w.real * np.cos(angles))
-    return EmpiricalSet(total)
+    return total
 
 
 # -- Kolmogorov-Smirnov distances ---------------------------------------
@@ -149,16 +130,15 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 
 def ks_vs_law(values: np.ndarray, law: ScaledLimitLaw) -> float:
     """sup |F_n - F| against a CDF with one jump, using both one-sided
-    limits so the atom is compared correctly."""
-    values = np.sort(np.asarray(values, dtype=float))
-    n = len(values)
-    uniq, counts = np.unique(values, return_counts=True)
-    cum = np.cumsum(counts) / n
-    cum_prev = cum - counts / n
-    d = 0.0
-    for u, hi, lo in zip(uniq, cum, cum_prev):
-        d = max(d, abs(law.cdf(float(u)) - hi), abs(law.cdf_left(float(u)) - lo))
-    return d
+    limits so the atom is compared correctly: at each distinct value u, F(u)
+    against the sample CDF and the left limit of F (F minus the atom at 0)
+    against the sample CDF just below u."""
+    uniq, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
+    cum = np.cumsum(counts) / len(values)
+    cum_prev = cum - counts / len(values)
+    at = law.cdf(uniq)
+    left = at - np.where(uniq == 0.0, 0.5, 0.0)
+    return float(max(np.abs(at - cum).max(initial=0.0), np.abs(left - cum_prev).max(initial=0.0)))
 
 
 def snap_zeros(values: np.ndarray) -> np.ndarray:
@@ -185,26 +165,28 @@ def _winsorized_moments(values: np.ndarray, bound: float | None) -> tuple[list[f
 
 
 def compare_distribution(
-    left: EmpiricalSet,
-    right: EmpiricalSet | ScaledLimitLaw,
+    left: np.ndarray,
+    right: np.ndarray | ScaledLimitLaw,
     winsor_bound: float | None = None,
 ) -> ComparisonReport:
-    """KS distance between a sample and a second sample or the scaled limit
-    law, plus the moment table of the sample.
+    """KS distance between a sample (a 1-D float array) and a second sample
+    or the scaled limit law, plus the moment table of the sample.
 
     Moments are winsorized at +-winsor_bound (exceptional values clipped,
-    their count reported) so rare unbounded elements cannot dominate.
+    their count reported) so rare unbounded elements cannot dominate.  They
+    sum the sample in ascending order, so a sample's moments do not depend
+    on the order it comes in.
     """
     if len(left) == 0:
         raise EmptySetError("left sample is empty")
-    lv = snap_zeros(left.values)
+    lv = snap_zeros(np.sort(left))
     ml, wl = _winsorized_moments(lv, winsor_bound)
     if isinstance(right, ScaledLimitLaw):
         ks = ks_vs_law(lv, right)
     else:
         if len(right) == 0:
             raise EmptySetError("right sample is empty")
-        ks = ks_two_sample(lv, snap_zeros(right.values))
+        ks = ks_two_sample(lv, snap_zeros(right))
     return ComparisonReport(ks, ml, wl)
 
 
@@ -226,8 +208,7 @@ def reduced_classes(spectrum: dict[int, complex], pp: PrimePower) -> dict[int, c
 class NormalizedElements:
     """F_j values of the multiplicity-one eigenfunctions (dense pipeline)."""
 
-    empirical: EmpiricalSet
-    values: np.ndarray  # aligned with labels
+    values: np.ndarray  # the sample, aligned with labels
     labels: np.ndarray  # cluster label per value
     n_excluded_multiplicity: int
 
@@ -251,7 +232,7 @@ def normalized_elements(f: FourierObservable, decomp: EigenDecomposition) -> Nor
     if np.abs(quad.imag).max() > 1e-7:
         raise RuntimeError("Hermitian quadratic form came out complex")
     vals = math.sqrt(pp.N) * (quad.real - f.mean.real)
-    return NormalizedElements(EmpiricalSet(vals), vals, labels, pp.N - len(items))
+    return NormalizedElements(vals, labels, pp.N - len(items))
 
 
 def _exp_sum_table(group: HeckeGroup, nus: list[int]) -> np.ndarray:
@@ -270,7 +251,7 @@ def _exp_sum_table(group: HeckeGroup, nus: list[int]) -> np.ndarray:
     return out[:, [col[int(nu) % N] for nu in nus]]
 
 
-def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple[EmpiricalSet, int | None]:
+def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple[np.ndarray, int | None]:
     """Closed-form model of the F_j sample: one value per character,
 
         F_chi = sqrt(N)/#C * sum_nu f#(nu) E(nu/2, chi).
@@ -278,8 +259,9 @@ def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple
     This is the matrix-element formula with the unknown fixed character
     absorbed into the sweep and the global sign dropped (the law is
     symmetric).  The multiset differs from the true eigenfunction one by
-    a density-O(1/p) set.  Returns the sample and the count of characters
-    that are bad for at least one class (None at k = 1).
+    a density-O(1/p) set.  Returns the sample F, with F[j] the value of
+    chi_j, and the count of characters that are bad for at least one class
+    (None at k = 1).
     """
     if not f.is_real:
         raise ValueError("the statistics are defined for real observables")
@@ -291,7 +273,7 @@ def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple
     table = _exp_sum_table(group, halved)
     weights = np.array([complex(spectrum[nu]).real for nu in nus])
     vals = (math.sqrt(pp.N) / group.order) * (table.real @ weights)
-    return EmpiricalSet(vals), expsum.bad_character_count(group, halved)
+    return vals, expsum.bad_character_count(group, halved)
 
 
 # -- matrix-element formula verification --------------------------------

@@ -9,16 +9,8 @@ class NonUnitError(QcatError, ValueError):
     """A residue required to be a unit is divisible by p."""
 
 
-class DimensionMismatchError(QcatError, ValueError):
-    """Two state vectors live in spaces of different dimension."""
-
-
 class NotUnimodularError(QcatError, ValueError):
     """Matrix determinant is not 1 modulo N."""
-
-
-class NotNormalizedError(QcatError, ValueError):
-    """State vector norm is not 1 within tolerance."""
 
 
 class RamifiedPrimeError(QcatError, ValueError):
@@ -62,7 +54,7 @@ class BadNuError(QcatError, ValueError):
 
 
 class EmptySetError(QcatError, ValueError):
-    """Empirical sample is empty."""
+    """A sample is empty."""
 
 
 class EigenClusterError(QcatError, RuntimeError):

@@ -30,7 +30,7 @@ from .errors import (
     SingularPointError,
 )
 from .modarith import PrimePower, inv_mod, legendre, roots_table, sqrt_set, valuation
-from .quantization import StateVector, TorusAutomorphism, block_columns, check_array_size, propagator_apply
+from .quantization import TorusAutomorphism, block_columns, check_array_size, propagator_apply
 
 OrderElement = tuple[int, int]
 
@@ -677,11 +677,6 @@ class EigenDecomposition:
         """(label, column) pairs for the one-dimensional eigenspaces."""
         return [(lab, int(cols[0])) for lab, cols in sorted(self.clusters.items()) if len(cols) == 1]
 
-    def state(self, column: int) -> StateVector:
-        """Column as a unit vector of H_N (1/N inner product)."""
-        amps = self.columns([column])[:, 0] * math.sqrt(self.group.pp.N)
-        return StateVector(self.group.pp, amps)
-
 
 CLUSTER_TOL = 1e-6
 
@@ -701,7 +696,8 @@ def eigendecompose(group: HeckeGroup) -> EigenDecomposition:
     one common shift (a global character twist).
     """
     pp = group.pp
-    check_array_size(max(pp.N, group.order) * pp.N, f"orbit eigensolver at {pp}")
+    # the larger of a folded orbit, #C x (N+1)/2, and the folded basis, (N+1)/2 x N
+    check_array_size(max(pp.N, group.order) * ((pp.N + 1) // 2), f"orbit eigensolver at {pp}")
     lam, folded, parity = _orbit_eig(group)
     unit_lam = lam / np.abs(lam)
     wbar = np.mean(unit_lam**group.order)

@@ -1,8 +1,10 @@
 """Hilbert space H_N = L^2(Z/NZ), elementary operators, and the propagator.
 
-States are N-vectors with the 1/N-weighted inner product.  Elementary
-operators act by a shift and a phase; the propagator for a matrix B with
-det B = 1 (mod N) is assembled from the sum
+A state is an N-vector, a plain array; the kernels take std-unit columns,
+and psi = sqrt(N) v is the unit vector of the 1/N inner product, with the
+same matrix elements.  Elementary operators act by a shift and a phase;
+the propagator for a matrix B with det B = 1 (mod N) is assembled from
+the sum
 
     U(B) ~ sum_m Ttw(m) Ttw(-mB)  =  sum_m e_N(-w(m, mB)/2) Ttw(m(I-B)),
 
@@ -25,20 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotNormalizedError,
-    NotUnimodularError,
-    SizeLimitError,
-)
+from .errors import NotUnimodularError, SizeLimitError
 from .modarith import PrimePower, roots_table
 
 # Dense operators get expensive past this dimension; callers that accept
 # the cost (large eigenproblems) may pass their own cap.
 DENSE_CAP_DEFAULT = 2048
 
-# Largest dense (N x N) or orbit (N x #C) array, in complex entries (1 GiB);
-# the 6859-dimensional space 19^3 needs 4.7e7.
+# Largest dense N x N matrix or folded orbit array, in complex entries
+# (1 GiB); the eigensolver counts max(N, #C) (N+1)/2, 2.4e7 at 19^3
+# (N = 6859) and 5.2e7 at 101^2.
 MAX_ARRAY_ENTRIES = 1 << 26
 
 # bytes of one column block of a dense or orbit array; every loop over the
@@ -134,40 +132,6 @@ def kernel_count(M: Mat2, N: int) -> int:
     return math.gcd(d1, N) * math.gcd(abs(mat_det(M)) // d1, N)
 
 
-@dataclass
-class StateVector:
-    """Complex vector in H_N with inner product (1/N) sum phi conj(psi)."""
-
-    pp: PrimePower
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (self.pp.N,):
-            raise DimensionMismatchError(
-                f"expected {self.pp.N} amplitudes, got {self.amplitudes.shape}"
-            )
-
-    def norm(self) -> float:
-        return math.sqrt(float(np.vdot(self.amplitudes, self.amplitudes).real) / self.pp.N)
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.pp, self.amplitudes / self.norm())
-
-    @classmethod
-    def delta(cls, pp: PrimePower, y: int) -> "StateVector":
-        amps = np.zeros(pp.N, dtype=np.complex128)
-        amps[y % pp.N] = 1.0
-        return cls(pp, amps)
-
-
-def inner_product(phi: StateVector, psi: StateVector) -> complex:
-    """(1/N) sum_y phi(y) conj(psi(y))."""
-    if phi.pp != psi.pp:
-        raise DimensionMismatchError("states live in different spaces")
-    return complex(np.vdot(psi.amplitudes, phi.amplitudes) / phi.pp.N)
-
-
 @dataclass(frozen=True)
 class FourierObservable:
     """Finite Fourier series: map n = (n1, n2) in Z^2 -> coefficient."""
@@ -212,39 +176,14 @@ def load_observable(path: str) -> FourierObservable:
     return obs
 
 
-@dataclass
-class DenseOperator:
-    """Dense N x N matrix acting on StateVector amplitudes."""
-
-    pp: PrimePower
-    entries: np.ndarray
-
-    def apply(self, psi: StateVector) -> StateVector:
-        if psi.pp != self.pp:
-            raise DimensionMismatchError("operator and state dimensions differ")
-        return StateVector(self.pp, self.entries @ psi.amplitudes)
-
-    def is_unitary(self, tol: float = 1e-8) -> bool:
-        N = self.pp.N
-        err = self.entries @ self.entries.conj().T - np.eye(N)
-        return float(np.abs(err).max()) < tol
-
-
-def apply_elementary(n: tuple[int, int], psi: StateVector) -> StateVector:
-    """(T(n) psi)(y) = e_{2N}(n1 n2) e_N(n2 y) psi(y + n1)."""
-    N = psi.pp.N
+def apply_elementary(n: tuple[int, int], v: np.ndarray) -> np.ndarray:
+    """(T(n) v)(y) = e_{2N}(n1 n2) e_N(n2 y) v(y + n1) for the N-vectors of v
+    along axis 0: one roll and one phase, the oracle of elementary_diagonals."""
+    N = v.shape[0]
     n1, n2 = int(n[0]), int(n[1])
-    phase0 = roots_table(2 * N)[(n1 * n2) % (2 * N)]
-    phases = phase0 * roots_table(N)[(n2 * np.arange(N)) % N]
-    return StateVector(psi.pp, phases * np.roll(psi.amplitudes, -n1 % N))
-
-
-def apply_twisted(n: tuple[int, int], psi: StateVector) -> StateVector:
-    """Twisted operator Ttw(n) = (-1)^(n1 n2) T(n); periodic in n mod N."""
-    out = apply_elementary(n, psi)
-    if (n[0] * n[1]) % 2:
-        out.amplitudes = -out.amplitudes
-    return out
+    phases = roots_table(2 * N)[(n1 * n2) % (2 * N)] * roots_table(N)[(n2 * np.arange(N)) % N]
+    col = (slice(None),) + (None,) * (v.ndim - 1)
+    return phases[col] * np.roll(v, -n1 % N, axis=0)
 
 
 def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
@@ -285,13 +224,9 @@ def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
     return out
 
 
-def elementary_diagonal(n: tuple[int, int], V: np.ndarray) -> np.ndarray:
-    """<T(n) v_j, v_j> for each column v_j of V: one mode of elementary_diagonals."""
-    return elementary_diagonals([n], V)[0]
-
-
-def elementary_matrix(n: tuple[int, int], pp: PrimePower, twisted: bool = False) -> DenseOperator:
-    """Dense matrix of T(n) (or Ttw(n)): entry [y, y+n1] = phase(n, y)."""
+def elementary_matrix(n: tuple[int, int], pp: PrimePower, twisted: bool = False) -> np.ndarray:
+    """Dense N x N matrix of T(n), or of Ttw(n) = (-1)^(n1 n2) T(n), which
+    only depends on n mod N: entry [y, y+n1] = phase(n, y)."""
     N = pp.N
     check_array_size(N * N, f"dense T(n) at N = {N}")
     n1, n2 = int(n[0]), int(n[1])
@@ -302,11 +237,11 @@ def elementary_matrix(n: tuple[int, int], pp: PrimePower, twisted: bool = False)
     vals = phase0 * roots_table(N)[(n2 * y) % N]
     entries = np.zeros((N, N), dtype=np.complex128)
     entries[y, (y + n1) % N] = vals
-    return DenseOperator(pp, entries)
+    return entries
 
 
-def op_of_observable(f: FourierObservable, pp: PrimePower) -> DenseOperator:
-    """Quantization Op_N(f) = sum_n fhat(n) T(n) as a dense matrix."""
+def op_of_observable(f: FourierObservable, pp: PrimePower) -> np.ndarray:
+    """Quantization Op_N(f) = sum_n fhat(n) T(n) as a dense N x N matrix."""
     N = pp.N
     check_array_size(N * N, f"dense Op(f) at N = {N}")
     y = np.arange(N)
@@ -316,14 +251,7 @@ def op_of_observable(f: FourierObservable, pp: PrimePower) -> DenseOperator:
     for (n1, n2), c in sorted(f.coeffs.items()):
         vals = complex(c) * two_n[(n1 * n2) % (2 * N)] * one_n[(n2 * y) % N]
         entries[y, (y + n1) % N] += vals
-    return DenseOperator(pp, entries)
-
-
-def matrix_element(n: tuple[int, int], psi: StateVector) -> complex:
-    """<T(n) psi, psi> for a normalized state."""
-    if abs(psi.norm() - 1.0) > 1e-8:
-        raise NotNormalizedError("matrix_element requires a unit vector")
-    return inner_product(apply_elementary(n, psi), psi)
+    return entries
 
 
 def _reduce_mat(B, N: int) -> Mat2:
@@ -366,8 +294,9 @@ def _twist_coefficients(B: Mat2, pp: PrimePower) -> np.ndarray:
     return (c_re + 1j * c_im).reshape(N, N)
 
 
-def propagator(B, pp: PrimePower) -> DenseOperator:
-    """Quantum propagator for B with det B = 1 (mod N), up to a global phase.
+def propagator(B, pp: PrimePower) -> np.ndarray:
+    """Quantum propagator for B with det B = 1 (mod N), up to a global phase,
+    as a dense N x N matrix.
 
     Assembled by grouping the m-sum by n = m(I-B) and applying one inverse
     DFT per value of n1, which brings the cost to O(N^2 log N).
@@ -390,7 +319,7 @@ def propagator(B, pp: PrimePower) -> DenseOperator:
     for n1 in range(N):
         shift = (n1 * inv2) % N
         entries[y, (y + n1) % N] = norm * rows[n1][(y + shift) % N]
-    return DenseOperator(pp, entries)
+    return entries
 
 
 def _chirp_apply(B: Mat2, N: int) -> Callable[[np.ndarray], np.ndarray]:

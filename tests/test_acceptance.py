@@ -15,7 +15,6 @@ from qcatmap.quantization import (
     FourierObservable,
     apply_elementary,
     elementary_matrix,
-    inner_product,
     propagator,
     row_action,
 )
@@ -39,12 +38,12 @@ def test_criterion1_quantization_invariants():
     for p, k in [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (11, 2), (13, 2)]:
         A = matrix_for_prime(p)
         pp = PrimePower(p, k)
-        U = propagator(A, pp).entries
+        U = propagator(A, pp)
         worst_u = max(worst_u, float(np.abs(U @ U.conj().T - np.eye(pp.N)).max()))
         Amod = A.mat_mod(pp.N)
         for n in EGOROV_MODES:
-            lhs = U.conj().T @ elementary_matrix(n, pp, twisted=True).entries @ U
-            rhs = elementary_matrix(row_action(n, Amod), pp, twisted=True).entries
+            lhs = U.conj().T @ elementary_matrix(n, pp, twisted=True) @ U
+            rhs = elementary_matrix(row_action(n, Amod), pp, twisted=True)
             worst_e = max(worst_e, float(np.abs(lhs - rhs).max()))
     assert worst_u < 1e-8
     assert worst_e < 1e-8
@@ -156,8 +155,8 @@ def test_criterion6_slow_decay(p):
     decomp = eigendecompose(group)
     hits = 0
     for _, col in decomp.multiplicity_one_items():
-        psi = decomp.state(col)
-        el = abs(inner_product(apply_elementary(n, psi), psi))
+        v = decomp.columns([col])[:, 0]  # std-unit: <T(n) psi, psi> of psi = sqrt(N) v is vdot(v, T(n) v)
+        el = abs(np.vdot(v, apply_elementary(n, v)))
         if abs(el - target) <= 1e-6 * target:
             hits += 1
     assert hits >= 1

@@ -80,20 +80,43 @@ def test_verify_ramified_explicit_prime_exits_2(capsys):
         (["verify", "--p", "2", "--k", "1"], ["p = 2"]),
         (["expsum", "--p", "abc", "--k", "2"], ["'abc'"]),
         (["distribution", "--p", "3", "--k", "1-x", "--obs", "obs.json"], ["'1-x'"]),
+        (["verify", "--p", "3", "--k", "3-1"], ["descending range '3-1'"]),
+        (["verify", "--p", "13-11", "--k", "1"], ["descending range '13-11'"]),
+        (["expsum", "--p", "11", "--k", "2", "--nu", "1,5-2"], ["descending range '5-2'"]),
+        (["verify", "--p", "3,3", "--k", "1"], ["p list repeats 3"]),
+        (["verify", "--p", "3,5,7,5,3", "--k", "1"], ["p list repeats 3, 5"]),
+        (["verify", "--p", "3", "--k", "1-2,2"], ["k list repeats 2"]),
+        (["distribution", "--p", "3", "--k", "2,2", "--obs", "obs.json"], ["k list repeats 2"]),
     ],
 )
 def test_bad_modulus_or_integer_list_exits_2(argv, words, capsys):
-    """A p that is no odd prime, a k < 1 or a list that is not integers is a
-    configuration error: exit 2 and one line on stderr, no traceback."""
+    """A p that is no odd prime, a k < 1, a list that is not integers, a
+    descending range (it names no value) or a repeated prime or exponent
+    (it names its spaces twice) is a configuration error: exit 2 and one
+    line on stderr, no traceback, and no check runs."""
     assert run_cli(argv) == 2
-    assert_one_line_error(capsys, *words)
+    assert assert_one_line_error(capsys, *words) == ""
+
+
+def test_matrix_entries_may_repeat():
+    """Only primes and exponents must be distinct."""
+    args = make_parser().parse_args(["verify", "--matrix", "2,1,1,1", "--p", "3", "--k", "1"])
+    assert build_config(args).matrix == (2, 1, 1, 1)
 
 
 @pytest.mark.parametrize(
-    "text,word", [(json.dumps({"p": ["abc"], "k": [2]}), "abc"), ('{"p": [3', "cfg.json"), (None, "cfg.json")]
+    "text,word",
+    [
+        (json.dumps({"p": ["abc"], "k": [2]}), "abc"),
+        ('{"p": [3', "cfg.json"),
+        (None, "cfg.json"),
+        (json.dumps({"p": [3, 3], "k": [2]}), "p list repeats 3"),
+        (json.dumps({"p": [3], "k": [2, 3, 2]}), "k list repeats 2"),
+    ],
 )
 def test_bad_config_file_exits_2(text, word, tmp_path, capsys):
-    """A non-integer list, a file that is no JSON and a missing file."""
+    """A non-integer list, a file that is no JSON, a missing file and a
+    repeated prime or exponent."""
     cfg = tmp_path / "cfg.json"
     if text is not None:
         cfg.write_text(text)
@@ -509,3 +532,11 @@ def test_benchmark_tracer_finds_its_targets(tmp_path):
     assert set(tracer.TRACED) <= set(functions)
     # 4 spaces with k >= 2 (3^2, 3^3, 7^2, 7^3) times nu in {1, 2, non-residue}
     assert functions["expsum.exp_sum_bruteforce"]["calls"] == 12
+
+
+def test_every_public_name_resolves():
+    """Each name in qcatmap.__all__ is an attribute of the package, once."""
+    import qcatmap
+
+    assert [name for name in qcatmap.__all__ if not hasattr(qcatmap, name)] == []
+    assert len(set(qcatmap.__all__)) == len(qcatmap.__all__)

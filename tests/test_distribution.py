@@ -22,7 +22,6 @@ from qcatmap import cli, expsum
 from qcatmap.distribution import (
     FORMULA_TOL,
     _exp_sum_table,
-    EmpiricalSet,
     ScaledLimitLaw,
     angle_moment,
     compare_distribution,
@@ -31,7 +30,6 @@ from qcatmap.distribution import (
     ks_two_sample,
     ks_vs_law,
     model_cdf,
-    model_cdf_left,
     model_moment,
     normalized_elements,
     normalized_elements_closed,
@@ -103,7 +101,10 @@ def test_model_moment_against_quadrature(m):
 def test_model_cdf_endpoints_and_atom():
     assert model_cdf(-2.0) == pytest.approx(0.0)
     assert model_cdf(2.0) == pytest.approx(1.0)
-    assert model_cdf(0.0) - model_cdf_left(0.0) == pytest.approx(0.5)
+    # the left limit at the atom is the CDF minus 1/2
+    assert model_cdf(0.0) - model_cdf(np.nextafter(0.0, -1.0)) == pytest.approx(0.5)
+    # arrays map elementwise
+    assert np.allclose(model_cdf(np.array([[-3.0, -2.0, 0.0], [2.0, 3.0, 0.5]])), [[0, 0, 0.75], [1, 1, model_cdf(0.5)]])
 
 
 def test_model_cdf_against_quadrature():
@@ -119,8 +120,8 @@ def test_sampler_determinism_and_atom():
     spec = {1: 1.0}
     a = sample_limit_variable(spec, seed=5, count=2000)
     b = sample_limit_variable(spec, seed=5, count=2000)
-    assert np.array_equal(a.values, b.values)
-    atom = np.mean(a.values == 0.0)
+    assert np.array_equal(a, b)
+    atom = np.mean(a == 0.0)
     assert abs(atom - 0.5) < 0.05
 
 
@@ -129,15 +130,15 @@ def test_sampler_moments():
     # quadrature oracle rather than any remembered constant
     spec = {1: 1.5}
     sample = sample_limit_variable(spec, seed=11, count=1_000_000)
-    assert abs(sample.values.mean()) < 0.01 * 2 * 1.5
+    assert abs(sample.mean()) < 0.01 * 2 * 1.5
     var_expected = 1.5**2 * _quadrature_moment(2)
     assert var_expected == pytest.approx(1.5**2 * float(model_moment(2)), rel=1e-6)
-    assert sample.values.var() == pytest.approx(var_expected, rel=0.01)
+    assert sample.var() == pytest.approx(var_expected, rel=0.01)
 
 
 def test_sampler_empty_spectrum_is_degenerate():
     sample = sample_limit_variable({}, seed=1, count=100)
-    assert np.all(sample.values == 0.0)
+    assert np.all(sample == 0.0)
 
 
 # -- KS machinery --------------------------------------------------------
@@ -154,26 +155,61 @@ def test_ks_vs_law_handles_the_atom():
     # Y = 2 * 0.5 * cos has the law of scale c = 0.5 (values c * 2cos)
     law = ScaledLimitLaw(0.5)
     sample = sample_limit_variable({1: 0.5}, seed=3, count=40_000)
-    assert ks_vs_law(sample.values, law) < 0.02
+    assert ks_vs_law(sample, law) < 0.02
     # a sample with noisy zeros must be snapped first, or the atom drifts
-    noisy = sample.values + np.where(sample.values == 0.0, -1e-13, 0.0)
-    rep = compare_distribution(EmpiricalSet(noisy), law)
+    noisy = sample + np.where(sample == 0.0, -1e-13, 0.0)
+    rep = compare_distribution(noisy, law)
     assert rep.ks < 0.02
+
+
+def ks_vs_law_loop(values: np.ndarray, scale: float) -> float:
+    """sup |F_n - F| against the law of scale * 2cos(theta), one distinct
+    value at a time, with the CDF and its left limit evaluated in scalar
+    math: the oracle of the vectorized ks_vs_law."""
+
+    def cdf(v: float, atom_at_zero: bool) -> float:
+        x = v / abs(scale)
+        base = 0.5 * (1.0 - math.acos(min(1.0, max(-1.0, x / 2.0))) / math.pi)
+        return base + (0.5 if (x >= 0.0 if atom_at_zero else x > 0.0) else 0.0)
+
+    values = np.sort(np.asarray(values, dtype=float))
+    uniq, counts = np.unique(values, return_counts=True)
+    cum = np.cumsum(counts) / len(values)
+    cum_prev = cum - counts / len(values)
+    d = 0.0
+    for u, hi, lo in zip(uniq, cum, cum_prev):
+        d = max(d, abs(cdf(float(u), True) - hi), abs(cdf(float(u), False) - lo))
+    return d
+
+
+@pytest.mark.parametrize("scale", [0.7, -1.3, 2.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ks_vs_law_equals_loop_oracle(scale, seed):
+    """Bit for bit, on unsorted samples with an atom at 0 (and -0.0), ties,
+    the endpoints +-2|scale| and values beyond them."""
+    rng = np.random.default_rng(seed)
+    c = abs(scale)
+    smooth = 2 * c * np.cos(rng.random(500) * math.pi)
+    values = np.concatenate(
+        [smooth, smooth[:50], np.zeros(300), [-0.0], [2 * c, -2 * c, 3 * c, -5 * c, 2 * c * (1 + 1e-12)], rng.normal(0, 3 * c, 40)]
+    )
+    rng.shuffle(values)
+    assert ks_vs_law(values, ScaledLimitLaw(scale)) == ks_vs_law_loop(values, scale)
+    no_atom = values[values != 0.0]
+    assert ks_vs_law(no_atom, ScaledLimitLaw(scale)) == ks_vs_law_loop(no_atom, scale)
 
 
 def test_compare_distribution_identical_and_empty():
     vals = np.linspace(-1, 1, 101)
-    rep = compare_distribution(EmpiricalSet(vals), EmpiricalSet(vals.copy()))
+    rep = compare_distribution(vals, vals[::-1].copy())
     assert rep.ks == 0.0
     with pytest.raises(EmptySetError):
-        compare_distribution(EmpiricalSet(np.array([])), EmpiricalSet(vals))
+        compare_distribution(np.array([]), vals)
 
 
 def test_compare_distribution_winsorizes():
     vals = np.array([0.0] * 98 + [50.0, -50.0])
-    rep = compare_distribution(
-        EmpiricalSet(vals), EmpiricalSet(vals.copy()), winsor_bound=10.0
-    )
+    rep = compare_distribution(vals, vals.copy(), winsor_bound=10.0)
     assert rep.winsorized_left == 2
     assert rep.moments_left[1] == pytest.approx(2 * 100 / 100.0)
 
@@ -192,7 +228,7 @@ def test_normalized_elements_real_and_slow_decay_scale(cat_map):
     pp = PrimePower(3, 3)
     f = FourierObservable.harmonic_pair((1, 0))
     out = normalized_elements(f, eigendecompose(build_group(cat_map, pp)))
-    assert out.empirical.values.dtype == float
+    assert out.values.dtype == float
     assert np.abs(out.values).max() >= math.sqrt(pp.N) / 4 * (1 - 1e-9)
 
 
@@ -440,7 +476,9 @@ def test_character_mask_and_sign_give_the_dense_sample(p, k):
     spectrum = twisted_coefficients(f, A)
     nus = sorted(spectrum)
     table = _exp_sum_table(group, [nu * pow(2, -1, pp.N) % pp.N for nu in nus])
-    F = math.sqrt(pp.N) / group.order * (table.real @ np.array([complex(spectrum[nu]).real for nu in nus]))
+    F_j = math.sqrt(pp.N) / group.order * (table.real @ np.array([complex(spectrum[nu]).real for nu in nus]))
+    F, _ = normalized_elements_closed(f, group)  # in character-index order
+    assert np.abs(F - F_j).max() < 1e-12
     sign = 1 if group.kind == "split" else (-1) ** k
     dense = np.sort(normalized_elements(f, decomp).values)
     assert np.abs(dense - np.sort(sign * F[character_mask(group)])).max() < 1e-9

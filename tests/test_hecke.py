@@ -292,7 +292,7 @@ def test_t_parameter_additivity_and_trivial():
 def test_hecke_operators_commute(cat_map):
     pp = PrimePower(3, 2)
     group = build_group(cat_map, pp)
-    ops = [propagator(group.ring.matrix_of(group.element(m)), pp).entries for m in (1, 3, 7)]
+    ops = [propagator(group.ring.matrix_of(group.element(m)), pp) for m in (1, 3, 7)]
     for X in ops:
         for Y in ops:
             assert np.abs(X @ Y - Y @ X).max() < 1e-7
@@ -356,7 +356,7 @@ def assert_orbit_matches_dense_oracle(group, monkeypatch):
     orbit decomposition."""
     N, order = group.pp.N, group.order
     orbit = eigendecompose(group)
-    U = propagator(group.ring.matrix_of(group.gen), group.pp).entries
+    U = propagator(group.ring.matrix_of(group.gen), group.pp)
     monkeypatch.setattr(hecke, "_orbit_eig", lambda group: dense_oracle_eig(U))
     dense = eigendecompose(group)
     V = orbit.columns(np.arange(N))
@@ -401,9 +401,29 @@ def test_orbit_eigendecompose_when_generator_power_is_minus_identity(monkeypatch
     assert Counter(len(cols) for cols in orbit.clusters.values()) == {1: 9, 2: 1}
 
 
-def test_eigendecompose_size_cap(cat_map):
-    group = build_group(cat_map, PrimePower(101, 2))  # orbit 10201 x 10100
+def test_eigendecompose_size_cap(cat_map, monkeypatch):
+    # inert 127^2: a folded orbit is #C x (N+1)/2 = 16256 x 8065, 1.31e8 entries
+    group = build_group(cat_map, PrimePower(127, 2))
+    assert group.kind == "inert"
+    monkeypatch.setattr(hecke, "_orbit_eig", lambda group: pytest.fail("allocated past the cap"))
     with pytest.raises(SizeLimitError):
+        eigendecompose(group)
+
+
+def test_eigendecompose_size_cap_admits_split_101_squared(cat_map, monkeypatch):
+    """The split 101^2 needs at most max(N, #C) (N+1)/2 = 10201 x 5101, 5.2e7
+    entries, under the cap: the check lets it through to the solver."""
+    group = build_group(cat_map, PrimePower(101, 2))
+    assert group.kind == "split"
+
+    class Reached(Exception):
+        pass
+
+    def reached(group):
+        raise Reached
+
+    monkeypatch.setattr(hecke, "_orbit_eig", reached)
+    with pytest.raises(Reached):
         eigendecompose(group)
 
 
@@ -438,7 +458,7 @@ def test_split_eigenfunction_is_joint_eigenfunction(cat_map):
         pp = PrimePower(p, k)
         group = build_group(cat_map, pp)
         diag = build_split_diagonalizer(cat_map, pp)
-        ops = [propagator(group.ring.matrix_of(group.element(m)), pp).entries for m in (1, 5)]
+        ops = [propagator(group.ring.matrix_of(group.element(m)), pp) for m in (1, 5)]
         block = split_eigenvectors(group, diag, unit_dlog_array(group, diag), [1, 3, group.order - 1])
         assert np.abs(np.linalg.norm(block, axis=0) - 1).max() < 1e-10
         for v in block.T * math.sqrt(pp.N):  # unit vectors of H_N
@@ -469,7 +489,7 @@ def test_trace_sweep_matches_dense_propagator(cat_map):
     assert {0, 1, 2, 3} <= set(first_of_level)
     sample = sorted({first_of_level[level] for level in (0, 1, 2)} | {1, 5, group.order - 1})
     for m in sample:
-        U = propagator(group.ring.matrix_of(group.element(m)), pp).entries
+        U = propagator(group.ring.matrix_of(group.element(m)), pp)
         dense = abs(np.trace(U)) ** 2
         assert abs(dense - sweep.trace_sq[m]) <= hecke.TRACE_TOL * sweep.kernel[m]
         assert sweep.kernel[m] == 3 ** (2 * sweep.level[m])
