@@ -4,10 +4,14 @@
     qcatmap expsum       --p 101 --k 2 --nu 1 [--out sums.csv]
     qcatmap distribution --p 101 --k 2 --obs observable.json [--out rep.json]
 
-Exit codes: 0 all checks pass, 1 a check failed, a non-finite number
-was about to be emitted or an array would exceed the size cap, 2
-configuration error (a `distribution` observable with a class Q(n)
-divisible by p included).
+Each flag may also come from a --config JSON file, under the flag's name;
+CONFIG_KEYS reads both, and a flag wins.  Exit codes: 0 all checks pass;
+1 a check failed, a non-finite number was about to be emitted, or a size
+limit would be exceeded (an array or group table past the size cap, a
+brute-force domain past BRUTE_FORCE_LIMIT); 2 a configuration error: a bad
+flag or config value, an unreadable config or observable file, a
+`distribution` observable with a class Q(n) divisible by p, or an
+unwritable --out.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 
@@ -103,62 +108,54 @@ def _prime_power(p: int, k: int) -> PrimePower:
         raise ConfigError(str(exc)) from exc
 
 
+def _int_list(value) -> tuple[int, ...]:
+    """A flag's text (see _parse_int_list) or a config file's JSON list of
+    integers; a float in it is a TypeError, not truncated."""
+    return _parse_int_list(value) if isinstance(value, str) else tuple(map(operator.index, value))
+
+
+# flag or config-file key -> (RunConfig field, parser of the flag's text or the file's value)
+CONFIG_KEYS = {
+    "matrix": ("matrix", _int_list),  # _automorphism checks it
+    "p": ("p_list", lambda v: _distinct("p", _int_list(v))),
+    "k": ("k_list", lambda v: _distinct("k", _int_list(v))),
+    "nu": ("nu_list", _int_list),
+    "obs": ("obs_path", str),
+    "seed": ("seed", operator.index),
+    "out": ("out_path", str),
+    "dense_cap": ("dense_cap", operator.index),
+}
 # config-file keys with no flag, by command
 CONFIG_ONLY_KEYS = {"verify": {"dense_cap"}, "distribution": {"dense_cap"}}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then flags.  The file may set only
-    what the command's own flags set, under their names, and its
-    CONFIG_ONLY_KEYS; any other key is a ConfigError."""
-    cfg = RunConfig()
+    """Defaults, then the config file, then the flags that are set, each
+    value read by its CONFIG_KEYS parser.  The file may set only what the
+    command's own flags set, under their names, and its CONFIG_ONLY_KEYS;
+    any other key is a ConfigError."""
+    raw = {}
     if args.config:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        fields = {
-            "matrix": lambda v: tuple(int(x) for x in v),
-            "p": lambda v: _distinct("p", tuple(int(x) for x in v)),
-            "k": lambda v: _distinct("k", tuple(int(x) for x in v)),
-            "nu": lambda v: tuple(int(x) for x in v),
-            "obs": str,
-            "seed": int,
-            "out": str,
-            "dense_cap": int,
-        }
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {args.config} is not a JSON object")
         allowed = (set(vars(args)) - {"command", "config"}) | CONFIG_ONLY_KEYS.get(args.command, set())
         unknown = sorted(set(raw) - allowed)
         if unknown:
             raise ConfigError(f"config keys {unknown} are not read by {args.command}")
-        rename = {"p": "p_list", "k": "k_list", "nu": "nu_list", "obs": "obs_path", "out": "out_path"}
-        for key, conv in fields.items():
-            if key in raw:
+    flags = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None}
+    cfg = RunConfig(explicit_p="p" in raw or "p" in flags)
+    for values in (raw, flags):
+        for key, (field, parse) in CONFIG_KEYS.items():
+            if key in values:
                 try:
-                    value = conv(raw[key])
+                    cfg = replace(cfg, **{field: parse(values[key])})
                 except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad config value {key} = {raw[key]!r}") from exc
-                cfg = replace(cfg, **{rename.get(key, key): value})
-        if "p" in raw:
-            cfg = replace(cfg, explicit_p=True)
-    if args.matrix:
-        vals = _parse_int_list(args.matrix)
-        if len(vals) != 4:
-            raise ConfigError("--matrix needs exactly 4 integers a,b,c,d")
-        cfg = replace(cfg, matrix=vals)
-    if args.p:
-        cfg = replace(cfg, p_list=_distinct("p", _parse_int_list(args.p)), explicit_p=True)
-    if args.k:
-        cfg = replace(cfg, k_list=_distinct("k", _parse_int_list(args.k)))
-    if getattr(args, "nu", None):
-        cfg = replace(cfg, nu_list=_parse_int_list(args.nu))
-    if getattr(args, "obs", None):
-        cfg = replace(cfg, obs_path=args.obs)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_path=args.out)
+                    raise ConfigError(f"bad config value {key} = {values[key]!r}") from exc
     return cfg
 
 
@@ -180,14 +177,13 @@ def _usable_modes(A: TorusAutomorphism, p: int) -> list[tuple[int, int]]:
 
 
 class CheckTable:
-    def __init__(self, stream):
+    def __init__(self):
         self.rows: list[tuple[str, bool, str]] = []
-        self.stream = stream
 
     def add(self, name: str, ok: bool, detail: str = ""):
         self.rows.append((name, ok, detail))
         mark = "PASS" if ok else "FAIL"
-        print(f"[{mark}] {name}" + (f": {detail}" if detail else ""), file=self.stream)
+        print(f"[{mark}] {name}" + (f": {detail}" if detail else ""))
 
     def run(self, name: str, fn):
         try:
@@ -371,7 +367,7 @@ def _check_distribution(A: TorusAutomorphism, seed: int) -> tuple[bool, str]:
     p = next(q for q in (101, 103, 107, 109) if A.disc % q != 0)
     pp = PrimePower(p, 2)
     f = FourierObservable.harmonic_pair((1, 0))
-    sample, _ = dist.normalized_elements_closed(f, hecke.build_group(A, pp))
+    sample = dist.normalized_elements_closed(f, hecke.build_group(A, pp))
     spectrum = dist.twisted_coefficients(f, A)
     model = dist.sample_limit_variable(spectrum, seed, SAMPLER_COUNT)
     rep = dist.compare_distribution(sample, model, winsor_bound=10 * p ** (1 / 6))
@@ -379,10 +375,9 @@ def _check_distribution(A: TorusAutomorphism, seed: int) -> tuple[bool, str]:
     return ok, f"(p,k)=({p},2) two-sample KS {rep.ks:.4f} <= {KS_BOUND}"
 
 
-def cmd_verify(cfg: RunConfig, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_verify(cfg: RunConfig) -> int:
     A = _automorphism(cfg)
-    table = CheckTable(stream)
+    table = CheckTable()
     usable: list[PrimePower] = []
     for p in cfg.p_list:
         spaces = [_prime_power(p, k) for k in sorted(cfg.k_list)]
@@ -478,8 +473,21 @@ def records_to_csv(table: expsum.ExpSumTable) -> str:
     return "".join(chunks)
 
 
-def cmd_expsum(cfg: RunConfig, stream=None) -> int:
-    stream = stream or sys.stdout
+def _write(text: str, out_path: str | None, what: str) -> None:
+    """text to out_path, and "wrote {what} to out_path" on stdout; without
+    an out_path, text to stdout.  An unwritable out_path is a ConfigError."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
+    print(f"wrote {what} to {out_path}")
+
+
+def cmd_expsum(cfg: RunConfig) -> int:
     A = _automorphism(cfg)
     if len(cfg.p_list) != 1 or len(cfg.k_list) != 1:
         raise ConfigError("expsum needs exactly one p and one k")
@@ -499,13 +507,7 @@ def cmd_expsum(cfg: RunConfig, stream=None) -> int:
     except RamifiedPrimeError as exc:
         raise ConfigError(str(exc)) from exc
     table = expsum.scan_characters(group, list(cfg.nu_list))
-    text = records_to_csv(table)
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(table)} records to {cfg.out_path}", file=stream)
-    else:
-        stream.write(text)
+    _write(records_to_csv(table), cfg.out_path, f"{len(table)} records")
     return 0
 
 
@@ -533,7 +535,7 @@ def distribution_report(cfg: RunConfig) -> dict:
         raise ConfigError("distribution needs --obs with a JSON observable")
     try:
         f = load_observable(cfg.obs_path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad observable file: {exc}") from exc
     p, k = cfg.p_list[0], cfg.k_list[0]
     pp = _prime_power(p, k)
@@ -544,6 +546,7 @@ def distribution_report(cfg: RunConfig) -> dict:
     except (BadNuError, RamifiedPrimeError) as exc:
         raise ConfigError(str(exc)) from exc
     winsor = 10.0 * p ** (1.0 / 6.0)
+    n_bad = expsum.bad_character_count(group, [nu * pow(2, -1, pp.N) for nu in spectrum])
 
     if pp.N <= cfg.dense_cap:
         decomp = hecke.eigendecompose(group)
@@ -555,10 +558,9 @@ def distribution_report(cfg: RunConfig) -> dict:
         rep1 = dist.verify_matrix_element_formula(decomp, _usable_modes(A, p))
         sign = rep1.sign
         matched = rep1.unique
-        n_bad = expsum.bad_character_count(group, [nu * pow(2, -1, pp.N) for nu in spectrum])
         del decomp  # frees the basis before the model sample is drawn
     else:
-        sample, n_bad = dist.normalized_elements_closed(f, group)
+        sample = dist.normalized_elements_closed(f, group)
         n_eig = len(sample)
         n_excl = None
         sign = None
@@ -595,16 +597,8 @@ def distribution_report(cfg: RunConfig) -> dict:
     return report
 
 
-def cmd_distribution(cfg: RunConfig, stream=None) -> int:
-    stream = stream or sys.stdout
-    report = distribution_report(cfg)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
-            fh.write(text)
-        print(f"wrote report to {cfg.out_path}", file=stream)
-    else:
-        stream.write(text)
+def cmd_distribution(cfg: RunConfig) -> int:
+    _write(json.dumps(distribution_report(cfg), sort_keys=True, indent=2) + "\n", cfg.out_path, "report")
     return 0
 
 

@@ -251,7 +251,7 @@ def _exp_sum_table(group: HeckeGroup, nus: list[int]) -> np.ndarray:
     return out[:, [col[int(nu) % N] for nu in nus]]
 
 
-def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple[np.ndarray, int | None]:
+def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> np.ndarray:
     """Closed-form model of the F_j sample: one value per character,
 
         F_chi = sqrt(N)/#C * sum_nu f#(nu) E(nu/2, chi).
@@ -260,8 +260,7 @@ def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple
     absorbed into the sweep and the global sign dropped (the law is
     symmetric).  The multiset differs from the true eigenfunction one by
     a density-O(1/p) set.  Returns the sample F, with F[j] the value of
-    chi_j, and the count of characters that are bad for at least one class
-    (None at k = 1).
+    chi_j.
     """
     if not f.is_real:
         raise ValueError("the statistics are defined for real observables")
@@ -272,8 +271,7 @@ def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> tuple
     halved = [nu * inv2 % pp.N for nu in nus]
     table = _exp_sum_table(group, halved)
     weights = np.array([complex(spectrum[nu]).real for nu in nus])
-    vals = (math.sqrt(pp.N) / group.order) * (table.real @ weights)
-    return vals, expsum.bad_character_count(group, halved)
+    return (math.sqrt(pp.N) / group.order) * (table.real @ weights)
 
 
 # -- matrix-element formula verification --------------------------------

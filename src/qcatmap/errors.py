@@ -62,4 +62,5 @@ class EigenClusterError(QcatError, RuntimeError):
 
 
 class SizeLimitError(QcatError, MemoryError):
-    """A dense or orbit array would exceed MAX_ARRAY_ENTRIES complex entries."""
+    """A size limit would be exceeded: an array past MAX_ARRAY_ENTRIES
+    complex entries, or a brute-force domain past BRUTE_FORCE_LIMIT."""

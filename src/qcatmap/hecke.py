@@ -28,6 +28,7 @@ from .errors import (
     NotSplitError,
     RamifiedPrimeError,
     SingularPointError,
+    SizeLimitError,
 )
 from .modarith import PrimePower, inv_mod, legendre, roots_table, sqrt_set, valuation
 from .quantization import TorusAutomorphism, block_columns, check_array_size, propagator_apply
@@ -93,11 +94,6 @@ class QuadOrderMod:
             e >>= 1
         return out
 
-    # sqrt(D) realized as the element 2*alpha - t
-    @property
-    def sqrt_disc(self) -> OrderElement:
-        return (-self.t % self.N, 2 % self.N)
-
     def matrix_of(self, u: OrderElement) -> qz.Mat2:
         """Ring embedding a + b*alpha -> aI + bA (mod N)."""
         a, b = u
@@ -122,20 +118,6 @@ class QuadOrderMod:
         num = ((1 - self.t * x) % self.N, 2 * x % self.N)
         den = ((-self.t * x - 1) % self.N, 2 * x % self.N)
         return self.mul(num, self.inv(den))
-
-    def cayley_inverse(self, beta: OrderElement) -> int:
-        """x = (1 + beta) / (sqrt(D)(beta - 1)) for beta != 1 (mod p).
-
-        Direct algebra on beta = (sx+1)/(sx-1), s = sqrt(D): 1 + beta =
-        2sx/(sx-1) and beta - 1 = 2/(sx-1), so the quotient is exactly x.
-        """
-        a, b = beta
-        num = ((1 + a) % self.N, b)
-        den = self.mul(self.sqrt_disc, ((a - 1) % self.N, b))
-        quot = self.mul(num, self.inv(den))
-        if quot[1] != 0:
-            raise ValueError(f"{beta} is not in the image of the Cayley map")
-        return quot[0]
 
     def congruence_level(self, u: OrderElement) -> int:
         """Largest l <= k with u = 1 (mod p^l)."""
@@ -201,6 +183,8 @@ class HeckeGroup:
         self.ring = QuadOrderMod(A, pp)
         p, k = pp.p, pp.k
         self.order = p ** (k - 1) * (p - 1 if self.kind == "split" else p + 1)
+        # the dlog table holds two int64 per element, the size of one complex entry
+        check_array_size(self.order, f"norm-one group table at {pp}")
         self.gen = self._find_generator()
         self._walk()
 
@@ -246,9 +230,6 @@ class HeckeGroup:
     def element(self, m: int) -> OrderElement:
         return self.ring.pow(self.gen, m % self.order)
 
-    def __contains__(self, u: OrderElement) -> bool:
-        return self.ring.norm(u) == 1  # C is the norm-one group
-
     def dlog(self, u: OrderElement) -> int:
         """Exponent m with g^m = u."""
         return int(self.dlog_encoded(np.asarray([self.encode(u)]))[0])
@@ -272,20 +253,11 @@ class HeckeGroup:
         """dlog(beta(x)) over x = 0..N-1, -1 outside the domain (brute force)."""
         N = self.pp.N
         if N > BRUTE_FORCE_LIMIT:
-            raise ValueError(f"brute-force table for N = {N} is out of desk scale")
+            raise SizeLimitError(f"brute-force Cayley table at N = {N}, limit {BRUTE_FORCE_LIMIT}")
         xs = [x for x in range(N) if self.ring.in_domain(x)]
         tbl = np.full(N, -1, dtype=np.int64)
         tbl[xs] = self.cayley_dlogs(xs)
         return tbl
-
-    def congruence_level(self, u: OrderElement) -> int:
-        return self.ring.congruence_level(u)
-
-    def subgroup_size(self, l: int) -> int:
-        """#{beta in C : beta = 1 (mod p^l)} = p^(k-l) for 1 <= l <= k."""
-        if not 1 <= l <= self.pp.k:
-            raise ValueError("level must satisfy 1 <= l <= k")
-        return self.pp.p ** (self.pp.k - l)
 
     @functools.cached_property
     def roots(self) -> np.ndarray:
@@ -436,7 +408,12 @@ def split_eigenvectors(group: HeckeGroup, diag: SplitDiagonalizer, unit_dlogs: n
 # -- eigendecomposition ----------------------------------------------
 
 
-def _eig_unitary(U: np.ndarray, tol: float = 1e-8, tries: int = 6):
+# a projection of a unit start vector below this norm is roundoff (about 1e-13)
+RANK_TOL = 1e-8
+RESIDUAL_TOL = 1e-8
+
+
+def _eig_unitary(U: np.ndarray):
     """Eigenpairs of a dense unitary matrix via a Hermitian combination; the
     oracle that tests hold the orbit eigensolver against.
 
@@ -450,7 +427,7 @@ def _eig_unitary(U: np.ndarray, tol: float = 1e-8, tries: int = 6):
     rng = np.random.default_rng(0xEC0)
     n = U.shape[0]
     gamma = 0.7548776662466927
-    for _ in range(tries):
+    for _ in range(6):
         # H = (0.5 - 0.5j*gamma) U + (0.5 + 0.5j*gamma) U*
         H = (0.5 - 0.5j * gamma) * U
         H += (0.5 + 0.5j * gamma) * U.conj().T
@@ -467,16 +444,11 @@ def _eig_unitary(U: np.ndarray, tol: float = 1e-8, tries: int = 6):
             Wb -= Vb * lam_b[None, :]
             resid = max(resid, math.sqrt(float(np.einsum("ij,ij->j", Wb.conj(), Wb).real.max())))
             lam[blk] = lam_b
-        if resid < tol:
+        if resid < RESIDUAL_TOL:
             return lam, V
         del V
         gamma = float(rng.uniform(0.3, 3.0))
-    raise EigenClusterError(f"unitary eigensolver residual {resid:.2e} > {tol}")
-
-
-# a projection of a unit start vector below this norm is roundoff (about 1e-13)
-RANK_TOL = 1e-8
-RESIDUAL_TOL = 1e-8
+    raise EigenClusterError(f"unitary eigensolver residual {resid:.2e} > {RESIDUAL_TOL}")
 
 
 def fold(v: np.ndarray) -> np.ndarray:
@@ -776,10 +748,10 @@ class SplitMatchReport:
     max_residual: float
 
 
-def split_match_report(decomp: EigenDecomposition, sample: list[int] | None = None) -> SplitMatchReport:
+def split_match_report(decomp: EigenDecomposition) -> SplitMatchReport:
     """Locate explicit split eigenfunctions in the numerical eigenbasis.
 
-    Each sampled character (default: all) is built by split_eigenvectors
+    Each character is built by split_eigenvectors
     as b; its label comes from the Rayleigh quotient <U(g) b, b> on the
     phase grid of eigendecompose, and its residual ||b - V_c V_c^* b|| from
     the columns V_c of that label's cluster alone.  The matched labels must
@@ -795,13 +767,13 @@ def split_match_report(decomp: EigenDecomposition, sample: list[int] | None = No
     apply_g = propagator_apply(group.ring.matrix_of(group.gen), pp)
     unit_dlogs = unit_dlog_array(group, diag)
     order = group.order
-    idx_all = np.arange(order) if sample is None else np.asarray(sorted(set(sample)))
+    index = np.arange(order)
 
-    matched = np.empty(len(idx_all), dtype=np.int64)
-    resid = np.empty(len(idx_all))
+    matched = np.empty(order, dtype=np.int64)
+    resid = np.empty(order)
     step = block_columns(pp.N)
-    for start in range(0, len(idx_all), step):
-        block = split_eigenvectors(group, diag, unit_dlogs, idx_all[start : start + step])
+    for start in range(0, order, step):
+        block = split_eigenvectors(group, diag, unit_dlogs, index[start : start + step])
         rayleigh = np.einsum("ij,ij->j", block.conj(), apply_g(block))
         labels = _phase_labels(rayleigh, decomp.phase, order)
         matched[start : start + len(labels)] = labels
@@ -810,7 +782,7 @@ def split_match_report(decomp: EigenDecomposition, sample: list[int] | None = No
             b = block[:, j]
             resid[start + j] = np.linalg.norm(b - Vc @ (Vc.conj().T @ b))
 
-    shifts = (matched - idx_all) % order
+    shifts = (matched - index) % order
     shift_ok = bool(np.all(shifts == shifts[0]))
     shift = int(shifts[0])
     mult_ok = shift_ok and all(

@@ -47,11 +47,11 @@ BLOCK_BYTES = 1 << 20
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
-def check_array_size(entries: int, what: str) -> None:
+def check_array_size(size: int, what: str) -> None:
     """Raise SizeLimitError, before allocating, if an array would hold
     more than MAX_ARRAY_ENTRIES complex entries."""
-    if entries > MAX_ARRAY_ENTRIES:
-        raise SizeLimitError(f"{what} needs {entries} complex entries, cap {MAX_ARRAY_ENTRIES}")
+    if size > MAX_ARRAY_ENTRIES:
+        raise SizeLimitError(f"{what} needs {size} complex entries, cap {MAX_ARRAY_ENTRIES}")
 
 
 def block_columns(rows: int) -> int:
@@ -154,10 +154,10 @@ class FourierObservable:
         return complex(self.coeffs.get((0, 0), 0.0))
 
     @classmethod
-    def harmonic_pair(cls, n: tuple[int, int], amplitude: complex = 0.5) -> "FourierObservable":
-        """Real observable with modes +-n: amplitude*e(n.x) + conj(...)e(-n.x)."""
-        n = (int(n[0]), int(n[1]))
-        return cls({n: complex(amplitude), (-n[0], -n[1]): complex(amplitude).conjugate()})
+    def harmonic_pair(cls, n: tuple[int, int]) -> "FourierObservable":
+        """Real observable with modes +-n: cos(2 pi n.x) = e(n.x)/2 + e(-n.x)/2."""
+        n, half = (int(n[0]), int(n[1])), complex(0.5)
+        return cls({n: half, (-n[0], -n[1]): half.conjugate()})
 
 
 def load_observable(path: str) -> FourierObservable:

@@ -20,7 +20,7 @@ from qcatmap.quantization import (
 )
 from qcatmap import expsum, hecke
 from qcatmap import distribution as dist
-from qcatmap.hecke import build_group, eigendecompose, split_match_report, unit_character_level
+from qcatmap.hecke import build_group, eigendecompose, split_match_report
 
 from conftest import decompose, matrix_for_prime
 
@@ -83,21 +83,17 @@ def test_criterion3_split_multiplicities(p, k):
 
 @pytest.mark.slow
 def test_criterion3_split_multiplicities_19_cubed():
-    """The 6859-dimensional split case: residuals on a stratified character
-    sample, multiplicities for the whole dual group via the label shift."""
+    """The 6859-dimensional split case: residuals on every character,
+    multiplicities for the whole dual group via the label shift."""
     A = matrix_for_prime(19)
-    pp = PrimePower(19, 3)
-    group = build_group(A, pp)
-    low_level = [j for j in range(group.order) if unit_character_level(group, j) < 3]
-    high = list(range(0, group.order, 20))
-    sample = sorted(set(low_level) | set(high))
-    rep = split_match_report(eigendecompose(group), sample=sample)
+    group = build_group(A, PrimePower(19, 3))
+    rep = split_match_report(eigendecompose(group))
     assert rep.max_residual < 1e-7
     assert rep.shift_ok
     assert rep.multiplicities_ok
     _pass(
         f"criterion 3: (p,k)=(19,3) residual {rep.max_residual:.1e} on "
-        f"{len(sample)} sampled characters, multiplicities k-l+1 for all"
+        f"all {group.order} characters, multiplicities k-l+1 for all"
     )
 
 
@@ -191,11 +187,11 @@ def test_criterion7c_limiting_distribution_ks():
     A = matrix_for_prime(101)
     pp = PrimePower(101, 2)
     f = FourierObservable.harmonic_pair((1, 0))
-    sample, n_bad = dist.normalized_elements_closed(f, build_group(A, pp))
+    sample = dist.normalized_elements_closed(f, build_group(A, pp))
     model = dist.sample_limit_variable(dist.twisted_coefficients(f, A), seed=20260809, count=100_000)
     rep = dist.compare_distribution(sample, model, winsor_bound=10 * 101 ** (1 / 6))
     assert rep.ks <= 0.15
-    _pass(f"criterion 7c: (101,2) two-sample KS {rep.ks:.4f} <= 0.15 ({n_bad} bad characters)")
+    _pass(f"criterion 7c: (101,2) two-sample KS {rep.ks:.4f} <= 0.15")
 
 
 def test_criterion8_counting_oracles():

@@ -112,11 +112,15 @@ def test_matrix_entries_may_repeat():
         (None, "cfg.json"),
         (json.dumps({"p": [3, 3], "k": [2]}), "p list repeats 3"),
         (json.dumps({"p": [3], "k": [2, 3, 2]}), "k list repeats 2"),
+        ("3", "not a JSON object"),
+        (json.dumps({"p": [11.9], "k": [2]}), "11.9"),
+        (json.dumps({"p": [11], "k": [2], "nu": ["1"]}), "'1'"),
     ],
 )
 def test_bad_config_file_exits_2(text, word, tmp_path, capsys):
-    """A non-integer list, a file that is no JSON, a missing file and a
-    repeated prime or exponent."""
+    """A non-integer list, a file that is no JSON, a missing file, a
+    repeated prime or exponent, a file that is no JSON object, and a float
+    or a string where an integer belongs (never truncated or parsed)."""
     cfg = tmp_path / "cfg.json"
     if text is not None:
         cfg.write_text(text)
@@ -271,6 +275,42 @@ def test_distribution_rejects_class_divisible_by_p_first(k, tmp_path, monkeypatc
     write_obs(obs, {(1, 4): 0.5 + 0j, (-1, -4): 0.5 + 0j})
     assert run_cli(["distribution", "--p", "19", "--k", str(k), "--obs", str(obs)]) == 2
     assert "class nu = 19 is divisible by p = 19" in capsys.readouterr().err
+
+
+COS_OBS = json.dumps([{"n1": 1, "n2": 0, "re": 0.5, "im": 0.0}, {"n1": -1, "n2": 0, "re": 0.5, "im": 0.0}])
+
+
+@pytest.mark.parametrize(
+    "argv,obs,code,words",
+    [
+        pytest.param(["expsum", "--p", "100003", "--k", "2", "--nu", "1"], None, 1, ["group table"], id="group-table"),
+        pytest.param(["distribution", "--p", "300007", "--k", "1"], COS_OBS, 1, ["brute-force"], id="brute-force"),
+        pytest.param(["expsum", "--p", "11", "--k", "2", "--out", "/nonexistent/x.csv"], None, 2, ["cannot write"],
+                     id="expsum-out"),
+        pytest.param(["distribution", "--p", "13", "--k", "2", "--out", "/nonexistent/x.json"], COS_OBS, 2,
+                     ["cannot write"], id="distribution-out"),
+        pytest.param(["distribution", "--p", "13", "--k", "2"], '{"n1": 1}', 2, ["bad observable"], id="obs-object"),
+        pytest.param(["distribution", "--p", "13", "--k", "2"], "[1, 2]", 2, ["bad observable"], id="obs-numbers"),
+    ],
+)
+def test_limits_and_files_exit_with_one_line(argv, obs, code, words, tmp_path, monkeypatch, capsys):
+    """A norm-one group table past the size cap, checked before the group
+    looks for a generator; a k = 1 brute-force domain past its limit; an
+    unwritable --out; an observable file that is no list of records.  Each
+    exits with one line on stderr and no traceback."""
+    from qcatmap import hecke
+
+    def no_work(self):
+        raise AssertionError("the generator search ran")
+
+    if "100003" in argv:
+        monkeypatch.setattr(hecke.HeckeGroup, "_find_generator", no_work)
+    if obs is not None:
+        path = tmp_path / "obs.json"
+        path.write_text(obs)
+        argv = argv + ["--obs", str(path)]
+    assert run_cli(argv) == code
+    assert_one_line_error(capsys, *words)
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -477,7 +477,7 @@ def test_character_mask_and_sign_give_the_dense_sample(p, k):
     nus = sorted(spectrum)
     table = _exp_sum_table(group, [nu * pow(2, -1, pp.N) % pp.N for nu in nus])
     F_j = math.sqrt(pp.N) / group.order * (table.real @ np.array([complex(spectrum[nu]).real for nu in nus]))
-    F, _ = normalized_elements_closed(f, group)  # in character-index order
+    F = normalized_elements_closed(f, group)  # in character-index order
     assert np.abs(F - F_j).max() < 1e-12
     sign = 1 if group.kind == "split" else (-1) ** k
     dense = np.sort(normalized_elements(f, decomp).values)
@@ -488,9 +488,10 @@ def test_closed_form_sample_matches_law(cat_map):
     pp = PrimePower(101, 2)
     f = FourierObservable.harmonic_pair((1, 0))
     group = build_group(cat_map, pp)
-    sample, n_bad = normalized_elements_closed(f, group)
+    sample = normalized_elements_closed(f, group)
     assert len(sample) == group.order
-    assert n_bad == 101 - 1
+    halved = [nu * pow(2, -1, pp.N) for nu in twisted_coefficients(f, cat_map)]
+    assert expsum.bad_character_count(group, halved) == 101 - 1
     scale = math.sqrt(pp.N) * 101 / group.order
     rep = compare_distribution(sample, ScaledLimitLaw(scale))
     assert rep.ks < 0.05

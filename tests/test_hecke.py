@@ -55,7 +55,7 @@ def test_group_order(p, k, kind, order):
     group = build_group(matrix_for_prime(p), PrimePower(p, k))
     assert group.kind == kind
     assert group.order == order
-    assert (1, 0) in group
+    assert group.dlog(group.ring.one) == 0
 
 
 # inert at 3, 5, 7 and split at 11, 19, for k = 1..4; the orders 4 and 36 are
@@ -158,7 +158,6 @@ def test_cayley_transform_basics(cat_map):
     for x in range(27):
         assert ring.in_domain(x)  # inert: D x^2 = 1 has no solution
         assert ring.norm(ring.cayley_transform(x)) == 1
-        assert ring.cayley_inverse(ring.cayley_transform(x)) == x
     # split case has two singular lines mod p
     ring11 = build_group(cat_map, PrimePower(11, 1)).ring
     bad = next(x for x in range(11) if not ring11.in_domain(x))
@@ -173,7 +172,7 @@ def test_cayley_bijection_onto_nontrivial_part(p, k):
     group = build_group(A, pp)
     ring = group.ring
     image = {ring.cayley_transform(x) for x in range(pp.N) if ring.in_domain(x)}
-    target = {group.element(m) for m in range(group.order) if group.congruence_level(group.element(m)) == 0}
+    target = {group.element(m) for m in range(group.order) if ring.congruence_level(group.element(m)) == 0}
     assert image == target
     assert len(image) == sum(ring.in_domain(x) for x in range(pp.N))  # injective
 
@@ -184,9 +183,9 @@ def test_congruence_subgroup_sizes(cat_map):
         group = build_group(matrix_for_prime(p), PrimePower(p, k))
         for l in range(1, k + 1):
             census = sum(
-                1 for m in range(group.order) if group.congruence_level(group.element(m)) >= l
+                1 for m in range(group.order) if group.ring.congruence_level(group.element(m)) >= l
             )
-            assert census == group.subgroup_size(l) == p ** (k - l)
+            assert census == p ** (k - l)
 
 
 def test_generator_has_exact_order():
@@ -242,7 +241,7 @@ def test_property_membership_matches_dlog_table(space, kind, data):
         found = True
     except KeyError:
         found = False
-    assert (u in group) == found
+    assert (group.ring.norm(u) == 1) == found
     assert found or kind != "element"
 
 
@@ -507,7 +506,7 @@ def test_trace_spectral_sweep_matches_kernels(cat_map):
             for m in range(group.order)
         ]
         assert sweep.kernel.tolist() == oracle
-        assert sweep.level.tolist() == [group.congruence_level(group.element(m)) for m in range(group.order)]
+        assert sweep.level.tolist() == [group.ring.congruence_level(group.element(m)) for m in range(group.order)]
         if group.kind == "inert":
             assert np.array_equal(sweep.kernel, p ** (2 * sweep.level))
     # one NaN trace makes the worst gap NaN, which fails every <= tolerance
