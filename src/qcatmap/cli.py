@@ -7,11 +7,10 @@
 Each flag may also come from a --config JSON file, under the flag's name;
 CONFIG_KEYS reads both, and a flag wins.  Exit codes: 0 all checks pass;
 1 a check failed, a non-finite number was about to be emitted, or a size
-limit would be exceeded (an array or group table past the size cap, a
-brute-force domain past BRUTE_FORCE_LIMIT); 2 a configuration error: a bad
-flag or config value, an unreadable config or observable file, a
-`distribution` observable with a class Q(n) divisible by p, or an
-unwritable --out.
+limit would be exceeded (an array, group table or Cayley table past the
+size cap); 2 a configuration error: a bad flag or config value, an
+unreadable config or observable file, a `distribution` observable with a
+class Q(n) divisible by p, or an unwritable --out.
 """
 
 from __future__ import annotations

@@ -62,5 +62,4 @@ class EigenClusterError(QcatError, RuntimeError):
 
 
 class SizeLimitError(QcatError, MemoryError):
-    """A size limit would be exceeded: an array past MAX_ARRAY_ENTRIES
-    complex entries, or a brute-force domain past BRUTE_FORCE_LIMIT."""
+    """An array would hold more than MAX_ARRAY_ENTRIES complex entries."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BoundExceededError, KTooSmallError, NonUnitError, WrongKError
 from .hecke import HeckeGroup
-from .modarith import PrimePower, gauss_quadratic_closed, roots_table
+from .modarith import PrimePower, gauss_quadratic_closed, inv_mod, roots_table
 
 LIFT_CHECK_TOL = 1e-9
 REALNESS_TOL = 1e-8
@@ -115,14 +115,14 @@ def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
     # per-x tables over [0, p^l) (row 0) and the lifts x + p^l (row 1):
     # dlog beta(x), -1 outside the domain, and for odd k 1/(D x^2 - 1)
     xs = np.arange(pl, dtype=np.int64)
-    dom = np.nonzero((D % p * (xs % p) ** 2 - 1) % p)[0]
+    dom = np.flatnonzero(group.ring.in_domain(xs))
     dlogs = np.full((2, pl), -1, dtype=np.int64)
     den_inv = np.zeros((2, pl), dtype=np.int64)
     for lift in (0, 1):
-        shifted = [int(x) + lift * pl for x in dom]
+        shifted = dom + lift * pl
         dlogs[lift, dom] = group.cayley_dlogs(shifted)
         if odd:
-            den_inv[lift, dom] = [pow((D * x * x - 1) % pl1, -1, pl1) for x in shifted]
+            den_inv[lift, dom] = inv_mod(D * shifted % pl1 * shifted - 1, PrimePower(p, l + 1))
 
     # every square root mod p^l of every w, from one sort of the squares
     squares = xs * xs % pl

@@ -14,6 +14,7 @@ is stored folded onto x = 0..(N-1)/2.  A character of C is its integer index j: 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -28,15 +29,11 @@ from .errors import (
     NotSplitError,
     RamifiedPrimeError,
     SingularPointError,
-    SizeLimitError,
 )
 from .modarith import PrimePower, inv_mod, legendre, roots_table, sqrt_set, valuation
 from .quantization import TorusAutomorphism, block_columns, check_array_size, propagator_apply
 
 OrderElement = tuple[int, int]
-
-# brute force enumerates the whole domain; keep it at desk scale
-BRUTE_FORCE_LIMIT = 300_000
 
 
 def classify_prime(A: TorusAutomorphism, p: int) -> str:
@@ -73,18 +70,7 @@ class QuadOrderMod:
         a, b = u
         return (a * a + a * b * self.t + b * b) % self.N
 
-    def conj(self, u: OrderElement) -> OrderElement:
-        a, b = u
-        return ((a + b * self.t) % self.N, -b % self.N)
-
-    def inv(self, u: OrderElement) -> OrderElement:
-        s = inv_mod(self.norm(u), self.pp)
-        a, b = self.conj(u)
-        return (a * s % self.N, b * s % self.N)
-
     def pow(self, u: OrderElement, e: int) -> OrderElement:
-        if e < 0:
-            return self.pow(self.inv(u), -e)
         out = self.one
         base = u
         while e:
@@ -103,21 +89,22 @@ class QuadOrderMod:
             ((b * A.c) % self.N, (a + b * A.d) % self.N),
         )
 
-    def in_domain(self, x: int) -> bool:
-        """True when D*x^2 != 1 (mod p), i.e. the Cayley map is defined."""
-        return (self.D * x * x - 1) % self.pp.p != 0
+    def in_domain(self, x):
+        """True when D*x^2 != 1 (mod p), i.e. the Cayley map is defined (elementwise on arrays)."""
+        x = x % self.pp.p
+        return (self.D * x % self.pp.p * x - 1) % self.pp.p != 0
 
-    def cayley_transform(self, x: int) -> OrderElement:
-        """(sqrt(D)x + 1) / (sqrt(D)x - 1), a norm-one element for x in the domain.
-
-        Numerator and denominator both have norm 1 - D*x^2.
-        """
-        if not self.in_domain(x):
-            raise SingularPointError(f"D*{x}^2 = 1 mod {self.pp.p}")
-        x %= self.N
+    def cayley_transform(self, x) -> OrderElement:
+        """(sqrt(D)x + 1) / (sqrt(D)x - 1) = (sqrt(D)x + 1)^2 / (D x^2 - 1), a
+        norm-one element for x in the domain (sqrt(D) = 2 alpha - t); of a
+        Python int, or elementwise of an int64 array."""
+        singular = np.logical_not(self.in_domain(x))
+        if np.any(singular):
+            raise SingularPointError(f"D*{np.extract(singular, x)[0]}^2 = 1 mod {self.pp.p}")
+        x = x % self.N
         num = ((1 - self.t * x) % self.N, 2 * x % self.N)
-        den = ((-self.t * x - 1) % self.N, 2 * x % self.N)
-        return self.mul(num, self.inv(den))
+        s = inv_mod(self.D * x % self.N * x - 1, self.pp)
+        return self.mul(self.mul(num, num), (s, 0))
 
     def congruence_level(self, u: OrderElement) -> int:
         """Largest l <= k with u = 1 (mod p^l)."""
@@ -191,22 +178,17 @@ class HeckeGroup:
     # -- construction -------------------------------------------------
 
     def _find_generator(self) -> OrderElement:
+        """The first beta(x) that generates C: 200 seeded draws of x, then x = 0..N-1."""
         ring = self.ring
         primes = _factor_small(self.order)
         rng = random.Random(self.pp.p * 1_000_003 + self.pp.k * 101 + self.A.trace)
-
-        def is_generator(beta: OrderElement) -> bool:
-            if ring.norm(beta) != 1:
-                return False
-            return all(ring.pow(beta, self.order // q) != ring.one for q in primes)
-
-        for _ in range(200):
-            x = rng.randrange(self.pp.N)
-            if ring.in_domain(x) and is_generator(ring.cayley_transform(x)):
-                return ring.cayley_transform(x)
-        for x in range(self.pp.N):  # deterministic fallback
-            if ring.in_domain(x) and is_generator(ring.cayley_transform(x)):
-                return ring.cayley_transform(x)
+        draws = (rng.randrange(self.pp.N) for _ in range(200))
+        for x in itertools.chain(draws, range(self.pp.N)):
+            if not ring.in_domain(x):
+                continue
+            beta = ring.cayley_transform(x)
+            if ring.norm(beta) == 1 and all(ring.pow(beta, self.order // q) != ring.one for q in primes):
+                return beta
         raise RuntimeError(f"no generator found for C({self.pp})")
 
     def _walk(self):
@@ -240,23 +222,22 @@ class HeckeGroup:
             raise KeyError("element outside the norm-one group")
         return self._sort_perm[i]
 
-    def cayley_dlogs(self, xs) -> np.ndarray:
-        """dlog(beta(x)) for each x (must be in the domain)."""
-        enc = np.fromiter(
-            (self.encode(self.ring.cayley_transform(int(x))) for x in xs),
-            dtype=np.int64,
-        )
-        return self.dlog_encoded(enc) if len(enc) else enc
+    def cayley_dlogs(self, xs: np.ndarray) -> np.ndarray:
+        """dlog(beta(x)) for each x of an int64 array (all in the domain)."""
+        return self.dlog_encoded(self.encode(self.ring.cayley_transform(xs)))
 
     @functools.cached_property
     def cayley_table(self) -> np.ndarray:
-        """dlog(beta(x)) over x = 0..N-1, -1 outside the domain (brute force)."""
+        """dlog(beta(x)) over x = 0..N-1, -1 outside the domain (brute force),
+        in blocks of BLOCK_BYTES // 16 values of x, whose temporaries take about BLOCK_BYTES."""
         N = self.pp.N
-        if N > BRUTE_FORCE_LIMIT:
-            raise SizeLimitError(f"brute-force Cayley table at N = {N}, limit {BRUTE_FORCE_LIMIT}")
-        xs = [x for x in range(N) if self.ring.in_domain(x)]
+        check_array_size(N, f"brute-force Cayley table at {self.pp}")
         tbl = np.full(N, -1, dtype=np.int64)
-        tbl[xs] = self.cayley_dlogs(xs)
+        step = qz.BLOCK_BYTES // 16
+        for x0 in range(0, N, step):
+            xs = np.arange(x0, min(x0 + step, N), dtype=np.int64)
+            xs = xs[self.ring.in_domain(xs)]
+            tbl[xs] = self.cayley_dlogs(xs)
         return tbl
 
     @functools.cached_property

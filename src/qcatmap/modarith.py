@@ -1,8 +1,8 @@
 """Exact arithmetic over Z/p^k for odd primes p.
 
 Inverses, Legendre symbols, square-root sets with Hensel lifting, a
-table of roots of unity, and quadratic Gauss sums.  Everything here works
-on plain Python integers; nothing modular ever passes through floats.
+table of roots of unity, and quadratic Gauss sums.  All of it is exact, on
+Python integers or int64 arrays; nothing modular ever passes through floats.
 """
 
 from __future__ import annotations
@@ -76,12 +76,23 @@ def valuation(n: int, p: int) -> int:
     return a
 
 
-def inv_mod(a: int, pp: PrimePower) -> int:
-    """Inverse of a modulo p^k; raises NonUnitError when p | a."""
-    a %= pp.N
-    if a % pp.p == 0:
-        raise NonUnitError(f"{a} is not a unit mod {pp}")
-    return pow(a, -1, pp.N)
+def inv_mod(a, pp: PrimePower):
+    """Inverse a^(phi(N) - 1) of a modulo N = p^k, of a Python int or
+    elementwise of an int64 array; NonUnitError when p divides any a.  On
+    arrays every sum of products, here and in the ring arithmetic, stays
+    below 3 N^2 < 2^63: every array caller runs within the size cap, N <= ~1e8."""
+    N = pp.N
+    a = a % N
+    nonunit = a % pp.p == 0
+    if np.any(nonunit):
+        raise NonUnitError(f"{np.extract(nonunit, a)[0]} is not a unit mod {pp}")
+    out, e = 1, N - N // pp.p - 1
+    while e:
+        if e & 1:
+            out = out * a % N
+        a = a * a % N
+        e >>= 1
+    return out
 
 
 def legendre(a: int, p: int) -> int:
@@ -203,7 +214,7 @@ def gauss_quadratic_closed(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     symbol[0] = 0.0
     symbol[units * units % p] = 1.0
     inverse = np.zeros(p, dtype=np.int64)
-    inverse[units] = [pow(int(u), -1, p) for u in units]
+    inverse[units] = inv_mod(units, PrimePower(p, 1))
     eps_sqrt = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
     out = np.where(g == 0, complex(p), 0j)
     unit = f != 0

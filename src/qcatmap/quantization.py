@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -166,7 +167,7 @@ def load_observable(path: str) -> FourierObservable:
         records = json.load(fh)
     coeffs: dict[tuple[int, int], complex] = {}
     for rec in records:
-        n = (int(rec["n1"]), int(rec["n2"]))
+        n = (operator.index(rec["n1"]), operator.index(rec["n2"]))
         if n in coeffs:
             raise ValueError(f"duplicate mode {n} in {path}")
         coeffs[n] = complex(float(rec["re"]), float(rec["im"]))

@@ -1,8 +1,10 @@
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,32 +280,37 @@ def test_distribution_rejects_class_divisible_by_p_first(k, tmp_path, monkeypatc
 
 
 COS_OBS = json.dumps([{"n1": 1, "n2": 0, "re": 0.5, "im": 0.0}, {"n1": -1, "n2": 0, "re": 0.5, "im": 0.0}])
+FLOAT_MODES_OBS = json.dumps([{"n1": 1.7, "n2": 0, "re": 0.5, "im": 0.0}, {"n1": -1.7, "n2": 0, "re": 0.5, "im": 0.0}])
 
 
 @pytest.mark.parametrize(
     "argv,obs,code,words",
     [
         pytest.param(["expsum", "--p", "100003", "--k", "2", "--nu", "1"], None, 1, ["group table"], id="group-table"),
-        pytest.param(["distribution", "--p", "300007", "--k", "1"], COS_OBS, 1, ["brute-force"], id="brute-force"),
+        pytest.param(["distribution", "--p", "67108879", "--k", "1"], COS_OBS, 1, ["group table"], id="brute-force"),
         pytest.param(["expsum", "--p", "11", "--k", "2", "--out", "/nonexistent/x.csv"], None, 2, ["cannot write"],
                      id="expsum-out"),
         pytest.param(["distribution", "--p", "13", "--k", "2", "--out", "/nonexistent/x.json"], COS_OBS, 2,
                      ["cannot write"], id="distribution-out"),
         pytest.param(["distribution", "--p", "13", "--k", "2"], '{"n1": 1}', 2, ["bad observable"], id="obs-object"),
         pytest.param(["distribution", "--p", "13", "--k", "2"], "[1, 2]", 2, ["bad observable"], id="obs-numbers"),
+        pytest.param(["distribution", "--p", "13", "--k", "2"], FLOAT_MODES_OBS, 2, ["bad observable"],
+                     id="obs-float-modes"),
     ],
 )
 def test_limits_and_files_exit_with_one_line(argv, obs, code, words, tmp_path, monkeypatch, capsys):
     """A norm-one group table past the size cap, checked before the group
-    looks for a generator; a k = 1 brute-force domain past its limit; an
-    unwritable --out; an observable file that is no list of records.  Each
-    exits with one line on stderr and no traceback."""
+    looks for a generator, at k = 2 and at k = 1, where the brute-force
+    route has no limit of its own (split p = 67108879: #C = p - 1 > 2^26);
+    an unwritable --out; an observable file that is no list of records, or
+    whose modes are no integers (1.7 is not read as 1).  Each exits with
+    one line on stderr and no traceback."""
     from qcatmap import hecke
 
     def no_work(self):
         raise AssertionError("the generator search ran")
 
-    if "100003" in argv:
+    if words == ["group table"]:
         monkeypatch.setattr(hecke.HeckeGroup, "_find_generator", no_work)
     if obs is not None:
         path = tmp_path / "obs.json"
@@ -580,3 +587,24 @@ def test_every_public_name_resolves():
 
     assert [name for name in qcatmap.__all__ if not hasattr(qcatmap, name)] == []
     assert len(set(qcatmap.__all__)) == len(qcatmap.__all__)
+
+
+def test_no_unused_imports():
+    """Every name a qcatmap module imports is referenced in that module or
+    listed in its __all__; the repository runs no linter, so this test
+    stands in for one."""
+    import qcatmap
+
+    unused = []
+    for path in sorted(Path(qcatmap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                imported.update({(alias.asname or alias.name).split(".")[0]: node.lineno for alias in node.names})
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

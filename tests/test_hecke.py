@@ -17,7 +17,7 @@ from qcatmap.errors import (
 )
 from qcatmap.modarith import PrimePower, is_prime, legendre
 from qcatmap.quantization import IDENTITY2, TorusAutomorphism, mat_sub, propagator, propagator_apply
-from qcatmap import hecke
+from qcatmap import hecke, quantization
 from qcatmap.hecke import (
     QuadOrderMod,
     _power_blocks,
@@ -163,6 +163,30 @@ def test_cayley_transform_basics(cat_map):
     bad = next(x for x in range(11) if not ring11.in_domain(x))
     with pytest.raises(SingularPointError):
         ring11.cayley_transform(bad)
+    # on an array the error names the first of its singular x
+    with pytest.raises(SingularPointError, match=rf"D\*{bad}\^2 = 1 mod 11"):
+        ring11.cayley_transform(np.array([1, 2, bad, 11 - bad, 4], dtype=np.int64))
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (7, 2), (7, 3), (11, 1), (11, 2), (11, 3)])
+def test_cayley_table_matches_per_x_loop(p, k, monkeypatch):
+    """The array Cayley table, inert at 7 and split at 11, equals one scalar
+    Cayley map and dlog per x; blocks of 5 values of x put block
+    boundaries inside N."""
+    monkeypatch.setattr(quantization, "BLOCK_BYTES", 16 * 5)
+    group = build_group(matrix_for_prime(p), PrimePower(p, k))
+    ring = group.ring
+    loop = [group.dlog(ring.cayley_transform(x)) if ring.in_domain(x) else -1 for x in range(group.pp.N)]
+    assert group.cayley_table.tolist() == loop
+
+
+def test_cayley_table_size_cap(cat_map, monkeypatch):
+    """At the split 11^2 a cap of 115 admits the group table (#C = 110) and
+    refuses the Cayley table (N = 121) before it allocates."""
+    monkeypatch.setattr(quantization, "MAX_ARRAY_ENTRIES", 115)
+    group = build_group(cat_map, PrimePower(11, 2))
+    with pytest.raises(SizeLimitError, match="Cayley table at 11\\^2"):
+        group.cayley_table
 
 
 @pytest.mark.parametrize("p,k", [(3, 3), (11, 2), (5, 3), (3, 5)])

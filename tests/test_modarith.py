@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcatmap.errors import BadPrimePowerError, EvenPrimeError, NonUnitError
@@ -60,6 +61,30 @@ def test_inv_mod_involution():
             b = inv_mod(a, pp)
             assert a * b % pp.N == 1
             assert inv_mod(b, pp) == a
+
+
+@st.composite
+def units_mod_prime_power(draw):
+    """(a, pp): an int64 array of units modulo p^k <= ~1e9, k = 1..4, with
+    p the first prime at or above a drawn integer."""
+    k = draw(st.integers(1, 4))
+    start = draw(st.integers(3, int(1e9 ** (1 / k))))
+    pp = PrimePower(next(q for q in itertools.count(start) if is_prime(q)), k)
+    a = draw(st.lists(st.integers(1, pp.N - 1), min_size=1, max_size=40))
+    return np.array([x for x in a if x % pp.p] or [1], dtype=np.int64), pp
+
+
+@given(units_mod_prime_power())
+@example((np.array([2, 999_999_936, 123_456_789], dtype=np.int64), PrimePower(999_999_937, 1)))
+@example((np.array([2, 173**4 - 1, 173**4 - 2], dtype=np.int64), PrimePower(173, 4)))
+def test_property_inv_mod_array_equals_pow(case):
+    """inv_mod on an array is Python's pow(a, -1, N) entry by entry, and one
+    non-unit in the array raises NonUnitError naming it."""
+    a, pp = case
+    assert inv_mod(a, pp).tolist() == [pow(x, -1, pp.N) for x in a.tolist()]
+    bad = 3 * pp.p % pp.N
+    with pytest.raises(NonUnitError, match=f"^{bad} is not a unit"):
+        inv_mod(np.insert(a, len(a) // 2, bad), pp)
 
 
 def test_legendre_examples():
