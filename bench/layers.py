@@ -16,12 +16,17 @@ Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
   group p^2     -- `hecke.build_group` at 349^2, 1009^2 and 3001^2
   csv p^2       -- `cli.records_to_csv` of `scan_characters(group, [1])` at
                    349^2 and 1009^2 (the group and the scan are not timed)
-  elements p^2  -- `distribution.normalized_elements` of the observable
-                   with the modes +-n of `cli.DEFAULT_MODES`, plus
-                   `distribution.verify_matrix_element_formula` over those
-                   n, at 37^2 (inert) and 41^2 (split).  `eigendecompose`
-                   is timed apart as `eigendecompose_s`, and
-                   `eigendecompose_peak_rss_mb` is the peak RSS when it
+  elements p^2  -- the dense matrix elements as `distribution` runs them,
+                   at 37^2 (inert) and 41^2 (split): one
+                   `distribution.matrix_elements` pass over the modes +-n
+                   of `cli.DEFAULT_MODES` and the usable default modes,
+                   then `distribution.normalized_elements` of the
+                   observable with those +-n and
+                   `distribution.verify_matrix_element_formula` over the
+                   usable modes, both read from that pass.  A tree without
+                   `matrix_elements` makes one pass per call instead.
+                   `eigendecompose` is timed apart as `eigendecompose_s`,
+                   and `eigendecompose_peak_rss_mb` is the peak RSS when it
                    returns, so `peak_rss_mb` above it is the elements' own.
   eigen p^3     -- `hecke.eigendecompose` alone at 13^3 (inert) and 19^3
                    (split); the group build is not timed.
@@ -80,11 +85,16 @@ else:
     t0 = time.perf_counter()
     decomp = hecke.eigendecompose(group)
     extra = {"eigendecompose_s": time.perf_counter() - t0, "eigendecompose_peak_rss_mb": peak_rss_mb()}
-    modes = list(cli.DEFAULT_MODES)
-    f = FourierObservable({m: 0.5 for n in modes for m in (n, (-n[0], -n[1]))})
+    f = FourierObservable({m: 0.5 for n in cli.DEFAULT_MODES for m in (n, (-n[0], -n[1]))})
+    modes = cli._usable_modes(A, p)
     t0 = time.perf_counter()
-    distribution.normalized_elements(f, decomp)
-    distribution.verify_matrix_element_formula(decomp, modes)
+    if hasattr(distribution, "matrix_elements"):
+        elements = distribution.matrix_elements(decomp, [*f.coeffs, *modes])
+        distribution.normalized_elements(f, elements)
+        distribution.verify_matrix_element_formula(elements, modes)
+    else:  # the API before the one-pass matrix elements
+        distribution.normalized_elements(f, decomp)
+        distribution.verify_matrix_element_formula(decomp, modes)
     s, items = time.perf_counter() - t0, pp.N
 print(json.dumps({"s": s, "peak_rss_mb": peak_rss_mb(), "items": items, **extra}))
 """

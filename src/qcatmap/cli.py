@@ -212,6 +212,11 @@ class Space:
     def decomp(self) -> hecke.EigenDecomposition:
         return hecke.eigendecompose(self.group)
 
+    @functools.cached_property
+    def elements(self) -> dist.MatrixElements:
+        """The matrix elements of the usable default modes, one pass for every check that reads them."""
+        return dist.matrix_elements(self.decomp, _usable_modes(self.A, self.pp.p))
+
 
 def _check_modarith() -> dict[str, int]:
     """Mismatches of each family of modarith routines against its oracle."""
@@ -327,7 +332,7 @@ def _expsum_summary(parts) -> tuple[bool, str]:
 
 
 def _formula_part(space: Space) -> tuple[PrimePower, bool, int]:
-    rep = dist.verify_matrix_element_formula(space.decomp, _usable_modes(space.A, space.pp.p))
+    rep = dist.verify_matrix_element_formula(space.elements, _usable_modes(space.A, space.pp.p))
     return space.pp, rep.unique, rep.sign
 
 
@@ -340,16 +345,15 @@ def _formula_summary(parts) -> tuple[bool, str]:
 
 def _slow_decay_part(space: Space) -> tuple[int, int, int]:
     """p, the number of characters with |E| = p^2, and the number of
-    eigenfunctions with |<T(n) psi, psi>| = p^2 / #C."""
+    eigenfunctions with |<T(n) psi, psi>| = p^2 / #C, for the first usable
+    default mode n."""
     A, pp, group = space.A, space.pp, space.group
     p = pp.p
-    n = next(m for m in DEFAULT_MODES if dist.quadratic_form(A, m) % p != 0)
+    n = _usable_modes(A, p)[0]
     nu = dist.quadratic_form(A, n) * pow(2, -1, pp.N) % pp.N
     big = expsum.find_large(group, nu)
-    decomp = space.decomp
     target = p * p / group.order
-    cols = [col for _, col in decomp.multiplicity_one_items()]
-    el = np.abs(elementary_diagonals([n], decomp, cols)[0])
+    el = np.abs(space.elements.rows[n])
     hits = int(np.count_nonzero(np.abs(el - target) <= 1e-6 * target))
     return p, len(big), hits
 
@@ -548,16 +552,17 @@ def distribution_report(cfg: RunConfig) -> dict:
     n_bad = expsum.bad_character_count(group, [nu * pow(2, -1, pp.N) for nu in spectrum])
 
     if pp.N <= cfg.dense_cap:
-        decomp = hecke.eigendecompose(group)
-        elements = dist.normalized_elements(f, decomp)
-        sample = elements.values
+        # the sign is a property of (p, k); pin it on the default mode set
+        modes = _usable_modes(A, p)
+        # one pass for the observable's modes and the default ones; the
+        # basis is freed before the formula's sums and the model sample
+        elements = dist.matrix_elements(hecke.eigendecompose(group), [*f.coeffs, *modes])
+        sample = dist.normalized_elements(f, elements)
         n_eig = len(sample)
         n_excl = elements.n_excluded_multiplicity
-        # the sign is a property of (p, k); pin it on the default mode set
-        rep1 = dist.verify_matrix_element_formula(decomp, _usable_modes(A, p))
+        rep1 = dist.verify_matrix_element_formula(elements, modes)
         sign = rep1.sign
         matched = rep1.unique
-        del decomp  # frees the basis before the model sample is drawn
     else:
         sample = dist.normalized_elements_closed(f, group)
         n_eig = len(sample)

@@ -205,34 +205,43 @@ def reduced_classes(spectrum: dict[int, complex], pp: PrimePower) -> dict[int, c
 
 
 @dataclass
-class NormalizedElements:
-    """F_j values of the multiplicity-one eigenfunctions (dense pipeline)."""
+class MatrixElements:
+    """<T(n) psi, psi> of the multiplicity-one eigenfunctions psi of a dense
+    eigendecomposition, for a set of modes n."""
 
-    values: np.ndarray  # the sample, aligned with labels
-    labels: np.ndarray  # cluster label per value
-    n_excluded_multiplicity: int
+    group: HeckeGroup
+    labels: np.ndarray  # cluster label per eigenfunction
+    rows: dict[tuple[int, int], np.ndarray]  # mode n -> its element per eigenfunction
+    n_excluded_multiplicity: int  # eigenfunctions in clusters of dimension > 1
 
 
-def normalized_elements(f: FourierObservable, decomp: EigenDecomposition) -> NormalizedElements:
-    """sqrt(N)(<Op(f) psi, psi> - fhat(0)) over multiplicity-one
-    eigenfunctions; higher-multiplicity clusters are excluded and counted."""
-    if not f.is_real:
-        raise ValueError("the statistics are defined for real observables")
-    pp = decomp.group.pp
-    reduced_classes(twisted_coefficients(f, decomp.group.A), pp)  # validates p does not divide any class
+def matrix_elements(decomp: EigenDecomposition, modes) -> MatrixElements:
+    """The matrix elements of every distinct mode in one elementary_diagonals
+    pass; higher-multiplicity clusters are excluded and counted.  A row
+    does not depend on the other modes of the pass, so one pass serves the
+    sample and the formula match alike."""
+    modes = list(dict.fromkeys((int(n1), int(n2)) for n1, n2 in modes))
     items = decomp.multiplicity_one_items()
     labels = np.array([lab for lab, _ in items], dtype=np.int64)
-    cols = np.array([col for _, col in items], dtype=np.int64)
+    rows = elementary_diagonals(modes, decomp, [col for _, col in items])
+    return MatrixElements(decomp.group, labels, dict(zip(modes, rows)), decomp.group.pp.N - len(items))
+
+
+def normalized_elements(f: FourierObservable, elements: MatrixElements) -> np.ndarray:
+    """The dense sample F_j = sqrt(N)(<Op(f) psi, psi> - fhat(0)) over the
+    multiplicity-one eigenfunctions, aligned with elements.labels, from the
+    elements of every mode of f."""
+    if not f.is_real:
+        raise ValueError("the statistics are defined for real observables")
+    pp = elements.group.pp
+    reduced_classes(twisted_coefficients(f, elements.group.A), pp)  # validates p does not divide any class
     # <Op(f) psi, psi> = sum_n fhat(n) <T(n) psi, psi>
-    coeffs = sorted(f.coeffs.items())
-    diagonals = elementary_diagonals([n for n, _ in coeffs], decomp, cols)
-    quad = np.zeros(len(cols), dtype=np.complex128)
-    for (_, c), diagonal in zip(coeffs, diagonals):
-        quad += complex(c) * diagonal
+    quad = np.zeros(len(elements.labels), dtype=np.complex128)
+    for n, c in sorted(f.coeffs.items()):
+        quad += complex(c) * elements.rows[n]
     if np.abs(quad.imag).max() > 1e-7:
         raise RuntimeError("Hermitian quadratic form came out complex")
-    vals = math.sqrt(pp.N) * (quad.real - f.mean.real)
-    return NormalizedElements(vals, labels, pp.N - len(items))
+    return math.sqrt(pp.N) * (quad.real - f.mean.real)
 
 
 def _exp_sum_table(group: HeckeGroup, nus: list[int]) -> np.ndarray:
@@ -285,8 +294,9 @@ class FormulaReport:
     unique: bool  # exactly one (sign, shift) pair fits
 
 
-def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple[int, int]]) -> FormulaReport:
-    """Match measured matrix elements against the character-sum formula.
+def verify_matrix_element_formula(elements: MatrixElements, n_list: list[tuple[int, int]]) -> FormulaReport:
+    """Match measured matrix elements, with a row for each mode of n_list,
+    against the character-sum formula.
 
     The eigensolver labels characters up to one global twist, so every
     multiplicity-one eigenfunction psi, labelled j, must satisfy
@@ -300,7 +310,7 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
     vanishing ones included.  Raises NoMatchError if no pair fits or if
     every element vector vanishes.
     """
-    group = decomp.group
+    group = elements.group
     A, pp, order = group.A, group.pp, group.order
     inv2 = pow(2, -1, pp.N)
     qs = [quadratic_form(A, n) for n in n_list]
@@ -311,13 +321,12 @@ def verify_matrix_element_formula(decomp: EigenDecomposition, n_list: list[tuple
     signs_n = np.array([-1.0 if (n[0] * n[1]) % 2 else 1.0 for n in n_list])
     model = _exp_sum_table(group, halved).real * signs_n[None, :] / order
 
-    items = decomp.multiplicity_one_items()
-    labels = np.array([lab for lab, _ in items], dtype=np.int64)
+    labels = elements.labels
     # row i: <T(n) psi, psi> over n_list for the i-th multiplicity-one eigenfunction
-    elements = elementary_diagonals(n_list, decomp, [col for _, col in items]).T
-    if np.abs(elements.imag).max() > FORMULA_TOL:
+    measured = np.array([elements.rows[int(n1), int(n2)] for n1, n2 in n_list]).T
+    if np.abs(measured.imag).max() > FORMULA_TOL:
         raise NoMatchError("matrix elements are not real")
-    measured = elements.real
+    measured = measured.real
     live = np.flatnonzero(np.abs(measured).max(axis=1) >= FORMULA_TOL)
     if not len(live):
         raise NoMatchError("every element vector vanishes on the n-list")
@@ -391,11 +400,12 @@ def count_y_tuples_with_relation(
     group = build_group(A, PrimePower(p, l))
     D = A.disc
     N = p**l
-    dlog = {x: group.dlog(group.ring.cayley_transform(x)) for x in _domain_units(p, l, D)}
+    units = _domain_units(p, l, D)
+    dlog = dict(zip(units, group.cayley_dlogs(np.array(units, dtype=np.int64)).tolist()))
     fibers = [_fiber_map(p, l, D, nu % N) for nu in nus[1:]]
     nu1 = nus[0] % N
     total = 0
-    for x1 in _domain_units(p, l, D):
+    for x1 in units:
         v = nu1 * (D * x1 * x1 - 1) % N
         pools = [fm.get(v, ()) for fm in fibers]
         if any(len(pool) == 0 for pool in pools):

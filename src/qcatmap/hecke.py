@@ -432,16 +432,22 @@ def _eig_unitary(U: np.ndarray):
     raise EigenClusterError(f"unitary eigensolver residual {resid:.2e} > {RESIDUAL_TOL}")
 
 
-def fold(v: np.ndarray) -> np.ndarray:
-    """Rows x = 0..(N-1)/2 of the N-vectors v (along axis 0, N odd), the
-    rows x >= 1 times sqrt(2).
+def fold(v: np.ndarray, parity) -> np.ndarray:
+    """The fold of the part of the N-vectors v (along axis 0, N odd) of the
+    given parity, +1 (even) or -1 (odd), one per vector of v or one for all:
+    rows x = 0..(N-1)/2 of (v(x) + parity v(-x)) / 2, the rows x >= 1 times
+    sqrt(2).
 
     An even vector, v(-x) = v(x), and an odd one, v(-x) = -v(x), are fixed
     by these rows, and on either parity the fold is an isometry: it keeps
     the inner product of two vectors of one parity.
     """
-    w = v[: (len(v) + 1) // 2] * math.sqrt(2)
-    w[0] = v[0]
+    h = (len(v) + 1) // 2
+    w = np.empty((h,) + v.shape[1:], dtype=np.complex128)
+    w[0] = v[0] * ((1 + np.asarray(parity)) // 2)
+    np.multiply(v[: h - 1 : -1], parity, out=w[1:])  # parity v(N - x), x = 1..h-1
+    w[1:] += v[1:h]
+    w[1:] *= math.sqrt(0.5)
     return w
 
 
@@ -467,32 +473,74 @@ def _orbit_projections(apply, v: np.ndarray, half: int, angles: np.ndarray | Non
     v(-x) up to a phase, so U^half is a scalar on the even part of v and
     minus that scalar on its odd part.  With the phase divided out, each
     part's orbit v_s, U v_s, ..., U^(half-1) v_s is periodic in m, and its
-    DFT along m separates every eigenspace of that parity at once.  Both
-    parts go through U as one N x 2 array per step; only their folds are
-    stored, and the DFT is taken in place, block_columns(half) columns at a
-    time.  angles = None takes them from U^half of this v's parts.  Orbits
-    that share angles share one row numbering: where the scalar is -1,
-    roundoff alone would put one orbit's angle at +pi and another's at -pi,
-    a shift of one row.
+    DFT along m separates every eigenspace of that parity at once.  U
+    commutes with the parity, so the part of U^m v of a parity is U^m of
+    that part of v: the walk takes one column per step, v alone, and folds
+    each parity part off U^m v.  Only the folds are stored, and the DFT is
+    taken in place, block_columns(half) columns at a time.  angles = None
+    takes them from U^half of this v's parts.  Orbits that share angles
+    share one row numbering: where the scalar is -1, roundoff alone would
+    put one orbit's angle at +pi and another's at -pi, a shift of one row.
     """
     N = len(v)
-    reflected = v[-np.arange(N) % N]
-    parts = np.column_stack([v + reflected, v - reflected]) / 2  # even, odd
-    orbit = np.empty((2, half, (N + 1) // 2), dtype=np.complex128)
-    w = parts
+    h = (N + 1) // 2
+    orbit = np.empty((2, half, h), dtype=np.complex128)
+    w = v
     for m in range(half):
-        orbit[:, m] = fold(w).T
+        # fold(w, 1) and fold(w, -1) in place, rows x >= 1 not yet times sqrt(1/2)
+        np.add(w[1:h], w[: h - 1 : -1], out=orbit[0, m, 1:])
+        np.subtract(w[1:h], w[: h - 1 : -1], out=orbit[1, m, 1:])
+        orbit[0, m, 0] = w[0]
         w = apply(w)
+    orbit[1, :, 0] = 0
     if angles is None:  # U^half v_s = scalar * v_s
-        angles = np.angle(np.einsum("ij,ij->j", parts.conj(), w) / np.einsum("ij,ij->j", parts.conj(), parts))
+        angles = np.angle([np.vdot(fold(v, s), fold(w, s)) for s in (1, -1)])
     orbit *= np.exp(-1j * angles[:, None] / half * np.arange(half))[:, :, None]
     step = block_columns(half)
     for part in orbit:
         for start in range(0, part.shape[1], step):
             blk = slice(start, start + step)
             part[:, blk] = np.fft.fft(part[:, blk], axis=0)
-    orbit /= half
+    orbit[:, :, 0] /= half
+    orbit[:, :, 1:] *= math.sqrt(0.5) / half
     return orbit.reshape(2 * half, -1), angles
+
+
+def _checked_eigenvalues(apply, V: np.ndarray, parity: np.ndarray) -> np.ndarray:
+    """The Rayleigh quotients lam_j = <v_j, U v_j> of the unfolded columns
+    v_j of V (folded, of the given parities) under U = apply, once
+    max_j ||U v_j - lambda_j v_j|| < RESIDUAL_TOL; EigenClusterError if not.
+
+    U commutes with the parity, so for an even v_e and an odd v_o, U v_e
+    and U v_o are the even and the odd part of U (v_e + v_o): one apply
+    serves a parity pair.  The i-th even column is paired with the i-th odd
+    one, the shorter list padded with zero columns, and the pairs go
+    through block_columns(N) at a time, so the temporaries take a few
+    BLOCK_BYTES.
+    """
+    N = 2 * len(V) - 1
+    even, odd = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
+    lam = np.empty(V.shape[1], dtype=np.complex128)
+    resid = 0.0
+    step = block_columns(N)
+    for start in range(0, max(len(even), len(odd)), step):
+        cols = even[start : start + step], odd[start : start + step]
+        pairs = np.zeros((N, max(map(len, cols))), dtype=np.complex128, order="F")
+        for c, s in zip(cols, (1, -1)):
+            pairs[:, : len(c)] += unfold(V[:, c], s, N)
+        W = apply(pairs)
+        del pairs
+        for c, s in zip(cols, (1, -1)):
+            Vc, Wc = V[:, c], fold(W[:, : len(c)], s)  # c indexes, so Vc is a copy
+            lam_c = np.vecdot(Vc, Wc, axis=0)
+            Vc *= lam_c
+            Wc -= Vc
+            resid = float(np.sqrt(np.vecdot(Wc, Wc, axis=0).real).max(initial=resid))  # keeps a NaN
+            lam[c] = lam_c
+        del W, Vc, Wc  # before the next block is allocated
+    if not resid < RESIDUAL_TOL:
+        raise EigenClusterError(f"orbit eigensolver residual {resid:.2e}, tolerance {RESIDUAL_TOL}")
+    return lam
 
 
 def _orbit_eig(group: HeckeGroup):
@@ -512,8 +560,8 @@ def _orbit_eig(group: HeckeGroup):
     moved to the front; at split primes the QR bases are stacked into a new
     array.  The residual max ||U v - lambda v|| over the unfolded columns,
     with the cluster gap 2 pi / #C, bounds the overlap between eigenspaces;
-    it is checked block_columns(N) columns at a time, so beyond the orbits
-    the temporaries take a few BLOCK_BYTES.
+    _checked_eigenvalues checks it one apply per parity pair, so beyond the
+    orbits the temporaries take a few BLOCK_BYTES.
     """
     pp, half = group.pp, group.order // 2
     N = pp.N
@@ -559,19 +607,7 @@ def _orbit_eig(group: HeckeGroup):
         V = np.vstack([bases[j] for j in keys]).T
         del first, bases
     parity = np.where(rows < half, 1, -1)
-    lam = np.empty(N, dtype=np.complex128)
-    resid = 0.0
-    step = block_columns(N)
-    for start in range(0, N, step):
-        blk = slice(start, start + step)
-        Vb = unfold(V[:, blk], parity[blk], N)
-        Wb = apply(Vb)
-        lam[blk] = np.einsum("ij,ij->j", Vb.conj(), Wb)
-        Wb -= Vb * lam[blk][None, :]
-        resid = float(np.max([resid, np.linalg.norm(Wb, axis=0).max()]))  # keeps a NaN
-    if not resid < RESIDUAL_TOL:
-        raise EigenClusterError(f"orbit eigensolver residual {resid:.2e}, tolerance {RESIDUAL_TOL}")
-    return lam, V, parity
+    return _checked_eigenvalues(apply, V, parity), V, parity
 
 
 def predicted_cluster_count(kind: str, pp: PrimePower) -> int:

@@ -198,8 +198,10 @@ def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
     v, psi = sqrt(N) v is a unit vector of H_N and this is its matrix
     element <T(n) psi, psi>; one roll and one phase, O(N) per column and
     mode.  The columns go through in blocks of block_columns(N), so each
-    temporary takes at most BLOCK_BYTES, and each block is conjugated once
-    and rolled once per distinct shift n1.
+    temporary takes at most BLOCK_BYTES.  Each block is conjugated once,
+    the product roll(v_j) conj(v_j) is formed once per distinct shift n1,
+    and each mode of that shift is one phase-vector product with it, so a
+    row is the same, bit for bit, whatever other modes come along.
     """
     N = V.shape[0]
     take = V.columns if hasattr(V, "columns") else lambda index: V[:, index]
@@ -219,9 +221,10 @@ def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
         W = take(blk if cols is None else cols[blk])
         W_conj = W.conj()
         for shift, rows in rows_of_shift.items():
-            rolled = np.roll(W, shift, axis=0)
+            prod = np.roll(W, shift, axis=0)
+            prod *= W_conj
             for i in rows:
-                out[i, blk] = np.einsum("ij,ij->j", phases[i][:, None] * rolled, W_conj)
+                out[i, blk] = phases[i] @ prod
     return out
 
 

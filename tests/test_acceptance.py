@@ -123,7 +123,7 @@ def test_criterion5_matrix_element_formula(p, k):
     assert len(qs) >= 4
     decomp = eigendecompose(build_group(A, pp))
     assert dist.FORMULA_TOL == 1e-7
-    rep = dist.verify_matrix_element_formula(decomp, FORMULA_MODES)
+    rep = dist.verify_matrix_element_formula(dist.matrix_elements(decomp, FORMULA_MODES), FORMULA_MODES)
     assert rep.unique
     expect_sign = -1 if decomp.group.kind == "inert" and k % 2 == 1 else 1
     assert rep.sign == expect_sign

@@ -29,6 +29,7 @@ from qcatmap.distribution import (
     count_y_tuples_with_relation,
     ks_two_sample,
     ks_vs_law,
+    matrix_elements,
     model_cdf,
     model_moment,
     normalized_elements,
@@ -219,26 +220,26 @@ def test_compare_distribution_winsorizes():
 
 def test_normalized_elements_constant_observable(cat_map):
     f = FourierObservable({(0, 0): 2.5})
-    out = normalized_elements(f, decompose(cat_map, 3, 2))
-    assert np.abs(out.values).max() < 1e-9
+    out = normalized_elements(f, matrix_elements(decompose(cat_map, 3, 2), f.coeffs))
+    assert np.abs(out).max() < 1e-9
 
 
 def test_normalized_elements_real_and_slow_decay_scale(cat_map):
     # p = 3, k = 3: the N^(-1/3)-scale element exists: max |F_j| >= sqrt(N)/(p+1)
     pp = PrimePower(3, 3)
     f = FourierObservable.harmonic_pair((1, 0))
-    out = normalized_elements(f, eigendecompose(build_group(cat_map, pp)))
-    assert out.values.dtype == float
-    assert np.abs(out.values).max() >= math.sqrt(pp.N) / 4 * (1 - 1e-9)
+    out = normalized_elements(f, matrix_elements(eigendecompose(build_group(cat_map, pp)), f.coeffs))
+    assert out.dtype == float
+    assert np.abs(out).max() >= math.sqrt(pp.N) / 4 * (1 - 1e-9)
 
 
 def test_normalized_elements_rejects_divisible_class(cat_map):
     decomp = decompose(cat_map, 3, 2)
     f = FourierObservable.harmonic_pair((1, 2))  # Q = 5 ... fine at 3? 5 % 3 != 0
-    normalized_elements(f, decomp)
+    normalized_elements(f, matrix_elements(decomp, f.coeffs))
     g = FourierObservable.harmonic_pair((0, 3))  # Q(0,3) = 9, divisible by 3
     with pytest.raises(BadNuError):
-        normalized_elements(g, decomp)
+        normalized_elements(g, matrix_elements(decomp, g.coeffs))
 
 
 def test_bad_character_exceptional_bound(cat_map):
@@ -247,10 +248,10 @@ def test_bad_character_exceptional_bound(cat_map):
         pp = PrimePower(p, k)
         group = build_group(cat_map, pp)
         f = FourierObservable.harmonic_pair((1, 0))
-        out = normalized_elements(f, eigendecompose(group))
+        out = normalized_elements(f, matrix_elements(eigendecompose(group), f.coeffs))
         total = sum(abs(w) for w in twisted_coefficients(f, cat_map).values())
         ceiling = 2 * total * (1 + p**-0.5) * math.sqrt(pp.N) * p ** (k / 2) / group.order
-        n_exceed = int(np.sum(np.abs(out.values) > ceiling))
+        n_exceed = int(np.sum(np.abs(out) > ceiling))
         n_bad = p ** (k - 2) * (group.order // p ** (k - 1))
         assert n_exceed <= n_bad
 
@@ -262,20 +263,20 @@ MODES = [(1, 0), (0, 1), (1, 2), (1, 4), (1, 5), (2, 7)]
 
 
 def test_formula_brute_force_anchor_k1(cat_map):
-    rep = verify_matrix_element_formula(decompose(cat_map, 3, 1), MODES)
+    rep = verify_matrix_element_formula(matrix_elements(decompose(cat_map, 3, 1), MODES), MODES)
     assert rep.unique
     assert rep.sign == -1  # inert, odd k
 
 
 def test_formula_requires_unit_classes(cat_map):
     with pytest.raises(BadNuError):
-        verify_matrix_element_formula(decompose(cat_map, 3, 2), [(0, 3)])
+        verify_matrix_element_formula(matrix_elements(decompose(cat_map, 3, 2), [(0, 3)]), [(0, 3)])
 
 
 def test_formula_sign_pattern(cat_map):
     # sign +1 except inert with odd k
     for p, k in [(3, 2), (3, 3), (11, 2), (11, 3)]:
-        rep = verify_matrix_element_formula(decompose(cat_map, p, k), MODES)
+        rep = verify_matrix_element_formula(matrix_elements(decompose(cat_map, p, k), MODES), MODES)
         assert rep.unique
         inert = p in (3, 7, 13)
         assert rep.sign == (-1 if inert and k % 2 else 1)
@@ -283,9 +284,9 @@ def test_formula_sign_pattern(cat_map):
 
 def traced_dense_peaks(A: TorusAutomorphism, p: int, kind: str) -> tuple[int, int, int]:
     """tracemalloc peaks at p^2 (of that kind), which see every numpy
-    allocation: of eigendecompose, and of normalized_elements plus the
-    formula check after it; and the bytes of one folded orbit,
-    #C x (N+1)/2 complex."""
+    allocation: of eigendecompose, and of the one matrix-element pass that
+    normalized_elements and the formula check read, as distribution runs
+    them; and the bytes of one folded orbit, #C x (N+1)/2 complex."""
     group = build_group(A, PrimePower(p, 2))
     assert group.kind == kind
     modes = [n for n in MODES if quadratic_form(A, n) % p]
@@ -296,8 +297,9 @@ def traced_dense_peaks(A: TorusAutomorphism, p: int, kind: str) -> tuple[int, in
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         f = FourierObservable({(1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.25, (-1, -2): 0.25})
-        normalized_elements(f, decomp)
-        verify_matrix_element_formula(decomp, modes)
+        elements = matrix_elements(decomp, [*f.coeffs, *modes])
+        normalized_elements(f, elements)
+        verify_matrix_element_formula(elements, modes)
         elements_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -321,6 +323,24 @@ def test_split_dense_pipeline_memory_footprint(cat_map):
     eig_peak, elements_peak, orbit_bytes = traced_dense_peaks(cat_map, 29, "split")
     assert eig_peak < 2 * orbit_bytes + 8 * BLOCK_BYTES
     assert elements_peak < 8 * BLOCK_BYTES
+
+
+@pytest.mark.parametrize("p,kind", [(37, "inert"), (29, "split")])
+def test_one_pass_equals_separate_passes(cat_map, p, kind):
+    """The pass that distribution runs, over the observable's modes and the
+    default ones together, gives normalized_elements and the formula match
+    bit for bit what a pass of each one's own modes gives."""
+    decomp = decompose(cat_map, p, 2)
+    assert decomp.group.kind == kind
+    modes = cli._usable_modes(cat_map, p)
+    f = FourierObservable({(1, 0): 0.5, (-1, 0): 0.5, (2, 3): -0.3, (-2, -3): -0.3, (1, 2): 0.2, (-1, -2): 0.2})
+    fused = matrix_elements(decomp, [*f.coeffs, *modes])
+    alone = normalized_elements(f, matrix_elements(decomp, f.coeffs))
+    together = normalized_elements(f, fused)
+    assert np.array_equal(together, alone)
+    rep = verify_matrix_element_formula(fused, modes)
+    assert rep == verify_matrix_element_formula(matrix_elements(decomp, modes), modes)
+    assert rep.unique
 
 
 def matched_characters(decomp, sign: int) -> dict[int, set[int] | None]:
@@ -355,7 +375,7 @@ def test_one_shift_equals_all_pairs_match(cat_map, p, k):
     unless another character's row ties with it on MODES."""
     decomp = decompose(cat_map, p, k)
     order = decomp.group.order
-    rep = verify_matrix_element_formula(decomp, MODES)
+    rep = verify_matrix_element_formula(matrix_elements(decomp, MODES), MODES)
     assert rep.unique
     matched = {label: js for label, js in matched_characters(decomp, rep.sign).items() if js is not None}
     assert len(matched) > 0.5 * len(decomp.multiplicity_one_items())
@@ -378,7 +398,7 @@ def test_swapped_labels_match_no_shift(cat_map, p, k):
     (la, ca), (lb, cb) = items[a], items[b]
     labels[ca], labels[cb] = lb, la
     with pytest.raises(NoMatchError):
-        verify_matrix_element_formula(dataclasses.replace(decomp, labels=labels), MODES)
+        verify_matrix_element_formula(matrix_elements(dataclasses.replace(decomp, labels=labels), MODES), MODES)
 
 
 def test_pipeline_coherence_dense_vs_closed_form(cat_map):
@@ -390,14 +410,15 @@ def test_pipeline_coherence_dense_vs_closed_form(cat_map):
         n0 = (1, 0)
         f = FourierObservable.harmonic_pair(n0)
         decomp = eigendecompose(group)
-        out = normalized_elements(f, decomp)
-        rep = verify_matrix_element_formula(decomp, MODES)
+        elements = matrix_elements(decomp, [*f.coeffs, *MODES])
+        out = normalized_elements(f, elements)
+        rep = verify_matrix_element_formula(elements, MODES)
         nu = quadratic_form(cat_map, n0)
         spec = twisted_coefficients(f, cat_map)[nu]
         half = nu * pow(2, -1, pp.N) % pp.N
-        closed = expsum.exp_sum_closed(group, half, (out.labels + rep.shift) % group.order)
+        closed = expsum.exp_sum_closed(group, half, (elements.labels + rep.shift) % group.order)
         model = rep.sign * spec.real * math.sqrt(pp.N) / group.order * closed.real
-        assert np.abs(out.values - model).max() < 1e-6
+        assert np.abs(out - model).max() < 1e-6
 
 
 SMALL_SPACES = [(p, k) for p in (3, 5, 7, 11, 13, 17, 19) for k in range(1, 6) if p**k <= 400]
@@ -412,7 +433,7 @@ def test_property_one_shift_match_random_matrix(mat, space):
     modes = [n for n in MODES if quadratic_form(A, n) % p != 0]
     assume(len({quadratic_form(A, n) for n in modes}) >= 4)
     decomp = decompose(A, p, k)
-    rep = verify_matrix_element_formula(decomp, modes)
+    rep = verify_matrix_element_formula(matrix_elements(decomp, modes), modes)
     assert rep.unique
     assert rep.sign == (-1 if decomp.group.kind == "inert" and k % 2 else 1)
 
@@ -455,7 +476,7 @@ def test_one_shift_match_equals_character_mask(p, k):
     characters (label + shift) of the multiplicity-one eigenfunctions are
     the character mask, each once."""
     decomp = decompose(TorusAutomorphism(*cli.DEFAULT_MATRIX), p, k)
-    rep = verify_matrix_element_formula(decomp, MODES)
+    rep = verify_matrix_element_formula(matrix_elements(decomp, MODES), MODES)
     order = decomp.group.order
     matched = sorted((label + rep.shift) % order for label, _ in decomp.multiplicity_one_items())
     assert matched == np.flatnonzero(character_mask(decomp.group)).tolist()
@@ -465,7 +486,7 @@ def test_one_shift_match_equals_character_mask(p, k):
 def test_character_mask_and_sign_give_the_dense_sample(p, k):
     """On every dense space of the default verify sweep, the dense sample is
     the per-character closed form on the character mask, times one sign:
-    sorted normalized_elements(f, decomp).values equals sorted s * F[mask],
+    the sorted normalized_elements of f equal sorted s * F[mask],
     F_j = sqrt(N)/#C * (E(nu/2, chi_j).real @ f#), with s = +1 at split
     primes and (-1)^k at inert ones, for three mode pairs."""
     A = TorusAutomorphism(*cli.DEFAULT_MATRIX)
@@ -480,7 +501,7 @@ def test_character_mask_and_sign_give_the_dense_sample(p, k):
     F = normalized_elements_closed(f, group)  # in character-index order
     assert np.abs(F - F_j).max() < 1e-12
     sign = 1 if group.kind == "split" else (-1) ** k
-    dense = np.sort(normalized_elements(f, decomp).values)
+    dense = np.sort(normalized_elements(f, matrix_elements(decomp, f.coeffs)))
     assert np.abs(dense - np.sort(sign * F[character_mask(group)])).max() < 1e-9
 
 
@@ -531,6 +552,14 @@ def test_count_y_tuples_with_relation(cat_map):
         c0 = count_y_tuples_with_relation(cat_map, p, 2, [1, 2], [1, 1])
         assert c0 <= count_y_tuples(p, 2, [1, 2], cat_map.disc)
         assert c0 <= 20 * p
+        # beta(-x) = 1 / beta(x), and x2 = -x1 is the only partner of x1 in the fiber of nu = 1
+        assert count_y_tuples_with_relation(cat_map, p, 2, [1, 1], [1, 1]) == count_y_tuples(p, 2, [1], cat_map.disc)
+    # exact counts at p^2, pinned from the scalar dlog of each beta(x): (n1, n2) = (1, 1), (1, 2), (#C/2, #C/2)
+    pinned = {11: (0, 2, 0), 13: (0, 2, 0), 17: (0, 2, 272)}
+    for p, counts in pinned.items():
+        half = build_group(cat_map, PrimePower(p, 2)).order // 2
+        got = tuple(count_y_tuples_with_relation(cat_map, p, 2, [1, 2], ns) for ns in ([1, 1], [1, 2], [half, half]))
+        assert got == counts
 
 
 # -- record statistics ----------------------------------------------------

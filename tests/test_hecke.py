@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qcatmap.errors import (
+    EigenClusterError,
     EvenPrimeError,
     NotSplitError,
     RamifiedPrimeError,
@@ -345,15 +346,18 @@ def test_eigendecompose_character_count_identity(cat_map):
 @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_property_fold_unfold_round_trip(h, seed):
     """At odd N = 2h + 1, unfold inverts fold on even and odd columns side
-    by side, and the fold keeps the norms and the inner products of the
+    by side, the fold of any vector is that of its part of the given
+    parity, and the fold keeps the norms and the inner products of the
     columns of one parity."""
     N = 2 * h + 1
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((N, 4)) + 1j * rng.standard_normal((N, 4))
     parity = np.array([1, -1, 1, -1])
     v = (u + u[-np.arange(N) % N] * parity) / 2
-    w = fold(v)
+    w = fold(v, parity)
     assert w.shape == (h + 1, 4)
+    assert np.abs(fold(u, parity) - w).max() <= 1e-14 * np.abs(u).max()
+    assert np.array_equal(fold(u[:, 0], 1), fold(u, 1)[:, 0])
     assert np.abs(unfold(w, parity, N) - v).max() <= 1e-14 * np.abs(v).max()
     for s in (1, -1):
         cols = parity == s
@@ -370,7 +374,7 @@ def dense_oracle_eig(U: np.ndarray):
     reflected = V[-np.arange(len(V)) % len(V)]
     parity = np.where(np.einsum("ij,ij->j", V.conj(), reflected).real > 0, 1, -1)
     assert np.abs(reflected - V * parity).max() < 1e-10
-    return lam, fold(V), parity
+    return lam, fold(V, parity), parity
 
 
 def assert_orbit_matches_dense_oracle(group, monkeypatch):
@@ -448,6 +452,32 @@ def test_eigendecompose_size_cap_admits_split_101_squared(cat_map, monkeypatch):
     monkeypatch.setattr(hecke, "_orbit_eig", reached)
     with pytest.raises(Reached):
         eigendecompose(group)
+
+
+@pytest.mark.parametrize("p,kind", [(13, "inert"), (11, "split")])
+def test_residual_check_rejects_mixed_and_misparity_columns(cat_map, p, kind):
+    """The paired residual check passes the solver's own basis, with the
+    eigenvalues eigendecompose reports, and raises EigenClusterError when
+    one folded column, even or odd, is mixed with the nearest eigenspace of
+    its parity, or when its parity label is flipped."""
+    group = build_group(cat_map, PrimePower(p, 2))
+    assert group.kind == kind
+    decomp = eigendecompose(group)
+    apply = propagator_apply(group.ring.matrix_of(group.gen), group.pp)
+    V, parity, lam, labels = decomp.folded, decomp.parity, decomp.eigenvalues, decomp.labels
+    assert np.array_equal(hecke._checked_eigenvalues(apply, V, parity), lam)
+    for s in (1, -1):
+        col = int(np.flatnonzero(parity == s)[len(V) // 3])
+        other = np.flatnonzero((parity == s) & (labels != labels[col]))
+        near = int(other[np.argmin(np.abs(lam[other] - lam[col]))])
+        mixed = V.copy()
+        mixed[:, col] = (V[:, col] + V[:, near]) / math.sqrt(2)
+        with pytest.raises(EigenClusterError, match="residual"):
+            hecke._checked_eigenvalues(apply, mixed, parity)
+        flipped = parity.copy()
+        flipped[col] = -s
+        with pytest.raises(EigenClusterError, match="residual"):
+            hecke._checked_eigenvalues(apply, V, flipped)
 
 
 def test_eigendecompose_split_multiplicity_pattern(cat_map):
