@@ -1,5 +1,6 @@
-"""Per-layer benchmark: the group build, the expsum CSV writer, the dense
-matrix elements and the eigensolver at fixed sizes.
+"""Per-layer benchmark: the group build, the character-sum scan, the expsum
+CSV writer, the closed-form statistics, the dense matrix elements and the
+eigensolver at fixed sizes.
 
     python bench/layers.py --out BENCH_<n>.json --tree LABEL=SRC_DIR [--tree LABEL=SRC_DIR ...]
 
@@ -9,13 +10,23 @@ one BLAS/OpenMP thread.  The child times its own layer with
 `getrusage(RUSAGE_SELF)`, which, unlike `wait4` in the parent, does not
 count the RSS this script had when it forked.  A case records the median
 over REPEATS fresh runs.  The runs alternate between the `--tree`s, so
-drift on the machine hits each tree alike.  The output also records the machine:
-cores, CPU, BLAS, thread settings, Python and numpy.
+drift on the machine hits each tree alike.  The child imports `numpy.fft`
+and `numpy.random`, which numpy loads lazily, before any timer starts.
+The output also records the machine: cores, CPU, BLAS, thread settings,
+Python and numpy.
 
 Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
   group p^2     -- `hecke.build_group` at 349^2, 1009^2 and 3001^2
+  scan p^2      -- `expsum.scan_characters(group, [1])` at 1009^2 and
+                   3001^2 (the group is not timed)
   csv p^2       -- `cli.records_to_csv` of `scan_characters(group, [1])` at
                    349^2 and 1009^2 (the group and the scan are not timed)
+  closed p^2    -- the closed-form statistics of `distribution` at 347^2:
+                   `distribution.normalized_elements_closed` of the
+                   observable cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + 2 x2),
+                   then `distribution.compare_distribution` against a model
+                   sample drawn before the timer starts (the group is not
+                   timed either)
   elements p^2  -- the dense matrix elements as `distribution` runs them,
                    at 37^2 (inert) and 41^2 (split): one
                    `distribution.matrix_elements` pass over the modes +-n
@@ -47,7 +58,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CASES = [
-    ("group", 349, 2), ("group", 1009, 2), ("group", 3001, 2), ("csv", 349, 2), ("csv", 1009, 2),
+    ("group", 349, 2), ("group", 1009, 2), ("group", 3001, 2), ("scan", 1009, 2), ("scan", 3001, 2),
+    ("csv", 349, 2), ("csv", 1009, 2), ("closed", 347, 2),
     ("elements", 37, 2), ("elements", 41, 2), ("eigen", 13, 3), ("eigen", 19, 3),
 ]
 REPEATS = 3
@@ -56,6 +68,7 @@ REPEATS = 3
 # and for the elements layer also the eigendecompose_* keys.
 CHILD = r"""
 import json, resource, sys, time
+import numpy.fft, numpy.random
 from qcatmap import cli, distribution, expsum, hecke
 from qcatmap.modarith import PrimePower
 from qcatmap.quantization import FourierObservable, TorusAutomorphism
@@ -70,6 +83,19 @@ if layer == "group":
     t0 = time.perf_counter()
     group = hecke.build_group(A, pp)
     s, items = time.perf_counter() - t0, group.order
+elif layer == "scan":
+    group = hecke.build_group(A, pp)
+    t0 = time.perf_counter()
+    table = expsum.scan_characters(group, [1])
+    s, items = time.perf_counter() - t0, len(table)
+elif layer == "closed":
+    group = hecke.build_group(A, pp)
+    f = FourierObservable({m: 0.5 for n in ((1, 0), (0, 1), (1, 2)) for m in (n, (-n[0], -n[1]))})
+    model = distribution.sample_limit_variable(distribution.twisted_coefficients(f, A), 7, cli.SAMPLER_COUNT)
+    t0 = time.perf_counter()
+    sample = distribution.normalized_elements_closed(f, group)
+    distribution.compare_distribution(sample, model, winsor_bound=10.0 * p ** (1.0 / 6.0))
+    s, items = time.perf_counter() - t0, len(sample)
 elif layer == "csv":
     table = expsum.scan_characters(hecke.build_group(A, pp), [1])
     t0 = time.perf_counter()

@@ -427,27 +427,56 @@ def cmd_verify(cfg: RunConfig) -> int:
 # -- expsum -------------------------------------------------------------
 
 
-def _distinct_text(col: np.ndarray, text) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct value of col formatted once by text(value): the strings
-    as a byte matrix, NUL-padded on the right, and the row of it for each
-    entry.  Floats are told apart by their bits, so -0.0 prints as -0."""
-    floats = col.dtype.kind == "f"
-    keys = np.ascontiguousarray(col).view(np.int64) if floats else col
-    distinct, row = np.unique(keys, return_inverse=True)
-    if floats:
-        distinct = distinct.view(np.float64)
-    strings = np.array(list(map(text, distinct.tolist())), dtype="S")
+def _byte_rows(strings: list[bytes]) -> np.ndarray:
+    """The strings as a byte matrix, one per row, NUL-padded on the right."""
+    rows = np.array(strings, dtype="S")
+    return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
+
+
+def _float_text(col: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct float of col formatted once as "%.17g,": the strings as
+    a byte matrix (see _byte_rows) and the row of it for each entry.
+    Floats are told apart by their bits, so -0.0 prints as -0.  With a
+    keep mask only the kept entries are formatted, and every other entry
+    points at row 0, which holds the comma alone."""
+    bits = np.ascontiguousarray(col).view(np.int64)
+    distinct, inverse = np.unique(bits if keep is None else bits[keep], return_inverse=True)
+    text = ("%.17g,\n" * len(distinct)) % tuple(distinct.view(np.float64).tolist())
+    strings = _byte_rows(([] if keep is None else [b","]) + text.encode("ascii").split(b"\n")[:-1])
     # the rows live until the last block is gathered: keep them small
-    row = row.astype(np.min_scalar_type(len(strings)))
-    return strings.view(np.uint8).reshape(len(strings), strings.itemsize), row
+    row_type = np.min_scalar_type(len(strings))
+    if keep is None:
+        return strings, inverse.astype(row_type)
+    row = np.zeros(len(col), dtype=row_type)
+    row[keep] = inverse + 1
+    return strings, row
 
 
-def records_to_csv(table: expsum.ExpSumTable) -> str:
-    """One CSV row per table row; theta is empty on bad rows.
+def _int_text(col: np.ndarray) -> np.ndarray:
+    """The decimal digits of non-negative ints and a comma, one row each,
+    right-aligned and NUL-padded on the left."""
+    width = len(str(int(col.max())))
+    out = np.empty((len(col), width + 1), dtype=np.uint8)
+    out[:, width] = ord(",")
+    rest = col.astype(np.int64)
+    for i in range(width - 1, -1, -1):
+        quot = rest // 10
+        out[:, i] = rest - 10 * quot + ord("0")
+        rest = quot
+    for i in range(width - 1):  # leading zeros
+        out[col < 10 ** (width - 1 - i), i] = 0
+    return out
 
-    The table repeats its values, so each column formats every distinct
-    value once, with the separator that follows it, and the rows are
-    gathered from those strings as bytes, CSV_BLOCK_ROWS rows at a time.
+
+def records_to_csv(table: expsum.ExpSumTable) -> bytearray:
+    """One CSV row per table row, as ASCII bytes; theta is empty on bad rows.
+
+    The rows are gathered as bytes, CSV_BLOCK_ROWS rows at a time, and
+    appended to one bytearray, so the text is never held twice.  nu and
+    chi_index are written digit by digit with integer arithmetic, good and
+    vanished are looked up in a false/true table, and each float column
+    formats every distinct value once (the table repeats its values),
+    theta on the good rows only.
     """
     value = table.value
     finite = np.isfinite(value.real) & np.isfinite(value.imag) & (np.isfinite(table.theta) | ~table.good)
@@ -456,35 +485,40 @@ def records_to_csv(table: expsum.ExpSumTable) -> str:
         raise ArithmeticError(
             f"non-finite value at chi_{table.chi_index[i]}, nu = {table.nu[i]}: E = {value[i]}"
         )
-    # good rows are finite, so a NaN theta marks exactly the bad rows
-    theta = np.where(table.good, table.theta, np.nan)
-    columns = [  # (byte matrix of the distinct strings, row of it per table row)
-        _distinct_text(table.nu, f"{table.pp.p},{table.pp.k},{{}},".format),
-        _distinct_text(table.chi_index, "{},".format),
-        _distinct_text(value.real, "{:.17g},".format),
-        _distinct_text(value.imag, "{:.17g},".format),
-        _distinct_text(theta, lambda th: "," if math.isnan(th) else f"{th:.17g},"),
-        _distinct_text(table.good, lambda good: "true," if good else "false,"),
-        _distinct_text(table.vanished, lambda van: "true\n" if van else "false\n"),
+    for name, keys in (("nu", table.nu), ("chi_index", table.chi_index)):
+        if len(keys) and keys.min() < 0:
+            raise ValueError(f"negative {name} {int(keys.min())} has no CSV text")
+    head = np.frombuffer(f"{table.pp.p},{table.pp.k},".encode("ascii"), dtype=np.uint8)
+    columns = [  # (byte matrix of strings, row of it per table row)
+        _float_text(value.real),
+        _float_text(value.imag),
+        _float_text(table.theta, table.good),
+        (_byte_rows([b"false,", b"true,"]), table.good.view(np.uint8)),
+        (_byte_rows([b"false\n", b"true\n"]), table.vanished.view(np.uint8)),
     ]
-    del theta
-    chunks = ["p,k,nu,chi_index,re,im,theta,good,vanished\n"]
+    text = bytearray(b"p,k,nu,chi_index,re,im,theta,good,vanished\n")
     for lo in range(0, len(table), CSV_BLOCK_ROWS):
-        block = np.hstack([strings.take(row[lo : lo + CSV_BLOCK_ROWS], axis=0) for strings, row in columns])
-        chunks.append(block[block != 0].tobytes().decode("ascii"))
-    del columns  # before the join doubles the text
-    return "".join(chunks)
+        rows = slice(lo, min(lo + CSV_BLOCK_ROWS, len(table)))
+        block = np.hstack([
+            np.broadcast_to(head, (rows.stop - lo, len(head))),
+            _int_text(table.nu[rows]),
+            _int_text(table.chi_index[rows]),
+            *(strings.take(row[rows], axis=0) for strings, row in columns),
+        ])
+        text += block.tobytes().translate(None, b"\0")
+    return text
 
 
-def _write(text: str, out_path: str | None, what: str) -> None:
-    """text to out_path, and "wrote {what} to out_path" on stdout; without
-    an out_path, text to stdout.  An unwritable out_path is a ConfigError."""
+def _write(data: bytes | bytearray, out_path: str | None, what: str) -> None:
+    """data to out_path, and "wrote {what} to out_path" on stdout; without
+    an out_path, data to stdout.  An unwritable out_path is a ConfigError."""
     if not out_path:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
         return
     try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     print(f"wrote {what} to {out_path}")
@@ -602,7 +636,8 @@ def distribution_report(cfg: RunConfig) -> dict:
 
 
 def cmd_distribution(cfg: RunConfig) -> int:
-    _write(json.dumps(distribution_report(cfg), sort_keys=True, indent=2) + "\n", cfg.out_path, "report")
+    text = json.dumps(distribution_report(cfg), sort_keys=True, indent=2) + "\n"
+    _write(text.encode("ascii"), cfg.out_path, "report")
     return 0
 
 

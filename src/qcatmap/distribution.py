@@ -161,7 +161,13 @@ def _winsorized_moments(values: np.ndarray, bound: float | None) -> tuple[list[f
     if bound is not None:
         clipped = int(np.count_nonzero(np.abs(v) > bound))
         v = np.clip(v, -bound, bound)
-    return [float(np.mean(v**m)) for m in MOMENT_ORDERS], clipped
+    # running products v, v*v, v*v*v, ... in one buffer: no pow() per element
+    moments, power = [], np.ones_like(v)
+    for m in range(1, max(MOMENT_ORDERS) + 1):
+        power *= v
+        if m in MOMENT_ORDERS:
+            moments.append(float(np.mean(power)))
+    return moments, clipped
 
 
 def compare_distribution(
@@ -246,14 +252,17 @@ def normalized_elements(f: FourierObservable, elements: MatrixElements) -> np.nd
 
 def _exp_sum_table(group: HeckeGroup, nus: list[int]) -> np.ndarray:
     """E(nu, chi_j) for all characters j (rows) and the given nus (cols),
-    in closed form at k >= 2 and by brute force at k = 1.
+    in closed form at k >= 2 (the values alone, with the bound check of
+    the expsum table) and by brute force at k = 1.
 
     Duplicate nus are evaluated once and broadcast to their columns.
     """
     order, N = group.order, group.pp.N
     uniq = sorted({int(nu) % N for nu in nus})
     if group.pp.k >= 2:
-        out = expsum.scan_characters(group, uniq).value.reshape(order, len(uniq))
+        value, good, _ = expsum._closed_form(group, uniq, np.arange(order, dtype=np.int64))
+        out = np.ascontiguousarray(value.T)
+        expsum.check_bound(group.pp, out, good.T)
     else:
         out = np.column_stack([expsum.exp_sum_bruteforce(group, nu) for nu in uniq])
     col = {nu: i for i, nu in enumerate(uniq)}

@@ -124,10 +124,12 @@ def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
         if odd:
             den_inv[lift, dom] = inv_mod(D * shifted % pl1 * shifted - 1, PrimePower(p, l + 1))
 
-    # every square root mod p^l of every w, from one sort of the squares
+    # every square root mod p^l of every w, from one stable sort of the
+    # squares: the roots of w are by_square[first[w] : first[w] + count[w]]
     squares = xs * xs % pl
     by_square = np.argsort(squares, kind="stable")
-    squares = squares[by_square]
+    root_count = np.bincount(squares, minlength=pl)
+    root_first = np.cumsum(root_count) - root_count
     roots_N, roots_C = roots_table(N), group.roots
 
     value = np.zeros((len(nus), len(j)), dtype=np.complex128)
@@ -136,21 +138,24 @@ def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
     for row, nu in enumerate(nus):
         good[row] = _good(pp, t, nu)
         w = (2 * t + nu) % pl * pow(nu * D % pl, -1, pl) % pl
-        lo = np.searchsorted(squares, w, side="left")
-        count = np.searchsorted(squares, w, side="right") - lo
+        count = root_count[w]
+        # x lists the roots of each character's w in turn, the i-th one
+        # at by_square[root_first[w] + i]
+        start = root_first[w] - (np.cumsum(count) - count)
+        del w  # the #C-long temporaries go before the per-root arrays are made
         owner = np.repeat(np.arange(len(j)), count)
-        pos = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-        x = by_square[pos]
+        x = by_square[np.arange(len(owner)) + np.repeat(start, count)]
+        del count, start
         in_dom = dlogs[0, x] >= 0
         owner, x = owner[in_dom], x[in_dom]
-        jo, to = j[owner], t[owner]
+        jo = j[owner]
 
         terms = []
         for lift in (0, 1):
             xl = x + lift * pl
             term = roots_N[nu * xl % N] * roots_C[jo * dlogs[lift, x] % order]
             if odd:
-                den = den_inv[lift, x]
+                to, den = t[owner], den_inv[lift, x]
                 f = 2 * to * (D % p) % p * (xl % p) % p * (den % p) ** 2 % p
                 rest = (nu - 2 * to * den) % pl1
                 if np.any(rest % pl):
@@ -177,18 +182,25 @@ def exp_sum_closed(group: HeckeGroup, nu: int, j) -> np.ndarray:
     return _closed_form(group, [nu], j)[0][0]
 
 
-def theta_angle(pp: PrimePower, value: np.ndarray, good: np.ndarray) -> np.ndarray:
-    """theta in [0, pi] with E = 2 p^(k/2) cos(theta) on good rows, NaN on
-    bad rows.  A good row with |E| / (2 p^(k/2)) above 1 + THETA_BOUND_TOL
-    breaks the paper's bound and raises BoundExceededError."""
-    scale = 2.0 * pp.p ** (pp.k / 2.0)
-    ratio = np.abs(value) / scale
+def check_bound(pp: PrimePower, value: np.ndarray, good: np.ndarray) -> None:
+    """A good sum with |E| / (2 p^(k/2)) above 1 + THETA_BOUND_TOL breaks
+    the paper's bound and raises BoundExceededError, which names the row
+    of the worst one in the flattened value array."""
+    ratio = np.abs(value).ravel() / (2.0 * pp.p ** (pp.k / 2.0))
+    good = np.ravel(good)
     if good.any() and ratio[good].max() > 1.0 + THETA_BOUND_TOL:
         i = int(np.argmax(np.where(good, ratio, -1.0)))
         raise BoundExceededError(
             f"good sum above 2 p^(k/2) at {pp}: worst |E|/(2 p^(k/2)) = {ratio[i]:.12g} "
             f"(row {i}, tolerance 1 + {THETA_BOUND_TOL:g})"
         )
+
+
+def theta_angle(pp: PrimePower, value: np.ndarray, good: np.ndarray) -> np.ndarray:
+    """theta in [0, pi] with E = 2 p^(k/2) cos(theta) on good rows, NaN on
+    bad rows, after check_bound."""
+    check_bound(pp, value, good)
+    scale = 2.0 * pp.p ** (pp.k / 2.0)
     theta = np.full(len(value), np.nan)
     theta[good] = np.arccos(np.clip(value.real[good] / scale, -1.0, 1.0))
     return theta

@@ -190,22 +190,50 @@ def synthetic_tables(draw):
 EDGE_ROWS = 2 * len(CSV_FLOATS)  # each edge value twice, and -0.0 next to 0.0 in every column
 
 
+# decimal digit boundaries of the integer columns, up to the int64 maximum
+CSV_INTS = [0, 9, 10, 99, 100, 10**6, 2**62, 2**63 - 1]
+
+
 @given(synthetic_tables())
 @example(table_of(PrimePower(7, 2), [], [], [], [], [], [], []))
+@example(table_of(PrimePower(7, 2), [0], [0], [0.5], [0.0], [1.0], [True], [False]))
+@example(table_of(
+    PrimePower(7, 2), CSV_INTS, CSV_INTS[::-1], CSV_FLOATS[: len(CSV_INTS)], CSV_FLOATS[::-1][: len(CSV_INTS)],
+    [np.nan, 0.25] * (len(CSV_INTS) // 2), [False, True] * (len(CSV_INTS) // 2), [True] * len(CSV_INTS),
+))
 @example(table_of(
     PrimePower(7, 2), [1, 3] * len(CSV_FLOATS), range(EDGE_ROWS), CSV_FLOATS * 2, CSV_FLOATS[::-1] * 2,
     [th if i % 3 else np.nan for i, th in enumerate(CSV_FLOATS * 2)], [i % 3 > 0 for i in range(EDGE_ROWS)],
     [i % 2 > 0 for i in range(EDGE_ROWS)],
 ))
 def test_records_to_csv_matches_row_writer(table):
-    assert records_to_csv(table) == csv_rows(table)
+    assert records_to_csv(table) == csv_rows(table).encode()
 
 
 @pytest.mark.parametrize("p,k", [(7, 2), (5, 3), (11, 2), (29, 3)])
 def test_records_to_csv_matches_row_writer_on_real_tables(p, k):
     table = scan_characters(build_group(matrix_for_prime(p), PrimePower(p, k)), [1, 2, 3])
     assert not table.good.all()  # some rows have an empty theta
-    assert records_to_csv(table) == csv_rows(table)
+    assert records_to_csv(table) == csv_rows(table).encode()
+
+
+@pytest.mark.parametrize("column", ["nu", "chi_index"])
+def test_records_to_csv_refuses_negative_keys(column):
+    keys = {"nu": [1, 2], "chi_index": [0, 1], column: [3, -1]}
+    table = table_of(PrimePower(7, 2), keys["nu"], keys["chi_index"], [0.5, 1.0], [0.0, 0.0], [1.0, 0.5],
+                     [True, True], [False, False])
+    assert "-1" in csv_rows(table)  # the row writer would print it
+    with pytest.raises(ValueError, match=f"negative {column} -1"):
+        records_to_csv(table)
+
+
+def test_expsum_stdout_is_the_file_bytes(tmp_path):
+    out = tmp_path / "sums.csv"
+    argv = ["-m", "qcatmap.cli", "expsum", "--p", "11", "--k", "2", "--nu", "1,2"]
+    to_file, to_stdout = run_python(*argv, "--out", str(out)), run_python(*argv)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_stdout.stdout == out.read_text()
+    assert to_file.stdout == "wrote 220 records to " + str(out) + "\n"
 
 
 def test_expsum_rejects_bad_nu():

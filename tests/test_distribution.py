@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcatmap.errors import BadNuError, EmptySetError, NoMatchError
+from qcatmap.errors import BadNuError, BoundExceededError, EmptySetError, NoMatchError
 from qcatmap.modarith import PrimePower, valuation
 from qcatmap.quantization import (
     BLOCK_BYTES,
@@ -21,7 +21,9 @@ from qcatmap.hecke import build_group, eigendecompose
 from qcatmap import cli, expsum
 from qcatmap.distribution import (
     FORMULA_TOL,
+    MOMENT_ORDERS,
     _exp_sum_table,
+    _winsorized_moments,
     ScaledLimitLaw,
     angle_moment,
     compare_distribution,
@@ -35,6 +37,7 @@ from qcatmap.distribution import (
     normalized_elements,
     normalized_elements_closed,
     quadratic_form,
+    reduced_classes,
     sample_limit_variable,
     square_density,
     twisted_coefficients,
@@ -213,6 +216,33 @@ def test_compare_distribution_winsorizes():
     rep = compare_distribution(vals, vals.copy(), winsor_bound=10.0)
     assert rep.winsorized_left == 2
     assert rep.moments_left[1] == pytest.approx(2 * 100 / 100.0)
+
+
+def float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+# zeros of both signs, negatives, and values on and beyond the winsor bound 4
+MOMENT_VALUES = st.sampled_from([0.0, -0.0, 4.0, -4.0, 5.5, -1e3]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200)
+@given(st.lists(MOMENT_VALUES, min_size=1, max_size=300), st.sampled_from([None, 4.0]))
+@example([0.0, -0.0, -3.0, 4.0, 7.5, -1e3], 4.0)
+def test_property_winsorized_moments_equal_powers(values, bound):
+    """The running products against np.mean(v**m) on the sorted sample:
+    bit for bit at m = 1, 2, within 8 eps mean(|v|^m) above."""
+    v = np.sort(np.array(values))
+    moments, clipped = _winsorized_moments(v, bound)
+    w = v if bound is None else np.clip(v, -bound, bound)
+    assert clipped == (0 if bound is None else int(np.count_nonzero(np.abs(v) > bound)))
+    assert len(moments) == len(MOMENT_ORDERS)
+    for m, got in zip(MOMENT_ORDERS, moments):
+        want = float(np.mean(w**m))
+        if m <= 2:
+            assert float_bits(got) == float_bits(want), (m, got, want)
+        else:
+            assert abs(got - want) <= 8 * np.finfo(float).eps * float(np.mean(np.abs(w) ** m)), (m, got, want)
 
 
 # -- dense pipeline ------------------------------------------------------
@@ -516,6 +546,42 @@ def test_closed_form_sample_matches_law(cat_map):
     scale = math.sqrt(pp.N) * 101 / group.order
     rep = compare_distribution(sample, ScaledLimitLaw(scale))
     assert rep.ks < 0.05
+
+
+def scan_route_sample(f, group):
+    """normalized_elements_closed through the full expsum table, the route
+    before the values-only closed form: the oracle of its bits."""
+    pp = group.pp
+    spectrum = reduced_classes(twisted_coefficients(f, group.A), pp)
+    nus = sorted(spectrum)
+    halved = [nu * pow(2, -1, pp.N) % pp.N for nu in nus]
+    uniq = sorted(set(halved))
+    table = expsum.scan_characters(group, uniq).value.reshape(group.order, len(uniq))
+    table = table[:, [uniq.index(nu) for nu in halved]]
+    weights = np.array([complex(spectrum[nu]).real for nu in nus])
+    return (math.sqrt(pp.N) / group.order) * (table.real @ weights)
+
+
+@pytest.mark.parametrize("p,k", [(347, 2), (23, 3)])
+def test_closed_sample_equals_scan_route_bits(cat_map, p, k):
+    # three classes, -1, 1 and 5, of unequal weight
+    f = FourierObservable({m: c for n, c in (((1, 0), 0.5), ((0, 1), -0.3), ((1, 2), 0.2))
+                           for m in (n, (-n[0], -n[1]))})
+    group = build_group(cat_map, PrimePower(p, k))
+    sample = normalized_elements_closed(f, group)
+    assert sample.view(np.int64).tolist() == scan_route_sample(f, group).view(np.int64).tolist()
+
+
+def test_closed_sample_checks_the_bound(cat_map, monkeypatch):
+    closed_form = expsum._closed_form
+
+    def inflated(*args):
+        value, good, vanished = closed_form(*args)
+        return 2 * value, good, vanished
+
+    monkeypatch.setattr(expsum, "_closed_form", inflated)
+    with pytest.raises(BoundExceededError, match=r"worst \|E\|/\(2 p\^\(k/2\)\)"):
+        normalized_elements_closed(FourierObservable.harmonic_pair((1, 0)), build_group(cat_map, PrimePower(11, 2)))
 
 
 # -- counting oracles -----------------------------------------------------
