@@ -34,8 +34,7 @@ Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
                    then `distribution.normalized_elements` of the
                    observable with those +-n and
                    `distribution.verify_matrix_element_formula` over the
-                   usable modes, both read from that pass.  A tree without
-                   `matrix_elements` makes one pass per call instead.
+                   usable modes, both read from that pass.
                    `eigendecompose` is timed apart as `eigendecompose_s`,
                    and `eigendecompose_peak_rss_mb` is the peak RSS when it
                    returns, so `peak_rss_mb` above it is the elements' own.
@@ -114,13 +113,9 @@ else:
     f = FourierObservable({m: 0.5 for n in cli.DEFAULT_MODES for m in (n, (-n[0], -n[1]))})
     modes = cli._usable_modes(A, p)
     t0 = time.perf_counter()
-    if hasattr(distribution, "matrix_elements"):
-        elements = distribution.matrix_elements(decomp, [*f.coeffs, *modes])
-        distribution.normalized_elements(f, elements)
-        distribution.verify_matrix_element_formula(elements, modes)
-    else:  # the API before the one-pass matrix elements
-        distribution.normalized_elements(f, decomp)
-        distribution.verify_matrix_element_formula(decomp, modes)
+    elements = distribution.matrix_elements(decomp, [*f.coeffs, *modes])
+    distribution.normalized_elements(f, elements)
+    distribution.verify_matrix_element_formula(elements, modes)
     s, items = time.perf_counter() - t0, pp.N
 print(json.dumps({"s": s, "peak_rss_mb": peak_rss_mb(), "items": items, **extra}))
 """

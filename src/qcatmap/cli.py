@@ -113,6 +113,14 @@ def _int_list(value) -> tuple[int, ...]:
     return _parse_int_list(value) if isinstance(value, str) else tuple(map(operator.index, value))
 
 
+def _seed(value) -> int:
+    """A seed of numpy's generator: a non-negative integer."""
+    seed = operator.index(value)
+    if seed < 0:
+        raise ValueError(f"negative seed {seed}")
+    return seed
+
+
 # flag or config-file key -> (RunConfig field, parser of the flag's text or the file's value)
 CONFIG_KEYS = {
     "matrix": ("matrix", _int_list),  # _automorphism checks it
@@ -120,7 +128,7 @@ CONFIG_KEYS = {
     "k": ("k_list", lambda v: _distinct("k", _int_list(v))),
     "nu": ("nu_list", _int_list),
     "obs": ("obs_path", str),
-    "seed": ("seed", operator.index),
+    "seed": ("seed", _seed),
     "out": ("out_path", str),
     "dense_cap": ("dense_cap", operator.index),
 }
@@ -563,8 +571,10 @@ def distribution_report(cfg: RunConfig) -> dict:
     """The `distribution` report.  Up to dense_cap it comes from the dense
     eigenfunctions, and the sign and matched_unique come from the
     one-shift match of the matrix-element formula; above it, from the
-    closed-form character sums.  A class of the observable divisible by p
-    is a ConfigError, raised before the group is built."""
+    closed-form character sums.  The bad-character count and the model law
+    read the observable's classes mod N, the classes the sample sums over;
+    a class whose weights cancel there leaves the model.  A class divisible
+    by p is a ConfigError, raised before the group is built."""
     A = _automorphism(cfg)
     if len(cfg.p_list) != 1 or len(cfg.k_list) != 1:
         raise ConfigError("distribution needs exactly one p and one k")
@@ -576,14 +586,14 @@ def distribution_report(cfg: RunConfig) -> dict:
         raise ConfigError(f"bad observable file: {exc}") from exc
     p, k = cfg.p_list[0], cfg.k_list[0]
     pp = _prime_power(p, k)
-    spectrum = dist.twisted_coefficients(f, A)
     try:
-        dist.reduced_classes(spectrum, pp)  # every class a unit mod p, before any work
+        # each class mod N, a unit mod p, before any work
+        classes = dist.reduced_classes(dist.twisted_coefficients(f, A), pp)
         group = hecke.build_group(A, pp)
     except (BadNuError, RamifiedPrimeError) as exc:
         raise ConfigError(str(exc)) from exc
     winsor = 10.0 * p ** (1.0 / 6.0)
-    n_bad = expsum.bad_character_count(group, [nu * pow(2, -1, pp.N) for nu in spectrum])
+    n_bad = expsum.bad_character_count(group, [nu * pow(2, -1, pp.N) for nu in classes])
 
     if pp.N <= cfg.dense_cap:
         # the sign is a property of (p, k); pin it on the default mode set
@@ -604,12 +614,13 @@ def distribution_report(cfg: RunConfig) -> dict:
         sign = None
         matched = None
 
-    if len(spectrum) == 1 and pp.k >= 2:
-        ((nu, w),) = spectrum.items()
+    model_classes = {nu: w for nu, w in classes.items() if w != 0}
+    if len(model_classes) == 1 and pp.k >= 2:
+        (w,) = model_classes.values()
         scale = abs(complex(w).real) * math.sqrt(pp.N) * p ** (k / 2.0) / group.order
         comp = dist.compare_distribution(sample, dist.ScaledLimitLaw(scale), winsor_bound=winsor)
     else:
-        model = dist.sample_limit_variable(spectrum, cfg.seed, SAMPLER_COUNT)
+        model = dist.sample_limit_variable(model_classes, cfg.seed, SAMPLER_COUNT)
         comp = dist.compare_distribution(sample, model, winsor_bound=winsor)
 
     report = {

@@ -44,7 +44,8 @@ def quadratic_form(A: TorusAutomorphism, n: tuple[int, int]) -> int:
 
 
 def twisted_coefficients(f: FourierObservable, A: TorusAutomorphism) -> dict[int, complex]:
-    """f#(nu) = sum over Q(n) = nu of (-1)^(n1 n2) fhat(n), nu != 0 only."""
+    """f#(nu) = sum over Q(n) = nu of (-1)^(n1 n2) fhat(n), nu != 0 only,
+    in increasing order of nu."""
     spectrum: dict[int, complex] = {}
     for n, c in sorted(f.coeffs.items()):
         if n == (0, 0):
@@ -54,7 +55,7 @@ def twisted_coefficients(f: FourierObservable, A: TorusAutomorphism) -> dict[int
             continue
         sign = -1 if (n[0] * n[1]) % 2 else 1
         spectrum[nu] = spectrum.get(nu, 0.0) + sign * complex(c)
-    return spectrum
+    return dict(sorted(spectrum.items()))
 
 
 # -- the limiting angle law --------------------------------------------
@@ -101,12 +102,13 @@ def sample_limit_variable(spectrum: dict[int, complex], seed: int, count: int) -
     """count independent draws of Y_f = 2 sum f#(nu) cos(theta_nu).
 
     Each theta_nu is the atom pi/2 with probability 1/2 (contributing an
-    exact 0.0) and otherwise uniform on [0, pi).  Deterministic in seed.
+    exact 0.0) and otherwise uniform on [0, pi).  The classes draw in the
+    order of the mapping (twisted_coefficients and reduced_classes list
+    them by integer class).  Deterministic in seed and that order.
     """
     rng = np.random.default_rng(seed)
     total = np.zeros(count)
-    for nu in sorted(spectrum):
-        w = complex(spectrum[nu])
+    for w in map(complex, spectrum.values()):
         if abs(w.imag) > 1e-12 * (1 + abs(w)):
             raise ValueError("sampler needs a real twisted spectrum")
         atom = rng.random(count) < 0.5
@@ -200,7 +202,9 @@ def compare_distribution(
 
 
 def reduced_classes(spectrum: dict[int, complex], pp: PrimePower) -> dict[int, complex]:
-    """Check every class index is a unit mod p and reduce it mod N."""
+    """Check every class index is a unit mod p and reduce it mod N: the
+    weights of the classes that meet mod N add up.  The classes keep the
+    order of their smallest integer member."""
     out: dict[int, complex] = {}
     for nu, w in sorted(spectrum.items()):
         if nu % pp.p == 0:

@@ -130,7 +130,7 @@ def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
     by_square = np.argsort(squares, kind="stable")
     root_count = np.bincount(squares, minlength=pl)
     root_first = np.cumsum(root_count) - root_count
-    roots_N, roots_C = roots_table(N), group.roots
+    roots_N, roots_C = roots_table(N), roots_table(order)
 
     value = np.zeros((len(nus), len(j)), dtype=np.complex128)
     good = np.empty((len(nus), len(j)), dtype=bool)

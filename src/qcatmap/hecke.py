@@ -117,8 +117,9 @@ class QuadOrderMod:
         return level
 
 
-# entries of the temporaries of one block of _power_blocks
-POWER_BLOCK = 1 << 16
+# entries of one block of _power_blocks; each is an int64 pair, so a block
+# takes BLOCK_BYTES and its temporaries a few more
+POWER_BLOCK = qz.BLOCK_BYTES // 16
 
 
 def _power_blocks(g, one, mul, count: int):
@@ -239,10 +240,6 @@ class HeckeGroup:
             xs = xs[self.ring.in_domain(xs)]
             tbl[xs] = self.cayley_dlogs(xs)
         return tbl
-
-    @functools.cached_property
-    def roots(self) -> np.ndarray:
-        return roots_table(self.order)
 
     # -- restriction to the principal congruence subgroup ---------------
 
@@ -380,7 +377,7 @@ def split_eigenvectors(group: HeckeGroup, diag: SplitDiagonalizer, unit_dlogs: n
     check_array_size(N * len(index), f"split eigenvectors at {group.pp}")
     units = np.flatnonzero(unit_dlogs >= 0)
     block = np.zeros((N, len(index)), dtype=np.complex128)
-    block[units] = group.roots[np.outer(unit_dlogs[units], index) % group.order]
+    block[units] = roots_table(group.order)[np.outer(unit_dlogs[units], index) % group.order]
     block = propagator_apply(diag.M, group.pp)(block)
     block /= np.linalg.norm(block, axis=0)[None, :]
     return block
@@ -610,19 +607,6 @@ def _orbit_eig(group: HeckeGroup):
     return _checked_eigenvalues(apply, V, parity), V, parity
 
 
-def predicted_cluster_count(kind: str, pp: PrimePower) -> int:
-    """Distinct joint eigenvalues: p^k (inert), phi(p^k) (split: every
-    character of the unit group appears)."""
-    if kind == "inert":
-        return pp.N
-    return pp.p ** (pp.k - 1) * (pp.p - 1)
-
-
-def split_level_multiplicity(pp: PrimePower, level: int) -> int:
-    """Eigenspace dimension k - l + 1 for a level-l character (split)."""
-    return pp.k - level + 1
-
-
 def unit_character_level(group: HeckeGroup, index: int) -> int:
     """Smallest l with chi_index trivial on {beta = 1 mod p^l}."""
     if index % group.order == 0:
@@ -697,7 +681,9 @@ def eigendecompose(group: HeckeGroup) -> EigenDecomposition:
     if err > CLUSTER_TOL:
         raise EigenClusterError(f"eigenvalue off the root-of-unity grid by {err:.2e}")
     decomp = EigenDecomposition(group, lam, folded, parity, labels, phase)
-    expected = predicted_cluster_count(group.kind, group.pp)
+    # distinct joint eigenvalues: p^k (inert), phi(p^k) (split: every
+    # character of the unit group appears)
+    expected = pp.N if group.kind == "inert" else pp.p ** (pp.k - 1) * (pp.p - 1)
     if len(decomp.clusters) != expected:
         raise EigenClusterError(
             f"{len(decomp.clusters)} clusters, predicted {expected} for {group.kind} {group.pp}"
@@ -802,9 +788,9 @@ def split_match_report(decomp: EigenDecomposition) -> SplitMatchReport:
     shifts = (matched - index) % order
     shift_ok = bool(np.all(shifts == shifts[0]))
     shift = int(shifts[0])
+    # a level-l character's eigenspace has dimension k - l + 1
     mult_ok = shift_ok and all(
-        decomp.multiplicity((ci + shift) % order)
-        == split_level_multiplicity(pp, unit_character_level(group, ci))
+        decomp.multiplicity((ci + shift) % order) == pp.k - unit_character_level(group, ci) + 1
         for ci in range(order)
     )
     return SplitMatchReport(

@@ -177,12 +177,9 @@ def sqrt_set(nu: int, p: int, l: int) -> tuple[int, ...]:
     return tuple(sorted(roots))
 
 
-@functools.lru_cache(maxsize=128)
 def roots_table(N: int) -> np.ndarray:
-    """Table of e(x/N) = exp(2*pi*i*x/N) for x = 0..N-1 (read-only)."""
-    table = np.exp(2j * np.pi * np.arange(N) / N)
-    table.flags.writeable = False
-    return table
+    """Table of e(x/N) = exp(2*pi*i*x/N) for x = 0..N-1, built anew on each call."""
+    return np.exp(2j * np.pi * np.arange(N) / N)
 
 
 def gauss_quadratic(f: int, g: int, p: int) -> complex:

@@ -207,7 +207,8 @@ def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
     take = V.columns if hasattr(V, "columns") else lambda index: V[:, index]
     modes = [(int(n1), int(n2)) for n1, n2 in modes]
     y = np.arange(N)
-    phases = [roots_table(2 * N)[(n1 * n2) % (2 * N)] * roots_table(N)[(n2 * y) % N] for n1, n2 in modes]
+    two_n, one_n = roots_table(2 * N), roots_table(N)
+    phases = [two_n[(n1 * n2) % (2 * N)] * one_n[(n2 * y) % N] for n1, n2 in modes]
     rows_of_shift: dict[int, list[int]] = {}
     for i, (n1, _) in enumerate(modes):
         rows_of_shift.setdefault(-n1 % N, []).append(i)
@@ -248,13 +249,9 @@ def op_of_observable(f: FourierObservable, pp: PrimePower) -> np.ndarray:
     """Quantization Op_N(f) = sum_n fhat(n) T(n) as a dense N x N matrix."""
     N = pp.N
     check_array_size(N * N, f"dense Op(f) at N = {N}")
-    y = np.arange(N)
     entries = np.zeros((N, N), dtype=np.complex128)
-    two_n = roots_table(2 * N)
-    one_n = roots_table(N)
-    for (n1, n2), c in sorted(f.coeffs.items()):
-        vals = complex(c) * two_n[(n1 * n2) % (2 * N)] * one_n[(n2 * y) % N]
-        entries[y, (y + n1) % N] += vals
+    for n, c in sorted(f.coeffs.items()):
+        entries += complex(c) * elementary_matrix(n, pp)
     return entries
 
 

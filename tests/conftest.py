@@ -91,7 +91,7 @@ def exp_sum_direct(group, nu: int, j: int) -> complex:
     N = group.pp.N
     tbl = group.cayley_table
     xs = np.flatnonzero(tbl >= 0)
-    return complex((group.roots[j * tbl[xs] % group.order] * roots_table(N)[nu * xs % N]).sum())
+    return complex((roots_table(group.order)[j * tbl[xs] % group.order] * roots_table(N)[nu * xs % N]).sum())
 
 
 def good_by_definition(group, nu: int) -> np.ndarray:

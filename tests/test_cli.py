@@ -89,13 +89,16 @@ def test_verify_ramified_explicit_prime_exits_2(capsys):
         (["verify", "--p", "3,5,7,5,3", "--k", "1"], ["p list repeats 3, 5"]),
         (["verify", "--p", "3", "--k", "1-2,2"], ["k list repeats 2"]),
         (["distribution", "--p", "3", "--k", "2,2", "--obs", "obs.json"], ["k list repeats 2"]),
+        (["verify", "--p", "3", "--k", "1", "--seed", "-5"], ["seed = -5"]),
+        (["distribution", "--p", "13", "--k", "2", "--obs", "obs.json", "--seed", "-5"], ["seed = -5"]),
     ],
 )
 def test_bad_modulus_or_integer_list_exits_2(argv, words, capsys):
     """A p that is no odd prime, a k < 1, a list that is not integers, a
-    descending range (it names no value) or a repeated prime or exponent
-    (it names its spaces twice) is a configuration error: exit 2 and one
-    line on stderr, no traceback, and no check runs."""
+    descending range (it names no value), a repeated prime or exponent
+    (it names its spaces twice) or a negative seed (numpy's generator
+    takes none) is a configuration error: exit 2 and one line on stderr,
+    no traceback, and no check runs."""
     assert run_cli(argv) == 2
     assert assert_one_line_error(capsys, *words) == ""
 
@@ -128,6 +131,14 @@ def test_bad_config_file_exits_2(text, word, tmp_path, capsys):
         cfg.write_text(text)
     assert run_cli(["expsum", "--config", str(cfg)]) == 2
     assert_one_line_error(capsys, word)
+
+
+@pytest.mark.parametrize("command", ["verify", "distribution"])
+def test_negative_seed_in_config_file_exits_2(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -5}))
+    assert run_cli([command, "--config", str(cfg)]) == 2
+    assert assert_one_line_error(capsys, "seed = -5") == ""
 
 
 def test_expsum_row_count_and_determinism(tmp_path):
@@ -305,6 +316,45 @@ def test_distribution_rejects_class_divisible_by_p_first(k, tmp_path, monkeypatc
     write_obs(obs, {(1, 4): 0.5 + 0j, (-1, -4): 0.5 + 0j})
     assert run_cli(["distribution", "--p", "19", "--k", str(k), "--obs", str(obs)]) == 2
     assert "class nu = 19 is divisible by p = 19" in capsys.readouterr().err
+
+
+def distribution_of_cosines(tmp_path, p, modes, name="r"):
+    """The report of distribution at p^2 for the sum of cos 2 pi n.x over
+    the modes n, each n as (n1, n2, weight); seed 7."""
+    obs, out = tmp_path / f"{name}.obs.json", tmp_path / f"{name}.json"
+    write_obs(obs, {m: 0.5 * c + 0j for n1, n2, c in modes for m in ((n1, n2), (-n1, -n2))})
+    assert run_cli(["distribution", "--p", str(p), "--k", "2", "--obs", str(obs), "--seed", "7",
+                    "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+# Q = w(nA, n) under the default matrix, with the twist sign (-1)^(n1 n2)
+@pytest.mark.parametrize(
+    "p,modes",
+    [
+        pytest.param(7, [(1, 5, 1), (4, -2, 1)], id="meet-mod-49"),  # Q = 29, -20 (29 = -20 mod 49); -1 + 1
+        pytest.param(13, [(1, 0, 1), (1, -1, 1)], id="same-Q-dense"),  # Q = -1 twice; +1 - 1
+        pytest.param(101, [(1, 0, 1), (1, -1, 1)], id="same-Q-closed"),
+    ],
+)
+def test_distribution_classes_that_cancel_leave_the_model(p, modes, tmp_path):
+    """Two classes that meet mod N with weights -1 and +1 leave an all-zero
+    sample.  The model reads the same classes mod N, where the weight is
+    exactly 0, so it is all zero too: ks 0, and every moment 0."""
+    report = distribution_of_cosines(tmp_path, p, modes)
+    assert report["ks"] == 0.0
+    assert report["moments"] == [0.0] * 6
+
+
+def test_distribution_classes_that_add_take_the_single_class_law(tmp_path):
+    """Q(1, 2) = 5 and Q(6, -2) = -44 meet mod 49 with weights +1 and +1:
+    one class of weight 2, compared with the exact law of that one class,
+    as the single mode of weight 2 is."""
+    pair = distribution_of_cosines(tmp_path, 7, [(1, 2, 1), (6, -2, 1)], "pair")
+    single = distribution_of_cosines(tmp_path, 7, [(1, 2, 2)], "single")
+    assert pair["ks"] == pytest.approx(single["ks"], rel=1e-9, abs=1e-12)
+    assert pair["moments"] == pytest.approx(single["moments"], rel=1e-9, abs=1e-12)
+    assert pair["n_bad_character"] == single["n_bad_character"]
 
 
 COS_OBS = json.dumps([{"n1": 1, "n2": 0, "re": 0.5, "im": 0.0}, {"n1": -1, "n2": 0, "re": 0.5, "im": 0.0}])

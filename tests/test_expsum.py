@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,21 @@ def test_scan_table_equals_bruteforce(p, k):
     assert table.chi_index.tolist() == list(range(group.order))
 
 
+def test_scan_keeps_no_table_alive():
+    """Once the table of a scan is dropped, nothing of it stays allocated:
+    no memo keeps roots_table(N) or a #C-long table of roots (3.7 MiB at
+    349^2)."""
+    group = build_group(A_DEFAULT, PrimePower(349, 2))
+    tracemalloc.start()
+    try:
+        table = scan_characters(group, [1])
+        del table
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.5e6, kept
+
+
 def test_good_fiber_terms_conjugate():
     # nonvanishing good sum = p^l * (z + conj(z)) over the two roots
     p = 11
@@ -193,7 +209,7 @@ def test_good_fiber_terms_conjugate():
     r1, r2 = sqrt_set(w, p, 1)
 
     def term(x):
-        chi = group.roots[j * group.dlog(group.ring.cayley_transform(x)) % group.order]
+        chi = roots_table(group.order)[j * group.dlog(group.ring.cayley_transform(x)) % group.order]
         return roots_table(p * p)[nu * x % (p * p)] * chi
 
     t1, t2 = term(r1), term(r2)
