@@ -17,8 +17,9 @@ Python and numpy.
 
 Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
   group p^2     -- `hecke.build_group` at 349^2, 1009^2 and 3001^2
-  scan p^2      -- `expsum.scan_characters(group, [1])` at 1009^2 and
-                   3001^2 (the group is not timed)
+  scan p^k      -- `expsum.scan_characters(group, [1])` at 1009^2 and
+                   3001^2, and at 101^3, where the odd-k Gauss factors run
+                   at #C = 1,020,100 (the group is not timed)
   csv p^2       -- `cli.records_to_csv` of `scan_characters(group, [1])` at
                    349^2 and 1009^2 (the group and the scan are not timed)
   closed p^2    -- the closed-form statistics of `distribution` at 347^2:
@@ -57,7 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CASES = [
-    ("group", 349, 2), ("group", 1009, 2), ("group", 3001, 2), ("scan", 1009, 2), ("scan", 3001, 2),
+    ("group", 349, 2), ("group", 1009, 2), ("group", 3001, 2), ("scan", 1009, 2), ("scan", 3001, 2), ("scan", 101, 3),
     ("csv", 349, 2), ("csv", 1009, 2), ("closed", 347, 2),
     ("elements", 37, 2), ("elements", 41, 2), ("eigen", 13, 3), ("eigen", 19, 3),
 ]

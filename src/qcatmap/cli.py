@@ -7,10 +7,10 @@
 Each flag may also come from a --config JSON file, under the flag's name;
 CONFIG_KEYS reads both, and a flag wins.  Exit codes: 0 all checks pass;
 1 a check failed, a non-finite number was about to be emitted, or a size
-limit would be exceeded (an array, group table or Cayley table past the
-size cap); 2 a configuration error: a bad flag or config value, an
-unreadable config or observable file, a `distribution` observable with a
-class Q(n) divisible by p, or an unwritable --out.
+limit would be exceeded (an array, group, walk, character-sum or Cayley
+table past the size cap); 2 a configuration error: a bad flag or config
+value, an unreadable config or observable file, a `distribution`
+observable with a class Q(n) divisible by p, or an unwritable --out.
 """
 
 from __future__ import annotations
@@ -320,7 +320,8 @@ def _hecke_summary(parts) -> tuple[bool, str]:
 
 def _expsum_part(space: Space) -> tuple[float, int]:
     """The worst |closed - brute| over every character at nu = 1, 2 and a
-    non-residue, and the number of sums compared."""
+    non-residue, and the number of sums compared.  The closed form takes
+    its dlogs by Pohlig-Hellman, the brute force from the walk table."""
     pp, group = space.pp, space.group
     nonres = next(v for v in range(2, pp.p) if legendre(v, pp.p) == -1)
     errs = np.concatenate(

@@ -27,7 +27,7 @@ from . import expsum
 from .errors import BadNuError, EmptySetError, NoMatchError
 from .hecke import EigenDecomposition, HeckeGroup, build_group
 from .modarith import PrimePower, legendre
-from .quantization import FourierObservable, TorusAutomorphism, elementary_diagonals, row_action
+from .quantization import FourierObservable, TorusAutomorphism, check_array_size, elementary_diagonals, row_action
 
 SNAP_ZERO_TOL = 1e-9
 MOMENT_ORDERS = range(1, 7)  # the moment tables of compare_distribution
@@ -259,12 +259,14 @@ def _exp_sum_table(group: HeckeGroup, nus: list[int]) -> np.ndarray:
     in closed form at k >= 2 (the values alone, with the bound check of
     the expsum table) and by brute force at k = 1.
 
-    Duplicate nus are evaluated once and broadcast to their columns.
+    Duplicate nus are evaluated once and broadcast to their columns; the
+    #C values of each distinct nu are checked against the size cap first.
     """
     order, N = group.order, group.pp.N
     uniq = sorted({int(nu) % N for nu in nus})
+    check_array_size(order * len(uniq), f"closed-form sample at {group.pp}")
     if group.pp.k >= 2:
-        value, good, _ = expsum._closed_form(group, uniq, np.arange(order, dtype=np.int64))
+        value, good, _ = expsum._closed_form(group, uniq)
         out = np.ascontiguousarray(value.T)
         expsum.check_bound(group.pp, out, good.T)
     else:

@@ -3,11 +3,13 @@
 The sum runs over the Cayley domain X = {x : D x^2 != 1 mod p}.  Two
 evaluation routes are kept deliberately independent:
 
-  * brute force - one term per x in X through the discrete-log table,
-    for every character at once (the oracle);
+  * brute force - one term per x in X, its dlog read from the group's
+    walk table, for every character at once (the oracle);
   * closed form (k >= 2) - the sum collapses to the square-root fiber
-    mod p^(k//2), with an extra p-term Gauss factor for odd k.  One numpy
-    evaluation covers an array of characters at once.
+    mod p^(k//2), with an extra p-term Gauss factor for odd k.  It depends
+    on the character j only through r = j mod t_modulus and one phase per
+    root, so it is evaluated by residue rows, with Pohlig-Hellman dlogs at
+    the 2 p^(k//2) fiber points; no #C-long table or per-root array.
 
 Conventions: a character chi_j is its index j = 0..#C-1 (see hecke).
 E is always real (terms pair conjugately under x -> -x); a character is
@@ -17,13 +19,15 @@ and an angle theta with E = 2 p^(k/2) cos(theta) exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundExceededError, KTooSmallError, NonUnitError, WrongKError
 from .hecke import HeckeGroup
-from .modarith import PrimePower, gauss_quadratic_closed, inv_mod, roots_table
+from .modarith import PrimePower, gauss_quadratic_closed, inv_mod, roots_table, unit_roots
+from .quantization import check_array_size
 
 LIFT_CHECK_TOL = 1e-9
 REALNESS_TOL = 1e-8
@@ -79,16 +83,28 @@ def _good(pp: PrimePower, t: np.ndarray, nu: int) -> np.ndarray:
     return (2 * t + nu) % pp.p != 0
 
 
-def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
+def _closed_form(group: HeckeGroup, nus, j=None):
     """E(nu, chi_j) for each nu (rows) and character index j (columns),
-    with the masks of good characters and of vanished sums.
+    with the masks of good characters and of vanished sums; j = None
+    stands for every character, in index order.
 
     E = p^l * sum over x in the square-root set of w = (2t+nu)/(nu D)
     mod p^l (within the domain) of e_N(nu x) chi(beta(x)) [* G(x) for odd
-    k], with x lifted canonically from [0, p^l).  The summand is
-    independent of the lift exactly on the fiber; every term is recomputed
-    at x + p^l and compared.  A sum vanishes when no fiber point lies in
-    the domain.
+    k], with x lifted canonically from [0, p^l).  A sum vanishes when no
+    fiber point lies in the domain.
+
+    The t-parameter, w, its roots and G depend on j only through its
+    residue r = j mod T (T = t_modulus).  With j = r + T q, Q = #C / T and
+    m_x = dlog beta(x),
+
+        E(nu, chi_j) = p^l sum_x a(r, x) e(q m_x / Q),
+        a(r, x) = e_N(nu x) e(r m_x / #C) [* G(x)],
+
+    so each residue row is evaluated for every q < Q at once.  The
+    summand is independent of the lift exactly on the fiber: at each
+    (r, x) the amplitude is recomputed at x + p^l and compared, and
+    m_(x + p^l) = m_x (mod Q) is required, which together hold the term
+    of every character of the row.
 
     For odd k, G(x) is the Gauss sum of the second-order expansion of the
     Cayley map along the fiber x + p^l y:
@@ -104,81 +120,124 @@ def _closed_form(group: HeckeGroup, nus, j: np.ndarray):
     if pp.k < 2:
         raise KTooSmallError("closed form needs k >= 2; use exp_sum_bruteforce")
     nus = [_check_nu(int(nu), pp) for nu in nus]
-    p, N, order = pp.p, pp.N, group.order
-    l = pp.k // 2
-    pl, pl1 = p**l, p ** (l + 1)
-    odd = pp.k % 2 == 1
-    D = group.ring.D
-    j = np.asarray(j, dtype=np.int64)
-    t = group.t_parameters(j)
-
-    # per-x tables over [0, p^l) (row 0) and the lifts x + p^l (row 1):
-    # dlog beta(x), -1 outside the domain, and for odd k 1/(D x^2 - 1)
-    xs = np.arange(pl, dtype=np.int64)
-    dom = np.flatnonzero(group.ring.in_domain(xs))
-    dlogs = np.full((2, pl), -1, dtype=np.int64)
-    den_inv = np.zeros((2, pl), dtype=np.int64)
-    for lift in (0, 1):
-        shifted = dom + lift * pl
-        dlogs[lift, dom] = group.cayley_dlogs(shifted)
-        if odd:
-            den_inv[lift, dom] = inv_mod(D * shifted % pl1 * shifted - 1, PrimePower(p, l + 1))
-
-    # every square root mod p^l of every w, from one stable sort of the
-    # squares: the roots of w are by_square[first[w] : first[w] + count[w]]
-    squares = xs * xs % pl
-    by_square = np.argsort(squares, kind="stable")
-    root_count = np.bincount(squares, minlength=pl)
-    root_first = np.cumsum(root_count) - root_count
-    roots_N, roots_C = roots_table(N), roots_table(order)
-
-    value = np.zeros((len(nus), len(j)), dtype=np.complex128)
-    good = np.empty((len(nus), len(j)), dtype=bool)
-    vanished = np.empty((len(nus), len(j)), dtype=bool)
+    T, order = group.t_modulus, group.order
+    Q = order // T
+    if j is None:
+        residues = np.arange(T, dtype=np.int64)
+        width = order
+    else:
+        j = np.asarray(j, dtype=np.int64) % order
+        residues, column = np.unique(j % T, return_inverse=True)
+        width = len(j)
+    fiber = _Fiber(group)
+    value = np.zeros((len(nus), width), dtype=np.complex128)
+    good = np.empty((len(nus), width), dtype=bool)
+    vanished = np.empty((len(nus), width), dtype=bool)
     for row, nu in enumerate(nus):
-        good[row] = _good(pp, t, nu)
-        w = (2 * t + nu) % pl * pow(nu * D % pl, -1, pl) % pl
-        count = root_count[w]
-        # x lists the roots of each character's w in turn, the i-th one
-        # at by_square[root_first[w] + i]
-        start = root_first[w] - (np.cumsum(count) - count)
-        del w  # the #C-long temporaries go before the per-root arrays are made
-        owner = np.repeat(np.arange(len(j)), count)
-        x = by_square[np.arange(len(owner)) + np.repeat(start, count)]
-        del count, start
-        in_dom = dlogs[0, x] >= 0
-        owner, x = owner[in_dom], x[in_dom]
-        jo = j[owner]
+        # rows q < Q, columns the residues: for every r < T this is E in j order
+        block = value[row].reshape(Q, T) if j is None else np.zeros((Q, len(residues)), dtype=np.complex128)
+        good_r, vanished_r = fiber.residue_rows(nu, residues, block)
+        if j is None:
+            good[row], vanished[row] = np.tile(good_r, Q), np.tile(vanished_r, Q)
+        else:
+            value[row] = block[j // T, column]
+            good[row], vanished[row] = good_r[column], vanished_r[column]
 
-        terms = []
-        for lift in (0, 1):
-            xl = x + lift * pl
-            term = roots_N[nu * xl % N] * roots_C[jo * dlogs[lift, x] % order]
-            if odd:
-                to, den = t[owner], den_inv[lift, x]
-                f = 2 * to * (D % p) % p * (xl % p) % p * (den % p) ** 2 % p
-                rest = (nu - 2 * to * den) % pl1
-                if np.any(rest % pl):
-                    raise RuntimeError("square-root fiber violates the divisibility constraint")
-                term = term * gauss_quadratic_closed(f, rest // pl, p)
-            terms.append(term)
-        term, lifted = terms
-        drift = np.abs(term - lifted) > LIFT_CHECK_TOL * (1.0 + np.abs(term))
-        if drift.any():
-            i = int(np.argmax(drift))
-            raise RuntimeError(f"lift dependence at x = {x[i]} for chi_{jo[i]}: {term[i]} vs {lifted[i]}")
-        value[row].real = pl * np.bincount(owner, weights=term.real, minlength=len(j))
-        value[row].imag = pl * np.bincount(owner, weights=term.imag, minlength=len(j))
-        vanished[row] = np.bincount(owner, minlength=len(j)) == 0
-
-    complex_ = np.abs(value.imag) > REALNESS_TOL * (1.0 + np.abs(value))
+    # |Im E| > tol (1 + |E|) needs |Im E| > tol, so only those sums are tested in full
+    suspect = value[np.abs(value.imag) > REALNESS_TOL]
+    complex_ = np.abs(suspect.imag) > REALNESS_TOL * (1.0 + np.abs(suspect))
     if complex_.any():
-        raise RuntimeError(f"sum failed the realness check: {value[complex_][0]}")
+        raise RuntimeError(f"sum failed the realness check: {suspect[complex_][0]}")
     return value, good, vanished
 
 
+class _Fiber:
+    """The tables of one closed-form call, over x in [0, p^l) (row 0) and
+    the lifts x + p^l (row 1): dlog beta(x) by Pohlig-Hellman, -1 outside
+    the domain, and for odd k 1/(D x^2 - 1) mod p^(l+1); and the square
+    roots mod p^l of every w, from one stable sort of the squares: the
+    roots of w are by_square[first[w] : first[w] + count[w]]."""
+
+    def __init__(self, group: HeckeGroup):
+        pp = group.pp
+        self.group = group
+        l = pp.k // 2
+        self.pl = pl = pp.p**l
+        self.D = D = group.ring.D
+        xs = np.arange(pl, dtype=np.int64)
+        dom = np.flatnonzero(group.ring.in_domain(xs))
+        self.dlogs = np.full((2, pl), -1, dtype=np.int64)
+        self.den_inv = np.zeros((2, pl), dtype=np.int64)
+        for lift in (0, 1):
+            shifted = dom + lift * pl
+            self.dlogs[lift, dom] = group.cayley_dlogs(shifted)
+            if pp.k % 2 == 1:
+                pl1 = pl * pp.p
+                self.den_inv[lift, dom] = inv_mod(D * shifted % pl1 * shifted - 1, PrimePower(pp.p, l + 1))
+        squares = xs * xs % pl
+        self.by_square = np.argsort(squares, kind="stable")
+        self.count = np.bincount(squares, minlength=pl)
+        self.first = np.cumsum(self.count) - self.count
+        self.phases = np.tile(roots_table(group.order // group.t_modulus), 2)  # e(i / Q), i < 2Q
+
+    def residue_rows(self, nu: int, r: np.ndarray, block: np.ndarray):
+        """Add E(nu, chi_(r + T q)) into block[q, i] for each residue r[i]
+        and every q < Q, one root slot at a time.  Slots 0 and 1 span every
+        residue, with a zero amplitude where a residue has fewer roots in the
+        domain; later slots only the residues with more (p | w, bad ones).
+        Returns the good and the vanished mask of the residues."""
+        group, pl, D = self.group, self.pl, self.D
+        pp, order, p = group.pp, group.order, group.pp.p
+        Q = order // group.t_modulus
+        t = group.t_parameters(r)
+        w = (2 * t + nu) % pl * pow(nu * D % pl, -1, pl) % pl
+        # every root x of w has x^2 = w (mod p), so all or none is in the domain
+        count = np.where((D % p * w - 1) % p != 0, self.count[w], 0)
+        for slot in range(int(count.max(initial=0))):
+            has = np.flatnonzero(count > slot)
+            x = self.by_square[self.first[w[has]] + slot]
+            (amp, m), (lifted, m_lifted) = (self._amplitude(nu, r[has], t[has], x, lift) for lift in (0, 1))
+            drift = (m % Q != m_lifted % Q) | (np.abs(amp - lifted) > LIFT_CHECK_TOL * (1.0 + np.abs(amp)))
+            if drift.any():
+                i = int(np.argmax(drift))
+                raise RuntimeError(
+                    f"lift dependence at x = {x[i]} for r = {r[has][i]}: {amp[i]} vs {lifted[i]}, "
+                    f"dlog {m[i]} vs {m_lifted[i]} mod {Q}"
+                )
+            cols = slice(None) if slot < 2 else has
+            full_amp = np.zeros(len(r), dtype=np.complex128)
+            full_m = np.zeros(len(r), dtype=np.int64)
+            full_amp[has], full_m[has] = pl * amp, m % Q
+            amp, m = full_amp[cols], full_m[cols]
+            # q m mod Q at row q0 + i of a block of isqrt(Q) rows is i m mod Q,
+            # formed once, plus q0 m mod Q, read from two periods of e(i / Q)
+            step = math.isqrt(Q)
+            head = np.multiply.outer(np.arange(step), m) % Q
+            for q0 in range(0, Q, step):
+                rows = min(step, Q - q0)
+                block[q0 : q0 + rows, cols] += amp * self.phases[head[:rows] + q0 * m % Q]
+        return _good(pp, t, nu), count == 0
+
+    def _amplitude(self, nu: int, r, t, x, lift: int):
+        """a(r, x) at the lift x + lift p^l, and m = dlog beta(x + lift p^l)."""
+        pp, order, pl = self.group.pp, self.group.order, self.pl
+        p, N = pp.p, pp.N
+        xl = x + lift * pl
+        m = self.dlogs[lift, x]
+        amp = unit_roots(nu * xl % N, N) * unit_roots(r * m % order, order)
+        if pp.k % 2 == 1:
+            den = self.den_inv[lift, x]
+            f = 2 * t * (self.D % p) % p * (xl % p) % p * (den % p) ** 2 % p
+            rest = (nu - 2 * t * den) % (pl * p)
+            if np.any(rest % pl):
+                raise RuntimeError("square-root fiber violates the divisibility constraint")
+            amp = amp * gauss_quadratic_closed(f, rest // pl, p)
+        return amp, m
+
+
 def exp_sum_closed(group: HeckeGroup, nu: int, j) -> np.ndarray:
-    """The closed form (k >= 2) E(nu, chi_j) for each character index j."""
+    """The closed form (k >= 2) E(nu, chi_j) for each character index j,
+    from the residue rows of the j mod t_modulus present."""
     return _closed_form(group, [nu], j)[0][0]
 
 
@@ -211,12 +270,12 @@ def scan_characters(group: HeckeGroup, nus) -> ExpSumTable:
     ordered by (chi_index, nu)."""
     pp = group.pp
     nus = sorted(int(nu) % pp.N for nu in nus)
-    j = np.arange(group.order, dtype=np.int64)
-    value, good, vanished = (a.T.ravel() for a in _closed_form(group, nus, j))
+    check_array_size(group.order * len(nus), f"character-sum table at {pp}")
+    value, good, vanished = (a.T.ravel() for a in _closed_form(group, nus))
     return ExpSumTable(
         pp=pp,
         nu=np.tile(np.asarray(nus, dtype=np.int64), group.order),
-        chi_index=np.repeat(j, len(nus)),
+        chi_index=np.repeat(np.arange(group.order, dtype=np.int64), len(nus)),
         value=value,
         theta=theta_angle(pp, value, good),
         good=good,
@@ -227,13 +286,15 @@ def scan_characters(group: HeckeGroup, nus) -> ExpSumTable:
 def bad_character_count(group: HeckeGroup, nus) -> int | None:
     """Characters bad for at least one of the nus (2 t_chi = -nu mod p).
 
-    None at k = 1, where characters carry no t-parameter.
+    t_chi mod p is a bijective function of j mod p (t_unit is a unit), so
+    each class of nu mod p has #C / p bad characters, and distinct classes
+    have disjoint ones.  None at k = 1, where characters carry no
+    t-parameter.
     """
-    if group.pp.k < 2:
+    pp = group.pp
+    if pp.k < 2:
         return None
-    t = group.t_parameters(np.arange(group.order))
-    good = np.logical_and.reduce([_good(group.pp, t, int(nu)) for nu in nus])
-    return int(np.count_nonzero(~good))
+    return group.order // pp.p * len({int(nu) % pp.p for nu in nus})
 
 
 def find_large(group: HeckeGroup, nu: int) -> list[tuple[int, complex]]:

@@ -5,10 +5,14 @@ unitaries U(aI + bA) where beta = a + b*alpha runs through the norm-one
 group C of the quadratic order Z[alpha], alpha^2 = t*alpha - 1.  C is
 cyclic of order p^(k-1)(p -+ 1) according to whether the discriminant
 D = t^2 - 4 is a square mod p (split) or not (inert).  This module builds
-C with one sorted discrete-log table and decomposes H_N into the joint
-eigenspaces of the propagator of a group generator, by FFTs along its
-orbits.  Every joint eigenfunction is even or odd, since -1 is in C, and
-is stored folded onto x = 0..(N-1)/2.  A character of C is its integer index j: chi_j(g^m) = e(j m / #C).
+C from a generator g, with discrete logs by Pohlig-Hellman from tables of
+p -+ 1 and (k - 1) p entries; the sorted table of all #C powers of g, the
+walk table, is built only where it is read: the brute-force Cayley table,
+the split eigenvectors and the tests' oracle.  It decomposes H_N into the
+joint eigenspaces of the propagator of g, by FFTs along its orbits.  Every
+joint eigenfunction is even or odd, since -1 is in C, and is stored
+folded onto x = 0..(N-1)/2.  A character of C is its integer index j:
+chi_j(g^m) = e(j m / #C).
 """
 
 from __future__ import annotations
@@ -67,8 +71,9 @@ class QuadOrderMod:
         return ((a * c - bd) % self.N, (a * d + b * c + bd * self.t) % self.N)
 
     def norm(self, u: OrderElement) -> int:
+        """a^2 + abt + b^2, of Python ints or elementwise of int64 arrays."""
         a, b = u
-        return (a * a + a * b * self.t + b * b) % self.N
+        return (a * a + a * b % self.N * self.t + b * b) % self.N
 
     def pow(self, u: OrderElement, e: int) -> OrderElement:
         out = self.one
@@ -162,7 +167,18 @@ def _factor_small(n: int) -> set[int]:
 
 
 class HeckeGroup:
-    """The cyclic norm-one group C(p^k) with generator and dlog table."""
+    """The cyclic norm-one group C(p^k) with a generator g and its discrete
+    logs, by Pohlig-Hellman over #C = (p -+ 1) p^(k-1).
+
+    dlog u mod (p -+ 1) is the exponent of u mod p, read from the sorted
+    powers of g mod p.  u^(p -+ 1) = gamma^(dlog u) lies in the level-one
+    subgroup {u = 1 mod p}, cyclic of order p^(k-1) and generated by
+    gamma = g^(p -+ 1), so dlog u mod p^(k-1) comes in k - 1 base-p digits:
+    on the level-l subgroup, 1 + p^l (c + d alpha) -> d mod p is additive,
+    so digit l - 1 is linear in the alpha-coordinate, and multiplying by a
+    power of gamma^(p^(l-1)) lifts the element one level.  The two residues
+    meet by the Chinese remainder theorem.
+    """
 
     def __init__(self, A: TorusAutomorphism, pp: PrimePower):
         self.A = A
@@ -170,11 +186,14 @@ class HeckeGroup:
         self.kind = classify_prime(A, pp.p)
         self.ring = QuadOrderMod(A, pp)
         p, k = pp.p, pp.k
-        self.order = p ** (k - 1) * (p - 1 if self.kind == "split" else p + 1)
-        # the dlog table holds two int64 per element, the size of one complex entry
-        check_array_size(self.order, f"norm-one group table at {pp}")
+        self._unit_order = p - 1 if self.kind == "split" else p + 1
+        self.order = p ** (k - 1) * self._unit_order
+        # an int64 pair (key and exponent) per power of g mod p and per digit
+        # step, the size of one complex entry
+        check_array_size(self._unit_order + (k - 1) * p, f"norm-one group table at {pp}")
         self.gen = self._find_generator()
-        self._walk()
+        self._check_generator_order()
+        self._build_log_tables()
 
     # -- construction -------------------------------------------------
 
@@ -192,18 +211,53 @@ class HeckeGroup:
                 return beta
         raise RuntimeError(f"no generator found for C({self.pp})")
 
-    def _walk(self):
-        """The dlog table: the encoded powers g^m sorted, and their exponents m."""
-        ring = self.ring
-        if ring.pow(self.gen, self.order) != ring.one:
+    def _check_generator_order(self):
+        if self.ring.pow(self.gen, self.order) != self.ring.one:
             raise RuntimeError("generator order mismatch")
+
+    def _powers(self, g: OrderElement, count: int) -> np.ndarray:
+        """g^m for m = 0..count-1 as a (2, count) int64 array."""
+        ring = self.ring
+        return np.concatenate([x for _, x in _power_blocks(g, ring.one, ring.mul, count)], axis=1)
+
+    def _build_log_tables(self):
+        """The Pohlig-Hellman tables: the sorted residues mod p of g^i,
+        i < p -+ 1, with their exponents, and for each level l = 1..k-1 the
+        powers delta^-d (d < p) of delta = gamma^(p^(l-1)), with the inverse
+        of the alpha-coordinate of delta over p^l mod p."""
+        p, k, N = self.pp.p, self.pp.k, self.pp.N
+        low = self._powers(self.gen, self._unit_order)
+        key = low[0] % p * p + low[1] % p
+        self._low_perm = np.argsort(key)
+        self._low_keys = key[self._low_perm]
+        if np.any(np.diff(self._low_keys) == 0):
+            raise RuntimeError("the generator mod p does not have order p -+ 1")
+        self._crt = pow(self._unit_order, -1, p ** (k - 1))
+        self._digit_steps = []
+        delta = self.ring.pow(self.gen, self._unit_order)
+        for level in range(1, k):
+            coord = delta[1] // p**level % p
+            if delta[1] % p**level or coord == 0 or (delta[0] - 1) % p**level:
+                raise RuntimeError(f"gamma^(p^{level - 1}) is not of congruence level {level}")
+            # delta has norm one, so its inverse is the conjugate a + b (t - alpha)
+            inverse = ((delta[0] + delta[1] * self.ring.t) % N, -delta[1] % N)
+            self._digit_steps.append((self._powers(inverse, p), pow(coord, -1, p)))
+            delta = self.ring.pow(delta, p)
+
+    @functools.cached_property
+    def walk_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The oracle dlog table, built on first read: every power g^m
+        (m = 0..#C-1) encoded a*N + b and sorted, and the exponent m of
+        each.  16 bytes per element; the closed-form path never reads it."""
+        check_array_size(self.order, f"norm-one walk table at {self.pp}")
+        self._check_generator_order()
         enc = np.empty(self.order, dtype=np.int64)
-        for m0, (a, b) in _power_blocks(self.gen, ring.one, ring.mul, self.order):
+        for m0, (a, b) in _power_blocks(self.gen, self.ring.one, self.ring.mul, self.order):
             enc[m0 : m0 + len(a)] = a * self.pp.N + b
         # the elements are distinct, so every sort gives this permutation
-        self._sort_perm = np.argsort(enc)
+        perm = np.argsort(enc)
         enc.sort()
-        self._sorted_enc = enc
+        return enc, perm
 
     # -- element access -----------------------------------------------
 
@@ -215,22 +269,46 @@ class HeckeGroup:
 
     def dlog(self, u: OrderElement) -> int:
         """Exponent m with g^m = u."""
-        return int(self.dlog_encoded(np.asarray([self.encode(u)]))[0])
+        N = self.pp.N
+        return int(self.dlogs((np.array([u[0] % N]), np.array([u[1] % N])))[0])
+
+    def dlogs(self, u) -> np.ndarray:
+        """Exponents m with g^m = u, elementwise for u a pair of int64
+        arrays, by Pohlig-Hellman.  KeyError when any u has norm != 1."""
+        p, N, ring = self.pp.p, self.pp.N, self.ring
+        a, b = (np.asarray(c, dtype=np.int64) % N for c in u)
+        if np.any(ring.norm((a, b)) != 1):
+            raise KeyError("element outside the norm-one group")
+        low = self._low_perm[np.searchsorted(self._low_keys, a % p * p + b % p)]
+        v = ring.pow((a, b), self._unit_order)
+        high = np.zeros_like(low)
+        for level, (steps, coord_inv) in enumerate(self._digit_steps, start=1):
+            digit = v[1] // p**level % p * coord_inv % p
+            high += digit * p ** (level - 1)
+            v = ring.mul(v, (steps[0][digit], steps[1][digit]))
+        if np.any(v[0] != 1) or np.any(v[1] != 0):
+            raise RuntimeError("Pohlig-Hellman digits left a nontrivial element")
+        # m = low (mod p -+ 1) and m = high (mod p^(k-1))
+        P = p ** (self.pp.k - 1)
+        return low + self._unit_order * ((high - low) % P * self._crt % P)
 
     def dlog_encoded(self, enc: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(self._sorted_enc, enc)
-        if np.any(i >= self.order) or np.any(self._sorted_enc[i] != enc):
+        """dlog of encoded elements a*N + b, read from the walk table."""
+        sorted_enc, perm = self.walk_table
+        i = np.searchsorted(sorted_enc, enc)
+        if np.any(i >= self.order) or np.any(sorted_enc[i] != enc):
             raise KeyError("element outside the norm-one group")
-        return self._sort_perm[i]
+        return perm[i]
 
     def cayley_dlogs(self, xs: np.ndarray) -> np.ndarray:
         """dlog(beta(x)) for each x of an int64 array (all in the domain)."""
-        return self.dlog_encoded(self.encode(self.ring.cayley_transform(xs)))
+        return self.dlogs(self.ring.cayley_transform(xs))
 
     @functools.cached_property
     def cayley_table(self) -> np.ndarray:
-        """dlog(beta(x)) over x = 0..N-1, -1 outside the domain (brute force),
-        in blocks of BLOCK_BYTES // 16 values of x, whose temporaries take about BLOCK_BYTES."""
+        """dlog(beta(x)) over x = 0..N-1, -1 outside the domain (brute force,
+        read from the walk table, not by Pohlig-Hellman), in blocks of
+        BLOCK_BYTES // 16 values of x, whose temporaries take about BLOCK_BYTES."""
         N = self.pp.N
         check_array_size(N, f"brute-force Cayley table at {self.pp}")
         tbl = np.full(N, -1, dtype=np.int64)
@@ -238,7 +316,7 @@ class HeckeGroup:
         for x0 in range(0, N, step):
             xs = np.arange(x0, min(x0 + step, N), dtype=np.int64)
             xs = xs[self.ring.in_domain(xs)]
-            tbl[xs] = self.cayley_dlogs(xs)
+            tbl[xs] = self.dlog_encoded(self.encode(self.ring.cayley_transform(xs)))
         return tbl
 
     # -- restriction to the principal congruence subgroup ---------------
@@ -354,14 +432,14 @@ def _mat_inv_sl2(M: qz.Mat2, N: int) -> qz.Mat2:
 def unit_dlog_array(group: HeckeGroup, diag: SplitDiagonalizer) -> np.ndarray:
     """Discrete log of every unit mod p^k relative to the image of the group
     generator under the ring map a + b*alpha -> a + b*y (mod N), which takes
-    C onto the units; read from the group's dlog table.  -1 at non-units."""
+    C onto the units; read from the group's walk table.  -1 at non-units."""
     N = group.pp.N
     ga, gb = group.gen
     if (ga + gb * diag.y) % group.pp.p == 0:
         raise RuntimeError("the group generator maps to a non-unit")
-    enc = group._sorted_enc
+    enc, perm = group.walk_table
     arr = np.full(N, -1, dtype=np.int64)
-    arr[(enc // N + enc % N * diag.y) % N] = group._sort_perm
+    arr[(enc // N + enc % N * diag.y) % N] = perm
     hit = np.count_nonzero(arr[np.arange(N) % group.pp.p != 0] >= 0)
     if hit != group.order:
         raise RuntimeError(f"the group maps onto {hit} units, expected {group.order}")

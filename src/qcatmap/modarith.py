@@ -177,9 +177,14 @@ def sqrt_set(nu: int, p: int, l: int) -> tuple[int, ...]:
     return tuple(sorted(roots))
 
 
+def unit_roots(x, N: int) -> np.ndarray:
+    """e(x/N) = exp(2*pi*i*x/N) for each integer x of an array."""
+    return np.exp(2j * np.pi * np.asarray(x) / N)
+
+
 def roots_table(N: int) -> np.ndarray:
-    """Table of e(x/N) = exp(2*pi*i*x/N) for x = 0..N-1, built anew on each call."""
-    return np.exp(2j * np.pi * np.arange(N) / N)
+    """Table of e(x/N) for x = 0..N-1, built anew on each call."""
+    return unit_roots(np.arange(N), N)
 
 
 def gauss_quadratic(f: int, g: int, p: int) -> complex:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from qcatmap.hecke import build_group, eigendecompose
-from qcatmap.modarith import PrimePower, roots_table
+from qcatmap.modarith import PrimePower, gauss_quadratic_closed, inv_mod, roots_table
 from qcatmap.quantization import TorusAutomorphism
 
 # canonical hyperbolic matrix, trace 3, discriminant 5 (split at 11, 19;
@@ -103,6 +103,80 @@ def good_by_definition(group, nu: int) -> np.ndarray:
     assert m1 * mod_t % order == 0
     t = [j * m1 * mod_t // order % mod_t for j in range(order)]
     return np.array([(2 * tj + nu) % group.pp.p != 0 for tj in t])
+
+
+def gather_closed_form(group, nus, j):
+    """E(nu, chi_j) for each nu (rows) and character index j (columns),
+    with the good and vanished masks, by gathering the square roots of
+    every character's w into per-root arrays, with dlogs read from the
+    walk table: the oracle of expsum._closed_form, which works by residue
+    rows and Pohlig-Hellman dlogs."""
+    pp = group.pp
+    p, N, order = pp.p, pp.N, group.order
+    l = pp.k // 2
+    pl, pl1 = p**l, p ** (l + 1)
+    odd = pp.k % 2 == 1
+    D = group.ring.D
+    j = np.asarray(j, dtype=np.int64)
+    t = group.t_parameters(j)
+
+    # per-x tables over [0, p^l) (row 0) and the lifts x + p^l (row 1)
+    xs = np.arange(pl, dtype=np.int64)
+    dom = np.flatnonzero(group.ring.in_domain(xs))
+    dlogs = np.full((2, pl), -1, dtype=np.int64)
+    den_inv = np.zeros((2, pl), dtype=np.int64)
+    for lift in (0, 1):
+        shifted = dom + lift * pl
+        dlogs[lift, dom] = group.dlog_encoded(group.encode(group.ring.cayley_transform(shifted)))
+        if odd:
+            den_inv[lift, dom] = inv_mod(D * shifted % pl1 * shifted - 1, PrimePower(p, l + 1))
+
+    squares = xs * xs % pl
+    by_square = np.argsort(squares, kind="stable")
+    root_count = np.bincount(squares, minlength=pl)
+    root_first = np.cumsum(root_count) - root_count
+    roots_N, roots_C = roots_table(N), roots_table(order)
+
+    value = np.zeros((len(nus), len(j)), dtype=np.complex128)
+    good = np.empty((len(nus), len(j)), dtype=bool)
+    vanished = np.empty((len(nus), len(j)), dtype=bool)
+    for row, nu in enumerate(nus):
+        good[row] = (2 * t + nu) % p != 0
+        w = (2 * t + nu) % pl * pow(nu * D % pl, -1, pl) % pl
+        count = root_count[w]
+        # the roots of each character's w in turn, the i-th at by_square[root_first[w] + i]
+        start = root_first[w] - (np.cumsum(count) - count)
+        owner = np.repeat(np.arange(len(j)), count)
+        x = by_square[np.arange(len(owner)) + np.repeat(start, count)]
+        in_dom = dlogs[0, x] >= 0
+        owner, x = owner[in_dom], x[in_dom]
+        jo = j[owner]
+        terms = []
+        for lift in (0, 1):
+            xl = x + lift * pl
+            term = roots_N[nu * xl % N] * roots_C[jo * dlogs[lift, x] % order]
+            if odd:
+                to, den = t[owner], den_inv[lift, x]
+                f = 2 * to * (D % p) % p * (xl % p) % p * (den % p) ** 2 % p
+                rest = (nu - 2 * to * den) % pl1
+                assert not np.any(rest % pl)
+                term = term * gauss_quadratic_closed(f, rest // pl, p)
+            terms.append(term)
+        term, lifted = terms
+        assert np.all(np.abs(term - lifted) <= 1e-9 * (1.0 + np.abs(term)))
+        value[row].real = pl * np.bincount(owner, weights=term.real, minlength=len(j))
+        value[row].imag = pl * np.bincount(owner, weights=term.imag, minlength=len(j))
+        vanished[row] = np.bincount(owner, minlength=len(j)) == 0
+    return value, good, vanished
+
+
+def bad_count_by_character(group, nus) -> int:
+    """Characters bad for at least one of the nus, counted one character
+    at a time from its t-parameter: the oracle of
+    expsum.bad_character_count."""
+    t = group.t_parameters(np.arange(group.order))
+    good = np.logical_and.reduce([(2 * t + int(nu)) % group.pp.p != 0 for nu in nus])
+    return int(np.count_nonzero(~good))
 
 
 def csv_rows(table) -> str:

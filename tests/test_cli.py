@@ -364,7 +364,8 @@ FLOAT_MODES_OBS = json.dumps([{"n1": 1.7, "n2": 0, "re": 0.5, "im": 0.0}, {"n1":
 @pytest.mark.parametrize(
     "argv,obs,code,words",
     [
-        pytest.param(["expsum", "--p", "100003", "--k", "2", "--nu", "1"], None, 1, ["group table"], id="group-table"),
+        pytest.param(["expsum", "--p", "100003", "--k", "2", "--nu", "1"], None, 1, ["character-sum table"],
+                     id="group-table"),
         pytest.param(["distribution", "--p", "67108879", "--k", "1"], COS_OBS, 1, ["group table"], id="brute-force"),
         pytest.param(["expsum", "--p", "11", "--k", "2", "--out", "/nonexistent/x.csv"], None, 2, ["cannot write"],
                      id="expsum-out"),
@@ -377,9 +378,9 @@ FLOAT_MODES_OBS = json.dumps([{"n1": 1.7, "n2": 0, "re": 0.5, "im": 0.0}, {"n1":
     ],
 )
 def test_limits_and_files_exit_with_one_line(argv, obs, code, words, tmp_path, monkeypatch, capsys):
-    """A norm-one group table past the size cap, checked before the group
-    looks for a generator, at k = 2 and at k = 1, where the brute-force
-    route has no limit of its own (split p = 67108879: #C = p - 1 > 2^26);
+    """A character-sum table past the size cap at k = 2, and a norm-one
+    group table past it at k = 1, checked before the group looks for a
+    generator (split p = 67108879: #C = p - 1 > 2^26);
     an unwritable --out; an observable file that is no list of records, or
     whose modes are no integers (1.7 is not read as 1).  Each exits with
     one line on stderr and no traceback."""

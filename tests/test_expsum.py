@@ -12,6 +12,7 @@ from qcatmap.errors import (
     KTooSmallError,
     NonUnitError,
     QcatError,
+    SizeLimitError,
     WrongKError,
 )
 from qcatmap.modarith import (
@@ -22,8 +23,10 @@ from qcatmap.modarith import (
     roots_table,
     sqrt_set,
 )
+from qcatmap import expsum, quantization
+from qcatmap.distribution import normalized_elements_closed
 from qcatmap.hecke import build_group
-from qcatmap.quantization import TorusAutomorphism
+from qcatmap.quantization import FourierObservable, TorusAutomorphism
 from qcatmap.expsum import (
     bad_character_count,
     exp_sum_bruteforce,
@@ -33,7 +36,15 @@ from qcatmap.expsum import (
     theta_angle,
 )
 
-from conftest import A_DEFAULT, HYPERBOLIC, exp_sum_direct, good_by_definition, matrix_for_prime
+from conftest import (
+    A_DEFAULT,
+    HYPERBOLIC,
+    bad_count_by_character,
+    exp_sum_direct,
+    gather_closed_form,
+    good_by_definition,
+    matrix_for_prime,
+)
 
 
 def non_residue(p):
@@ -109,6 +120,94 @@ def test_closed_form_equals_bruteforce(p, k):
     j = np.array([0, 1, group.order // 2, group.order - 1])
     for nu in nus:
         assert np.abs(exp_sum_closed(group, nu, j) - exp_sum_bruteforce(group, nu)[j]).max() < 1e-7
+
+
+# inert at 3, 7, 13, 23 and 347, split at 11, 29 and 349; (3, 6), (7, 5) and
+# (11, 4) have more than two roots at the w divisible by p
+RESIDUE_SPACES = [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (7, 5), (11, 4), (13, 3), (29, 3), (23, 3), (349, 2), (347, 2)]
+
+
+@pytest.mark.parametrize("p,k", RESIDUE_SPACES)
+def test_residue_form_matches_gather_oracle(p, k):
+    group = build_group(matrix_for_prime(p), PrimePower(p, k))
+    nus = [1, 2, non_residue(p)]
+    value, good, vanished = expsum._closed_form(group, nus)
+    want, want_good, want_vanished = gather_closed_form(group, nus, np.arange(group.order))
+    assert np.abs(value - want).max() <= 1e-12 * 2 * p ** (k / 2)
+    assert np.array_equal(good, want_good) and np.array_equal(vanished, want_vanished)
+    # an index array reads the same residue rows, in any order
+    j = np.random.default_rng(p * k).permutation(group.order)[:50]
+    assert np.array_equal(expsum._closed_form(group, nus, j)[0], value[:, j])
+
+
+@pytest.mark.parametrize("p,k", [(11, 2), (7, 3), (3, 4)])
+def test_lift_check_catches_a_wrong_lifted_dlog(p, k, monkeypatch):
+    """A dlog of beta(x + p^l) that is off by one breaks m_(x + p^l) = m_x
+    (mod #C / t_modulus) at every root, and the lift check raises."""
+    group = build_group(matrix_for_prime(p), PrimePower(p, k))
+    pl, dlogs = p ** (k // 2), group.cayley_dlogs
+    monkeypatch.setattr(group, "cayley_dlogs", lambda xs: (dlogs(xs) + (xs >= pl)) % group.order)
+    with pytest.raises(RuntimeError, match="lift dependence"):
+        scan_characters(group, [1])
+
+
+def test_realness_check_catches_an_imaginary_part(monkeypatch):
+    """A constant phase on e(q m_x / Q) keeps the lift check and rotates
+    every sum off the real line."""
+    group = build_group(A_DEFAULT, PrimePower(11, 2))
+    table = expsum.roots_table
+    monkeypatch.setattr(expsum, "roots_table", lambda n: table(n) * np.exp(0.01j))
+    with pytest.raises(RuntimeError, match="realness check"):
+        scan_characters(group, [1])
+
+
+@pytest.mark.parametrize("p,k", [(11, 2), (13, 3), (3, 5)])
+def test_exp_sum_closed_reads_indices_mod_order(p, k):
+    group = build_group(matrix_for_prime(p), PrimePower(p, k))
+    j = np.array([0, 1, 7, group.order // 2, group.order - 1])
+    for nu in (1, non_residue(p)):
+        want = exp_sum_closed(group, nu, j)
+        assert np.array_equal(exp_sum_closed(group, nu, j + group.order), want)
+        assert np.array_equal(exp_sum_closed(group, nu, j - group.order), want)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 5), (11, 2), (7, 3), (13, 2)])
+def test_bad_character_count_formula_matches_per_character_count(p, k):
+    group = build_group(matrix_for_prime(p), PrimePower(p, k))
+    rng = np.random.default_rng(p + k)
+    for size in (1, 2, 3, 5):
+        nus = rng.integers(1, p**k, size).tolist()
+        nus.append(nus[0] + p)  # the same class mod p counts once
+        assert bad_character_count(group, nus) == bad_count_by_character(group, nus)
+
+
+def test_closed_path_leaves_the_walk_table_unbuilt():
+    group = build_group(A_DEFAULT, PrimePower(29, 3))
+    scan_characters(group, [1, 2])
+    normalized_elements_closed(FourierObservable.harmonic_pair((1, 0)), group)
+    assert bad_character_count(group, [1, 2]) == 2 * group.order // 29
+    assert find_large(group, 1)
+    assert "walk_table" not in group.__dict__
+    assert "cayley_table" not in group.__dict__
+
+
+def test_size_checks_follow_the_allocations(monkeypatch):
+    """At the split 11^2 (#C = 110) the group holds p - 1 = 10 powers of g
+    and one digit table of p = 11 entries.  A cap of 25 admits them and
+    refuses each #C-long table on its own, before it allocates; a closed
+    form at a few characters needs none of them."""
+    monkeypatch.setattr(quantization, "MAX_ARRAY_ENTRIES", 25)
+    group = build_group(A_DEFAULT, PrimePower(11, 2))
+    with pytest.raises(SizeLimitError, match="walk table at 11\\^2 needs 110"):
+        group.walk_table
+    with pytest.raises(SizeLimitError, match="character-sum table at 11\\^2 needs 110"):
+        scan_characters(group, [1])
+    with pytest.raises(SizeLimitError, match="closed-form sample at 11\\^2 needs 110"):
+        normalized_elements_closed(FourierObservable.harmonic_pair((1, 0)), group)
+    assert len(exp_sum_closed(group, 1, [0, 1, 2])) == 3
+    monkeypatch.setattr(quantization, "MAX_ARRAY_ENTRIES", 20)
+    with pytest.raises(SizeLimitError, match="group table at 11\\^2 needs 21"):
+        build_group(A_DEFAULT, PrimePower(11, 2))
 
 
 def test_closed_form_rejects_k1():

@@ -36,7 +36,7 @@ from qcatmap.hecke import (
     unfold,
 )
 
-from conftest import A_DEFAULT, decompose, group_walk, kernel_count_exhaustive, matrix_for_prime, unit_walk
+from conftest import A_DEFAULT, HYPERBOLIC, decompose, group_walk, kernel_count_exhaustive, matrix_for_prime, unit_walk
 
 
 def test_classify_prime(cat_map):
@@ -69,8 +69,9 @@ def test_power_tables_match_sequential_walks(p, k):
     A = matrix_for_prime(p)
     group = build_group(A, PrimePower(p, k))
     walk = group_walk(group)
-    assert np.array_equal(group._sorted_enc, np.sort(walk))
-    assert np.array_equal(group._sort_perm, np.argsort(walk))
+    sorted_enc, sort_perm = group.walk_table
+    assert np.array_equal(sorted_enc, np.sort(walk))
+    assert np.array_equal(sort_perm, np.argsort(walk))
     if group.kind == "split":
         diag = build_split_diagonalizer(A, group.pp)
         assert np.array_equal(unit_dlog_array(group, diag), unit_walk(group, diag))
@@ -89,9 +90,10 @@ def test_power_tables_keep_closing_checks(cat_map):
     y = next(y for y in range(N) if y not in (diag.y, diag.y_inv) and (ga + gb * y) % 11 != 0)
     with pytest.raises(RuntimeError, match=r"maps onto \d+ units, expected 110"):
         unit_dlog_array(group, hecke.SplitDiagonalizer(diag.pp, diag.M, y))
+    del group.walk_table  # built by unit_dlog_array above
     group.gen = (11, 0)  # not a unit
     with pytest.raises(RuntimeError, match="generator order mismatch"):
-        group._walk()
+        group.walk_table
 
 
 @pytest.mark.parametrize("block", [1000, hecke.POWER_BLOCK])
@@ -182,7 +184,7 @@ def test_cayley_table_matches_per_x_loop(p, k, monkeypatch):
 
 
 def test_cayley_table_size_cap(cat_map, monkeypatch):
-    """At the split 11^2 a cap of 115 admits the group table (#C = 110) and
+    """At the split 11^2 a cap of 115 admits the walk table (#C = 110) and
     refuses the Cayley table (N = 121) before it allocates."""
     monkeypatch.setattr(quantization, "MAX_ARRAY_ENTRIES", 115)
     group = build_group(cat_map, PrimePower(11, 2))
@@ -268,6 +270,44 @@ def test_property_membership_matches_dlog_table(space, kind, data):
         found = False
     assert (group.ring.norm(u) == 1) == found
     assert found or kind != "element"
+
+
+@st.composite
+def pohlig_hellman_space(draw):
+    """A hyperbolic matrix, an odd prime below 60 that does not divide its
+    discriminant (split or inert) and an exponent 1-5, with N <= 200,000
+    so that the walk table stays small."""
+    A = TorusAutomorphism(*draw(st.sampled_from(HYPERBOLIC)))
+    p = draw(st.sampled_from([p for p in range(3, 60) if is_prime(p) and A.disc % p]))
+    k = draw(st.sampled_from([k for k in range(1, 6) if p**k <= 200_000]))
+    return A, p, k
+
+
+@given(pohlig_hellman_space(), st.data())
+def test_property_pohlig_hellman_equals_walk_table(space, data):
+    """The Pohlig-Hellman dlog of g^m is m, and it equals the walk table's
+    dlog at random powers and at Cayley points; a pair of norm != 1 raises
+    KeyError, alone or among members."""
+    A, p, k = space
+    group = build_group(A, PrimePower(p, k))
+    ring, N = group.ring, group.pp.N
+    m = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=8))
+    powers = [group.element(e) for e in m]
+    a, b = (np.array(c, dtype=np.int64) for c in zip(*powers))
+    assert group.dlogs((a, b)).tolist() == m
+    assert group.dlog_encoded(group.encode((a, b))).tolist() == m
+    xs = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=8)), dtype=np.int64)
+    xs = xs[ring.in_domain(xs)]
+    walk = group.dlog_encoded(group.encode(ring.cayley_transform(xs)))
+    assert np.array_equal(group.cayley_dlogs(xs), walk)
+    u = (data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1)))
+    if ring.norm(u) != 1:
+        with pytest.raises(KeyError, match="outside the norm-one group"):
+            group.dlog(u)
+        with pytest.raises(KeyError, match="outside the norm-one group"):
+            group.dlogs((np.append(a, u[0]), np.append(b, u[1])))
+    else:
+        assert group.element(group.dlog(u)) == u
 
 
 # A = [[t - 1, 1], [t - 2, 1]] has trace t; (t, p, k) with p split for it
