@@ -22,7 +22,8 @@ Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
                    at #C = 1,020,100 (the group is not timed)
   csv p^2       -- `cli.records_to_csv` of `scan_characters(group, [1])` at
                    349^2 and 1009^2 (the group and the scan are not timed)
-  closed p^2    -- the closed-form statistics of `distribution` at 347^2:
+  closed p^2    -- the closed-form statistics of `distribution` at 347^2
+                   and 1009^2:
                    `distribution.normalized_elements_closed` of the
                    observable cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + 2 x2),
                    then `distribution.compare_distribution` against a model
@@ -59,7 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CASES = [
     ("group", 349, 2), ("group", 1009, 2), ("group", 3001, 2), ("scan", 1009, 2), ("scan", 3001, 2), ("scan", 101, 3),
-    ("csv", 349, 2), ("csv", 1009, 2), ("closed", 347, 2),
+    ("csv", 349, 2), ("csv", 1009, 2), ("closed", 347, 2), ("closed", 1009, 2),
     ("elements", 37, 2), ("elements", 41, 2), ("eigen", 13, 3), ("eigen", 19, 3),
 ]
 REPEATS = 3

@@ -326,7 +326,7 @@ def _expsum_part(space: Space) -> tuple[float, int]:
     nonres = next(v for v in range(2, pp.p) if legendre(v, pp.p) == -1)
     errs = np.concatenate(
         [
-            np.abs(expsum.scan_characters(group, [nu]).value - expsum.exp_sum_bruteforce(group, nu))
+            np.abs(expsum.scan_characters(group, [nu]).value[0] - expsum.exp_sum_bruteforce(group, nu))
             for nu in (1, 2, nonres)
         ]
     )
@@ -415,8 +415,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         ("matrix-element formula", lambda pp: pp.k >= 2, _formula_part, _formula_summary),
         ("slow decay (k=3)", lambda pp: pp.k == 3, _slow_decay_part, _slow_decay_summary),
     ]
-    if not any(pp.k == 3 for pp in dense):
-        rows.pop()
+    # a row that selects no dense space would check nothing
+    rows = [row for row in rows if any(map(row[1], dense))]
     parts: dict[str, list] = {name: [] for name, *_ in rows}
     failed: dict[str, str] = {}  # the first error of a row; it then skips the remaining spaces
     for pp in dense:
@@ -444,10 +444,10 @@ def _byte_rows(strings: list[bytes]) -> np.ndarray:
 
 def _float_text(col: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct float of col formatted once as "%.17g,": the strings as
-    a byte matrix (see _byte_rows) and the row of it for each entry.
-    Floats are told apart by their bits, so -0.0 prints as -0.  With a
-    keep mask only the kept entries are formatted, and every other entry
-    points at row 0, which holds the comma alone."""
+    a byte matrix (see _byte_rows) and the row of it for each entry, in the
+    shape of col.  Floats are told apart by their bits, so -0.0 prints as
+    -0.  With a keep mask only the kept entries are formatted, and every
+    other entry points at row 0, which holds the comma alone."""
     bits = np.ascontiguousarray(col).view(np.int64)
     distinct, inverse = np.unique(bits if keep is None else bits[keep], return_inverse=True)
     text = ("%.17g,\n" * len(distinct)) % tuple(distinct.view(np.float64).tolist())
@@ -455,8 +455,8 @@ def _float_text(col: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.nda
     # the rows live until the last block is gathered: keep them small
     row_type = np.min_scalar_type(len(strings))
     if keep is None:
-        return strings, inverse.astype(row_type)
-    row = np.zeros(len(col), dtype=row_type)
+        return strings, inverse.astype(row_type).reshape(col.shape)
+    row = np.zeros(col.shape, dtype=row_type)
     row[keep] = inverse + 1
     return strings, row
 
@@ -478,27 +478,26 @@ def _int_text(col: np.ndarray) -> np.ndarray:
 
 
 def records_to_csv(table: expsum.ExpSumTable) -> bytearray:
-    """One CSV row per table row, as ASCII bytes; theta is empty on bad rows.
+    """One CSV row per sum, ordered by (chi_index, nu), as ASCII bytes;
+    theta is empty where the character is bad.
 
     The rows are gathered as bytes, CSV_BLOCK_ROWS rows at a time, and
-    appended to one bytearray, so the text is never held twice.  nu and
-    chi_index are written digit by digit with integer arithmetic, good and
-    vanished are looked up in a false/true table, and each float column
-    formats every distinct value once (the table repeats its values),
-    theta on the good rows only.
+    appended to one bytearray, so the text is never held twice.  Row r is
+    character r // #nu at class nu[r % #nu]: each block writes these keys
+    digit by digit with integer arithmetic and reads the (nu, character)
+    arrays over its characters, transposed.  good and vanished are looked
+    up in a false/true table, and each float array formats every distinct
+    value once (the table repeats its values), theta where good only.
     """
     value = table.value
     finite = np.isfinite(value.real) & np.isfinite(value.imag) & (np.isfinite(table.theta) | ~table.good)
     if not finite.all():
-        i = int(np.argmin(finite))
-        raise ArithmeticError(
-            f"non-finite value at chi_{table.chi_index[i]}, nu = {table.nu[i]}: E = {value[i]}"
-        )
-    for name, keys in (("nu", table.nu), ("chi_index", table.chi_index)):
-        if len(keys) and keys.min() < 0:
-            raise ValueError(f"negative {name} {int(keys.min())} has no CSV text")
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ArithmeticError(f"non-finite value at chi_{j}, nu = {table.nu[i]}: E = {value[i, j]}")
+    if len(table.nu) and table.nu.min() < 0:
+        raise ValueError(f"negative nu {int(table.nu.min())} has no CSV text")
     head = np.frombuffer(f"{table.pp.p},{table.pp.k},".encode("ascii"), dtype=np.uint8)
-    columns = [  # (byte matrix of strings, row of it per table row)
+    columns = [  # (byte matrix of strings, (nu, character) array of its rows)
         _float_text(value.real),
         _float_text(value.imag),
         _float_text(table.theta, table.good),
@@ -507,12 +506,13 @@ def records_to_csv(table: expsum.ExpSumTable) -> bytearray:
     ]
     text = bytearray(b"p,k,nu,chi_index,re,im,theta,good,vanished\n")
     for lo in range(0, len(table), CSV_BLOCK_ROWS):
-        rows = slice(lo, min(lo + CSV_BLOCK_ROWS, len(table)))
+        chi, i = np.divmod(np.arange(lo, min(lo + CSV_BLOCK_ROWS, len(table))), len(table.nu))
+        chars, cut = slice(chi[0], chi[-1] + 1), slice(i[0], i[0] + len(chi))
         block = np.hstack([
-            np.broadcast_to(head, (rows.stop - lo, len(head))),
-            _int_text(table.nu[rows]),
-            _int_text(table.chi_index[rows]),
-            *(strings.take(row[rows], axis=0) for strings, row in columns),
+            np.broadcast_to(head, (len(chi), len(head))),
+            _int_text(table.nu[i]),
+            _int_text(chi),
+            *(strings.take(row[:, chars].T.ravel()[cut], axis=0) for strings, row in columns),
         ])
         text += block.tobytes().translate(None, b"\0")
     return text
@@ -541,6 +541,8 @@ def cmd_expsum(cfg: RunConfig) -> int:
     if k < 2:
         raise ConfigError("expsum needs k >= 2 (closed form)")
     pp = _prime_power(p, k)
+    if not cfg.nu_list:
+        raise ConfigError("expsum needs at least one nu")
     first_of_class: dict[int, int] = {}
     for nu in cfg.nu_list:
         if nu % p == 0:

@@ -254,25 +254,18 @@ def normalized_elements(f: FourierObservable, elements: MatrixElements) -> np.nd
     return math.sqrt(pp.N) * (quad.real - f.mean.real)
 
 
-def _exp_sum_table(group: HeckeGroup, nus: list[int]) -> np.ndarray:
-    """E(nu, chi_j) for all characters j (rows) and the given nus (cols),
-    in closed form at k >= 2 (the values alone, with the bound check of
-    the expsum table) and by brute force at k = 1.
-
-    Duplicate nus are evaluated once and broadcast to their columns; the
-    #C values of each distinct nu are checked against the size cap first.
-    """
-    order, N = group.order, group.pp.N
-    uniq = sorted({int(nu) % N for nu in nus})
-    check_array_size(order * len(uniq), f"closed-form sample at {group.pp}")
-    if group.pp.k >= 2:
-        value, good, _ = expsum._closed_form(group, uniq)
-        out = np.ascontiguousarray(value.T)
-        expsum.check_bound(group.pp, out, good.T)
-    else:
-        out = np.column_stack([expsum.exp_sum_bruteforce(group, nu) for nu in uniq])
-    col = {nu: i for i, nu in enumerate(uniq)}
-    return out[:, [col[int(nu) % N] for nu in nus]]
+def _exp_sum_rows(group: HeckeGroup, nus: list[int]) -> np.ndarray:
+    """E(nu, chi_j) for each of the distinct classes nus (rows, in their
+    order) and every character j (columns), in closed form at k >= 2 (the
+    values alone, with the bound check of the expsum table) and by brute
+    force at k = 1.  The #C values of each nu are checked against the size
+    cap first."""
+    check_array_size(group.order * len(nus), f"closed-form sample at {group.pp}")
+    if group.pp.k < 2:
+        return np.stack([expsum.exp_sum_bruteforce(group, nu) for nu in nus])
+    value, good, _ = expsum._closed_form(group, nus)
+    expsum.check_bound(group.pp, value, good)
+    return value
 
 
 def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> np.ndarray:
@@ -284,7 +277,8 @@ def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> np.nd
     absorbed into the sweep and the global sign dropped (the law is
     symmetric).  The multiset differs from the true eigenfunction one by
     a density-O(1/p) set.  Returns the sample F, with F[j] the value of
-    chi_j.
+    chi_j: the weights summed over the (class, character) rows of the
+    sums, read in place.
     """
     if not f.is_real:
         raise ValueError("the statistics are defined for real observables")
@@ -292,10 +286,10 @@ def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> np.nd
     spectrum = reduced_classes(twisted_coefficients(f, group.A), pp)
     inv2 = pow(2, -1, pp.N)
     nus = sorted(spectrum)
-    halved = [nu * inv2 % pp.N for nu in nus]
-    table = _exp_sum_table(group, halved)
+    # the classes are distinct mod N, and so are their halves
+    rows = _exp_sum_rows(group, [nu * inv2 % pp.N for nu in nus])
     weights = np.array([complex(spectrum[nu]).real for nu in nus])
-    return (math.sqrt(pp.N) / group.order) * (table.real @ weights)
+    return (math.sqrt(pp.N) / group.order) * (rows.real.T @ weights)
 
 
 # -- matrix-element formula verification --------------------------------
@@ -332,9 +326,10 @@ def verify_matrix_element_formula(elements: MatrixElements, n_list: list[tuple[i
     for n, q in zip(n_list, qs):
         if q % pp.p == 0:
             raise BadNuError(f"Q({n}) = {q} is divisible by p")
-    halved = [q * inv2 % pp.N for q in qs]
+    # the distinct halved classes, each evaluated once; column i of the model is mode n_list[i]
+    halved, row = np.unique([q * inv2 % pp.N for q in qs], return_inverse=True)
     signs_n = np.array([-1.0 if (n[0] * n[1]) % 2 else 1.0 for n in n_list])
-    model = _exp_sum_table(group, halved).real * signs_n[None, :] / order
+    model = _exp_sum_rows(group, halved.tolist()).real[row].T * signs_n / order
 
     labels = elements.labels
     # row i: <T(n) psi, psi> over n_list for the i-th multiplicity-one eigenfunction

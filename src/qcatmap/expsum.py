@@ -38,19 +38,18 @@ LARGE_SUM_TOL = 1e-6  # relative, on |E| = p^2 in find_large
 
 @dataclass(frozen=True, eq=False)
 class ExpSumTable:
-    """Closed-form sums as columns, one row per (character, nu), ordered by
-    (chi_index, nu).  theta is NaN on the rows of bad characters."""
+    """Closed-form sums as (len(nu), #C) arrays: row i for the class nu[i],
+    column j for chi_j; theta is NaN where chi_j is bad for nu[i]."""
 
     pp: PrimePower
     nu: np.ndarray
-    chi_index: np.ndarray
     value: np.ndarray
     theta: np.ndarray
     good: np.ndarray
     vanished: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.value)
+        return self.value.size
 
 
 def _check_nu(nu: int, pp: PrimePower) -> int:
@@ -138,7 +137,7 @@ def _closed_form(group: HeckeGroup, nus, j=None):
         block = value[row].reshape(Q, T) if j is None else np.zeros((Q, len(residues)), dtype=np.complex128)
         good_r, vanished_r = fiber.residue_rows(nu, residues, block)
         if j is None:
-            good[row], vanished[row] = np.tile(good_r, Q), np.tile(vanished_r, Q)
+            good[row].reshape(Q, T)[:], vanished[row].reshape(Q, T)[:] = good_r, vanished_r
         else:
             value[row] = block[j // T, column]
             good[row], vanished[row] = good_r[column], vanished_r[column]
@@ -256,26 +255,25 @@ def check_bound(pp: PrimePower, value: np.ndarray, good: np.ndarray) -> None:
 
 
 def theta_angle(pp: PrimePower, value: np.ndarray, good: np.ndarray) -> np.ndarray:
-    """theta in [0, pi] with E = 2 p^(k/2) cos(theta) on good rows, NaN on
-    bad rows, after check_bound."""
+    """theta in [0, pi] with E = 2 p^(k/2) cos(theta) where good, NaN
+    elsewhere, in the shape of value, after check_bound."""
     check_bound(pp, value, good)
     scale = 2.0 * pp.p ** (pp.k / 2.0)
-    theta = np.full(len(value), np.nan)
+    theta = np.full(value.shape, np.nan)
     theta[good] = np.arccos(np.clip(value.real[good] / scale, -1.0, 1.0))
     return theta
 
 
 def scan_characters(group: HeckeGroup, nus) -> ExpSumTable:
-    """The closed form for every character and every nu, as one table
-    ordered by (chi_index, nu)."""
+    """The closed form of every character at each distinct class of the nus
+    mod N, in increasing order: _closed_form's (nu, character) arrays."""
     pp = group.pp
-    nus = sorted(int(nu) % pp.N for nu in nus)
+    nus = sorted({int(nu) % pp.N for nu in nus})
     check_array_size(group.order * len(nus), f"character-sum table at {pp}")
-    value, good, vanished = (a.T.ravel() for a in _closed_form(group, nus))
+    value, good, vanished = _closed_form(group, nus)
     return ExpSumTable(
         pp=pp,
-        nu=np.tile(np.asarray(nus, dtype=np.int64), group.order),
-        chi_index=np.repeat(np.arange(group.order, dtype=np.int64), len(nus)),
+        nu=np.array(nus, dtype=np.int64),
         value=value,
         theta=theta_angle(pp, value, good),
         good=good,
@@ -300,7 +298,7 @@ def bad_character_count(group: HeckeGroup, nus) -> int | None:
 def find_large(group: HeckeGroup, nu: int) -> list[tuple[int, complex]]:
     """Characters with 2 t_chi = -nu (mod p^2) at k = 3; each has |E| = p^2.
 
-    Returns (chi_index, E) pairs; any other magnitude raises RuntimeError.
+    Returns (index j, E) pairs; any other magnitude raises RuntimeError.
     """
     pp = group.pp
     if pp.k != 3:

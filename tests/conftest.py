@@ -180,14 +180,16 @@ def bad_count_by_character(group, nus) -> int:
 
 
 def csv_rows(table) -> str:
-    """The CSV text of an ExpSumTable, one f-string per row: the oracle of
-    cli.records_to_csv."""
+    """The CSV text of an ExpSumTable, one f-string per sum, looping over
+    the characters (columns) and, within each, over the classes (rows):
+    the oracle of cli.records_to_csv."""
     flag = ("false", "true")
     head = f"{table.pp.p},{table.pp.k}"
-    columns = (table.nu, table.chi_index, table.value.real, table.value.imag, table.theta, table.good, table.vanished)
+    arrays = (table.value.real, table.value.imag, table.theta, table.good, table.vanished)
     return "p,k,nu,chi_index,re,im,theta,good,vanished\n" + "".join(
         f"{head},{nu},{j},{re:.17g},{im:.17g},{f'{th:.17g}' if good else ''},{flag[good]},{flag[van]}\n"
-        for nu, j, re, im, th, good, van in zip(*(col.tolist() for col in columns))
+        for j, sums in enumerate(zip(*(a.T.tolist() for a in arrays)))
+        for nu, re, im, th, good, van in zip(table.nu.tolist(), *sums)
     )
 
 

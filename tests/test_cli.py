@@ -171,29 +171,37 @@ CSV_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1
               0.1, float(np.nextafter(0.1, 1.0)), 1 / 3, float(np.nextafter(1 / 3, 0.0)), -2.5]
 
 
-def table_of(pp, nu, chi_index, re, im, theta, good, vanished) -> ExpSumTable:
-    value = np.empty(len(re), dtype=np.complex128)
-    value.real, value.imag = re, im  # keeps the sign of every zero
+def table_of(pp, nu, width, re, im, theta, good, vanished) -> ExpSumTable:
+    """A table of len(nu) classes and width characters from the columns of
+    its CSV rows, in their (character, nu) order: row r is the sum of
+    character r // len(nu) at nu[r % len(nu)]."""
+
+    def array(col, dtype):
+        return np.asarray(col, dtype=dtype).reshape(width, len(nu)).T
+
+    value = np.empty((len(nu), width), dtype=np.complex128)
+    value.real, value.imag = array(re, np.float64), array(im, np.float64)  # keeps the sign of every zero
     return ExpSumTable(
-        pp, np.asarray(nu, dtype=np.int64), np.asarray(chi_index, dtype=np.int64), value,
-        np.asarray(theta, dtype=np.float64), np.asarray(good, dtype=bool), np.asarray(vanished, dtype=bool),
+        pp, np.asarray(nu, dtype=np.int64), value,
+        array(theta, np.float64), array(good, bool), array(vanished, bool),
     )
 
 
 @st.composite
 def synthetic_tables(draw):
-    n = draw(st.integers(0, 40))
+    nu = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=4))
+    width = draw(st.integers(0, 12))
     # a small pool per table makes repeated values common
     pool = draw(st.lists(st.sampled_from(CSV_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
                          min_size=1, max_size=8))
 
     def column(elements):
-        return draw(st.lists(elements, min_size=n, max_size=n))
+        return draw(st.lists(elements, min_size=len(nu) * width, max_size=len(nu) * width))
 
     good = column(st.booleans())
     theta = [th if g else np.nan for th, g in zip(column(st.sampled_from(pool)), good)]
     return table_of(
-        PrimePower(7, 2), column(st.integers(1, 48)), column(st.integers(0, 10**6)),
+        PrimePower(7, 2), nu, width,
         column(st.sampled_from(pool)), column(st.sampled_from(pool)), theta, good, column(st.booleans()),
     )
 
@@ -201,19 +209,23 @@ def synthetic_tables(draw):
 EDGE_ROWS = 2 * len(CSV_FLOATS)  # each edge value twice, and -0.0 next to 0.0 in every column
 
 
-# decimal digit boundaries of the integer columns, up to the int64 maximum
+# decimal digit boundaries of the integer columns, up to the int64 maximum; a
+# table of CHI_WIDTH characters reaches those of chi_index up to 100
 CSV_INTS = [0, 9, 10, 99, 100, 10**6, 2**62, 2**63 - 1]
+CHI_WIDTH = 101
+INT_ROWS = len(CSV_INTS) * CHI_WIDTH
 
 
 @given(synthetic_tables())
-@example(table_of(PrimePower(7, 2), [], [], [], [], [], [], []))
-@example(table_of(PrimePower(7, 2), [0], [0], [0.5], [0.0], [1.0], [True], [False]))
+@example(table_of(PrimePower(7, 2), [], 0, [], [], [], [], []))
+@example(table_of(PrimePower(7, 2), [], 3, [], [], [], [], []))
+@example(table_of(PrimePower(7, 2), [0], 1, [0.5], [0.0], [1.0], [True], [False]))
 @example(table_of(
-    PrimePower(7, 2), CSV_INTS, CSV_INTS[::-1], CSV_FLOATS[: len(CSV_INTS)], CSV_FLOATS[::-1][: len(CSV_INTS)],
-    [np.nan, 0.25] * (len(CSV_INTS) // 2), [False, True] * (len(CSV_INTS) // 2), [True] * len(CSV_INTS),
+    PrimePower(7, 2), CSV_INTS, CHI_WIDTH, (CSV_FLOATS * INT_ROWS)[:INT_ROWS], (CSV_FLOATS[::-1] * INT_ROWS)[:INT_ROWS],
+    [np.nan, 0.25] * (INT_ROWS // 2), [False, True] * (INT_ROWS // 2), [True] * INT_ROWS,
 ))
 @example(table_of(
-    PrimePower(7, 2), [1, 3] * len(CSV_FLOATS), range(EDGE_ROWS), CSV_FLOATS * 2, CSV_FLOATS[::-1] * 2,
+    PrimePower(7, 2), [1, 3], len(CSV_FLOATS), CSV_FLOATS * 2, CSV_FLOATS[::-1] * 2,
     [th if i % 3 else np.nan for i, th in enumerate(CSV_FLOATS * 2)], [i % 3 > 0 for i in range(EDGE_ROWS)],
     [i % 2 > 0 for i in range(EDGE_ROWS)],
 ))
@@ -228,14 +240,27 @@ def test_records_to_csv_matches_row_writer_on_real_tables(p, k):
     assert records_to_csv(table) == csv_rows(table).encode()
 
 
-@pytest.mark.parametrize("column", ["nu", "chi_index"])
+@pytest.mark.parametrize("column", ["nu"])
 def test_records_to_csv_refuses_negative_keys(column):
-    keys = {"nu": [1, 2], "chi_index": [0, 1], column: [3, -1]}
-    table = table_of(PrimePower(7, 2), keys["nu"], keys["chi_index"], [0.5, 1.0], [0.0, 0.0], [1.0, 0.5],
-                     [True, True], [False, False])
+    table = table_of(PrimePower(7, 2), [3, -1], 1, [0.5, 1.0], [0.0, 0.0], [1.0, 0.5], [True, True], [False, False])
     assert "-1" in csv_rows(table)  # the row writer would print it
     with pytest.raises(ValueError, match=f"negative {column} -1"):
         records_to_csv(table)
+
+
+def test_records_to_csv_names_a_non_finite_sum():
+    table = table_of(PrimePower(7, 2), [1, 2], 2, [0.5, 1.0, 0.25, np.inf], [0.0] * 4, [1.0, 0.5, 1.3, 0.2],
+                     [True] * 4, [False] * 4)
+    with pytest.raises(ArithmeticError, match="non-finite value at chi_1, nu = 2: E = "):
+        records_to_csv(table)
+
+
+def test_expsum_refuses_an_empty_nu_list(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "sums.csv"
+    cfg.write_text(json.dumps({"nu": []}))
+    assert run_cli(["expsum", "--p", "11", "--k", "2", "--config", str(cfg), "--out", str(out)]) == 2
+    assert assert_one_line_error(capsys, "at least one nu") == ""
+    assert not out.exists()
 
 
 def test_expsum_stdout_is_the_file_bytes(tmp_path):
@@ -576,6 +601,24 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     # the keys that remain still apply
     cfg.write_text(json.dumps({"dense_cap": 400}))
     assert run_cli(["verify", "--p", "3", "--k", "1-2", "--config", str(cfg)]) == 0
+
+
+def test_verify_leaves_out_rows_that_check_no_space(tmp_path, capsys):
+    """A row whose spaces are all k = 1, or all above the dense cap, is left
+    out rather than passed over nothing."""
+    assert run_cli(["verify", "--p", "3,7", "--k", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "over 2 spaces" in out and "[PASS] hecke group/eigen" in out
+    assert "expsum oracle" not in out and "matrix-element formula" not in out and "slow decay" not in out
+    cfg = tmp_path / "cfg.json"
+    for cap, kept in ((8, 1), (2, 0)):
+        cfg.write_text(json.dumps({"dense_cap": cap}))
+        assert run_cli(["verify", "--p", "3", "--k", "1-3", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert ("skipped 3^2 3^3" if kept else "skipped 3^1 3^2 3^3") in out
+        assert ("over 1 spaces" in out) == bool(kept) and ("hecke group/eigen" in out) == bool(kept)
+        assert "expsum oracle" not in out and "matrix-element formula" not in out and "slow decay" not in out
+        assert "[PASS] limiting distribution" in out
 
 
 def test_verify_rows_fail_by_value(monkeypatch, capsys):

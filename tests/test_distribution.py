@@ -22,7 +22,7 @@ from qcatmap import cli, expsum
 from qcatmap.distribution import (
     FORMULA_TOL,
     MOMENT_ORDERS,
-    _exp_sum_table,
+    _exp_sum_rows,
     _winsorized_moments,
     ScaledLimitLaw,
     angle_moment,
@@ -526,8 +526,8 @@ def test_character_mask_and_sign_give_the_dense_sample(p, k):
     f = FourierObservable({m: c for n, c in zip(modes, (0.5, -0.3, 0.2)) for m in (n, (-n[0], -n[1]))})
     spectrum = twisted_coefficients(f, A)
     nus = sorted(spectrum)
-    table = _exp_sum_table(group, [nu * pow(2, -1, pp.N) % pp.N for nu in nus])
-    F_j = math.sqrt(pp.N) / group.order * (table.real @ np.array([complex(spectrum[nu]).real for nu in nus]))
+    rows = _exp_sum_rows(group, [nu * pow(2, -1, pp.N) % pp.N for nu in nus])
+    F_j = math.sqrt(pp.N) / group.order * (rows.real.T @ np.array([complex(spectrum[nu]).real for nu in nus]))
     F = normalized_elements_closed(f, group)  # in character-index order
     assert np.abs(F - F_j).max() < 1e-12
     sign = 1 if group.kind == "split" else (-1) ** k
@@ -549,14 +549,15 @@ def test_closed_form_sample_matches_law(cat_map):
 
 
 def scan_route_sample(f, group):
-    """normalized_elements_closed through the full expsum table, the route
-    before the values-only closed form: the oracle of its bits."""
+    """normalized_elements_closed through the full expsum table, laid out
+    as (character, nu) columns and gathered by class, the route before the
+    sums were read in place: the oracle of its bits."""
     pp = group.pp
     spectrum = reduced_classes(twisted_coefficients(f, group.A), pp)
     nus = sorted(spectrum)
     halved = [nu * pow(2, -1, pp.N) % pp.N for nu in nus]
     uniq = sorted(set(halved))
-    table = expsum.scan_characters(group, uniq).value.reshape(group.order, len(uniq))
+    table = np.ascontiguousarray(expsum.scan_characters(group, uniq).value.T)
     table = table[:, [uniq.index(nu) for nu in halved]]
     weights = np.array([complex(spectrum[nu]).real for nu in nus])
     return (math.sqrt(pp.N) / group.order) * (table.real @ weights)
@@ -570,6 +571,23 @@ def test_closed_sample_equals_scan_route_bits(cat_map, p, k):
     group = build_group(cat_map, PrimePower(p, k))
     sample = normalized_elements_closed(f, group)
     assert sample.view(np.int64).tolist() == scan_route_sample(f, group).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("p", [101, 347])
+def test_closed_sample_reads_the_sums_in_place(cat_map, p):
+    """normalized_elements_closed of cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + 2 x2)
+    holds its three (class, character) rows of sums once: its traced peak
+    stays below 2.5 such (3, #C) complex arrays, which a transposed copy of
+    the rows and a gather of their columns (3.2 arrays) would exceed."""
+    f = FourierObservable({m: 0.5 for n in ((1, 0), (0, 1), (1, 2)) for m in (n, (-n[0], -n[1]))})
+    group = build_group(cat_map, PrimePower(p, 2))
+    tracemalloc.start()
+    try:
+        normalized_elements_closed(f, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 3 * group.order * 16, peak / (3 * group.order * 16)
 
 
 def test_closed_sample_checks_the_bound(cat_map, monkeypatch):

@@ -24,6 +24,7 @@ from qcatmap.modarith import (
     sqrt_set,
 )
 from qcatmap import expsum, quantization
+from qcatmap.cli import records_to_csv
 from qcatmap.distribution import normalized_elements_closed
 from qcatmap.hecke import build_group
 from qcatmap.quantization import FourierObservable, TorusAutomorphism
@@ -90,11 +91,12 @@ def test_sums_are_real():
 
 def assert_table_equals_bruteforce(group, nus):
     table = scan_characters(group, nus)
-    assert len(table) == group.order * len(nus)
-    # column i holds the i-th of the sorted nus, one row per character
-    columns = table.value.reshape(group.order, len(nus)).T
-    for nu, column in zip(sorted(nu % group.pp.N for nu in nus), columns):
-        assert np.abs(column - exp_sum_bruteforce(group, nu)).max() < 1e-7
+    # row i holds the i-th of the distinct sorted classes, column j the character chi_j
+    classes = sorted({nu % group.pp.N for nu in nus})
+    assert table.nu.tolist() == classes
+    assert table.value.shape == (len(classes), group.order) and len(table) == table.value.size
+    for nu, row in zip(classes, table.value):
+        assert np.abs(row - exp_sum_bruteforce(group, nu)).max() < 1e-7
     assert np.all(table.value[table.vanished] == 0)
     return table
 
@@ -220,9 +222,9 @@ def test_closed_form_vanishing_is_structural():
     # a good character whose square-root target is a non-residue gives 0
     group = build_group(A_DEFAULT, PrimePower(3, 2))
     table = scan_characters(group, [1])
-    zero = table.good & (exp_sum_closed(group, 1, table.chi_index) == 0)
+    zero = table.good[0] & (exp_sum_closed(group, 1, np.arange(group.order)) == 0)
     assert zero.any()
-    for t in group.t_parameters(table.chi_index[zero]).tolist():
+    for t in group.t_parameters(np.flatnonzero(zero)).tolist():
         w = (2 * t + 1) * pow(group.ring.D % 3, -1, 3) % 3
         assert legendre(w, 3) == -1 or not group.ring.in_domain(min(sqrt_set(w, 3, 1), default=0))
 
@@ -263,10 +265,12 @@ def test_scan_bad_character_count_and_rows():
         group = build_group(A_DEFAULT, PrimePower(p, k))
         table = scan_characters(group, [2, 1])
         assert len(table) == 2 * group.order
-        assert table.chi_index.tolist() == sorted(table.chi_index.tolist())
-        assert table.nu.tolist() == [1, 2] * group.order
-        for nu in (1, 2):
-            n_bad = int(np.count_nonzero((table.nu == nu) & ~table.good))
+        assert table.nu.tolist() == [1, 2]
+        # the CSV rows run over the characters in index order, and over the sorted classes within each
+        keys = [tuple(map(int, line.split(b",")[2:4])) for line in records_to_csv(table).splitlines()[1:]]
+        assert keys == [(nu, j) for j in range(group.order) for nu in (1, 2)]
+        for row, nu in enumerate((1, 2)):
+            n_bad = int(np.count_nonzero(~table.good[row]))
             assert n_bad == group.order // (p ** (k - 1)) * p ** (k - 2)
             assert bad_character_count(group, [nu]) == n_bad
         # a character bad for both classes counts once
@@ -279,7 +283,8 @@ def test_scan_bad_character_count_and_rows():
 def test_scan_table_equals_bruteforce(p, k):
     group = build_group(matrix_for_prime(p), PrimePower(p, k))
     table = assert_table_equals_bruteforce(group, [1])
-    assert table.chi_index.tolist() == list(range(group.order))
+    chi_index = [int(line.split(b",")[3]) for line in records_to_csv(table).splitlines()[1:]]
+    assert chi_index == list(range(group.order))
 
 
 def test_scan_keeps_no_table_alive():
@@ -302,8 +307,7 @@ def test_good_fiber_terms_conjugate():
     p = 11
     group = build_group(A_DEFAULT, PrimePower(p, 2))
     table = scan_characters(group, [1])
-    row = int(np.argmax(table.good & ~table.vanished))
-    nu, j = int(table.nu[row]), int(table.chi_index[row])
+    nu, j = int(table.nu[0]), int(np.argmax(table.good[0] & ~table.vanished[0]))
     w = (2 * int(group.t_parameters(j)) + nu) * pow(nu * group.ring.D % p, -1, p) % p
     r1, r2 = sqrt_set(w, p, 1)
 
@@ -313,7 +317,7 @@ def test_good_fiber_terms_conjugate():
 
     t1, t2 = term(r1), term(r2)
     assert abs(t1 - t2.conjugate()) < 1e-10
-    assert abs(p * (t1 + t2) - table.value[row]) < 1e-9
+    assert abs(p * (t1 + t2) - table.value[0, j]) < 1e-9
 
 
 def test_find_large_p3():
@@ -370,7 +374,7 @@ def test_property_good_matches_is_good(case):
     p, k, nu = case
     group = build_group(matrix_for_prime(p), PrimePower(p, k))
     table = scan_characters(group, [nu])
-    assert table.good.tolist() == good_by_definition(group, nu).tolist()
+    assert table.good[0].tolist() == good_by_definition(group, nu).tolist()
 
 
 @st.composite
@@ -387,5 +391,5 @@ def test_property_closed_form_random_matrix(case):
     A, p, k, nu = case
     group = build_group(A, PrimePower(p, k))
     table = scan_characters(group, [nu])
-    assert np.abs(table.value - exp_sum_bruteforce(group, nu)).max() < 1e-7
-    assert table.good.tolist() == good_by_definition(group, nu).tolist()
+    assert np.abs(table.value[0] - exp_sum_bruteforce(group, nu)).max() < 1e-7
+    assert table.good[0].tolist() == good_by_definition(group, nu).tolist()
