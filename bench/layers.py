@@ -22,13 +22,16 @@ Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
                    at #C = 1,020,100 (the group is not timed)
   csv p^2       -- `cli.records_to_csv` of `scan_characters(group, [1])` at
                    349^2 and 1009^2 (the group and the scan are not timed)
-  closed p^2    -- the closed-form statistics of `distribution` at 347^2
-                   and 1009^2:
+  closed p^2    -- the closed-form statistics of `distribution` at 347^2,
+                   1009^2 and 3001^2:
                    `distribution.normalized_elements_closed` of the
                    observable cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + 2 x2),
                    then `distribution.compare_distribution` against a model
                    sample drawn before the timer starts (the group is not
-                   timed either)
+                   timed either).  After the timed run and its peak RSS,
+                   the sample runs once more under tracemalloc:
+                   `sample_peak_arrays` is its traced peak in (3, #C)
+                   complex arrays, the size of its three rows of sums
   elements p^2  -- the dense matrix elements as `distribution` runs them,
                    at 37^2 (inert) and 41^2 (split): one
                    `distribution.matrix_elements` pass over the modes +-n
@@ -60,15 +63,16 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CASES = [
     ("group", 349, 2), ("group", 1009, 2), ("group", 3001, 2), ("scan", 1009, 2), ("scan", 3001, 2), ("scan", 101, 3),
-    ("csv", 349, 2), ("csv", 1009, 2), ("closed", 347, 2), ("closed", 1009, 2),
+    ("csv", 349, 2), ("csv", 1009, 2), ("closed", 347, 2), ("closed", 1009, 2), ("closed", 3001, 2),
     ("elements", 37, 2), ("elements", 41, 2), ("eigen", 13, 3), ("eigen", 19, 3),
 ]
 REPEATS = 3
 
 # argv: layer, p, k.  Prints {"s": layer seconds, "peak_rss_mb": ..., "items": ...},
-# and for the elements layer also the eigendecompose_* keys.
+# for the elements layer also the eigendecompose_* keys, and for the closed
+# layer sample_peak_arrays.
 CHILD = r"""
-import json, resource, sys, time
+import json, resource, sys, time, tracemalloc
 import numpy.fft, numpy.random
 from qcatmap import cli, distribution, expsum, hecke
 from qcatmap.modarith import PrimePower
@@ -97,6 +101,11 @@ elif layer == "closed":
     sample = distribution.normalized_elements_closed(f, group)
     distribution.compare_distribution(sample, model, winsor_bound=10.0 * p ** (1.0 / 6.0))
     s, items = time.perf_counter() - t0, len(sample)
+    extra = {"peak_rss_mb": peak_rss_mb()}  # read before tracemalloc, and kept in the output
+    tracemalloc.start()
+    distribution.normalized_elements_closed(f, group)
+    extra["sample_peak_arrays"] = tracemalloc.get_traced_memory()[1] / (3 * group.order * 16)
+    tracemalloc.stop()
 elif layer == "csv":
     table = expsum.scan_characters(hecke.build_group(A, pp), [1])
     t0 = time.perf_counter()

@@ -442,23 +442,21 @@ def _byte_rows(strings: list[bytes]) -> np.ndarray:
     return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
 
 
-def _float_text(col: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct float of col formatted once as "%.17g,": the strings as
-    a byte matrix (see _byte_rows) and the row of it for each entry, in the
+def _float_strings(floats: np.ndarray, head: list[bytes]) -> np.ndarray:
+    """The strings head, then each float as "%.17g,", as a byte matrix."""
+    text = ("%.17g,\n" * len(floats)) % tuple(floats.tolist())
+    return _byte_rows(head + text.encode("ascii").split(b"\n")[:-1])
+
+
+def _float_text(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct float of col formatted once: the distinct floats, their
+    strings (see _float_strings) and the row of them for each entry, in the
     shape of col.  Floats are told apart by their bits, so -0.0 prints as
-    -0.  With a keep mask only the kept entries are formatted, and every
-    other entry points at row 0, which holds the comma alone."""
-    bits = np.ascontiguousarray(col).view(np.int64)
-    distinct, inverse = np.unique(bits if keep is None else bits[keep], return_inverse=True)
-    text = ("%.17g,\n" * len(distinct)) % tuple(distinct.view(np.float64).tolist())
-    strings = _byte_rows(([] if keep is None else [b","]) + text.encode("ascii").split(b"\n")[:-1])
+    -0."""
+    distinct, inverse = np.unique(np.ascontiguousarray(col).view(np.int64), return_inverse=True)
+    floats = distinct.view(np.float64)
     # the rows live until the last block is gathered: keep them small
-    row_type = np.min_scalar_type(len(strings))
-    if keep is None:
-        return strings, inverse.astype(row_type).reshape(col.shape)
-    row = np.zeros(col.shape, dtype=row_type)
-    row[keep] = inverse + 1
-    return strings, row
+    return floats, _float_strings(floats, []), inverse.astype(np.min_scalar_type(len(floats))).reshape(col.shape)
 
 
 def _int_text(col: np.ndarray) -> np.ndarray:
@@ -484,35 +482,38 @@ def records_to_csv(table: expsum.ExpSumTable) -> bytearray:
     The rows are gathered as bytes, CSV_BLOCK_ROWS rows at a time, and
     appended to one bytearray, so the text is never held twice.  Row r is
     character r // #nu at class nu[r % #nu]: each block writes these keys
-    digit by digit with integer arithmetic and reads the (nu, character)
-    arrays over its characters, transposed.  good and vanished are looked
-    up in a false/true table, and each float array formats every distinct
-    value once (the table repeats its values), theta where good only.
+    digit by digit with integer arithmetic, reads the values over its
+    characters, transposed, and the masks at the residues r // #nu mod T.
+    Each float array formats its distinct values once, and theta, a
+    function of re, once per distinct re, after the bad rows' empty field.
     """
     value = table.value
-    finite = np.isfinite(value.real) & np.isfinite(value.imag) & (np.isfinite(table.theta) | ~table.good)
+    finite = np.isfinite(value)
     if not finite.all():
         i, j = np.unravel_index(np.argmin(finite), finite.shape)
         raise ArithmeticError(f"non-finite value at chi_{j}, nu = {table.nu[i]}: E = {value[i, j]}")
     if len(table.nu) and table.nu.min() < 0:
         raise ValueError(f"negative nu {int(table.nu.min())} has no CSV text")
     head = np.frombuffer(f"{table.pp.p},{table.pp.k},".encode("ascii"), dtype=np.uint8)
-    columns = [  # (byte matrix of strings, (nu, character) array of its rows)
-        _float_text(value.real),
-        _float_text(value.imag),
-        _float_text(table.theta, table.good),
-        (_byte_rows([b"false,", b"true,"]), table.good.view(np.uint8)),
-        (_byte_rows([b"false\n", b"true\n"]), table.vanished.view(np.uint8)),
-    ]
+    re, re_text, re_row = _float_text(value.real)
+    _, im_text, im_row = _float_text(value.imag)
+    theta_text = _float_strings(expsum.theta_angle(table.pp, re), [b","])
+    flags = _byte_rows([b"false,", b"true,"]), _byte_rows([b"false\n", b"true\n"])
     text = bytearray(b"p,k,nu,chi_index,re,im,theta,good,vanished\n")
     for lo in range(0, len(table), CSV_BLOCK_ROWS):
         chi, i = np.divmod(np.arange(lo, min(lo + CSV_BLOCK_ROWS, len(table))), len(table.nu))
         chars, cut = slice(chi[0], chi[-1] + 1), slice(i[0], i[0] + len(chi))
+        re_at, im_at = (row[:, chars].T.ravel()[cut] for row in (re_row, im_row))
+        good, vanished = (mask[i, chi % mask.shape[1]].view(np.uint8) for mask in (table.good, table.vanished))
         block = np.hstack([
             np.broadcast_to(head, (len(chi), len(head))),
             _int_text(table.nu[i]),
             _int_text(chi),
-            *(strings.take(row[:, chars].T.ravel()[cut], axis=0) for strings, row in columns),
+            re_text.take(re_at, axis=0),
+            im_text.take(im_at, axis=0),
+            theta_text.take(np.where(good, re_at.astype(np.int64) + 1, 0), axis=0),
+            flags[0].take(good, axis=0),
+            flags[1].take(vanished, axis=0),
         ])
         text += block.tobytes().translate(None, b"\0")
     return text

@@ -249,7 +249,8 @@ def normalized_elements(f: FourierObservable, elements: MatrixElements) -> np.nd
     quad = np.zeros(len(elements.labels), dtype=np.complex128)
     for n, c in sorted(f.coeffs.items()):
         quad += complex(c) * elements.rows[n]
-    if np.abs(quad.imag).max() > 1e-7:
+    # |<Op(f) psi, psi>| <= sum |fhat(n)|, so the tolerance scales with it
+    if np.abs(quad.imag).max() > 1e-7 * max(1.0, sum(abs(complex(c)) for c in f.coeffs.values())):
         raise RuntimeError("Hermitian quadratic form came out complex")
     return math.sqrt(pp.N) * (quad.real - f.mean.real)
 
@@ -257,15 +258,13 @@ def normalized_elements(f: FourierObservable, elements: MatrixElements) -> np.nd
 def _exp_sum_rows(group: HeckeGroup, nus: list[int]) -> np.ndarray:
     """E(nu, chi_j) for each of the distinct classes nus (rows, in their
     order) and every character j (columns), in closed form at k >= 2 (the
-    values alone, with the bound check of the expsum table) and by brute
-    force at k = 1.  The #C values of each nu are checked against the size
-    cap first."""
+    values alone, checked as the expsum table is) and by brute force at
+    k = 1.  The #C values of each nu are checked against the size cap
+    first."""
     check_array_size(group.order * len(nus), f"closed-form sample at {group.pp}")
     if group.pp.k < 2:
         return np.stack([expsum.exp_sum_bruteforce(group, nu) for nu in nus])
-    value, good, _ = expsum._closed_form(group, nus)
-    expsum.check_bound(group.pp, value, good)
-    return value
+    return expsum._closed_form(group, nus)[0]
 
 
 def normalized_elements_closed(f: FourierObservable, group: HeckeGroup) -> np.ndarray:
@@ -432,14 +431,16 @@ def count_y_tuples_with_relation(
 
 
 def vanished_fraction(table: expsum.ExpSumTable) -> float:
-    """Fraction of vanishing sums among the good-character rows."""
+    """Fraction of vanishing sums among the good (class, character) pairs,
+    read per residue: each stands for #C / T characters."""
     if not table.good.any():
         raise EmptySetError("no good characters in the table")
     return float(np.mean(table.vanished[table.good]))
 
 
 def angle_moment(table: expsum.ExpSumTable, m: int) -> float:
-    """Mean of (2 cos theta)^m over the good-character rows."""
+    """Mean of (2 cos theta)^m over the good (class, character) pairs."""
     if not table.good.any():
         raise EmptySetError("no good characters in the table")
-    return float(np.mean((2.0 * np.cos(table.theta[table.good])) ** m))
+    good = np.tile(table.good, table.value.shape[1] // table.good.shape[1])
+    return float(np.mean((2.0 * np.cos(expsum.theta_angle(table.pp, table.value.real[good]))) ** m))

@@ -27,24 +27,24 @@ import numpy as np
 from .errors import BoundExceededError, KTooSmallError, NonUnitError, WrongKError
 from .hecke import HeckeGroup
 from .modarith import PrimePower, gauss_quadratic_closed, inv_mod, roots_table, unit_roots
-from .quantization import check_array_size
+from .quantization import block_columns, check_array_size
 
 LIFT_CHECK_TOL = 1e-9
 REALNESS_TOL = 1e-8
-# slack on |E| <= 2 p^(k/2) for good characters before theta is refused
+# slack on |E| <= 2 p^(k/2) for good characters before a sum is refused
 THETA_BOUND_TOL = 1e-9
 LARGE_SUM_TOL = 1e-6  # relative, on |E| = p^2 in find_large
 
 
 @dataclass(frozen=True, eq=False)
 class ExpSumTable:
-    """Closed-form sums as (len(nu), #C) arrays: row i for the class nu[i],
-    column j for chi_j; theta is NaN where chi_j is bad for nu[i]."""
+    """Closed-form sums: value[i, j] = E(nu[i], chi_j), a (len(nu), #C)
+    array, and the (len(nu), T) masks good[i, r] and vanished[i, r] of the
+    characters chi_j with j = r (mod T), T = t_modulus = good.shape[1]."""
 
     pp: PrimePower
     nu: np.ndarray
     value: np.ndarray
-    theta: np.ndarray
     good: np.ndarray
     vanished: np.ndarray
 
@@ -77,15 +77,10 @@ def exp_sum_bruteforce(group: HeckeGroup, nu: int) -> np.ndarray:
     return order * np.fft.ifft(c)
 
 
-def _good(pp: PrimePower, t: np.ndarray, nu: int) -> np.ndarray:
-    """Good for nu: 2 t != -nu (mod p), for each t-parameter t."""
-    return (2 * t + nu) % pp.p != 0
-
-
 def _closed_form(group: HeckeGroup, nus, j=None):
     """E(nu, chi_j) for each nu (rows) and character index j (columns),
-    with the masks of good characters and of vanished sums; j = None
-    stands for every character, in index order.
+    with the (len(nus), T) masks of good (2 t + nu != 0 mod p) and vanished
+    residues r; j = None stands for every character, in index order.
 
     E = p^l * sum over x in the square-root set of w = (2t+nu)/(nu D)
     mod p^l (within the domain) of e_N(nu x) chi(beta(x)) [* G(x) for odd
@@ -103,7 +98,9 @@ def _closed_form(group: HeckeGroup, nus, j=None):
     summand is independent of the lift exactly on the fiber: at each
     (r, x) the amplitude is recomputed at x + p^l and compared, and
     m_(x + p^l) = m_x (mod Q) is required, which together hold the term
-    of every character of the row.
+    of every character of the row.  Each class row is then checked, its
+    sums for realness and its good ones by check_bound, in slabs of rows
+    whose temporaries fit in BLOCK_BYTES.
 
     For odd k, G(x) is the Gauss sum of the second-order expansion of the
     Cayley map along the fiber x + p^l y:
@@ -130,23 +127,23 @@ def _closed_form(group: HeckeGroup, nus, j=None):
         width = len(j)
     fiber = _Fiber(group)
     value = np.zeros((len(nus), width), dtype=np.complex128)
-    good = np.empty((len(nus), width), dtype=bool)
-    vanished = np.empty((len(nus), width), dtype=bool)
+    good, vanished = np.empty((2, len(nus), T), dtype=bool)
     for row, nu in enumerate(nus):
         # rows q < Q, columns the residues: for every r < T this is E in j order
         block = value[row].reshape(Q, T) if j is None else np.zeros((Q, len(residues)), dtype=np.complex128)
-        good_r, vanished_r = fiber.residue_rows(nu, residues, block)
-        if j is None:
-            good[row].reshape(Q, T)[:], vanished[row].reshape(Q, T)[:] = good_r, vanished_r
-        else:
+        good[row], vanished[row] = fiber.residue_rows(nu, residues, block)
+        peak = np.zeros(block.shape[1])  # the largest |E| of each residue
+        step = block_columns(block.shape[1] or 1)
+        for slab in (block[q0 : q0 + step] for q0 in range(0, Q, step)):
+            # |Im E| > tol (1 + |E|) needs |Im E| > tol, so only those sums are tested in full
+            suspect = slab[np.abs(slab.imag) > REALNESS_TOL]
+            complex_ = np.abs(suspect.imag) > REALNESS_TOL * (1.0 + np.abs(suspect))
+            if complex_.any():
+                raise RuntimeError(f"sum failed the realness check: {suspect[complex_][0]}")
+            np.maximum(peak, np.abs(slab).max(axis=0), out=peak)
+        check_bound(group, nu, residues, peak, good[row, residues], block)
+        if j is not None:
             value[row] = block[j // T, column]
-            good[row], vanished[row] = good_r[column], vanished_r[column]
-
-    # |Im E| > tol (1 + |E|) needs |Im E| > tol, so only those sums are tested in full
-    suspect = value[np.abs(value.imag) > REALNESS_TOL]
-    complex_ = np.abs(suspect.imag) > REALNESS_TOL * (1.0 + np.abs(suspect))
-    if complex_.any():
-        raise RuntimeError(f"sum failed the realness check: {suspect[complex_][0]}")
     return value, good, vanished
 
 
@@ -184,14 +181,16 @@ class _Fiber:
         and every q < Q, one root slot at a time.  Slots 0 and 1 span every
         residue, with a zero amplitude where a residue has fewer roots in the
         domain; later slots only the residues with more (p | w, bad ones).
-        Returns the good and the vanished mask of the residues."""
+        Returns the good and the vanished mask of every residue r < T."""
         group, pl, D = self.group, self.pl, self.D
-        pp, order, p = group.pp, group.order, group.pp.p
+        order, p = group.order, group.pp.p
         Q = order // group.t_modulus
-        t = group.t_parameters(r)
+        t = group.t_parameters(np.arange(group.t_modulus))
         w = (2 * t + nu) % pl * pow(nu * D % pl, -1, pl) % pl
         # every root x of w has x^2 = w (mod p), so all or none is in the domain
         count = np.where((D % p * w - 1) % p != 0, self.count[w], 0)
+        masks = (2 * t + nu) % p != 0, count == 0
+        t, w, count = t[r], w[r], count[r]
         for slot in range(int(count.max(initial=0))):
             has = np.flatnonzero(count > slot)
             x = self.by_square[self.first[w[has]] + slot]
@@ -215,7 +214,7 @@ class _Fiber:
             for q0 in range(0, Q, step):
                 rows = min(step, Q - q0)
                 block[q0 : q0 + rows, cols] += amp * self.phases[head[:rows] + q0 * m % Q]
-        return _good(pp, t, nu), count == 0
+        return masks
 
     def _amplitude(self, nu: int, r, t, x, lift: int):
         """a(r, x) at the lift x + lift p^l, and m = dlog beta(x + lift p^l)."""
@@ -236,49 +235,39 @@ class _Fiber:
 
 def exp_sum_closed(group: HeckeGroup, nu: int, j) -> np.ndarray:
     """The closed form (k >= 2) E(nu, chi_j) for each character index j,
-    from the residue rows of the j mod t_modulus present."""
+    from the checked residue rows of the j mod t_modulus present."""
     return _closed_form(group, [nu], j)[0][0]
 
 
-def check_bound(pp: PrimePower, value: np.ndarray, good: np.ndarray) -> None:
-    """A good sum with |E| / (2 p^(k/2)) above 1 + THETA_BOUND_TOL breaks
-    the paper's bound and raises BoundExceededError, which names the row
-    of the worst one in the flattened value array."""
-    ratio = np.abs(value).ravel() / (2.0 * pp.p ** (pp.k / 2.0))
-    good = np.ravel(good)
-    if good.any() and ratio[good].max() > 1.0 + THETA_BOUND_TOL:
+def check_bound(group: HeckeGroup, nu: int, r: np.ndarray, peak: np.ndarray, good: np.ndarray, block) -> None:
+    """The paper's bound on one class row, block[q, i] = E(nu, chi_j) at
+    j = r[i] + T q, peak[i] the largest |E| over q and good the mask of r:
+    peak / (2 p^(k/2)) must stay within 1 + THETA_BOUND_TOL on the good
+    residues, or BoundExceededError names the worst sum."""
+    pp = group.pp
+    ratio = peak / (2.0 * pp.p ** (pp.k / 2.0))
+    if np.any(ratio[good] > 1.0 + THETA_BOUND_TOL):
         i = int(np.argmax(np.where(good, ratio, -1.0)))
+        j = r[i] + group.t_modulus * int(np.argmax(np.abs(block[:, i])))
         raise BoundExceededError(
             f"good sum above 2 p^(k/2) at {pp}: worst |E|/(2 p^(k/2)) = {ratio[i]:.12g} "
-            f"(row {i}, tolerance 1 + {THETA_BOUND_TOL:g})"
+            f"at nu = {nu}, chi_{j} (tolerance 1 + {THETA_BOUND_TOL:g})"
         )
 
 
-def theta_angle(pp: PrimePower, value: np.ndarray, good: np.ndarray) -> np.ndarray:
-    """theta in [0, pi] with E = 2 p^(k/2) cos(theta) where good, NaN
-    elsewhere, in the shape of value, after check_bound."""
-    check_bound(pp, value, good)
-    scale = 2.0 * pp.p ** (pp.k / 2.0)
-    theta = np.full(value.shape, np.nan)
-    theta[good] = np.arccos(np.clip(value.real[good] / scale, -1.0, 1.0))
-    return theta
+def theta_angle(pp: PrimePower, re: np.ndarray) -> np.ndarray:
+    """theta in [0, pi] with E = 2 p^(k/2) cos(theta), for the real parts re
+    of good sums; a bad sum's value past 2 p^(k/2) clips to 0 or pi."""
+    return np.arccos(np.clip(re / (2.0 * pp.p ** (pp.k / 2.0)), -1.0, 1.0))
 
 
 def scan_characters(group: HeckeGroup, nus) -> ExpSumTable:
     """The closed form of every character at each distinct class of the nus
-    mod N, in increasing order: _closed_form's (nu, character) arrays."""
+    mod N, in increasing order: _closed_form's arrays, checked there."""
     pp = group.pp
     nus = sorted({int(nu) % pp.N for nu in nus})
     check_array_size(group.order * len(nus), f"character-sum table at {pp}")
-    value, good, vanished = _closed_form(group, nus)
-    return ExpSumTable(
-        pp=pp,
-        nu=np.array(nus, dtype=np.int64),
-        value=value,
-        theta=theta_angle(pp, value, good),
-        good=good,
-        vanished=vanished,
-    )
+    return ExpSumTable(pp, np.array(nus, dtype=np.int64), *_closed_form(group, nus))
 
 
 def bad_character_count(group: HeckeGroup, nus) -> int | None:

@@ -248,9 +248,13 @@ class HeckeGroup:
     def walk_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The oracle dlog table, built on first read: every power g^m
         (m = 0..#C-1) encoded a*N + b and sorted, and the exponent m of
-        each.  16 bytes per element; the closed-form path never reads it."""
+        each.  16 bytes per element; the closed-form path never reads it.
+        At k = 1 it is the Pohlig-Hellman table, whose keys a*p + b are
+        these encodings; at k >= 2 the walk is an independent oracle."""
         check_array_size(self.order, f"norm-one walk table at {self.pp}")
         self._check_generator_order()
+        if self.pp.k == 1:
+            return self._low_keys, self._low_perm
         enc = np.empty(self.order, dtype=np.int64)
         for m0, (a, b) in _power_blocks(self.gen, self.ring.one, self.ring.mul, self.order):
             enc[m0 : m0 + len(a)] = a * self.pp.N + b

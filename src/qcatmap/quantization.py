@@ -20,6 +20,7 @@ per vector.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import operator
@@ -162,7 +163,8 @@ class FourierObservable:
 
 
 def load_observable(path: str) -> FourierObservable:
-    """Read a JSON array of {n1, n2, re, im} records of a real observable."""
+    """Read a JSON array of {n1, n2, re, im} records of a real observable;
+    a NaN or infinite coefficient (JSON's NaN, Infinity) is a ValueError."""
     with open(path) as fh:
         records = json.load(fh)
     coeffs: dict[tuple[int, int], complex] = {}
@@ -171,6 +173,8 @@ def load_observable(path: str) -> FourierObservable:
         if n in coeffs:
             raise ValueError(f"duplicate mode {n} in {path}")
         coeffs[n] = complex(float(rec["re"]), float(rec["im"]))
+        if not cmath.isfinite(coeffs[n]):
+            raise ValueError(f"non-finite coefficient {coeffs[n]} at mode {n} in {path}")
     obs = FourierObservable(coeffs)
     if not obs.is_real:
         raise ValueError(f"{path} is not a real-valued observable")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from qcatmap.cli import CSV_BLOCK_ROWS, _byte_rows, _int_text
+from qcatmap.expsum import theta_angle
 from qcatmap.hecke import build_group, eigendecompose
 from qcatmap.modarith import PrimePower, gauss_quadratic_closed, inv_mod, roots_table
 from qcatmap.quantization import TorusAutomorphism
@@ -179,18 +181,70 @@ def bad_count_by_character(group, nus) -> int:
     return int(np.count_nonzero(~good))
 
 
+def by_character(mask: np.ndarray, order: int) -> np.ndarray:
+    """A (classes, T) mask of the residues r = j mod T of an ExpSumTable as
+    the (classes, #C) mask of the characters chi_j."""
+    return np.tile(mask, order // mask.shape[1])
+
+
 def csv_rows(table) -> str:
     """The CSV text of an ExpSumTable, one f-string per sum, looping over
-    the characters (columns) and, within each, over the classes (rows):
-    the oracle of cli.records_to_csv."""
+    the characters (columns) and, within each, over the classes (rows),
+    with the masks copied out to every character and theta taken from
+    every re: the oracle of cli.records_to_csv."""
     flag = ("false", "true")
     head = f"{table.pp.p},{table.pp.k}"
-    arrays = (table.value.real, table.value.imag, table.theta, table.good, table.vanished)
+    width = table.value.shape[1]
+    arrays = (table.value.real, table.value.imag, theta_angle(table.pp, table.value.real),
+              by_character(table.good, width), by_character(table.vanished, width))
     return "p,k,nu,chi_index,re,im,theta,good,vanished\n" + "".join(
         f"{head},{nu},{j},{re:.17g},{im:.17g},{f'{th:.17g}' if good else ''},{flag[good]},{flag[van]}\n"
         for j, sums in enumerate(zip(*(a.T.tolist() for a in arrays)))
         for nu, re, im, th, good, van in zip(table.nu.tolist(), *sums)
     )
+
+
+def csv_by_character(table) -> bytes:
+    """cli.records_to_csv by the route it took while the table held a theta
+    array and per-character masks: the masks copied out to every
+    character, theta_angle over every good sum, and re, im and theta each
+    formatted over a sort of its own: the oracle of the writer's bytes."""
+    width = table.value.shape[1]
+    good, vanished = by_character(table.good, width), by_character(table.vanished, width)
+    theta = np.full(table.value.shape, np.nan)
+    theta[good] = theta_angle(table.pp, table.value.real[good])
+
+    def float_text(col, keep=None):
+        bits = np.ascontiguousarray(col).view(np.int64)
+        distinct, inverse = np.unique(bits if keep is None else bits[keep], return_inverse=True)
+        text = ("%.17g,\n" * len(distinct)) % tuple(distinct.view(np.float64).tolist())
+        strings = _byte_rows(([] if keep is None else [b","]) + text.encode("ascii").split(b"\n")[:-1])
+        if keep is None:
+            return strings, inverse.reshape(col.shape)
+        row = np.zeros(col.shape, dtype=np.int64)
+        row[keep] = inverse + 1
+        return strings, row
+
+    head = np.frombuffer(f"{table.pp.p},{table.pp.k},".encode("ascii"), dtype=np.uint8)
+    columns = [
+        float_text(table.value.real),
+        float_text(table.value.imag),
+        float_text(theta, good),
+        (_byte_rows([b"false,", b"true,"]), good.view(np.uint8)),
+        (_byte_rows([b"false\n", b"true\n"]), vanished.view(np.uint8)),
+    ]
+    text = bytearray(b"p,k,nu,chi_index,re,im,theta,good,vanished\n")
+    for lo in range(0, table.value.size, CSV_BLOCK_ROWS):
+        chi, i = np.divmod(np.arange(lo, min(lo + CSV_BLOCK_ROWS, table.value.size)), len(table.nu))
+        chars, cut = slice(chi[0], chi[-1] + 1), slice(i[0], i[0] + len(chi))
+        block = np.hstack([
+            np.broadcast_to(head, (len(chi), len(head))),
+            _int_text(table.nu[i]),
+            _int_text(chi),
+            *(strings.take(row[:, chars].T.ravel()[cut], axis=0) for strings, row in columns),
+        ])
+        text += block.tobytes().translate(None, b"\0")
+    return bytes(text)
 
 
 # property tests draw the same examples on every run

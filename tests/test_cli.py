@@ -18,7 +18,7 @@ from qcatmap.hecke import build_group
 from qcatmap.modarith import PrimePower
 from qcatmap.quantization import FourierObservable
 
-from conftest import csv_rows, matrix_for_prime
+from conftest import csv_by_character, csv_rows, matrix_for_prime
 
 
 def run_cli(args):
@@ -171,38 +171,36 @@ CSV_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1
               0.1, float(np.nextafter(0.1, 1.0)), 1 / 3, float(np.nextafter(1 / 3, 0.0)), -2.5]
 
 
-def table_of(pp, nu, width, re, im, theta, good, vanished) -> ExpSumTable:
+def table_of(pp, nu, width, re, im, good, vanished, T=None) -> ExpSumTable:
     """A table of len(nu) classes and width characters from the columns of
     its CSV rows, in their (character, nu) order: row r is the sum of
-    character r // len(nu) at nu[r % len(nu)]."""
+    character r // len(nu) at nu[r % len(nu)].  The masks are given in
+    (residue, nu) order for T residues (by default one per character)."""
 
-    def array(col, dtype):
-        return np.asarray(col, dtype=dtype).reshape(width, len(nu)).T
+    def array(col, dtype, columns):
+        return np.asarray(col, dtype=dtype).reshape(columns, len(nu)).T
 
+    T = T or max(width, 1)
     value = np.empty((len(nu), width), dtype=np.complex128)
-    value.real, value.imag = array(re, np.float64), array(im, np.float64)  # keeps the sign of every zero
-    return ExpSumTable(
-        pp, np.asarray(nu, dtype=np.int64), value,
-        array(theta, np.float64), array(good, bool), array(vanished, bool),
-    )
+    value.real, value.imag = array(re, np.float64, width), array(im, np.float64, width)  # keeps the sign of every zero
+    return ExpSumTable(pp, np.asarray(nu, dtype=np.int64), value, array(good, bool, T), array(vanished, bool, T))
 
 
 @st.composite
 def synthetic_tables(draw):
     nu = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=4))
-    width = draw(st.integers(0, 12))
+    T = draw(st.integers(1, 4))  # the masks repeat with period T along the characters
+    width = T * draw(st.integers(0, 3))
     # a small pool per table makes repeated values common
     pool = draw(st.lists(st.sampled_from(CSV_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
                          min_size=1, max_size=8))
 
-    def column(elements):
-        return draw(st.lists(elements, min_size=len(nu) * width, max_size=len(nu) * width))
+    def column(elements, columns):
+        return draw(st.lists(elements, min_size=len(nu) * columns, max_size=len(nu) * columns))
 
-    good = column(st.booleans())
-    theta = [th if g else np.nan for th, g in zip(column(st.sampled_from(pool)), good)]
     return table_of(
-        PrimePower(7, 2), nu, width,
-        column(st.sampled_from(pool)), column(st.sampled_from(pool)), theta, good, column(st.booleans()),
+        PrimePower(7, 2), nu, width, column(st.sampled_from(pool), width), column(st.sampled_from(pool), width),
+        column(st.booleans(), T), column(st.booleans(), T), T,
     )
 
 
@@ -217,20 +215,19 @@ INT_ROWS = len(CSV_INTS) * CHI_WIDTH
 
 
 @given(synthetic_tables())
-@example(table_of(PrimePower(7, 2), [], 0, [], [], [], [], []))
-@example(table_of(PrimePower(7, 2), [], 3, [], [], [], [], []))
-@example(table_of(PrimePower(7, 2), [0], 1, [0.5], [0.0], [1.0], [True], [False]))
+@example(table_of(PrimePower(7, 2), [], 0, [], [], [], []))
+@example(table_of(PrimePower(7, 2), [], 3, [], [], [], []))
+@example(table_of(PrimePower(7, 2), [0], 1, [0.5], [0.0], [True], [False]))
 @example(table_of(
     PrimePower(7, 2), CSV_INTS, CHI_WIDTH, (CSV_FLOATS * INT_ROWS)[:INT_ROWS], (CSV_FLOATS[::-1] * INT_ROWS)[:INT_ROWS],
-    [np.nan, 0.25] * (INT_ROWS // 2), [False, True] * (INT_ROWS // 2), [True] * INT_ROWS,
+    [False, True] * (INT_ROWS // 2), [True] * INT_ROWS,
 ))
 @example(table_of(
     PrimePower(7, 2), [1, 3], len(CSV_FLOATS), CSV_FLOATS * 2, CSV_FLOATS[::-1] * 2,
-    [th if i % 3 else np.nan for i, th in enumerate(CSV_FLOATS * 2)], [i % 3 > 0 for i in range(EDGE_ROWS)],
-    [i % 2 > 0 for i in range(EDGE_ROWS)],
+    [i % 3 > 0 for i in range(EDGE_ROWS)], [i % 2 > 0 for i in range(EDGE_ROWS)],
 ))
 def test_records_to_csv_matches_row_writer(table):
-    assert records_to_csv(table) == csv_rows(table).encode()
+    assert records_to_csv(table) == csv_rows(table).encode() == csv_by_character(table)
 
 
 @pytest.mark.parametrize("p,k", [(7, 2), (5, 3), (11, 2), (29, 3)])
@@ -240,17 +237,30 @@ def test_records_to_csv_matches_row_writer_on_real_tables(p, k):
     assert records_to_csv(table) == csv_rows(table).encode()
 
 
+# split at 349, 29 and 11, inert at 347 and 7
+@pytest.mark.parametrize(
+    "p,k,nus", [(349, 2, [1, 7]), (347, 2, [1]), (29, 3, [1]), (11, 4, [1]), (7, 5, [1, 2, 3])],
+)
+def test_records_to_csv_matches_the_per_character_route(p, k, nus):
+    """The writer formats theta once per distinct re and reads the masks per
+    residue; the route that copied them out to every character and took
+    theta over every good sum writes the same bytes."""
+    group = build_group(matrix_for_prime(p), PrimePower(p, k))
+    table = scan_characters(group, nus)
+    assert table.good.shape == table.vanished.shape == (len(nus), group.t_modulus)
+    assert records_to_csv(table) == csv_by_character(table)
+
+
 @pytest.mark.parametrize("column", ["nu"])
 def test_records_to_csv_refuses_negative_keys(column):
-    table = table_of(PrimePower(7, 2), [3, -1], 1, [0.5, 1.0], [0.0, 0.0], [1.0, 0.5], [True, True], [False, False])
+    table = table_of(PrimePower(7, 2), [3, -1], 1, [0.5, 1.0], [0.0, 0.0], [True, True], [False, False])
     assert "-1" in csv_rows(table)  # the row writer would print it
     with pytest.raises(ValueError, match=f"negative {column} -1"):
         records_to_csv(table)
 
 
 def test_records_to_csv_names_a_non_finite_sum():
-    table = table_of(PrimePower(7, 2), [1, 2], 2, [0.5, 1.0, 0.25, np.inf], [0.0] * 4, [1.0, 0.5, 1.3, 0.2],
-                     [True] * 4, [False] * 4)
+    table = table_of(PrimePower(7, 2), [1, 2], 2, [0.5, 1.0, 0.25, np.inf], [0.0] * 4, [True] * 4, [False] * 4)
     with pytest.raises(ArithmeticError, match="non-finite value at chi_1, nu = 2: E = "):
         records_to_csv(table)
 
@@ -424,6 +434,28 @@ def test_limits_and_files_exit_with_one_line(argv, obs, code, words, tmp_path, m
     assert_one_line_error(capsys, *words)
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_observable_coefficient_exits_2(part, literal, tmp_path, capsys):
+    """JSON's NaN and Infinity literals, which Python's json reads, make a
+    bad observable file: exit 2 with one line, before the group is built."""
+    coeff = {"re": "0.5", "im": "0.0", part: literal}
+    obs = tmp_path / "obs.json"
+    obs.write_text(f'[{{"n1": 1, "n2": 0, "re": {coeff["re"]}, "im": {coeff["im"]}}}, '
+                   '{"n1": -1, "n2": 0, "re": 0.5, "im": 0.0}]')
+    assert run_cli(["distribution", "--p", "13", "--k", "2", "--obs", str(obs)]) == 2
+    assert assert_one_line_error(capsys, "bad observable file", "non-finite coefficient", "(1, 0)") == ""
+
+
+@pytest.mark.parametrize("p", [11, 37])
+def test_distribution_of_a_large_observable(p, tmp_path):
+    """cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + 2 x2) times 1e10 on the
+    dense path: the realness tolerance scales with sum |fhat(n)|."""
+    obs = tmp_path / "obs.json"
+    write_obs(obs, {m: 0.5e10 + 0j for n in ((1, 0), (0, 1), (1, 2)) for m in (n, (-n[0], -n[1]))})
+    assert run_cli(["distribution", "--p", str(p), "--k", "2", "--obs", str(obs), "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": [11], "k": [2], "nu": [1]}))
@@ -448,15 +480,15 @@ def test_distribution_k1_reports_null_bad_count(tmp_path):
 def test_expsum_sum_above_bound_exits_1(monkeypatch, capsys):
     from qcatmap import expsum
 
-    closed_form = expsum._closed_form
+    amplitude = expsum._Fiber._amplitude
 
     def inflated(*args):
-        value, good, vanished = closed_form(*args)
-        return 2 * value, good, vanished
+        amp, m = amplitude(*args)
+        return 2 * amp, m
 
-    monkeypatch.setattr(expsum, "_closed_form", inflated)
+    monkeypatch.setattr(expsum._Fiber, "_amplitude", inflated)
     assert run_cli(["expsum", "--p", "11", "--k", "2", "--nu", "1"]) == 1
-    assert "worst |E|/(2 p^(k/2))" in capsys.readouterr().err
+    assert_one_line_error(capsys, "worst |E|/(2 p^(k/2))", "at nu = 1, chi_")
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ from qcatmap.distribution import (
     verify_matrix_element_formula,
 )
 
-from conftest import HYPERBOLIC, decompose
+from conftest import HYPERBOLIC, by_character, decompose
 
 
 # -- quadratic form and twisted spectrum --------------------------------
@@ -261,6 +261,17 @@ def test_normalized_elements_real_and_slow_decay_scale(cat_map):
     out = normalized_elements(f, matrix_elements(eigendecompose(build_group(cat_map, pp)), f.coeffs))
     assert out.dtype == float
     assert np.abs(out).max() >= math.sqrt(pp.N) / 4 * (1 - 1e-9)
+
+
+def test_normalized_elements_scale_with_the_observable(cat_map):
+    """cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + 2 x2) times s = 1e10 gives
+    s times the sample: the realness tolerance scales with sum |fhat(n)|."""
+    f = FourierObservable({m: 0.5 for n in ((1, 0), (0, 1), (1, 2)) for m in (n, (-n[0], -n[1]))})
+    s = 1e10
+    elements = matrix_elements(decompose(cat_map, 11, 2), f.coeffs)
+    want = s * normalized_elements(f, elements)
+    got = normalized_elements(FourierObservable({n: s * c for n, c in f.coeffs.items()}), elements)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_normalized_elements_rejects_divisible_class(cat_map):
@@ -576,9 +587,12 @@ def test_closed_sample_equals_scan_route_bits(cat_map, p, k):
 @pytest.mark.parametrize("p", [101, 347])
 def test_closed_sample_reads_the_sums_in_place(cat_map, p):
     """normalized_elements_closed of cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + 2 x2)
-    holds its three (class, character) rows of sums once: its traced peak
-    stays below 2.5 such (3, #C) complex arrays, which a transposed copy of
-    the rows and a gather of their columns (3.2 arrays) would exceed."""
+    holds its three (class, character) rows of sums once and checks them in
+    slabs: its traced peak (1.34 at 101^2, where the fiber tables weigh
+    more, and 1.17 at 347^2) stays below 1.4 such (3, #C) complex arrays,
+    which a bound check over all three rows at once (2.13 arrays) or a
+    transposed copy of the rows and a gather of their columns (3.2 arrays)
+    would exceed."""
     f = FourierObservable({m: 0.5 for n in ((1, 0), (0, 1), (1, 2)) for m in (n, (-n[0], -n[1]))})
     group = build_group(cat_map, PrimePower(p, 2))
     tracemalloc.start()
@@ -587,18 +601,21 @@ def test_closed_sample_reads_the_sums_in_place(cat_map, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 3 * group.order * 16, peak / (3 * group.order * 16)
+    assert peak < 1.4 * 3 * group.order * 16, peak / (3 * group.order * 16)
 
 
 def test_closed_sample_checks_the_bound(cat_map, monkeypatch):
-    closed_form = expsum._closed_form
+    """A doubled amplitude keeps the lift and realness checks and lifts good
+    sums above 2 p^(k/2); the sample refuses them and names the class
+    Q(1, 0)/2 = -1/2 mod 121 = 60 and a character."""
+    amplitude = expsum._Fiber._amplitude
 
     def inflated(*args):
-        value, good, vanished = closed_form(*args)
-        return 2 * value, good, vanished
+        amp, m = amplitude(*args)
+        return 2 * amp, m
 
-    monkeypatch.setattr(expsum, "_closed_form", inflated)
-    with pytest.raises(BoundExceededError, match=r"worst \|E\|/\(2 p\^\(k/2\)\)"):
+    monkeypatch.setattr(expsum._Fiber, "_amplitude", inflated)
+    with pytest.raises(BoundExceededError, match=r"worst \|E\|/\(2 p\^\(k/2\)\) = .* at nu = 60, chi_\d+ "):
         normalized_elements_closed(FourierObservable.harmonic_pair((1, 0)), build_group(cat_map, PrimePower(11, 2)))
 
 
@@ -655,5 +672,9 @@ def test_vanished_fraction_and_moments(cat_map):
     assert abs(vanished_fraction(table) - 0.5) < 3 / math.sqrt(101)
     assert abs(angle_moment(table, 2) - 1.0) < 5 / math.sqrt(101)
     assert abs(angle_moment(table, 4) - 3.0) < 5 / math.sqrt(101)
+    # the per-residue masks weigh each residue by its #C / T characters
+    good, vanished = (by_character(mask, group.order) for mask in (table.good, table.vanished))
+    assert vanished_fraction(table) == np.mean(vanished[good])
+    assert angle_moment(table, 2) == pytest.approx(np.mean((table.value.real[good] / 101) ** 2), rel=1e-12)
     with pytest.raises(EmptySetError):
         vanished_fraction(expsum.scan_characters(group, []))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ from qcatmap.expsum import (
     bad_character_count,
     exp_sum_bruteforce,
     exp_sum_closed,
+    check_bound,
     find_large,
     scan_characters,
     theta_angle,
@@ -41,6 +43,7 @@ from conftest import (
     A_DEFAULT,
     HYPERBOLIC,
     bad_count_by_character,
+    by_character,
     exp_sum_direct,
     gather_closed_form,
     good_by_definition,
@@ -95,9 +98,10 @@ def assert_table_equals_bruteforce(group, nus):
     classes = sorted({nu % group.pp.N for nu in nus})
     assert table.nu.tolist() == classes
     assert table.value.shape == (len(classes), group.order) and len(table) == table.value.size
+    assert table.good.shape == table.vanished.shape == (len(classes), group.t_modulus)
     for nu, row in zip(classes, table.value):
         assert np.abs(row - exp_sum_bruteforce(group, nu)).max() < 1e-7
-    assert np.all(table.value[table.vanished] == 0)
+    assert np.all(table.value[by_character(table.vanished, group.order)] == 0)
     return table
 
 
@@ -136,7 +140,8 @@ def test_residue_form_matches_gather_oracle(p, k):
     value, good, vanished = expsum._closed_form(group, nus)
     want, want_good, want_vanished = gather_closed_form(group, nus, np.arange(group.order))
     assert np.abs(value - want).max() <= 1e-12 * 2 * p ** (k / 2)
-    assert np.array_equal(good, want_good) and np.array_equal(vanished, want_vanished)
+    assert np.array_equal(by_character(good, group.order), want_good)
+    assert np.array_equal(by_character(vanished, group.order), want_vanished)
     # an index array reads the same residue rows, in any order
     j = np.random.default_rng(p * k).permutation(group.order)[:50]
     assert np.array_equal(expsum._closed_form(group, nus, j)[0], value[:, j])
@@ -222,7 +227,7 @@ def test_closed_form_vanishing_is_structural():
     # a good character whose square-root target is a non-residue gives 0
     group = build_group(A_DEFAULT, PrimePower(3, 2))
     table = scan_characters(group, [1])
-    zero = table.good[0] & (exp_sum_closed(group, 1, np.arange(group.order)) == 0)
+    zero = by_character(table.good, group.order)[0] & (exp_sum_closed(group, 1, np.arange(group.order)) == 0)
     assert zero.any()
     for t in group.t_parameters(np.flatnonzero(zero)).tolist():
         w = (2 * t + 1) * pow(group.ring.D % 3, -1, 3) % 3
@@ -236,26 +241,60 @@ def test_good_bound_and_pair_structure():
         group = build_group(A_DEFAULT, PrimePower(p, k))
         bound = 2 * p ** (k / 2) * (1 + 1e-8)
         table = scan_characters(group, [1])
-        assert np.all(np.abs(table.value[table.good]) <= bound)
+        assert np.all(np.abs(table.value[by_character(table.good, group.order)]) <= bound)
         assert np.all(np.abs(table.value.imag) < 1e-8 * (1 + np.abs(table.value)))
 
 
 def test_theta_angle():
     pp = PrimePower(3, 2)  # 2 p^(k/2) = 6
-    theta = theta_angle(pp, np.array([0, 6.0, -6.0, 1.0, 7.0]), np.array([True, True, True, False, False]))
-    assert theta[:3] == pytest.approx([math.pi / 2, 0.0, math.pi])
-    assert np.isnan(theta[3:]).all()  # bad rows carry no angle, whatever |E|
-    # the table's angles reproduce its values
+    theta = theta_angle(pp, np.array([0, 6.0, -6.0, 7.0, -7.0]))
+    assert theta == pytest.approx([math.pi / 2, 0.0, math.pi, 0.0, math.pi])  # a bad sum's value clips
+    # the angles reproduce the values of the good characters
     group = build_group(A_DEFAULT, PrimePower(11, 2))
     table = scan_characters(group, [1, 2])
-    scale = 2 * 11.0
-    assert np.allclose(scale * np.cos(table.theta[table.good]), table.value.real[table.good], atol=1e-9)
-    assert np.isnan(table.theta[~table.good]).all()
-    # a good sum above the bound is refused, not clamped to 0 or pi
-    theta_angle(pp, np.array([6.0 * (1 + 1e-12)]), np.array([True]))  # within tolerance
-    with pytest.raises(BoundExceededError, match="1.01"):
-        theta_angle(pp, np.array([1.0, -6.06]), np.array([True, True]))
+    good = by_character(table.good, group.order)
+    assert np.allclose(2 * 11.0 * np.cos(theta_angle(table.pp, table.value.real[good])), table.value.real[good], atol=1e-9)
+
+
+def test_check_bound():
+    """One class row at the split 11^2 (T = 11, Q = 10): block[q, i] is
+    E(nu, chi_(r[i] + 11 q)).  A good sum above 2 p^(k/2) = 22 is refused,
+    not clamped to 0 or pi, and named; a bad residue is not bounded."""
+    group = build_group(A_DEFAULT, PrimePower(11, 2))
+    r = np.array([2, 5, 7])
+    block = np.zeros((10, 3), dtype=np.complex128)
+    block[4, 0] = 22.0 * (1 + 1e-12)  # within tolerance
+    block[6, 2] = -30.0  # bad
+    check_bound(group, 3, r, np.abs(block).max(axis=0), np.array([True, True, False]), block)
+    block[8, 1] = -22.22
+    with pytest.raises(BoundExceededError, match=r"= 1.01 at nu = 3, chi_93 \(tolerance"):
+        check_bound(group, 3, r, np.abs(block).max(axis=0), np.array([True, True, False]), block)
     assert issubclass(BoundExceededError, QcatError) and issubclass(BoundExceededError, ArithmeticError)
+
+
+@pytest.mark.parametrize("p,k,slab_rows", [(11, 2, None), (7, 3, None), (11, 2, 1)])
+def test_scan_refuses_a_corrupted_sum(p, k, slab_rows, monkeypatch):
+    """A doubled amplitude keeps the lift and realness checks and lifts the
+    largest good sums above 2 p^(k/2): the scan raises on the worst one,
+    named by its class and character, also when each row of the block is
+    a slab of its own."""
+    group = build_group(matrix_for_prime(p), PrimePower(p, k))
+    true = scan_characters(group, [1])
+    amplitude = expsum._Fiber._amplitude
+
+    def inflated(*args):
+        amp, m = amplitude(*args)
+        return 2 * amp, m
+
+    monkeypatch.setattr(expsum._Fiber, "_amplitude", inflated)
+    if slab_rows:
+        monkeypatch.setattr(expsum, "block_columns", lambda width: slab_rows)
+    with pytest.raises(BoundExceededError, match=r"at nu = 1, chi_\d+ ") as err:
+        scan_characters(group, [1])
+    ratio, j = re.search(r"= (\S+) at nu = 1, chi_(\d+) ", str(err.value)).groups()
+    worst = np.abs(true.value[0, by_character(true.good, group.order)[0]]).max()
+    assert abs(true.value[0, int(j)]) == worst
+    assert float(ratio) == pytest.approx(worst / p ** (k / 2), rel=1e-11)
 
 
 def test_scan_bad_character_count_and_rows():
@@ -270,7 +309,7 @@ def test_scan_bad_character_count_and_rows():
         keys = [tuple(map(int, line.split(b",")[2:4])) for line in records_to_csv(table).splitlines()[1:]]
         assert keys == [(nu, j) for j in range(group.order) for nu in (1, 2)]
         for row, nu in enumerate((1, 2)):
-            n_bad = int(np.count_nonzero(~table.good[row]))
+            n_bad = int(np.count_nonzero(~by_character(table.good, group.order)[row]))
             assert n_bad == group.order // (p ** (k - 1)) * p ** (k - 2)
             assert bad_character_count(group, [nu]) == n_bad
         # a character bad for both classes counts once
@@ -307,7 +346,7 @@ def test_good_fiber_terms_conjugate():
     p = 11
     group = build_group(A_DEFAULT, PrimePower(p, 2))
     table = scan_characters(group, [1])
-    nu, j = int(table.nu[0]), int(np.argmax(table.good[0] & ~table.vanished[0]))
+    nu, j = int(table.nu[0]), int(np.argmax(by_character(table.good & ~table.vanished, group.order)[0]))
     w = (2 * int(group.t_parameters(j)) + nu) * pow(nu * group.ring.D % p, -1, p) % p
     r1, r2 = sqrt_set(w, p, 1)
 
@@ -374,7 +413,7 @@ def test_property_good_matches_is_good(case):
     p, k, nu = case
     group = build_group(matrix_for_prime(p), PrimePower(p, k))
     table = scan_characters(group, [nu])
-    assert table.good[0].tolist() == good_by_definition(group, nu).tolist()
+    assert by_character(table.good, group.order)[0].tolist() == good_by_definition(group, nu).tolist()
 
 
 @st.composite
@@ -392,4 +431,4 @@ def test_property_closed_form_random_matrix(case):
     group = build_group(A, PrimePower(p, k))
     table = scan_characters(group, [nu])
     assert np.abs(table.value[0] - exp_sum_bruteforce(group, nu)).max() < 1e-7
-    assert table.good[0].tolist() == good_by_definition(group, nu).tolist()
+    assert by_character(table.good, group.order)[0].tolist() == good_by_definition(group, nu).tolist()

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -94,6 +95,24 @@ def test_power_tables_keep_closing_checks(cat_map):
     group.gen = (11, 0)  # not a unit
     with pytest.raises(RuntimeError, match="generator order mismatch"):
         group.walk_table
+
+
+@pytest.mark.parametrize("p", [100003, 100019])  # inert and split
+def test_walk_table_at_k1_is_the_pohlig_hellman_table(p):
+    """At k = 1 the Pohlig-Hellman keys a*p + b of the powers mod p are the
+    walk table's encodings a*N + b: reading the walk table allocates no
+    #C-long array (8 #C bytes for one of int64), and the Pohlig-Hellman
+    dlog of each entry is the exponent it records."""
+    group = build_group(A_DEFAULT, PrimePower(p, 1))
+    tracemalloc.start()
+    try:
+        enc, perm = group.walk_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < group.order, peak
+    assert np.all(np.diff(enc) > 0) and np.array_equal(np.sort(perm), np.arange(group.order))
+    assert np.array_equal(group.dlogs((enc // p, enc % p)), perm)
 
 
 @pytest.mark.parametrize("block", [1000, hecke.POWER_BLOCK])
