@@ -1,6 +1,6 @@
 """Per-layer benchmark: the group build, the character-sum scan, the expsum
 CSV writer, the closed-form statistics, the dense matrix elements and the
-eigensolver at fixed sizes.
+eigensolver at fixed sizes, and two CLI commands end to end.
 
     python bench/layers.py --out BENCH_<n>.json --tree LABEL=SRC_DIR [--tree LABEL=SRC_DIR ...]
 
@@ -10,10 +10,12 @@ one BLAS/OpenMP thread.  The child times its own layer with
 `getrusage(RUSAGE_SELF)`, which, unlike `wait4` in the parent, does not
 count the RSS this script had when it forked.  A case records the median
 over REPEATS fresh runs.  The runs alternate between the `--tree`s, so
-drift on the machine hits each tree alike.  The child imports `numpy.fft`
-and `numpy.random`, which numpy loads lazily, before any timer starts.
-The output also records the machine: cores, CPU, BLAS, thread settings,
-Python and numpy.
+drift on the machine hits each tree alike.  The layer child imports
+`numpy.fft`, which numpy loads lazily, before any timer starts; it leaves
+`numpy.random` to the code that draws from it, so a layer that draws
+nothing (the eigensolver since its stdlib start vectors) does not carry
+it.  The output also records the machine: cores, CPU, BLAS, thread
+settings, Python and numpy.
 
 Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
   group p^2     -- `hecke.build_group` at 349^2, 1009^2 and 3001^2
@@ -45,6 +47,14 @@ Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
                    returns, so `peak_rss_mb` above it is the elements' own.
   eigen p^3     -- `hecke.eigendecompose` alone at 13^3 (inert) and 19^3
                    (split); the group build is not timed.
+  cli-distribution 37^2, cli-expsum 29^3
+                -- the commands `distribution --p 37 --k 2` (dense, inert)
+                   with the observable above and `expsum --p 29 --k 3`
+                   (nu = 1), each a fresh `python -m qcatmap.cli` run in
+                   an empty directory with `--out`.  `s` runs from spawn
+                   to exit, imports included; the child reports its own
+                   `getrusage` peak as it exits.  `items` is the size of
+                   the written file in bytes.
 """
 
 from __future__ import annotations
@@ -57,6 +67,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +77,7 @@ CASES = [
     ("group", 349, 2), ("group", 1009, 2), ("group", 3001, 2), ("scan", 1009, 2), ("scan", 3001, 2), ("scan", 101, 3),
     ("csv", 349, 2), ("csv", 1009, 2), ("closed", 347, 2), ("closed", 1009, 2), ("closed", 3001, 2),
     ("elements", 37, 2), ("elements", 41, 2), ("eigen", 13, 3), ("eigen", 19, 3),
+    ("cli-distribution", 37, 2), ("cli-expsum", 29, 3),
 ]
 REPEATS = 3
 
@@ -73,7 +86,7 @@ REPEATS = 3
 # layer sample_peak_arrays.
 CHILD = r"""
 import json, resource, sys, time, tracemalloc
-import numpy.fft, numpy.random
+import numpy.fft
 from qcatmap import cli, distribution, expsum, hecke
 from qcatmap.modarith import PrimePower
 from qcatmap.quantization import FourierObservable, TorusAutomorphism
@@ -131,6 +144,17 @@ else:
 print(json.dumps({"s": s, "peak_rss_mb": peak_rss_mb(), "items": items, **extra}))
 """
 
+# argv: the qcatmap arguments.  Runs the CLI as `python -m qcatmap.cli` does
+# and prints {"peak_rss_mb": ...} of this process as the interpreter exits.
+CLI_CHILD = r"""
+import atexit, json, resource, runpy, sys
+atexit.register(lambda: print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})))
+sys.argv = ["qcatmap", *sys.argv[1:]]
+runpy.run_module("qcatmap.cli", run_name="__main__", alter_sys=True)
+"""
+# cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + 2 x2), the observable of the closed cases
+OBS3 = [{"n1": s * n1, "n2": s * n2, "re": 0.5, "im": 0.0} for n1, n2 in ((1, 0), (0, 1), (1, 2)) for s in (1, -1)]
+
 # what the child interpreter reports about its numpy and BLAS
 PROBE = r"""
 import json, numpy
@@ -146,6 +170,8 @@ def child_env(src: Path) -> dict[str, str]:
 
 
 def run_child(src: Path, layer: str, p: int, k: int) -> dict:
+    if layer.startswith("cli-"):
+        return run_cli(src, layer[len("cli-") :], p, k)
     out = subprocess.run(
         [sys.executable, "-c", CHILD, layer, str(p), str(k)],
         env=child_env(src), capture_output=True, text=True, timeout=600,
@@ -153,6 +179,25 @@ def run_child(src: Path, layer: str, p: int, k: int) -> dict:
     if out.returncode != 0:
         raise SystemExit(f"error: {layer} {p}^{k} under {src} failed:\n{out.stderr}")
     return json.loads(out.stdout)
+
+
+def run_cli(src: Path, command: str, p: int, k: int) -> dict:
+    """One fresh CLI run of `command` at p^k in an empty directory: its wall
+    time from spawn to exit, its own peak RSS, and the bytes it wrote."""
+    with tempfile.TemporaryDirectory() as work:
+        argv = [command, "--p", str(p), "--k", str(k), "--out", "out"]
+        if command == "distribution":
+            Path(work, "obs.json").write_text(json.dumps(OBS3))
+            argv += ["--obs", "obs.json"]
+        t0 = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-c", CLI_CHILD, *argv],
+            cwd=work, env=child_env(src), capture_output=True, text=True, timeout=600,
+        )
+        s = time.perf_counter() - t0
+        if out.returncode != 0:
+            raise SystemExit(f"error: {command} {p}^{k} under {src} failed:\n{out.stderr}")
+        return {"s": s, **json.loads(out.stdout.splitlines()[-1]), "items": Path(work, "out").stat().st_size}
 
 
 def tree_info(src: Path) -> dict:

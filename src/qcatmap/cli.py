@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import operator
@@ -113,12 +112,13 @@ def _int_list(value) -> tuple[int, ...]:
     return _parse_int_list(value) if isinstance(value, str) else tuple(map(operator.index, value))
 
 
-def _seed(value) -> int:
-    """A seed of numpy's generator: a non-negative integer."""
-    seed = operator.index(value)
-    if seed < 0:
-        raise ValueError(f"negative seed {seed}")
-    return seed
+def _non_negative(value) -> int:
+    """A non-negative integer: a seed of numpy's generator, or a dense cap
+    (a negative one would check no space and pass)."""
+    number = operator.index(value)
+    if number < 0:
+        raise ValueError(f"negative value {number}")
+    return number
 
 
 # flag or config-file key -> (RunConfig field, parser of the flag's text or the file's value)
@@ -128,9 +128,9 @@ CONFIG_KEYS = {
     "k": ("k_list", lambda v: _distinct("k", _int_list(v))),
     "nu": ("nu_list", _int_list),
     "obs": ("obs_path", str),
-    "seed": ("seed", _seed),
+    "seed": ("seed", _non_negative),
     "out": ("out_path", str),
-    "dense_cap": ("dense_cap", operator.index),
+    "dense_cap": ("dense_cap", _non_negative),
 }
 # config-file keys with no flag, by command
 CONFIG_ONLY_KEYS = {"verify": {"dense_cap"}, "distribution": {"dense_cap"}}
@@ -564,6 +564,8 @@ def cmd_expsum(cfg: RunConfig) -> int:
 
 
 def observable_digest(f: FourierObservable) -> str:
+    import hashlib  # loads OpenSSL's libcrypto: only distribution reports need it
+
     canon = ";".join(
         f"{n1},{n2},{complex(c).real:.17g},{complex(c).imag:.17g}"
         for (n1, n2), c in sorted(f.coeffs.items())

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -59,18 +58,6 @@ def twisted_coefficients(f: FourierObservable, A: TorusAutomorphism) -> dict[int
 
 
 # -- the limiting angle law --------------------------------------------
-
-
-def model_moment(m: int) -> Fraction:
-    """m-th moment of 2cos(theta) under the limit law: C(m, m/2)/2 for
-    even m, zero for odd m."""
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
-    if m == 0:
-        return Fraction(1)
-    if m % 2:
-        return Fraction(0)
-    return Fraction(math.comb(m, m // 2), 2)
 
 
 def model_cdf(v) -> np.ndarray:

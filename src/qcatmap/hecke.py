@@ -511,18 +511,18 @@ def _eig_unitary(U: np.ndarray):
     raise EigenClusterError(f"unitary eigensolver residual {resid:.2e} > {RESIDUAL_TOL}")
 
 
-def fold(v: np.ndarray, parity) -> np.ndarray:
+def fold(v: np.ndarray, parity, out: np.ndarray | None = None) -> np.ndarray:
     """The fold of the part of the N-vectors v (along axis 0, N odd) of the
     given parity, +1 (even) or -1 (odd), one per vector of v or one for all:
     rows x = 0..(N-1)/2 of (v(x) + parity v(-x)) / 2, the rows x >= 1 times
-    sqrt(2).
+    sqrt(2); written into out when it is given.
 
     An even vector, v(-x) = v(x), and an odd one, v(-x) = -v(x), are fixed
     by these rows, and on either parity the fold is an isometry: it keeps
     the inner product of two vectors of one parity.
     """
     h = (len(v) + 1) // 2
-    w = np.empty((h,) + v.shape[1:], dtype=np.complex128)
+    w = np.empty((h,) + v.shape[1:], dtype=np.complex128) if out is None else out
     w[0] = v[0] * ((1 + np.asarray(parity)) // 2)
     np.multiply(v[: h - 1 : -1], parity, out=w[1:])  # parity v(N - x), x = 1..h-1
     w[1:] += v[1:h]
@@ -530,16 +530,28 @@ def fold(v: np.ndarray, parity) -> np.ndarray:
     return w
 
 
-def unfold(w: np.ndarray, parity, N: int) -> np.ndarray:
+def unfold(w: np.ndarray, parity, N: int, out: np.ndarray | None = None) -> np.ndarray:
     """The N-vectors whose fold is w (along axis 0), each of its parity:
-    +1 (even) or -1 (odd), one per vector of w.  They are laid out by
-    columns, which the per-column sums of elementary_diagonals read fastest."""
+    +1 (even) or -1 (odd), one per vector of w or one for all; written
+    into out when it is given.  w may lie in the memory of out's first
+    len(w) rows, in any layout: it is read before those rows are written."""
     h = len(w)
-    v = np.empty((N,) + w.shape[1:], dtype=np.complex128, order="F")
-    np.divide(w, math.sqrt(2), out=v[:h])
-    v[0] = w[0]
-    np.multiply(v[h - 1 : 0 : -1], parity, out=v[h:])  # v(N - x) = parity v(x)
+    v = np.empty((N,) + w.shape[1:], dtype=np.complex128) if out is None else out
+    row0 = w[0].copy()
+    np.divide(w[h - 1 : 0 : -1], math.sqrt(2), out=v[h:])
+    v[h:] *= parity  # v(N - x) = parity v(x), x = h-1..1
+    np.multiply(v[: h - 1 : -1], parity, out=v[1:h])
+    v[0] = row0
     return v
+
+
+def _gather(V: np.ndarray, cols: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """V[:, cols], for in-range indices cols, as a view of the front of the
+    flat array buffer, laid out by columns: np.take reads the rows of V.T,
+    in place when V is laid out by columns, and with mode="clip" it writes
+    straight into its out ("raise" would go through a copy)."""
+    h = len(V)
+    return np.take(V.T, cols, axis=0, mode="clip", out=buffer[: h * len(cols)].reshape(len(cols), h)).T
 
 
 def _orbit_projections(apply, v: np.ndarray, half: int, angles: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -556,8 +568,8 @@ def _orbit_projections(apply, v: np.ndarray, half: int, angles: np.ndarray | Non
     commutes with the parity, so the part of U^m v of a parity is U^m of
     that part of v: the walk takes one column per step, v alone, and folds
     each parity part off U^m v.  Only the folds are stored, and the DFT is
-    taken in place, block_columns(half) columns at a time.  angles = None
-    takes them from U^half of this v's parts.  Orbits that share angles
+    taken in place, block_columns(half) columns at a time, with no copy.
+    angles = None takes them from U^half of this v's parts.  Orbits that share angles
     share one row numbering: where the scalar is -1, roundoff alone would
     put one orbit's angle at +pi and another's at -pi, a shift of one row.
     """
@@ -578,8 +590,8 @@ def _orbit_projections(apply, v: np.ndarray, half: int, angles: np.ndarray | Non
     step = block_columns(half)
     for part in orbit:
         for start in range(0, part.shape[1], step):
-            blk = slice(start, start + step)
-            part[:, blk] = np.fft.fft(part[:, blk], axis=0)
+            blk = part[:, start : start + step]
+            np.fft.fft(blk, axis=0, out=blk)
     orbit[:, :, 0] /= half
     orbit[:, :, 1:] *= math.sqrt(0.5) / half
     return orbit.reshape(2 * half, -1), angles
@@ -594,29 +606,39 @@ def _checked_eigenvalues(apply, V: np.ndarray, parity: np.ndarray) -> np.ndarray
     and U v_o are the even and the odd part of U (v_e + v_o): one apply
     serves a parity pair.  The i-th even column is paired with the i-th odd
     one, the shorter list padded with zero columns, and the pairs go
-    through block_columns(N) at a time, so the temporaries take a few
-    BLOCK_BYTES.
+    through block_columns(N) at a time, in two buffers allocated once:
+    `images` takes U of the pairs, and `scratch`, of N + 1 rows, first the
+    unfolded pairs, which the apply uses as its scratch space, then the
+    folded columns of one parity beside the folds of their images.  Each
+    parity's columns are gathered and unfolded in `images` while the pairs
+    are built, so beyond V the check holds two BLOCK_BYTES.
     """
-    N = 2 * len(V) - 1
+    h = len(V)
+    N = 2 * h - 1
     even, odd = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
     lam = np.empty(V.shape[1], dtype=np.complex128)
     resid = 0.0
-    step = block_columns(N)
-    for start in range(0, max(len(even), len(odd)), step):
+    count = max(len(even), len(odd))
+    step = max(1, min(block_columns(N), count))
+    scratch = np.empty((N + 1) * step, dtype=np.complex128)
+    images = np.empty(N * step, dtype=np.complex128)
+
+    for start in range(0, count, step):
         cols = even[start : start + step], odd[start : start + step]
-        pairs = np.zeros((N, max(map(len, cols))), dtype=np.complex128, order="F")
+        width = max(map(len, cols))
+        pairs = scratch[: N * width].reshape(N, width)
+        pairs[:] = 0
         for c, s in zip(cols, (1, -1)):
-            pairs[:, : len(c)] += unfold(V[:, c], s, N)
-        W = apply(pairs)
-        del pairs
+            pairs[:, : len(c)] += unfold(_gather(V, c, images), s, N, out=images[: N * len(c)].reshape(N, len(c)))
+        W = apply(pairs, out=images[: N * width].reshape(N, width))
         for c, s in zip(cols, (1, -1)):
-            Vc, Wc = V[:, c], fold(W[:, : len(c)], s)  # c indexes, so Vc is a copy
+            Vc = _gather(V, c, scratch)
+            Wc = fold(W[:, : len(c)], s, out=scratch[Vc.size : 2 * Vc.size].reshape(len(c), h).T)  # beside Vc
             lam_c = np.vecdot(Vc, Wc, axis=0)
             Vc *= lam_c
             Wc -= Vc
             resid = float(np.sqrt(np.vecdot(Wc, Wc, axis=0).real).max(initial=resid))  # keeps a NaN
             lam[c] = lam_c
-        del W, Vc, Wc  # before the next block is allocated
     if not resid < RESIDUAL_TOL:
         raise EigenClusterError(f"orbit eigensolver residual {resid:.2e}, tolerance {RESIDUAL_TOL}")
     return lam
@@ -629,26 +651,31 @@ def _orbit_eig(group: HeckeGroup):
 
     Each seeded random start vector is projected onto every eigenspace by
     _orbit_projections; every eigenspace lies in one parity, since U^(#C/2)
-    is the parity operator up to a phase.  Eigenspaces are at most
-    one-dimensional for inert primes, so one start vector is enough; split
-    eigenspaces have dimension up to k + 1 (the trivial character), so
-    k + 1 vectors are used and each eigenspace is orthonormalized by QR on
-    its folded rows, its rank read from the R diagonal.  After the first
-    vector only the eigenspaces whose rank still grows are kept.  At inert
-    primes the basis is a view of the first orbit's array, its live rows
-    moved to the front; at split primes the QR bases are stacked into a new
-    array.  The residual max ||U v - lambda v|| over the unfolded columns,
-    with the cluster gap 2 pi / #C, bounds the overlap between eigenspaces;
-    _checked_eigenvalues checks it one apply per parity pair, so beyond the
-    orbits the temporaries take a few BLOCK_BYTES.
+    is the parity operator up to a phase.  The start vectors have real and
+    imaginary parts uniform on [-1, 1), 53 random bits each, from the
+    stdlib random.Random seeded with (p, k, A mod N), as HeckeGroup draws
+    its generator: numpy.random is not loaded for them.  Eigenspaces are at
+    most one-dimensional for inert primes, so one start vector is enough;
+    split eigenspaces have dimension up to k + 1 (the trivial character),
+    so k + 1 vectors are used and each eigenspace is orthonormalized by QR
+    on its folded rows, its rank read from the R diagonal.  After the
+    first vector only the eigenspaces whose rank still grows are kept.  At
+    inert primes the basis is a view of the first orbit's array, its live
+    rows moved to the front; at split primes the QR bases are stacked into
+    a new array.  Either way the basis is laid out by columns.  The
+    residual max ||U v - lambda v|| over the unfolded columns, with the
+    cluster gap 2 pi / #C, bounds the overlap between eigenspaces;
+    _checked_eigenvalues checks it one apply per parity pair in two
+    BLOCK_BYTES, so beyond the orbits the eigensolver holds about that.
     """
     pp, half = group.pp, group.order // 2
     N = pp.N
     apply = propagator_apply(group.ring.matrix_of(group.gen), pp)
-    rng = np.random.default_rng([pp.p, pp.k] + [v % N for row in group.A.mat() for v in row])
+    rng = random.Random(f"orbit start {pp.p} {pp.k} {[v % N for row in group.A.mat() for v in row]}")
 
     def projections(angles: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        bits = np.frombuffer(rng.randbytes(16 * N), dtype="<u8") >> 11
+        v = (bits * 2.0**-52 - 1.0).view(np.complex128)
         return _orbit_projections(apply, v / np.linalg.norm(v), half, angles)
 
     first, angles = projections(None)  # every later orbit reuses these phases
@@ -673,6 +700,7 @@ def _orbit_eig(group: HeckeGroup):
     if found != N:
         raise EigenClusterError(f"orbit eigensolver found {found} eigenvectors, dimension {N}")
     if group.kind == "inert":
+        del bases  # a view object per row
         # every eigenspace is one live row of the first orbit; moving rows
         # forward in increasing order never overwrites a row still to move
         rows = np.flatnonzero(live)
@@ -683,7 +711,8 @@ def _orbit_eig(group: HeckeGroup):
     else:
         keys = sorted(bases)
         rows = np.repeat(keys, [len(bases[j]) for j in keys])
-        V = np.vstack([bases[j] for j in keys]).T
+        # stacked into a C-contiguous array, so V is laid out by columns
+        V = np.concatenate([bases[j] for j in keys], out=np.empty((N, (N + 1) // 2), dtype=np.complex128)).T
         del first, bases
     parity = np.where(rows < half, 1, -1)
     return _checked_eigenvalues(apply, V, parity), V, parity
@@ -713,10 +742,17 @@ class EigenDecomposition:
         N = self.group.pp.N
         return (N, N)
 
-    def columns(self, cols) -> np.ndarray:
-        """The std-unit eigenvectors at cols (an index array or a slice),
-        unfolded into an N x len(cols) array."""
-        return unfold(self.folded[:, cols], self.parity[cols], self.group.pp.N)
+    def columns(self, cols, out: np.ndarray | None = None) -> np.ndarray:
+        """The std-unit eigenvectors at cols (an index array or a slice,
+        indexed as folded's columns are), unfolded into an N x len(cols)
+        array, C-contiguous, or into out, such an array, when it is given.
+        The folded columns are gathered into the first rows of out and
+        unfolded there."""
+        cols = np.arange(self.folded.shape[1])[cols]  # in range, or IndexError
+        N = self.group.pp.N
+        if out is None:
+            out = np.empty((N, len(cols)), dtype=np.complex128)
+        return unfold(_gather(self.folded, cols, out.reshape(-1)), self.parity[cols], N, out=out)
 
     @functools.cached_property
     def clusters(self) -> dict[int, np.ndarray]:

@@ -197,18 +197,19 @@ def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
     when cols is None).
 
     V is an N x w array, or a basis that hands out its columns on demand:
-    V.shape is (N, w) and V.columns(index) returns V[:, index] as an array
-    (hecke.EigenDecomposition, which unfolds them).  For a std-unit column
-    v, psi = sqrt(N) v is a unit vector of H_N and this is its matrix
-    element <T(n) psi, psi>; one roll and one phase, O(N) per column and
-    mode.  The columns go through in blocks of block_columns(N), so each
-    temporary takes at most BLOCK_BYTES.  Each block is conjugated once,
-    the product roll(v_j) conj(v_j) is formed once per distinct shift n1,
-    and each mode of that shift is one phase-vector product with it, so a
-    row is the same, bit for bit, whatever other modes come along.
+    V.shape is (N, w) and V.columns(index, out) writes V[:, index] into
+    out, a C-contiguous N x len(index) array (hecke.EigenDecomposition,
+    which unfolds them).  For a std-unit column v, psi = sqrt(N) v is a
+    unit vector of H_N and this is its matrix element <T(n) psi, psi>; one
+    shift and one phase, O(N) per column and mode.  The columns go
+    through in blocks of block_columns(N), in two buffers allocated once,
+    so the pass holds two BLOCK_BYTES beyond its output and phases.  For
+    each distinct shift n1 the second buffer takes conj(v_j) times v_j
+    shifted, by two slice products, and each mode of that shift is one
+    phase-vector product with it, so a row is the same, bit for bit,
+    whatever other modes come along.
     """
     N = V.shape[0]
-    take = V.columns if hasattr(V, "columns") else lambda index: V[:, index]
     modes = [(int(n1), int(n2)) for n1, n2 in modes]
     y = np.arange(N)
     two_n, one_n = roots_table(2 * N), roots_table(N)
@@ -216,20 +217,27 @@ def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
     rows_of_shift: dict[int, list[int]] = {}
     for i, (n1, _) in enumerate(modes):
         rows_of_shift.setdefault(-n1 % N, []).append(i)
-    if cols is not None:
-        cols = np.asarray(cols, dtype=np.intp)
-    width = V.shape[1] if cols is None else len(cols)
-    out = np.empty((len(modes), width), dtype=np.complex128)
-    step = block_columns(N)
-    for start in range(0, width, step):
-        blk = slice(start, start + step)
-        W = take(blk if cols is None else cols[blk])
-        W_conj = W.conj()
+    every = np.arange(V.shape[1])
+    cols = every if cols is None else every[cols]  # in range, or IndexError
+    out = np.empty((len(modes), len(cols)), dtype=np.complex128)
+    step = max(1, min(block_columns(N), len(cols)))
+    block, prod = (np.empty(N * step, dtype=np.complex128) for _ in range(2))
+    for start in range(0, len(cols), step):
+        index = cols[start : start + step]
+        W = block[: N * len(index)].reshape(N, len(index))
+        if hasattr(V, "columns"):
+            V.columns(index, out=W)
+        else:
+            # mode="clip" writes straight into W
+            np.take(V, index, axis=1, mode="clip", out=W)
+        P = prod[: W.size].reshape(W.shape)
         for shift, rows in rows_of_shift.items():
-            prod = np.roll(W, shift, axis=0)
-            prod *= W_conj
+            # P[y] = v(y - shift) conj(v(y)), the rows of np.roll(W, shift) times conj(W)
+            np.conjugate(W, out=P)
+            np.multiply(W[: N - shift], P[shift:], out=P[shift:])
+            np.multiply(W[N - shift :], P[:shift], out=P[:shift])
             for i in rows:
-                out[i, blk] = phases[i] @ prod
+                out[i, start : start + len(index)] = phases[i] @ P
     return out
 
 
@@ -327,11 +335,13 @@ def propagator(B, pp: PrimePower) -> np.ndarray:
     return entries
 
 
-def _chirp_apply(B: Mat2, N: int) -> Callable[[np.ndarray], np.ndarray]:
+def _chirp_apply(B: Mat2, N: int) -> Callable[..., np.ndarray]:
     """psi -> U(B) psi for B = [[a, b], [c, d]] (reduced mod N) with c a unit.
 
     Up to a global phase U(B)[x, y] = N^(-1/2) e_N((a x^2 - 2xy + d y^2) / (2c)),
     so (U(B) psi)(x) = N^(-1/2) e_N(a x^2 / 2c) DFT(e_N(d y^2 / 2c) psi)[x / c].
+    With out, the chirp and the DFT run in place in psi and the gather
+    writes into out, so the call allocates nothing.
     """
     (a, _), (c, d) = B
     s = pow(2 * c, -1, N)
@@ -342,17 +352,26 @@ def _chirp_apply(B: Mat2, N: int) -> Callable[[np.ndarray], np.ndarray]:
     post = roots[a * sq % N * s % N] / math.sqrt(N)
     dilate = x * pow(c, -1, N) % N
 
-    def apply(psi: np.ndarray) -> np.ndarray:
+    def apply(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         col = (slice(None),) + (None,) * (psi.ndim - 1)
-        return post[col] * np.fft.fft(pre[col] * psi, axis=0)[dilate]
+        work = np.multiply(pre[col], psi, out=None if out is None else psi)
+        np.fft.fft(work, axis=0, out=work)
+        # mode="clip" writes straight into a C-contiguous out ("raise"
+        # would go through a copy); every index is in range
+        out = np.take(work, dilate, axis=0, mode="clip", out=out)
+        return np.multiply(post[col], out, out=out)
 
     return apply
 
 
-def propagator_apply(B, pp: PrimePower) -> Callable[[np.ndarray], np.ndarray]:
+def propagator_apply(B, pp: PrimePower) -> Callable[..., np.ndarray]:
     """Matrix-free U(B) for det B = 1 (mod N), equal to propagator(B) up to
-    a global phase: the returned function maps an array of N-vectors (along
-    axis 0) to their images, at O(N log N) per vector.
+    a global phase: the returned function apply(psi, out=None) maps an
+    array psi of N-vectors (along axis 0) to their images, at O(N log N)
+    per vector.  Without out it returns a new array and leaves psi as it
+    is; with out, a C-contiguous array of psi's shape that does not
+    overlap it, the images go into out and psi, a complex array, is used
+    as scratch space.
 
     The chirp kernel needs B21 = c to be a unit mod p.  Otherwise B = L R
     with L = [[1, 0], [1, 1]] and R = [[a, b], [c - a, d - b]], where
@@ -368,7 +387,7 @@ def propagator_apply(B, pp: PrimePower) -> Callable[[np.ndarray], np.ndarray]:
         return _chirp_apply(B, N)
     right = _chirp_apply(((a, b), ((c - a) % N, (d - b) % N)), N)
     left = _chirp_apply(((1, 0), (1, 1)), N)
-    return lambda psi: left(right(psi))
+    return lambda psi, out=None: left(right(psi), out=out)
 
 
 def fixed_point_count(B, pp: PrimePower) -> int:

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +47,18 @@ def matrix_for_prime(p: int) -> TorusAutomorphism:
 def decompose(A: TorusAutomorphism, p: int, k: int):
     """The dense eigendecomposition of L^2(Z/p^k), built from a fresh group."""
     return eigendecompose(build_group(A, PrimePower(p, k)))
+
+
+def model_moment(m: int) -> Fraction:
+    """m-th moment of 2cos(theta) under the limit law: C(m, m/2)/2 for
+    even m, zero for odd m."""
+    if m < 0:
+        raise ValueError("moment order must be nonnegative")
+    if m == 0:
+        return Fraction(1)
+    if m % 2:
+        return Fraction(0)
+    return Fraction(math.comb(m, m // 2), 2)
 
 
 def kernel_count_exhaustive(M, N: int) -> int:

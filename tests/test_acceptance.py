@@ -22,7 +22,7 @@ from qcatmap import expsum, hecke
 from qcatmap import distribution as dist
 from qcatmap.hecke import build_group, eigendecompose, split_match_report
 
-from conftest import decompose, matrix_for_prime
+from conftest import decompose, matrix_for_prime, model_moment
 
 EGOROV_MODES = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 5)]
 FORMULA_MODES = [(1, 0), (0, 1), (1, 2), (1, 4), (1, 5), (2, 7)]  # Q: -1,1,5,19,29,59
@@ -174,8 +174,8 @@ def test_criterion7ab_vanishing_and_moments(p):
     m2 = dist.angle_moment(records, 2)
     m4 = dist.angle_moment(records, 4)
     assert abs(frac - 0.5) <= 3 / math.sqrt(p)
-    assert abs(m2 - float(dist.model_moment(2))) <= 5 / math.sqrt(p)
-    assert abs(m4 - float(dist.model_moment(4))) <= 5 / math.sqrt(p)
+    assert abs(m2 - float(model_moment(2))) <= 5 / math.sqrt(p)
+    assert abs(m4 - float(model_moment(4))) <= 5 / math.sqrt(p)
     _pass(
         f"criterion 7ab: p={p}: vanish {frac:.4f} (~1/2), m2={m2:.4f} (~1), m4={m4:.4f} (~3)"
     )

@@ -583,6 +583,44 @@ def test_dense_distribution_does_not_import_scipy_linalg(tmp_path):
     assert out.stdout.splitlines()[-1] == "False"
 
 
+# loaded by no import of qcatmap.cli and by no expsum run: fractions,
+# numpy's generator and OpenSSL
+NOT_LOADED = ["fractions", "numpy.random", "_hashlib"]
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    """A bare import of qcatmap.cli and an expsum run load none of
+    NOT_LOADED; the dense eigensolve at 37^2 does not load numpy.random,
+    whose start vectors come from the stdlib generator; and every public
+    name still imports from the package."""
+    out = tmp_path / "sums.csv"
+    code = (
+        "import sys\n"
+        "import qcatmap.cli\n"
+        f"print(sorted(set({NOT_LOADED!r}) & set(sys.modules)))\n"
+        f"assert qcatmap.cli.main(['expsum', '--p', '29', '--k', '3', '--out', {str(out)!r}]) == 0\n"
+        f"print(sorted(set({NOT_LOADED!r}) & set(sys.modules)))\n"
+    )
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "[]" and lines[1].startswith("wrote 23548 records") and lines[2] == "[]"
+    code = (
+        "import sys\n"
+        "from qcatmap.hecke import build_group, eigendecompose\n"
+        "from qcatmap.modarith import PrimePower\n"
+        "from qcatmap.quantization import TorusAutomorphism\n"
+        "decomp = eigendecompose(build_group(TorusAutomorphism(2, 1, 1, 1), PrimePower(37, 2)))\n"
+        "print(decomp.shape, 'numpy.random' in sys.modules)\n"
+    )
+    import qcatmap
+
+    code += f"from qcatmap import {', '.join(qcatmap.__all__)}\n"
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "(1369, 1369) False"
+
+
 def test_verify_space_error_fails_only_its_rows(monkeypatch, capsys):
     from qcatmap import hecke
 
@@ -633,6 +671,19 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     # the keys that remain still apply
     cfg.write_text(json.dumps({"dense_cap": 400}))
     assert run_cli(["verify", "--p", "3", "--k", "1-2", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "distribution"])
+def test_negative_dense_cap_exits_2(command, tmp_path, capsys):
+    """A negative dense_cap is a configuration error, as a negative seed
+    is: verify would check no space and pass, and distribution would take
+    the closed path without a word."""
+    cfg, obs = tmp_path / "cfg.json", tmp_path / "obs.json"
+    cfg.write_text(json.dumps({"dense_cap": -5}))
+    write_obs(obs, {(1, 0): 0.5 + 0j, (-1, 0): 0.5 + 0j})
+    argv = {"verify": ["--p", "3", "--k", "1-2"], "distribution": ["--p", "13", "--k", "2", "--obs", str(obs)]}
+    assert run_cli([command, *argv[command], "--config", str(cfg)]) == 2
+    assert assert_one_line_error(capsys, "error: bad config value dense_cap = -5") == ""
 
 
 def test_verify_leaves_out_rows_that_check_no_space(tmp_path, capsys):
@@ -733,6 +784,22 @@ def test_benchmark_tracer_finds_its_targets(tmp_path):
     assert set(tracer.TRACED) <= set(functions)
     # 4 spaces with k >= 2 (3^2, 3^3, 7^2, 7^3) times nu in {1, 2, non-residue}
     assert functions["expsum.exp_sum_bruteforce"]["calls"] == 12
+
+
+def test_benchmark_tracer_counts_distribution_spans(tmp_path):
+    """The tracer wraps the qcatmap modules loaded once qcatmap.cli is
+    imported: a dense distribution report at 13^2 makes one call of each
+    statistics step it traces."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tracer_py = os.path.join(root, "perfbench", "tracer.py")
+    obs, spans = tmp_path / "obs.json", tmp_path / "spans.json"
+    write_obs(obs, {(1, 0): 0.5 + 0j, (-1, 0): 0.5 + 0j})
+    argv = ["distribution", "--p", "13", "--k", "2", "--obs", str(obs), "--out", str(tmp_path / "report.json")]
+    out = run_python(tracer_py, str(spans), *argv)
+    assert out.returncode == 0, out.stderr
+    calls = {name: f["calls"] for name, f in json.loads(spans.read_text())["functions"].items()}
+    steps = ("normalized_elements", "verify_matrix_element_formula", "compare_distribution")
+    assert [calls[f"distribution.{name}"] for name in steps] == [1, 1, 1]
 
 
 def test_every_public_name_resolves():

@@ -418,6 +418,12 @@ def test_property_fold_unfold_round_trip(h, seed):
     assert np.abs(fold(u, parity) - w).max() <= 1e-14 * np.abs(u).max()
     assert np.array_equal(fold(u[:, 0], 1), fold(u, 1)[:, 0])
     assert np.abs(unfold(w, parity, N) - v).max() <= 1e-14 * np.abs(v).max()
+    # unfolded in place: w held in the memory of out's first h + 1 rows,
+    # laid out by columns, as EigenDecomposition.columns gathers it
+    out = np.empty((N, 4), dtype=complex)
+    w_in = out.reshape(-1)[: w.size].reshape(4, h + 1).T
+    w_in[:] = w
+    assert unfold(w_in, parity, N, out=out) is out and np.array_equal(out, unfold(w, parity, N))
     for s in (1, -1):
         cols = parity == s
         gram = v[:, cols].conj().T @ v[:, cols]

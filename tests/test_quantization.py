@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcatmap.errors import NotUnimodularError, SizeLimitError
+from qcatmap.hecke import unfold
 from qcatmap.modarith import PrimePower
 from qcatmap.quantization import (
     FourierObservable,
@@ -286,6 +287,10 @@ def test_property_propagator_apply_equals_dense(case):
     assert np.abs(applied - phase * dense).max() < 1e-10
     psi = random_state(pp, 13)
     assert np.abs(apply(psi) - applied @ psi).max() < 1e-10
+    # with out, the same values, psi serving as scratch
+    block = np.stack([psi, random_state(pp, 14)], axis=1)
+    out = np.empty_like(block)
+    assert apply(block.copy(), out=out) is out and np.array_equal(out, apply(block))
 
 
 @given(sl2_mod_prime_power(max_N=170), st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=3))
@@ -319,6 +324,15 @@ def test_elementary_diagonal_matches_dense_oracles(cat_map, p, k):
         assert np.abs(diag - np.array(oracle)).max() < 1e-12
         # the folded basis, unfolded a block at a time
         assert np.abs(elementary_diagonals([n], decomp)[0] - np.array(oracle)).max() < 1e-12
+    # columns gathered and unfolded in a given array are those of unfold;
+    # a negative index counts from the end, as it does in folded[:, cols]
+    for cols in (np.arange(1, pp.N, 3), [-1, 0, -pp.N]):
+        want = unfold(decomp.folded[:, cols], decomp.parity[cols], pp.N)
+        out = np.empty((pp.N, len(cols)), dtype=complex)
+        assert decomp.columns(cols, out=out) is out and np.array_equal(out, want)
+        assert np.array_equal(decomp.columns(cols), want)
+    with pytest.raises(IndexError):
+        decomp.columns([pp.N])
 
 
 def diagonals_by_dense_oracle(modes, V: np.ndarray, pp: PrimePower) -> np.ndarray:
@@ -373,6 +387,11 @@ def test_property_elementary_diagonals_equal_dense(space, modes, data):
     N = pp.N
     width = data.draw(st.integers(1, N + 3))
     V = random_columns(N, width, seed=N + width)
-    cols = data.draw(st.lists(st.integers(0, width - 1), max_size=2 * width))
+    cols = data.draw(st.lists(st.integers(-width, width - 1), max_size=2 * width))
     want = diagonals_by_dense_oracle(modes, V[:, cols], pp)
     assert np.abs(elementary_diagonals(modes, V, cols) - want).max(initial=0.0) < 1e-12
+    # the last column, by a negative index; one past the end raises
+    want = diagonals_by_dense_oracle(modes, V[:, [-1]], pp)
+    assert np.abs(elementary_diagonals(modes, V, [-1]) - want).max() < 1e-12
+    with pytest.raises(IndexError):
+        elementary_diagonals(modes, V, [width])
