@@ -1,6 +1,6 @@
 """Per-layer benchmark: the group build, the character-sum scan, the expsum
 CSV writer, the closed-form statistics, the dense matrix elements and the
-eigensolver at fixed sizes, and two CLI commands end to end.
+eigensolver at fixed sizes, and three CLI commands end to end.
 
     python bench/layers.py --out BENCH_<n>.json --tree LABEL=SRC_DIR [--tree LABEL=SRC_DIR ...]
 
@@ -11,10 +11,9 @@ one BLAS/OpenMP thread.  The child times its own layer with
 count the RSS this script had when it forked.  A case records the median
 over REPEATS fresh runs.  The runs alternate between the `--tree`s, so
 drift on the machine hits each tree alike.  The layer child imports
-`numpy.fft`, which numpy loads lazily, before any timer starts; it leaves
-`numpy.random` to the code that draws from it, so a layer that draws
-nothing (the eigensolver since its stdlib start vectors) does not carry
-it.  The output also records the machine: cores, CPU, BLAS, thread
+`numpy.fft`, which numpy loads lazily, before any timer starts; it loads
+nothing for random draws, which the package takes from the stdlib
+`random`.  The output also records the machine: cores, CPU, BLAS, thread
 settings, Python and numpy.
 
 Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
@@ -47,14 +46,18 @@ Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
                    returns, so `peak_rss_mb` above it is the elements' own.
   eigen p^3     -- `hecke.eigendecompose` alone at 13^3 (inert) and 19^3
                    (split); the group build is not timed.
-  cli-distribution 37^2, cli-expsum 29^3
+  cli-distribution 37^2, cli-expsum 29^3, cli-verify 3,7,11,13^1-3
                 -- the commands `distribution --p 37 --k 2` (dense, inert)
-                   with the observable above and `expsum --p 29 --k 3`
-                   (nu = 1), each a fresh `python -m qcatmap.cli` run in
-                   an empty directory with `--out`.  `s` runs from spawn
-                   to exit, imports included; the child reports its own
-                   `getrusage` peak as it exits.  `items` is the size of
-                   the written file in bytes.
+                   with the observable above, `expsum --p 29 --k 3`
+                   (nu = 1) and the perfbench `dense-spectrum` sweep
+                   `verify --p 3,7,11,13 --k 1-3` with `dense_cap` 400 from
+                   a config file (10 dense spaces), each a fresh
+                   `python -m qcatmap.cli` run in an empty directory, with
+                   `--out` where the command takes one.  `s` runs from
+                   spawn to exit, imports included; the child reports its
+                   own `getrusage` peak as it exits.  `items` is the size
+                   of the written file in bytes, and for verify that of
+                   its check table on stdout.
 """
 
 from __future__ import annotations
@@ -77,9 +80,10 @@ CASES = [
     ("group", 349, 2), ("group", 1009, 2), ("group", 3001, 2), ("scan", 1009, 2), ("scan", 3001, 2), ("scan", 101, 3),
     ("csv", 349, 2), ("csv", 1009, 2), ("closed", 347, 2), ("closed", 1009, 2), ("closed", 3001, 2),
     ("elements", 37, 2), ("elements", 41, 2), ("eigen", 13, 3), ("eigen", 19, 3),
-    ("cli-distribution", 37, 2), ("cli-expsum", 29, 3),
+    ("cli-distribution", 37, 2), ("cli-expsum", 29, 3), ("cli-verify", "3,7,11,13", "1-3"),
 ]
 REPEATS = 3
+VERIFY_DENSE_CAP = 400
 
 # argv: layer, p, k.  Prints {"s": layer seconds, "peak_rss_mb": ..., "items": ...},
 # for the elements layer also the eigendecompose_* keys, and for the closed
@@ -169,7 +173,7 @@ def child_env(src: Path) -> dict[str, str]:
     return env
 
 
-def run_child(src: Path, layer: str, p: int, k: int) -> dict:
+def run_child(src: Path, layer: str, p, k) -> dict:
     if layer.startswith("cli-"):
         return run_cli(src, layer[len("cli-") :], p, k)
     out = subprocess.run(
@@ -181,11 +185,17 @@ def run_child(src: Path, layer: str, p: int, k: int) -> dict:
     return json.loads(out.stdout)
 
 
-def run_cli(src: Path, command: str, p: int, k: int) -> dict:
-    """One fresh CLI run of `command` at p^k in an empty directory: its wall
-    time from spawn to exit, its own peak RSS, and the bytes it wrote."""
+def run_cli(src: Path, command: str, p, k) -> dict:
+    """One fresh CLI run of `command` at p^k (lists of them for verify) in an
+    empty directory: its wall time from spawn to exit, its own peak RSS, and
+    the bytes it wrote."""
     with tempfile.TemporaryDirectory() as work:
-        argv = [command, "--p", str(p), "--k", str(k), "--out", "out"]
+        argv = [command, "--p", str(p), "--k", str(k)]
+        if command == "verify":
+            Path(work, "config.json").write_text(json.dumps({"dense_cap": VERIFY_DENSE_CAP}))
+            argv += ["--config", "config.json"]
+        else:
+            argv += ["--out", "out"]
         if command == "distribution":
             Path(work, "obs.json").write_text(json.dumps(OBS3))
             argv += ["--obs", "obs.json"]
@@ -197,7 +207,9 @@ def run_cli(src: Path, command: str, p: int, k: int) -> dict:
         s = time.perf_counter() - t0
         if out.returncode != 0:
             raise SystemExit(f"error: {command} {p}^{k} under {src} failed:\n{out.stderr}")
-        return {"s": s, **json.loads(out.stdout.splitlines()[-1]), "items": Path(work, "out").stat().st_size}
+        *table, peak = out.stdout.splitlines(keepends=True)
+        items = len("".join(table).encode()) if command == "verify" else Path(work, "out").stat().st_size
+        return {"s": s, **json.loads(peak), "items": items}
 
 
 def tree_info(src: Path) -> dict:

@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import operator
+import random
 import sys
 from dataclasses import dataclass, replace
 
@@ -37,6 +38,7 @@ from .quantization import (
     load_observable,
     propagator_apply,
     row_action,
+    uniforms,
 )
 
 DEFAULT_MATRIX = (2, 1, 1, 1)
@@ -113,8 +115,8 @@ def _int_list(value) -> tuple[int, ...]:
 
 
 def _non_negative(value) -> int:
-    """A non-negative integer: a seed of numpy's generator, or a dense cap
-    (a negative one would check no space and pass)."""
+    """A non-negative integer: a seed (random.Random would take |seed|), or
+    a dense cap (a negative one would check no space and pass)."""
     number = operator.index(value)
     if number < 0:
         raise ValueError(f"negative value {number}")
@@ -265,12 +267,12 @@ def _worst(errors) -> float:
 def _quantization_part(space: Space) -> tuple[float, float]:
     """Unitarity and the twisted Egorov identity U* Ttw(n) U = Ttw(nA) of the
     matrix-free U = U(A), on QUANT_VECTORS unit vectors v seeded from
-    (A, p, k): the Gram matrix of the U v against that of the v, and
-    <Ttw(n) U v, U v> against <Ttw(nA) v, v>."""
+    (p, k, A mod N) like the eigensolver's start vectors: the Gram matrix of
+    the U v against that of the v, and <Ttw(n) U v, U v> against <Ttw(nA) v, v>."""
     A, pp = space.A, space.pp
     N = pp.N
-    rng = np.random.default_rng([pp.p, pp.k] + [v % N for row in A.mat() for v in row])
-    V = rng.standard_normal((N, QUANT_VECTORS)) + 1j * rng.standard_normal((N, QUANT_VECTORS))
+    rng = random.Random(f"quantization vectors {pp.p} {pp.k} {[v % N for row in A.mat() for v in row]}")
+    V = (2.0 * uniforms(rng, 2 * N * QUANT_VECTORS) - 1.0).view(np.complex128).reshape(N, QUANT_VECTORS)
     V /= np.linalg.norm(V, axis=0)
     W = propagator_apply(A, pp)(V)
     worst_u = float(np.abs(W.conj().T @ W - V.conj().T @ V).max())

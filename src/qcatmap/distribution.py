@@ -17,6 +17,8 @@ fiber-tuple estimates live here as well.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from itertools import product
 
@@ -26,7 +28,14 @@ from . import expsum
 from .errors import BadNuError, EmptySetError, NoMatchError
 from .hecke import EigenDecomposition, HeckeGroup, build_group
 from .modarith import PrimePower, legendre
-from .quantization import FourierObservable, TorusAutomorphism, check_array_size, elementary_diagonals, row_action
+from .quantization import (
+    FourierObservable,
+    TorusAutomorphism,
+    check_array_size,
+    elementary_diagonals,
+    row_action,
+    uniforms,
+)
 
 SNAP_ZERO_TOL = 1e-9
 MOMENT_ORDERS = range(1, 7)  # the moment tables of compare_distribution
@@ -89,18 +98,19 @@ def sample_limit_variable(spectrum: dict[int, complex], seed: int, count: int) -
     """count independent draws of Y_f = 2 sum f#(nu) cos(theta_nu).
 
     Each theta_nu is the atom pi/2 with probability 1/2 (contributing an
-    exact 0.0) and otherwise uniform on [0, pi).  The classes draw in the
-    order of the mapping (twisted_coefficients and reduced_classes list
-    them by integer class).  Deterministic in seed and that order.
+    exact 0.0) and otherwise uniform on [0, pi): one uniforms() draw u of
+    random.Random(seed) per class and draw is the atom if u < 1/2 (the top
+    bit of its word) and else theta_nu = (2u - 1) pi (the next 52 bits).
+    The classes draw in the order of the mapping (twisted_coefficients and
+    reduced_classes list them by integer class).
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(operator.index(seed))  # a numpy int too, not a float
     total = np.zeros(count)
     for w in map(complex, spectrum.values()):
         if abs(w.imag) > 1e-12 * (1 + abs(w)):
             raise ValueError("sampler needs a real twisted spectrum")
-        atom = rng.random(count) < 0.5
-        angles = rng.random(count) * math.pi
-        total += np.where(atom, 0.0, 2.0 * w.real * np.cos(angles))
+        u = uniforms(rng, count)
+        total += np.where(u < 0.5, 0.0, 2.0 * w.real * np.cos((2.0 * u - 1.0) * math.pi))
     return total
 
 

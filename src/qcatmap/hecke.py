@@ -35,7 +35,7 @@ from .errors import (
     SingularPointError,
 )
 from .modarith import PrimePower, inv_mod, legendre, roots_table, sqrt_set, valuation
-from .quantization import TorusAutomorphism, block_columns, check_array_size, propagator_apply
+from .quantization import TorusAutomorphism, block_columns, check_array_size, propagator_apply, uniforms
 
 OrderElement = tuple[int, int]
 
@@ -479,15 +479,14 @@ def _eig_unitary(U: np.ndarray):
 
     H = (U + U*)/2 + gamma (U - U*)/(2i) shares eigenvectors with U unless
     two distinct eigenphases collide in cos(th) + gamma sin(th); the
-    residual check detects that and retries with a fresh gamma.
+    residual check detects that and retries with the next of five gammas
+    uniform on [0.3, 3), drawn from a fixed seed.
     """
     # imported on first use: scipy.linalg takes longer to import than this package
     from scipy.linalg import eigh
 
-    rng = np.random.default_rng(0xEC0)
     n = U.shape[0]
-    gamma = 0.7548776662466927
-    for _ in range(6):
+    for gamma in [0.7548776662466927, *(0.3 + 2.7 * uniforms(random.Random(0xEC0), 5)).tolist()]:
         # H = (0.5 - 0.5j*gamma) U + (0.5 + 0.5j*gamma) U*
         H = (0.5 - 0.5j * gamma) * U
         H += (0.5 + 0.5j * gamma) * U.conj().T
@@ -507,7 +506,6 @@ def _eig_unitary(U: np.ndarray):
         if resid < RESIDUAL_TOL:
             return lam, V
         del V
-        gamma = float(rng.uniform(0.3, 3.0))
     raise EigenClusterError(f"unitary eigensolver residual {resid:.2e} > {RESIDUAL_TOL}")
 
 
@@ -652,9 +650,8 @@ def _orbit_eig(group: HeckeGroup):
     Each seeded random start vector is projected onto every eigenspace by
     _orbit_projections; every eigenspace lies in one parity, since U^(#C/2)
     is the parity operator up to a phase.  The start vectors have real and
-    imaginary parts uniform on [-1, 1), 53 random bits each, from the
-    stdlib random.Random seeded with (p, k, A mod N), as HeckeGroup draws
-    its generator: numpy.random is not loaded for them.  Eigenspaces are at
+    imaginary parts 2u - 1, uniform on [-1, 1), for u from uniforms() of
+    one random.Random seeded with (p, k, A mod N).  Eigenspaces are at
     most one-dimensional for inert primes, so one start vector is enough;
     split eigenspaces have dimension up to k + 1 (the trivial character),
     so k + 1 vectors are used and each eigenspace is orthonormalized by QR
@@ -674,8 +671,7 @@ def _orbit_eig(group: HeckeGroup):
     rng = random.Random(f"orbit start {pp.p} {pp.k} {[v % N for row in group.A.mat() for v in row]}")
 
     def projections(angles: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        bits = np.frombuffer(rng.randbytes(16 * N), dtype="<u8") >> 11
-        v = (bits * 2.0**-52 - 1.0).view(np.complex128)
+        v = (2.0 * uniforms(rng, 2 * N) - 1.0).view(np.complex128)
         return _orbit_projections(apply, v / np.linalg.norm(v), half, angles)
 
     first, angles = projections(None)  # every later orbit reuses these phases

@@ -62,6 +62,13 @@ def block_columns(rows: int) -> int:
     return max(1, BLOCK_BYTES // (16 * rows))
 
 
+def uniforms(rng, count: int) -> np.ndarray:
+    """count floats uniform on [0, 1), 53 random bits each, from the
+    random.Random rng: its randbytes as little-endian uint64 words >> 11,
+    times 2^-53.  Every random float of the package; successive calls continue one stream."""
+    return (np.frombuffer(rng.randbytes(8 * count), dtype="<u8") >> 11) * 2.0**-53
+
+
 @dataclass(frozen=True)
 class TorusAutomorphism:
     """Hyperbolic integer matrix [[a, b], [c, d]] with det 1 and |tr| > 2."""

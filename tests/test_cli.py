@@ -96,9 +96,9 @@ def test_verify_ramified_explicit_prime_exits_2(capsys):
 def test_bad_modulus_or_integer_list_exits_2(argv, words, capsys):
     """A p that is no odd prime, a k < 1, a list that is not integers, a
     descending range (it names no value), a repeated prime or exponent
-    (it names its spaces twice) or a negative seed (numpy's generator
-    takes none) is a configuration error: exit 2 and one line on stderr,
-    no traceback, and no check runs."""
+    (it names its spaces twice) or a negative seed (random.Random would
+    take its absolute value) is a configuration error: exit 2 and one line
+    on stderr, no traceback, and no check runs."""
     assert run_cli(argv) == 2
     assert assert_one_line_error(capsys, *words) == ""
 
@@ -586,13 +586,16 @@ def test_dense_distribution_does_not_import_scipy_linalg(tmp_path):
 # loaded by no import of qcatmap.cli and by no expsum run: fractions,
 # numpy's generator and OpenSSL
 NOT_LOADED = ["fractions", "numpy.random", "_hashlib"]
+# cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + 2 x2): classes -1, 1 and 5
+OBS3 = {m: 0.5 + 0j for n in ((1, 0), (0, 1), (1, 2)) for m in (n, (-n[0], -n[1]))}
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
     """A bare import of qcatmap.cli and an expsum run load none of
-    NOT_LOADED; the dense eigensolve at 37^2 does not load numpy.random,
-    whose start vectors come from the stdlib generator; and every public
-    name still imports from the package."""
+    NOT_LOADED; the dense eigensolve at 37^2, a verify sweep and a dense
+    and a closed-form distribution, each with more than one class, do not
+    load numpy.random, since every draw comes from the stdlib generator;
+    and every public name still imports from the package."""
     out = tmp_path / "sums.csv"
     code = (
         "import sys\n"
@@ -619,6 +622,52 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "(1369, 1369) False"
+    obs = tmp_path / "obs3.json"
+    write_obs(obs, OBS3)
+    commands = [
+        ["verify", "--p", "3,7", "--k", "1-2"],
+        ["distribution", "--p", "13", "--k", "2", "--obs", str(obs)],  # dense: N = 169
+        ["distribution", "--p", "13", "--k", "3", "--obs", str(obs)],  # closed: N = 2197
+    ]
+    code = "import sys\nfrom qcatmap.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\nprint('numpy.random loaded:', 'numpy.random' in sys.modules)\n"
+        for argv in commands
+    )
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    loaded = [line for line in run.stdout.splitlines() if line.startswith("numpy.random loaded:")]
+    assert loaded == ["numpy.random loaded: False"] * 3
+    assert run.stdout.count('"kind": "inert"') == 2
+
+
+def test_no_module_names_numpy_random():
+    """Every draw comes from a random.Random, the floats through
+    quantization.uniforms: numpy's generator, whose streams NumPy does not
+    promise to keep across versions, is named nowhere in the package."""
+    src = Path(__file__).resolve().parent.parent / "src" / "qcatmap"
+    named = [path.name for path in sorted(src.glob("*.py")) if re.search(r"np\.random|numpy\.random", path.read_text())]
+    assert named == []
+
+
+@pytest.mark.parametrize("command", ["verify", "distribution"])
+def test_seed_of_any_size_repeats_its_bytes(command, tmp_path, capsys):
+    """A seed of 10^30 runs twice to the same stdout (the check table, the
+    report); a negative seed still exits 2."""
+    obs = tmp_path / "obs3.json"
+    write_obs(obs, OBS3)
+    argv = {
+        "verify": ["verify", "--p", "3,7", "--k", "1-2"],
+        "distribution": ["distribution", "--p", "13", "--k", "2", "--obs", str(obs)],
+    }[command]
+    outputs = []
+    for seed in (10**30, 10**30, 10**30 + 1):
+        assert run_cli(argv + ["--seed", str(seed)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    if command == "distribution":  # three classes: the model sample reads the seed
+        assert outputs[2] != outputs[0] and '"ks"' in outputs[0]
+    assert run_cli(argv + ["--seed", "-1"]) == 2
+    assert assert_one_line_error(capsys, "seed = -1") == ""
 
 
 def test_verify_space_error_fails_only_its_rows(monkeypatch, capsys):

@@ -124,6 +124,9 @@ def test_sampler_determinism_and_atom():
     a = sample_limit_variable(spec, seed=5, count=2000)
     b = sample_limit_variable(spec, seed=5, count=2000)
     assert np.array_equal(a, b)
+    assert np.array_equal(sample_limit_variable(spec, seed=np.int64(5), count=2000), a)
+    with pytest.raises(TypeError):
+        sample_limit_variable(spec, seed=5.5, count=2000)  # never truncated
     atom = np.mean(a == 0.0)
     assert abs(atom - 0.5) < 0.05
 

@@ -493,6 +493,56 @@ def test_orbit_eigendecompose_when_generator_power_is_minus_identity(monkeypatch
     assert Counter(len(cols) for cols in orbit.clusters.values()) == {1: 9, 2: 1}
 
 
+@pytest.mark.parametrize("p,kind", [(37, "inert"), (29, "split")])
+def test_orbit_start_vectors_are_pinned(cat_map, p, kind, monkeypatch):
+    """The start vectors of p^2, one at 37 and k + 1 = 3 at the split 29,
+    are the consecutive 16 N-byte slices of one randbytes stream of
+    random.Random("orbit start p 2 [2, 1, 1, 1]"): each byte slice read as
+    little-endian uint64 words w, real and imaginary parts (w >> 11) 2^-52 - 1
+    alternating, then scaled to a unit vector."""
+    group = build_group(cat_map, PrimePower(p, 2))
+    assert group.kind == kind
+    N, starts = group.pp.N, []
+    projections = hecke._orbit_projections
+
+    def spy(apply, v, half, angles):
+        starts.append(v.copy())
+        return projections(apply, v, half, angles)
+
+    monkeypatch.setattr(hecke, "_orbit_projections", spy)
+    hecke._orbit_eig(group)
+    raw = random.Random(f"orbit start {p} 2 [2, 1, 1, 1]").randbytes(16 * N * len(starts))
+    assert len(starts) == (1 if kind == "inert" else 3)
+    for i, v in enumerate(starts):
+        words = np.frombuffer(raw[16 * N * i : 16 * N * (i + 1)], dtype="<u8")
+        expected = ((words >> 11) * 2.0**-52 - 1.0).view(np.complex128)
+        assert np.array_equal(v, expected / np.linalg.norm(expected))
+
+
+def test_dense_oracle_retries_a_colliding_gamma(monkeypatch):
+    """Two eigenphases a != b with cos a + g sin a = cos b + g sin b for the
+    first gamma g make one eigenvalue of H double, so its eigh basis mixes
+    them; the residual check rejects it and the next seeded gamma parts
+    them."""
+    import scipy.linalg
+
+    g = 0.7548776662466927
+    a = 0.3
+    b = 2 * math.atan2(g, 1.0) - a
+    phases = np.array([a, b, 1.0, 2.0, -1.5, 2.8])
+    assert abs((math.cos(a) + g * math.sin(a)) - (math.cos(b) + g * math.sin(b))) < 1e-15
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    U = Q @ np.diag(np.exp(1j * phases)) @ Q.conj().T
+    calls = []
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda H, **kw: calls.append(1) or eigh(H, **kw))
+    lam, V = hecke._eig_unitary(U)
+    assert len(calls) == 2
+    assert np.abs(U @ V - V * lam[None, :]).max() < 1e-10
+    assert np.allclose(np.sort(np.angle(lam)), np.sort(phases))
+
+
 def test_eigendecompose_size_cap(cat_map, monkeypatch):
     # inert 127^2: a folded orbit is #C x (N+1)/2 = 16256 x 8065, 1.31e8 entries
     group = build_group(cat_map, PrimePower(127, 2))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qcatmap.quantization import (
     propagator,
     propagator_apply,
     row_action,
+    uniforms,
 )
 
 from conftest import decompose, kernel_count_exhaustive
@@ -44,6 +46,24 @@ def delta(pp, y: int) -> np.ndarray:
     out = np.zeros(pp.N, dtype=np.complex128)
     out[y % pp.N] = 1.0
     return out
+
+
+def test_uniforms_on_the_53_bit_grid_in_one_stream():
+    """uniforms: each value is the top 53 bits of a little-endian 64-bit
+    word of randbytes over 2^53 (Python's exact int division as the
+    oracle), so it lies in [0, 1) on the 2^-53 grid; the same generator
+    state gives the same values, and successive calls continue one stream."""
+    rng = random.Random("uniforms")
+    state = rng.getstate()
+    u = uniforms(rng, 10_000)
+    assert u.dtype == np.float64 and u.shape == (10_000,)
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53))
+    raw = random.Random("uniforms").randbytes(80_000)
+    assert u.tolist() == [(int.from_bytes(raw[i : i + 8], "little") >> 11) / 2**53 for i in range(0, 80_000, 8)]
+    rng.setstate(state)
+    assert np.array_equal(np.concatenate([uniforms(rng, 3), uniforms(rng, 0), uniforms(rng, 9_997)]), u)
+    assert np.array_equal(uniforms(rng, 5), uniforms(random.Random("uniforms"), 10_005)[10_000:])
 
 
 def test_automorphism_validation():
