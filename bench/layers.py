@@ -3,6 +3,7 @@ CSV writer, the closed-form statistics, the dense matrix elements and the
 eigensolver at fixed sizes, and three CLI commands end to end.
 
     python bench/layers.py --out BENCH_<n>.json --tree LABEL=SRC_DIR [--tree LABEL=SRC_DIR ...]
+                           [--case NAME ...]
 
 Each case runs in a fresh interpreter with `SRC_DIR` on PYTHONPATH and
 one BLAS/OpenMP thread.  The child times its own layer with
@@ -14,7 +15,9 @@ drift on the machine hits each tree alike.  The layer child imports
 `numpy.fft`, which numpy loads lazily, before any timer starts; it loads
 nothing for random draws, which the package takes from the stdlib
 `random`.  The output also records the machine: cores, CPU, BLAS, thread
-settings, Python and numpy.
+settings, Python and numpy.  `--case NAME` (repeatable) runs only the
+cases so named, by their full name as the output keys them ("eigen
+13^3") or by their layer ("eigen" for both eigen cases, "cli-verify").
 
 Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
   group p^2     -- `hecke.build_group` at 349^2, 1009^2 and 3001^2
@@ -33,19 +36,23 @@ Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
                    the sample runs once more under tracemalloc:
                    `sample_peak_arrays` is its traced peak in (3, #C)
                    complex arrays, the size of its three rows of sums
-  elements p^2  -- the dense matrix elements as `distribution` runs them,
-                   at 37^2 (inert) and 41^2 (split): one
+  elements p^2  -- the dense pipeline as `distribution` runs it, at 37^2
+                   (inert) and 41^2 (split): one
                    `distribution.matrix_elements` pass over the modes +-n
                    of `cli.DEFAULT_MODES` and the usable default modes,
-                   then `distribution.normalized_elements` of the
-                   observable with those +-n and
+                   which solves and reads the eigendecomposition one
+                   parity at a time, then
+                   `distribution.normalized_elements` of the observable
+                   with those +-n and
                    `distribution.verify_matrix_element_formula` over the
-                   usable modes, both read from that pass.
-                   `eigendecompose` is timed apart as `eigendecompose_s`,
-                   and `eigendecompose_peak_rss_mb` is the peak RSS when it
-                   returns, so `peak_rss_mb` above it is the elements' own.
-  eigen p^3     -- `hecke.eigendecompose` alone at 13^3 (inert) and 19^3
-                   (split); the group build is not timed.
+                   usable modes, both read from that pass.  The
+                   `hecke.eigendecompose` calls are timed apart, in sum, as
+                   `eigendecompose_s`, and `s` is the rest;
+                   `eigendecompose_peak_rss_mb` is the peak RSS when the
+                   last of them returns.
+  eigen p^3     -- `hecke.eigendecompose` of both parities at 13^3 (inert)
+                   and 19^3 (split), the even half dropped before the odd
+                   half is built; the group build is not timed.
   cli-distribution 37^2, cli-expsum 29^3, cli-verify 3,7,11,13^1-3
                 -- the commands `distribution --p 37 --k 2` (dense, inert)
                    with the observable above, `expsum --p 29 --k 3`
@@ -87,9 +94,10 @@ VERIFY_DENSE_CAP = 400
 
 # argv: layer, p, k.  Prints {"s": layer seconds, "peak_rss_mb": ..., "items": ...},
 # for the elements layer also the eigendecompose_* keys, and for the closed
-# layer sample_peak_arrays.
+# layer sample_peak_arrays.  A tree whose eigendecompose takes no parity
+# solves both parities in one call, and its matrix_elements reads that.
 CHILD = r"""
-import json, resource, sys, time, tracemalloc
+import inspect, json, resource, sys, time, tracemalloc
 import numpy.fft
 from qcatmap import cli, distribution, expsum, hecke
 from qcatmap.modarith import PrimePower
@@ -97,6 +105,19 @@ from qcatmap.quantization import FourierObservable, TorusAutomorphism
 
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+HALVES = "parity" in inspect.signature(hecke.eigendecompose).parameters
+eig = {"s": 0.0, "peak_rss_mb": 0.0}
+solve = hecke.eigendecompose
+
+def timed_solve(*args):  # the module attribute, which matrix_elements calls
+    t0 = time.perf_counter()
+    out = solve(*args)
+    eig["s"] += time.perf_counter() - t0
+    eig["peak_rss_mb"] = peak_rss_mb()
+    return out
+
+hecke.eigendecompose = timed_solve
 
 layer, p, k = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 A, pp = TorusAutomorphism(2, 1, 1, 1), PrimePower(p, k)
@@ -131,20 +152,22 @@ elif layer == "csv":
 elif layer == "eigen":
     group = hecke.build_group(A, pp)
     t0 = time.perf_counter()
-    hecke.eigendecompose(group)
+    if HALVES:
+        phase = hecke.eigendecompose(group, 1).phase
+        hecke.eigendecompose(group, -1, phase)
+    else:
+        hecke.eigendecompose(group)
     s, items = time.perf_counter() - t0, pp.N
 else:
     group = hecke.build_group(A, pp)
-    t0 = time.perf_counter()
-    decomp = hecke.eigendecompose(group)
-    extra = {"eigendecompose_s": time.perf_counter() - t0, "eigendecompose_peak_rss_mb": peak_rss_mb()}
     f = FourierObservable({m: 0.5 for n in cli.DEFAULT_MODES for m in (n, (-n[0], -n[1]))})
     modes = cli._usable_modes(A, p)
     t0 = time.perf_counter()
-    elements = distribution.matrix_elements(decomp, [*f.coeffs, *modes])
+    elements = distribution.matrix_elements(group if HALVES else hecke.eigendecompose(group), [*f.coeffs, *modes])
     distribution.normalized_elements(f, elements)
     distribution.verify_matrix_element_formula(elements, modes)
-    s, items = time.perf_counter() - t0, pp.N
+    s, items = time.perf_counter() - t0 - eig["s"], pp.N
+    extra = {"eigendecompose_s": eig["s"], "eigendecompose_peak_rss_mb": eig["peak_rss_mb"]}
 print(json.dumps({"s": s, "peak_rss_mb": peak_rss_mb(), "items": items, **extra}))
 """
 
@@ -241,12 +264,20 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC_DIR",
                         help="a source directory to measure (repeatable)")
+    parser.add_argument("--case", action="append", metavar="NAME",
+                        help='run only this case, e.g. "eigen 13^3", or the cases of this layer (repeatable)')
     args = parser.parse_args()
     trees = {label: (ROOT / src).resolve() for label, src in (t.split("=", 1) for t in args.tree)}
+    cases = CASES
+    if args.case:
+        unknown = set(args.case) - {name for layer, p, k in CASES for name in (layer, f"{layer} {p}^{k}")}
+        if unknown:
+            parser.error(f"no case named {', '.join(sorted(unknown))}")
+        cases = [(layer, p, k) for layer, p, k in CASES if {layer, f"{layer} {p}^{k}"} & set(args.case)]
 
     runs: dict[str, dict[str, list[dict]]] = {label: {} for label in trees}
     for rep in range(REPEATS):
-        for layer, p, k in CASES:
+        for layer, p, k in cases:
             # alternate which tree goes first from one repeat to the next
             for label in list(trees)[:: 1 if rep % 2 == 0 else -1]:
                 res = run_child(trees[label], layer, p, k)

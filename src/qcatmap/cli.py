@@ -175,8 +175,13 @@ def _automorphism(cfg: RunConfig) -> TorusAutomorphism:
         raise ConfigError(f"bad matrix {cfg.matrix}: {exc}") from exc
 
 
+def _unit_modes(A: TorusAutomorphism, p: int) -> list[tuple[int, int]]:
+    """The default modes whose class Q(n) is a unit mod p."""
+    return [n for n in DEFAULT_MODES if dist.quadratic_form(A, n) % p != 0]
+
+
 def _usable_modes(A: TorusAutomorphism, p: int) -> list[tuple[int, int]]:
-    modes = [n for n in DEFAULT_MODES if dist.quadratic_form(A, n) % p != 0]
+    modes = _unit_modes(A, p)
     if len({dist.quadratic_form(A, n) for n in modes}) < 4:
         raise ConfigError(f"fewer than 4 usable default modes at p = {p}")
     return modes
@@ -208,8 +213,9 @@ class CheckTable:
 
 @dataclass
 class Space:
-    """A dense space of the verify sweep: its group and eigendecomposition are
-    built on first use and freed with it; a build error fails each check using it."""
+    """A dense space of the verify sweep: its group and its one pass over
+    the eigendecomposition are built on first use and freed with it; a
+    build error fails each check using them."""
 
     A: TorusAutomorphism
     pp: PrimePower
@@ -219,13 +225,11 @@ class Space:
         return hecke.build_group(self.A, self.pp)
 
     @functools.cached_property
-    def decomp(self) -> hecke.EigenDecomposition:
-        return hecke.eigendecompose(self.group)
-
-    @functools.cached_property
     def elements(self) -> dist.MatrixElements:
-        """The matrix elements of the usable default modes, one pass for every check that reads them."""
-        return dist.matrix_elements(self.decomp, _usable_modes(self.A, self.pp.p))
+        """The eigenvalues, eigenspace dimensions and matrix elements of the
+        default modes whose class is a unit mod p, from one pass over the
+        eigendecomposition, half by half, for every check that reads it."""
+        return dist.matrix_elements(self.group, _unit_modes(self.A, self.pp.p))
 
 
 def _check_modarith() -> dict[str, int]:
@@ -296,7 +300,7 @@ def _hecke_part(space: Space) -> tuple[str, list[str], float]:
     of its trace sweep."""
     pp, group = space.pp, space.group
     note = f"{pp}:{group.kind[0]}"
-    mults = [len(v) for v in space.decomp.clusters.values()]
+    mults = space.elements.multiplicities
     faults = []
     # brute_force_norm_one checks its N^2 pairs against the size cap itself
     count = len(hecke.brute_force_norm_one(space.A, pp))
@@ -306,7 +310,7 @@ def _hecke_part(space: Space) -> tuple[str, list[str], float]:
         faults.append(f"{note} multiplicities sum to {sum(mults)}, expected {pp.N}")
     if group.kind == "inert" and max(mults) > 1:
         faults.append(f"{note} inert multiplicity {max(mults)}")
-    return note, faults, hecke.trace_sweep(space.decomp).worst_gap
+    return note, faults, hecke.trace_sweep(group, space.elements.eigenvalues).worst_gap
 
 
 def _hecke_summary(parts) -> tuple[bool, str]:
@@ -606,9 +610,9 @@ def distribution_report(cfg: RunConfig) -> dict:
     if pp.N <= cfg.dense_cap:
         # the sign is a property of (p, k); pin it on the default mode set
         modes = _usable_modes(A, p)
-        # one pass for the observable's modes and the default ones; the
-        # basis is freed before the formula's sums and the model sample
-        elements = dist.matrix_elements(hecke.eigendecompose(group), [*f.coeffs, *modes])
+        # one pass for the observable's modes and the default ones, half by
+        # half; each half's basis is freed before the other is built
+        elements = dist.matrix_elements(group, [*f.coeffs, *modes])
         sample = dist.normalized_elements(f, elements)
         n_eig = len(sample)
         n_excl = elements.n_excluded_multiplicity

@@ -24,9 +24,9 @@ from itertools import product
 
 import numpy as np
 
-from . import expsum
+from . import expsum, hecke
 from .errors import BadNuError, EmptySetError, NoMatchError
-from .hecke import EigenDecomposition, HeckeGroup, build_group
+from .hecke import HeckeGroup, build_group
 from .modarith import PrimePower, legendre
 from .quantization import (
     FourierObservable,
@@ -213,25 +213,48 @@ def reduced_classes(spectrum: dict[int, complex], pp: PrimePower) -> dict[int, c
 
 @dataclass
 class MatrixElements:
-    """<T(n) psi, psi> of the multiplicity-one eigenfunctions psi of a dense
-    eigendecomposition, for a set of modes n."""
+    """What one pass over the dense eigendecomposition reads: the
+    eigenvalues, the eigenspace dimensions, and <T(n) psi, psi> of the
+    multiplicity-one eigenfunctions psi for a set of modes n."""
 
     group: HeckeGroup
-    labels: np.ndarray  # cluster label per eigenfunction
+    labels: np.ndarray  # cluster label per multiplicity-one eigenfunction, ascending
     rows: dict[tuple[int, int], np.ndarray]  # mode n -> its element per eigenfunction
-    n_excluded_multiplicity: int  # eigenfunctions in clusters of dimension > 1
+    eigenvalues: np.ndarray  # all N eigenvalues of U(iota(g)), the even ones first
+    multiplicities: list[int]  # the dimension of each eigenspace
+
+    @property
+    def n_excluded_multiplicity(self) -> int:
+        """Eigenfunctions in clusters of dimension > 1."""
+        return self.group.pp.N - len(self.labels)
 
 
-def matrix_elements(decomp: EigenDecomposition, modes) -> MatrixElements:
-    """The matrix elements of every distinct mode in one elementary_diagonals
-    pass; higher-multiplicity clusters are excluded and counted.  A row
-    does not depend on the other modes of the pass, so one pass serves the
-    sample and the formula match alike."""
+def matrix_elements(group: HeckeGroup, modes) -> MatrixElements:
+    """The matrix elements of every distinct mode over the dense
+    eigendecomposition of the group's space, one parity at a time: each
+    half is solved, read in one elementary_diagonals pass and dropped
+    before the other half is built, the odd half on the even half's phase
+    grid, so the pass holds one half's orbit or basis at its peak.
+    Higher-multiplicity clusters are excluded and counted.  A row does not
+    depend on the other modes of the pass, so one pass serves the sample
+    and the formula match alike."""
     modes = list(dict.fromkeys((int(n1), int(n2)) for n1, n2 in modes))
-    items = decomp.multiplicity_one_items()
-    labels = np.array([lab for lab, _ in items], dtype=np.int64)
-    rows = elementary_diagonals(modes, decomp, [col for _, col in items])
-    return MatrixElements(decomp.group, labels, dict(zip(modes, rows)), decomp.group.pp.N - len(items))
+    labels, rows, eigenvalues, multiplicities = [], [], [], []
+    phase = None
+    for parity in (1, -1):
+        decomp = hecke.eigendecompose(group, parity, phase)
+        phase = decomp.phase
+        items = decomp.multiplicity_one_items()
+        labels.append(np.array([lab for lab, _ in items], dtype=np.int64))
+        rows.append(elementary_diagonals(modes, decomp, [col for _, col in items]))
+        eigenvalues.append(decomp.eigenvalues)
+        multiplicities += [len(cols) for cols in decomp.clusters.values()]
+        del decomp  # before the other half is built
+    # the labels of the two halves are disjoint: merged in ascending order
+    by_label = np.argsort(np.concatenate(labels))
+    rows = np.concatenate(rows, axis=1)[:, by_label]
+    return MatrixElements(group, np.concatenate(labels)[by_label], dict(zip(modes, rows)),
+                          np.concatenate(eigenvalues), multiplicities)
 
 
 def normalized_elements(f: FourierObservable, elements: MatrixElements) -> np.ndarray:

@@ -10,8 +10,9 @@ p -+ 1 and (k - 1) p entries; the sorted table of all #C powers of g, the
 walk table, is built only where it is read: the brute-force Cayley table,
 the split eigenvectors and the tests' oracle.  It decomposes H_N into the
 joint eigenspaces of the propagator of g, by FFTs along its orbits.  Every
-joint eigenfunction is even or odd, since -1 is in C, and is stored
-folded onto x = 0..(N-1)/2.  A character of C is its integer index j:
+joint eigenfunction is even or odd, since -1 is in C, each parity is
+solved on its own, and each eigenfunction is stored folded onto
+x = 0..(N-1)/2.  A character of C is its integer index j:
 chi_j(g^m) = e(j m / #C).
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import mmap
 import random
 from dataclasses import dataclass
 
@@ -552,107 +554,117 @@ def _gather(V: np.ndarray, cols: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     return np.take(V.T, cols, axis=0, mode="clip", out=buffer[: h * len(cols)].reshape(len(cols), h)).T
 
 
-def _orbit_projections(apply, v: np.ndarray, half: int, angles: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Row j (< half): the folded projection of v onto the even eigenspace
-    of U = apply with eigenvalue e^(i angles[0] / half) e(j / half); row
-    half + j: onto the odd one with e^(i angles[1] / half) e(j / half).
-    Also returns angles.
+def _mapped_empty(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialized complex array in an anonymous memory map of its
+    own, which goes back to the OS when the array is freed: the orbits and
+    the stacked split basis of the eigensolver.  From malloc they would
+    not: glibc raises its mmap threshold to the size of each large block
+    it frees, so after one parity's orbit is freed the next array of about
+    that size comes from the heap, whose freed top stays resident below
+    the trim threshold (twice the mmap threshold).  The map is private and
+    asks for transparent huge pages where the platform has them, as numpy
+    does for its large arrays: with 4 KiB pages, first writing the
+    orbits at 19^3 took 8 times the page faults and about 1.5 s more.
+    tracemalloc does not see these arrays."""
+    buf = mmap.mmap(-1, 16 * shape[0] * shape[1], flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.complex128).reshape(shape)
+
+
+def _orbit_projections(apply, v: np.ndarray, half: int, parity: int, angle: float | None) -> tuple[np.ndarray, float]:
+    """Row j (< half): the folded projection of v onto the eigenspace of
+    U = apply of the given parity, +1 (even) or -1 (odd), with eigenvalue
+    e^(i angle / half) e(j / half).  Also returns angle.
 
     g^half = -1 in C, for half = #C / 2, and U(-I) is the parity v(x) ->
     v(-x) up to a phase, so U^half is a scalar on the even part of v and
-    minus that scalar on its odd part.  With the phase divided out, each
-    part's orbit v_s, U v_s, ..., U^(half-1) v_s is periodic in m, and its
-    DFT along m separates every eigenspace of that parity at once.  U
-    commutes with the parity, so the part of U^m v of a parity is U^m of
-    that part of v: the walk takes one column per step, v alone, and folds
-    each parity part off U^m v.  Only the folds are stored, and the DFT is
-    taken in place, block_columns(half) columns at a time, with no copy.
-    angles = None takes them from U^half of this v's parts.  Orbits that share angles
-    share one row numbering: where the scalar is -1, roundoff alone would
-    put one orbit's angle at +pi and another's at -pi, a shift of one row.
+    minus that scalar on its odd part.  With the phase divided out, the
+    orbit v_s, U v_s, ..., U^(half-1) v_s of the part v_s of that parity
+    is periodic in m, and its DFT along m separates every eigenspace of
+    that parity at once.  U commutes with the parity, so the part of U^m v
+    of a parity is U^m of that part of v: the walk takes one column per
+    step, v alone, and folds the part of the parity off U^m v.  Only those
+    folds are stored, a half x (N+1)/2 array in a memory map of its own
+    (see _mapped_empty), and the DFT is taken in place, block_columns(half)
+    columns at a time, with no copy.  angle = None takes it from U^half
+    of this v's part.  Orbits that share angle share one row numbering:
+    where the scalar is -1, roundoff alone would put one orbit's angle at
+    +pi and another's at -pi, a shift of one row.
     """
     N = len(v)
     h = (N + 1) // 2
-    orbit = np.empty((2, half, h), dtype=np.complex128)
+    orbit = _mapped_empty((half, h))
+    combine = np.add if parity > 0 else np.subtract
     w = v
     for m in range(half):
-        # fold(w, 1) and fold(w, -1) in place, rows x >= 1 not yet times sqrt(1/2)
-        np.add(w[1:h], w[: h - 1 : -1], out=orbit[0, m, 1:])
-        np.subtract(w[1:h], w[: h - 1 : -1], out=orbit[1, m, 1:])
-        orbit[0, m, 0] = w[0]
+        # fold(w, parity) in place, rows x >= 1 not yet times sqrt(1/2)
+        combine(w[1:h], w[: h - 1 : -1], out=orbit[m, 1:])
+        orbit[m, 0] = w[0]
         w = apply(w)
-    orbit[1, :, 0] = 0
-    if angles is None:  # U^half v_s = scalar * v_s
-        angles = np.angle([np.vdot(fold(v, s), fold(w, s)) for s in (1, -1)])
-    orbit *= np.exp(-1j * angles[:, None] / half * np.arange(half))[:, :, None]
+    if parity < 0:
+        orbit[:, 0] = 0
+    if angle is None:  # U^half v_s = scalar * v_s
+        angle = float(np.angle(np.vdot(fold(v, parity), fold(w, parity))))
+    orbit *= np.exp(-1j * angle / half * np.arange(half))[:, None]
     step = block_columns(half)
-    for part in orbit:
-        for start in range(0, part.shape[1], step):
-            blk = part[:, start : start + step]
-            np.fft.fft(blk, axis=0, out=blk)
-    orbit[:, :, 0] /= half
-    orbit[:, :, 1:] *= math.sqrt(0.5) / half
-    return orbit.reshape(2 * half, -1), angles
+    for start in range(0, h, step):
+        blk = orbit[:, start : start + step]
+        np.fft.fft(blk, axis=0, out=blk)
+    orbit[:, 0] /= half
+    orbit[:, 1:] *= math.sqrt(0.5) / half
+    return orbit, angle
 
 
-def _checked_eigenvalues(apply, V: np.ndarray, parity: np.ndarray) -> np.ndarray:
+def _checked_eigenvalues(apply, V: np.ndarray, parity: int) -> np.ndarray:
     """The Rayleigh quotients lam_j = <v_j, U v_j> of the unfolded columns
-    v_j of V (folded, of the given parities) under U = apply, once
+    v_j of V (folded, all of the given parity) under U = apply, once
     max_j ||U v_j - lambda_j v_j|| < RESIDUAL_TOL; EigenClusterError if not.
 
-    U commutes with the parity, so for an even v_e and an odd v_o, U v_e
-    and U v_o are the even and the odd part of U (v_e + v_o): one apply
-    serves a parity pair.  The i-th even column is paired with the i-th odd
-    one, the shorter list padded with zero columns, and the pairs go
-    through block_columns(N) at a time, in two buffers allocated once:
-    `images` takes U of the pairs, and `scratch`, of N + 1 rows, first the
-    unfolded pairs, which the apply uses as its scratch space, then the
-    folded columns of one parity beside the folds of their images.  Each
-    parity's columns are gathered and unfolded in `images` while the pairs
-    are built, so beyond V the check holds two BLOCK_BYTES.
+    The columns go through block_columns(N) at a time, in two buffers
+    allocated once: `images` takes U of the unfolded columns, and `folds`,
+    of N + 1 rows, first the unfolded columns, which the apply uses as its
+    scratch space, then the folded columns beside the folds of their
+    images.  So beyond V the check holds two BLOCK_BYTES.
     """
-    h = len(V)
+    h, count = V.shape
     N = 2 * h - 1
-    even, odd = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
-    lam = np.empty(V.shape[1], dtype=np.complex128)
+    lam = np.empty(count, dtype=np.complex128)
     resid = 0.0
-    count = max(len(even), len(odd))
     step = max(1, min(block_columns(N), count))
-    scratch = np.empty((N + 1) * step, dtype=np.complex128)
+    folds = np.empty((N + 1) * step, dtype=np.complex128)
     images = np.empty(N * step, dtype=np.complex128)
-
     for start in range(0, count, step):
-        cols = even[start : start + step], odd[start : start + step]
-        width = max(map(len, cols))
-        pairs = scratch[: N * width].reshape(N, width)
-        pairs[:] = 0
-        for c, s in zip(cols, (1, -1)):
-            pairs[:, : len(c)] += unfold(_gather(V, c, images), s, N, out=images[: N * len(c)].reshape(N, len(c)))
-        W = apply(pairs, out=images[: N * width].reshape(N, width))
-        for c, s in zip(cols, (1, -1)):
-            Vc = _gather(V, c, scratch)
-            Wc = fold(W[:, : len(c)], s, out=scratch[Vc.size : 2 * Vc.size].reshape(len(c), h).T)  # beside Vc
-            lam_c = np.vecdot(Vc, Wc, axis=0)
-            Vc *= lam_c
-            Wc -= Vc
-            resid = float(np.sqrt(np.vecdot(Wc, Wc, axis=0).real).max(initial=resid))  # keeps a NaN
-            lam[c] = lam_c
+        cols = slice(start, start + step)
+        width = min(step, count - start)
+        W = apply(unfold(V[:, cols], parity, N, out=folds[: N * width].reshape(N, width)),
+                  out=images[: N * width].reshape(N, width))
+        Vc = folds[: h * width].reshape(width, h).T
+        Vc[:] = V[:, cols]
+        Wc = fold(W, parity, out=folds[h * width : 2 * h * width].reshape(width, h).T)  # beside Vc
+        lam_c = np.vecdot(Vc, Wc, axis=0)
+        Vc *= lam_c
+        Wc -= Vc
+        resid = float(np.sqrt(np.vecdot(Wc, Wc, axis=0).real).max(initial=resid))  # keeps a NaN
+        lam[cols] = lam_c
     if not resid < RESIDUAL_TOL:
         raise EigenClusterError(f"orbit eigensolver residual {resid:.2e}, tolerance {RESIDUAL_TOL}")
     return lam
 
 
-def _orbit_eig(group: HeckeGroup):
-    """Eigenpairs of U(iota(g)) for the group generator g, from orbit FFTs:
-    the eigenvalues, the folded eigenvectors as the columns of a
-    (N+1)/2 x N array, and the parity of each column (see fold).
+def _orbit_eig(group: HeckeGroup, parity: int):
+    """Eigenpairs of U(iota(g)) for the group generator g on the vectors
+    of the given parity, +1 (even) or -1 (odd), from orbit FFTs: the
+    eigenvalues, and the folded eigenvectors (see fold) as the columns of
+    a (N+1)/2 x (N + parity)/2 array.
 
-    Each seeded random start vector is projected onto every eigenspace by
-    _orbit_projections; every eigenspace lies in one parity, since U^(#C/2)
-    is the parity operator up to a phase.  The start vectors have real and
-    imaginary parts 2u - 1, uniform on [-1, 1), for u from uniforms() of
-    one random.Random seeded with (p, k, A mod N).  Eigenspaces are at
-    most one-dimensional for inert primes, so one start vector is enough;
+    Each seeded random start vector is projected onto every eigenspace of
+    the parity by _orbit_projections; every eigenspace lies in one parity,
+    since U^(#C/2) is the parity operator up to a phase.  The start
+    vectors have real and imaginary parts 2u - 1, uniform on [-1, 1), for
+    u from uniforms() of one random.Random seeded with (p, k, A mod N), so
+    both parities walk from the same vectors.  Eigenspaces are at most
+    one-dimensional for inert primes, so one start vector is enough;
     split eigenspaces have dimension up to k + 1 (the trivial character),
     so k + 1 vectors are used and each eigenspace is orthonormalized by QR
     on its folded rows, its rank read from the R diagonal.  After the
@@ -662,19 +674,19 @@ def _orbit_eig(group: HeckeGroup):
     a new array.  Either way the basis is laid out by columns.  The
     residual max ||U v - lambda v|| over the unfolded columns, with the
     cluster gap 2 pi / #C, bounds the overlap between eigenspaces;
-    _checked_eigenvalues checks it one apply per parity pair in two
-    BLOCK_BYTES, so beyond the orbits the eigensolver holds about that.
+    _checked_eigenvalues checks it in two BLOCK_BYTES, so beyond the
+    orbits of this parity the eigensolver holds about that.
     """
     pp, half = group.pp, group.order // 2
     N = pp.N
     apply = propagator_apply(group.ring.matrix_of(group.gen), pp)
     rng = random.Random(f"orbit start {pp.p} {pp.k} {[v % N for row in group.A.mat() for v in row]}")
 
-    def projections(angles: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    def projections(angle: float | None) -> tuple[np.ndarray, float]:
         v = (2.0 * uniforms(rng, 2 * N) - 1.0).view(np.complex128)
-        return _orbit_projections(apply, v / np.linalg.norm(v), half, angles)
+        return _orbit_projections(apply, v / np.linalg.norm(v), half, parity, angle)
 
-    first, angles = projections(None)  # every later orbit reuses these phases
+    first, angle = projections(None)  # every later orbit reuses this phase
     flat = first.view(np.float64)  # no temporary the size of the orbit
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     live = norms > RANK_TOL
@@ -683,7 +695,7 @@ def _orbit_eig(group: HeckeGroup):
     # eigenspace row -> orthonormal folded rows; views keep the first orbit alive
     bases = {j: first[j : j + 1] for j in growing}
     for _ in range(pp.k if group.kind == "split" else 0):
-        proj, _ = projections(angles)
+        proj, _ = projections(angle)
         still = []
         for j in growing:
             q, r = np.linalg.qr(np.vstack([bases[j], proj[j : j + 1]]).T)
@@ -693,25 +705,22 @@ def _orbit_eig(group: HeckeGroup):
         growing = still
         del proj  # before the next orbit is allocated
     found = sum(len(b) for b in bases.values())
-    if found != N:
-        raise EigenClusterError(f"orbit eigensolver found {found} eigenvectors, dimension {N}")
+    dim = (N + parity) // 2  # the trace of the parity operator is 1
+    if found != dim:
+        raise EigenClusterError(f"orbit eigensolver found {found} eigenvectors of parity {parity:+d}, dimension {dim}")
     if group.kind == "inert":
         del bases  # a view object per row
         # every eigenspace is one live row of the first orbit; moving rows
         # forward in increasing order never overwrites a row still to move
-        rows = np.flatnonzero(live)
-        for dst, src in enumerate(rows.tolist()):
+        for dst, src in enumerate(np.flatnonzero(live).tolist()):
             if dst != src:
                 first[dst] = first[src]
-        V = first[:N].T
+        V = first[:dim].T
     else:
-        keys = sorted(bases)
-        rows = np.repeat(keys, [len(bases[j]) for j in keys])
         # stacked into a C-contiguous array, so V is laid out by columns
-        V = np.concatenate([bases[j] for j in keys], out=np.empty((N, (N + 1) // 2), dtype=np.complex128)).T
+        V = np.concatenate([bases[j] for j in sorted(bases)], out=_mapped_empty((dim, (N + 1) // 2))).T
         del first, bases
-    parity = np.where(rows < half, 1, -1)
-    return _checked_eigenvalues(apply, V, parity), V, parity
+    return _checked_eigenvalues(apply, V, parity), V
 
 
 def unit_character_level(group: HeckeGroup, index: int) -> int:
@@ -723,20 +732,20 @@ def unit_character_level(group: HeckeGroup, index: int) -> int:
 
 @dataclass
 class EigenDecomposition:
-    """Joint eigenspaces of the symmetry group, from one generator unitary."""
+    """The joint eigenspaces of the symmetry group within one parity, from
+    one generator unitary."""
 
     group: HeckeGroup
-    eigenvalues: np.ndarray  # N unitary eigenvalues of U(iota(g))
-    folded: np.ndarray  # (N+1)/2 x N: the folds of std-orthonormal columns
-    parity: np.ndarray  # per column: +1 even, -1 odd
+    parity: int  # +1: every column is even; -1: every column is odd
+    eigenvalues: np.ndarray  # per column, a unitary eigenvalue of U(iota(g))
+    folded: np.ndarray  # (N+1)/2 x (N + parity)/2: the folds of std-orthonormal columns
     labels: np.ndarray  # per-column exponent relative to the fitted phase
     phase: float  # fitted global phase angle
 
     @property
     def shape(self) -> tuple[int, int]:
-        """Shape of the unfolded basis, N x N."""
-        N = self.group.pp.N
-        return (N, N)
+        """Shape of the unfolded basis, N x (N + parity)/2."""
+        return (self.group.pp.N, self.folded.shape[1])
 
     def columns(self, cols, out: np.ndarray | None = None) -> np.ndarray:
         """The std-unit eigenvectors at cols (an index array or a slice,
@@ -748,7 +757,7 @@ class EigenDecomposition:
         N = self.group.pp.N
         if out is None:
             out = np.empty((N, len(cols)), dtype=np.complex128)
-        return unfold(_gather(self.folded, cols, out.reshape(-1)), self.parity[cols], N, out=out)
+        return unfold(_gather(self.folded, cols, out.reshape(-1)), self.parity, N, out=out)
 
     @functools.cached_property
     def clusters(self) -> dict[int, np.ndarray]:
@@ -757,12 +766,9 @@ class EigenDecomposition:
         labels, starts = np.unique(self.labels[by_label], return_index=True)
         return {int(label): cols for label, cols in zip(labels, np.split(by_label, starts[1:]))}
 
-    def multiplicity(self, label: int) -> int:
-        return len(self.clusters.get(int(label), ()))
-
     def multiplicity_one_items(self) -> list[tuple[int, int]]:
         """(label, column) pairs for the one-dimensional eigenspaces."""
-        return [(lab, int(cols[0])) for lab, cols in sorted(self.clusters.items()) if len(cols) == 1]
+        return [(lab, int(cols[0])) for lab, cols in self.clusters.items() if len(cols) == 1]
 
 
 CLUSTER_TOL = 1e-6
@@ -774,47 +780,57 @@ def _phase_labels(lam: np.ndarray, phase: float, order: int) -> np.ndarray:
     return np.rint(rel * order / (2 * np.pi)).astype(np.int64) % order
 
 
-def eigendecompose(group: HeckeGroup) -> EigenDecomposition:
-    """Diagonalize U(iota(g)) for a group generator g and label the clusters.
+def eigendecompose(group: HeckeGroup, parity: int, phase: float | None = None) -> EigenDecomposition:
+    """Diagonalize U(iota(g)) for a group generator g on the vectors of one
+    parity, +1 (even) or -1 (odd), and label the clusters.
 
     The group is cyclic, so eigenspaces of this single unitary are exactly
-    the joint eigenspaces.  Labels are exponents of the eigenvalues
-    relative to a fitted global phase and are therefore only defined up to
-    one common shift (a global character twist).
+    the joint eigenspaces, and each lies in one parity.  Labels are
+    exponents of the eigenvalues relative to a global phase, fitted to
+    this parity's eigenvalues unless phase is given, and are therefore
+    only defined up to one common shift (a global character twist).  The
+    other parity takes this one's phase, so that both label on one grid:
+    where U^#C = -I the fitted phase sits at +-pi / #C, and roundoff alone
+    decides the sign.  The largest array made is one parity's folded orbit
+    or basis, which is checked against the size cap first.
     """
-    pp = group.pp
-    # the larger of a folded orbit, #C x (N+1)/2, and the folded basis, (N+1)/2 x N
-    check_array_size(max(pp.N, group.order) * ((pp.N + 1) // 2), f"orbit eigensolver at {pp}")
-    lam, folded, parity = _orbit_eig(group)
+    pp, order = group.pp, group.order
+    if parity not in (1, -1):
+        raise ValueError(f"parity {parity!r} is neither +1 nor -1")
+    # the larger of a folded orbit, #C/2 x (N+1)/2, and the folded basis, (N+1)/2 x (N + parity)/2
+    check_array_size(max(order // 2, (pp.N + 1) // 2) * ((pp.N + 1) // 2), f"orbit eigensolver at {pp}")
+    lam, folded = _orbit_eig(group, parity)
     unit_lam = lam / np.abs(lam)
-    wbar = np.mean(unit_lam**group.order)
-    phase = float(np.angle(wbar)) / group.order
-    labels = _phase_labels(unit_lam, phase, group.order)
-    model = np.exp(1j * (phase + 2 * np.pi * labels / group.order))
+    if phase is None:
+        phase = float(np.angle(np.mean(unit_lam**order))) / order
+    labels = _phase_labels(unit_lam, phase, order)
+    model = np.exp(1j * (phase + 2 * np.pi * labels / order))
     err = float(np.abs(unit_lam - model).max())
     if err > CLUSTER_TOL:
         raise EigenClusterError(f"eigenvalue off the root-of-unity grid by {err:.2e}")
-    decomp = EigenDecomposition(group, lam, folded, parity, labels, phase)
-    # distinct joint eigenvalues: p^k (inert), phi(p^k) (split: every
-    # character of the unit group appears)
-    expected = pp.N if group.kind == "inert" else pp.p ** (pp.k - 1) * (pp.p - 1)
+    decomp = EigenDecomposition(group, parity, lam, folded, labels, phase)
+    # distinct joint eigenvalues of a parity: one per column (inert), half
+    # of phi(p^k) = #C (split: every character of the unit group appears,
+    # and chi_j is even or odd as (-1)^j)
+    expected = len(lam) if group.kind == "inert" else order // 2
     if len(decomp.clusters) != expected:
         raise EigenClusterError(
-            f"{len(decomp.clusters)} clusters, predicted {expected} for {group.kind} {group.pp}"
+            f"{len(decomp.clusters)} clusters of parity {parity:+d}, predicted {expected} for {group.kind} {pp}"
         )
     return decomp
 
 
-def trace_magnitudes_sq_via_spectrum(decomp: EigenDecomposition) -> np.ndarray:
-    """|Tr U(iota(g^m))|^2 for every m, from the generator's spectrum.
+def trace_magnitudes_sq_via_spectrum(eigenvalues: np.ndarray, order: int) -> np.ndarray:
+    """|Tr U(iota(g^m))|^2 for m = 0..order-1, from all N eigenvalues of
+    the generator's U.
 
     The propagator is a representation up to phase, so the trace of the
     m-th Hecke operator equals sum_i lambda_i^m up to a unimodular factor.
     """
-    lam = decomp.eigenvalues / np.abs(decomp.eigenvalues)
-    out = np.empty(decomp.group.order)
+    lam = eigenvalues / np.abs(eigenvalues)
+    out = np.empty(order)
     cur = np.ones_like(lam)
-    for m in range(decomp.group.order):
+    for m in range(order):
         out[m] = abs(cur.sum()) ** 2
         cur *= lam
     return out
@@ -840,9 +856,9 @@ class TraceSweep:
         return float(np.max(np.abs(self.trace_sq - self.kernel) / self.kernel))
 
 
-def trace_sweep(decomp: EigenDecomposition) -> TraceSweep:
-    """The trace identity over every element g^m of the group."""
-    group = decomp.group
+def trace_sweep(group: HeckeGroup, eigenvalues: np.ndarray) -> TraceSweep:
+    """The trace identity over every element g^m of the group, from all N
+    eigenvalues of U(iota(g)), both parities'."""
     ring = group.ring
     kernel, level = [], []
     beta = ring.one
@@ -850,7 +866,7 @@ def trace_sweep(decomp: EigenDecomposition) -> TraceSweep:
         kernel.append(qz.fixed_point_count(ring.matrix_of(beta), group.pp))
         level.append(ring.congruence_level(beta))
         beta = ring.mul(beta, group.gen)
-    return TraceSweep(trace_magnitudes_sq_via_spectrum(decomp), np.array(kernel), np.array(level))
+    return TraceSweep(trace_magnitudes_sq_via_spectrum(eigenvalues, group.order), np.array(kernel), np.array(level))
 
 
 # -- split-case verification -----------------------------------------
@@ -865,46 +881,57 @@ class SplitMatchReport:
     max_residual: float
 
 
-def split_match_report(decomp: EigenDecomposition) -> SplitMatchReport:
+def split_match_report(group: HeckeGroup) -> SplitMatchReport:
     """Locate explicit split eigenfunctions in the numerical eigenbasis.
 
-    Each character is built by split_eigenvectors
-    as b; its label comes from the Rayleigh quotient <U(g) b, b> on the
-    phase grid of eigendecompose, and its residual ||b - V_c V_c^* b|| from
-    the columns V_c of that label's cluster alone.  The matched labels must
-    differ from the character indices by one common shift (the free global
+    The eigendecomposition is built one parity at a time, the odd half on
+    the even half's phase grid, and each half is matched and dropped
+    before the other is built.  The character chi_j is even or odd as
+    chi_j(-1) = (-1)^j, and so is its eigenfunction b, built by
+    split_eigenvectors, since U(M) commutes with the parity.  Each b is
+    matched in the half of its parity: its label comes from the Rayleigh
+    quotient <U(g) b, b> on the phase grid, and its residual ||b - V_c
+    V_c^* b|| from the columns V_c of that label's cluster alone (all of b
+    when the half has no such cluster).  The matched labels must differ
+    from the character indices by one common shift (the free global
     twist).  Using that shift, the multiplicity of every character's
     cluster is then checked against the predicted k - l + 1 for its level
     l, over the whole dual group.  The characters are built and matched
     block_columns(N) at a time, so the blocks take a few BLOCK_BYTES.
     """
-    group = decomp.group
     pp = group.pp
     diag = build_split_diagonalizer(group.A, pp)
     apply_g = propagator_apply(group.ring.matrix_of(group.gen), pp)
     unit_dlogs = unit_dlog_array(group, diag)
     order = group.order
-    index = np.arange(order)
 
     matched = np.empty(order, dtype=np.int64)
     resid = np.empty(order)
+    multiplicity: dict[int, int] = {}
     step = block_columns(pp.N)
-    for start in range(0, order, step):
-        block = split_eigenvectors(group, diag, unit_dlogs, index[start : start + step])
-        rayleigh = np.einsum("ij,ij->j", block.conj(), apply_g(block))
-        labels = _phase_labels(rayleigh, decomp.phase, order)
-        matched[start : start + len(labels)] = labels
-        for j, label in enumerate(labels.tolist()):
-            Vc = decomp.columns(decomp.clusters[label])
-            b = block[:, j]
-            resid[start + j] = np.linalg.norm(b - Vc @ (Vc.conj().T @ b))
+    phase = None
+    for parity in (1, -1):
+        decomp = eigendecompose(group, parity, phase)
+        phase = decomp.phase
+        multiplicity.update((label, len(cols)) for label, cols in decomp.clusters.items())
+        index = np.arange(0 if parity > 0 else 1, order, 2)  # the characters of this parity
+        for start in range(0, len(index), step):
+            js = index[start : start + step]
+            block = split_eigenvectors(group, diag, unit_dlogs, js)
+            rayleigh = np.einsum("ij,ij->j", block.conj(), apply_g(block))
+            labels = _phase_labels(rayleigh, phase, order)
+            matched[js] = labels
+            for j, b, label in zip(js.tolist(), block.T, labels.tolist()):
+                Vc = decomp.columns(decomp.clusters.get(label, []))
+                resid[j] = np.linalg.norm(b - Vc @ (Vc.conj().T @ b))
+        del decomp  # before the other half is built
 
-    shifts = (matched - index) % order
+    shifts = (matched - np.arange(order)) % order
     shift_ok = bool(np.all(shifts == shifts[0]))
     shift = int(shifts[0])
     # a level-l character's eigenspace has dimension k - l + 1
     mult_ok = shift_ok and all(
-        decomp.multiplicity((ci + shift) % order) == pp.k - unit_character_level(group, ci) + 1
+        multiplicity.get((ci + shift) % order, 0) == pp.k - unit_character_level(group, ci) + 1
         for ci in range(order)
     )
     return SplitMatchReport(

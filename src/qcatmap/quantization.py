@@ -37,8 +37,8 @@ from .modarith import PrimePower, roots_table
 DENSE_CAP_DEFAULT = 2048
 
 # Largest dense N x N matrix or folded orbit array, in complex entries
-# (1 GiB); the eigensolver counts max(N, #C) (N+1)/2, 2.4e7 at 19^3
-# (N = 6859) and 5.2e7 at 101^2.
+# (1 GiB); the eigensolver counts one parity's max(#C/2, (N+1)/2) (N+1)/2,
+# 1.2e7 at 19^3 (N = 6859) and 2.6e7 at 101^2.
 MAX_ARRAY_ENTRIES = 1 << 26
 
 # bytes of one column block of a dense or orbit array; every loop over the

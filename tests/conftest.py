@@ -44,9 +44,42 @@ def matrix_for_prime(p: int) -> TorusAutomorphism:
     return A_TRACE4 if p == 5 else A_DEFAULT
 
 
+def group_at(A: TorusAutomorphism, p: int, k: int):
+    """A fresh C(p^k) for A."""
+    return build_group(A, PrimePower(p, k))
+
+
+def halves_of(group):
+    """Both halves of the dense eigendecomposition of the group's space:
+    the even half, then the odd half on its phase grid."""
+    even = eigendecompose(group, 1)
+    return even, eigendecompose(group, -1, even.phase)
+
+
 def decompose(A: TorusAutomorphism, p: int, k: int):
-    """The dense eigendecomposition of L^2(Z/p^k), built from a fresh group."""
-    return eigendecompose(build_group(A, PrimePower(p, k)))
+    """Both halves of the dense eigendecomposition of L^2(Z/p^k), built
+    from a fresh group."""
+    return halves_of(group_at(A, p, k))
+
+
+def stacked(halves, name: str) -> np.ndarray:
+    """The per-column array `name` (eigenvalues, labels) of both halves,
+    the even columns first."""
+    return np.concatenate([getattr(half, name) for half in halves])
+
+
+def unfolded(halves) -> np.ndarray:
+    """The N x N unfolded basis of both halves, the even columns first."""
+    return np.hstack([half.columns(slice(None)) for half in halves])
+
+
+def stacked_clusters(halves) -> dict[int, np.ndarray]:
+    """Label -> its columns in the stacked basis of both halves; the
+    halves' labels are disjoint."""
+    even, odd = halves
+    merged = {**even.clusters, **{label: cols + even.shape[1] for label, cols in odd.clusters.items()}}
+    assert len(merged) == len(even.clusters) + len(odd.clusters)
+    return merged
 
 
 def model_moment(m: int) -> Fraction:

@@ -20,9 +20,9 @@ from qcatmap.quantization import (
 )
 from qcatmap import expsum, hecke
 from qcatmap import distribution as dist
-from qcatmap.hecke import build_group, eigendecompose, split_match_report
+from qcatmap.hecke import build_group, split_match_report
 
-from conftest import decompose, matrix_for_prime, model_moment
+from conftest import group_at, halves_of, matrix_for_prime, model_moment, stacked, stacked_clusters
 
 EGOROV_MODES = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 5)]
 FORMULA_MODES = [(1, 0), (0, 1), (1, 2), (1, 4), (1, 5), (2, 7)]  # Q: -1,1,5,19,29,59
@@ -57,13 +57,13 @@ def test_criterion2_inert_trace_and_multiplicity(p):
     A = matrix_for_prime(p)
     for k in (1, 2, 3):
         pp = PrimePower(p, k)
-        decomp = eigendecompose(build_group(A, pp))
-        group = decomp.group
+        group = build_group(A, pp)
         assert group.kind == "inert"
-        mults = [len(c) for c in decomp.clusters.values()]
+        halves = halves_of(group)
+        mults = [len(c) for c in stacked_clusters(halves).values()]
         assert sum(mults) == pp.N
         assert max(mults) == 1
-        sweep = hecke.trace_sweep(decomp)
+        sweep = hecke.trace_sweep(group, stacked(halves, "eigenvalues"))
         assert sweep.worst_gap <= 1e-6
         assert np.array_equal(sweep.kernel, p ** (2 * sweep.level))
     _pass(f"criterion 2: p={p}, k<=3: traces match kernels, all multiplicities 1")
@@ -74,7 +74,7 @@ def test_criterion3_split_multiplicities(p, k):
     """Level-l characters have multiplicity k-l+1; explicit eigenfunctions
     match the eigensolver basis with residual < 1e-7."""
     A = matrix_for_prime(p)
-    rep = split_match_report(decompose(A, p, k))
+    rep = split_match_report(group_at(A, p, k))
     assert rep.max_residual < 1e-7
     assert rep.shift_ok
     assert rep.multiplicities_ok
@@ -87,7 +87,7 @@ def test_criterion3_split_multiplicities_19_cubed():
     multiplicities for the whole dual group via the label shift."""
     A = matrix_for_prime(19)
     group = build_group(A, PrimePower(19, 3))
-    rep = split_match_report(eigendecompose(group))
+    rep = split_match_report(group)
     assert rep.max_residual < 1e-7
     assert rep.shift_ok
     assert rep.multiplicities_ok
@@ -121,11 +121,11 @@ def test_criterion5_matrix_element_formula(p, k):
     pp = PrimePower(p, k)
     qs = {dist.quadratic_form(A, n) % pp.N for n in FORMULA_MODES}
     assert len(qs) >= 4
-    decomp = eigendecompose(build_group(A, pp))
+    group = build_group(A, pp)
     assert dist.FORMULA_TOL == 1e-7
-    rep = dist.verify_matrix_element_formula(dist.matrix_elements(decomp, FORMULA_MODES), FORMULA_MODES)
+    rep = dist.verify_matrix_element_formula(dist.matrix_elements(group, FORMULA_MODES), FORMULA_MODES)
     assert rep.unique
-    expect_sign = -1 if decomp.group.kind == "inert" and k % 2 == 1 else 1
+    expect_sign = -1 if group.kind == "inert" and k % 2 == 1 else 1
     assert rep.sign == expect_sign
     _pass(
         f"criterion 5: (p,k)=({p},{k}) sign {rep.sign:+d}, shift {rep.shift}, unique, "
@@ -148,13 +148,13 @@ def test_criterion6_slow_decay(p):
     for _, value in big:
         assert abs(abs(value) - p * p) <= 1e-6 * p * p
     target = p * p / group.order  # = 1/(p +- 1)
-    decomp = eigendecompose(group)
     hits = 0
-    for _, col in decomp.multiplicity_one_items():
-        v = decomp.columns([col])[:, 0]  # std-unit: <T(n) psi, psi> of psi = sqrt(N) v is vdot(v, T(n) v)
-        el = abs(np.vdot(v, apply_elementary(n, v)))
-        if abs(el - target) <= 1e-6 * target:
-            hits += 1
+    for half in halves_of(group):
+        for _, col in half.multiplicity_one_items():
+            v = half.columns([col])[:, 0]  # std-unit: <T(n) psi, psi> of psi = sqrt(N) v is vdot(v, T(n) v)
+            el = abs(np.vdot(v, apply_elementary(n, v)))
+            if abs(el - target) <= 1e-6 * target:
+                hits += 1
     assert hits >= 1
     assert target > pp.N**-0.5  # slower than the expected square-root decay
     assert target >= 0.5 * pp.N ** (-1 / 3)  # the N^(-1/3) scale

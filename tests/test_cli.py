@@ -517,18 +517,19 @@ def test_one_eigendecomposition_per_dense_space(monkeypatch, tmp_path):
     sizes = []
     orbit_eig = hecke._orbit_eig
 
-    def counted(group, *args, **kwargs):
-        sizes.append(group.pp.N)
-        return orbit_eig(group, *args, **kwargs)
+    def counted(group, parity):
+        sizes.append((group.pp.N, parity))
+        return orbit_eig(group, parity)
 
     monkeypatch.setattr(hecke, "_orbit_eig", counted)
     assert run_cli(["verify", "--p", "3,7", "--k", "1-3"]) == 0
-    assert sorted(sizes) == [3, 7, 9, 27, 49, 343]
+    # one solve of each parity per space, the even half first
+    assert sizes == [(N, parity) for N in (3, 9, 27, 7, 49, 343) for parity in (1, -1)]
     sizes.clear()
     obs = tmp_path / "obs.json"
     write_obs(obs, {(1, 0): 0.5 + 0j, (-1, 0): 0.5 + 0j})
     assert run_cli(["distribution", "--p", "13", "--k", "2", "--obs", str(obs)]) == 0
-    assert sizes == [169]
+    assert sizes == [(169, 1), (169, -1)]
 
 
 def test_verify_nan_fails_quantization_row(monkeypatch, capsys):
@@ -567,6 +568,33 @@ def test_verify_wrong_propagator_fails_quantization_row(monkeypatch, capsys):
     row = next(line for line in capsys.readouterr().out.splitlines() if "quantization invariants" in line)
     unitarity, egorov = (float(x) for x in re.search(r"unitarity (\S+), egorov (\S+) over", row).groups())
     assert row.startswith("[FAIL]") and unitarity < 1e-12 and egorov > 1e-2
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc/self/status")
+@pytest.mark.parametrize("p", [37, 41])
+def test_dense_pass_gives_its_memory_back(p):
+    """After the matrix-element pass at the inert 37^2 or the split 41^2,
+    which solves one parity after the other, a fresh process's resident
+    set is within 4 MB of where it stood before: each half's folded orbits
+    and basis (7.7 MB of orbit at 37^2, 11 MB of basis at 41^2) live in
+    memory maps of their own and leave with them.  From malloc the second
+    half's would stay resident in glibc's heap."""
+    code = (
+        "import numpy.fft\n"
+        "from qcatmap.distribution import matrix_elements\n"
+        "from qcatmap.hecke import build_group\n"
+        "from qcatmap.modarith import PrimePower\n"
+        "from qcatmap.quantization import TorusAutomorphism\n"
+        "def rss():\n"
+        "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmRSS:'))\n"
+        f"group = build_group(TorusAutomorphism(2, 1, 1, 1), PrimePower({p}, 2))\n"
+        "before = rss()\n"
+        "matrix_elements(group, [(1, 0)])\n"
+        "print(rss() - before)\n"
+    )
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 4 * 1024  # kB
 
 
 def test_dense_distribution_does_not_import_scipy_linalg(tmp_path):
@@ -613,7 +641,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "from qcatmap.hecke import build_group, eigendecompose\n"
         "from qcatmap.modarith import PrimePower\n"
         "from qcatmap.quantization import TorusAutomorphism\n"
-        "decomp = eigendecompose(build_group(TorusAutomorphism(2, 1, 1, 1), PrimePower(37, 2)))\n"
+        "decomp = eigendecompose(build_group(TorusAutomorphism(2, 1, 1, 1), PrimePower(37, 2)), 1)\n"
         "print(decomp.shape, 'numpy.random' in sys.modules)\n"
     )
     import qcatmap
@@ -621,7 +649,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     code += f"from qcatmap import {', '.join(qcatmap.__all__)}\n"
     run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "(1369, 1369) False"
+    assert run.stdout.splitlines()[-1] == "(1369, 685) False"
     obs = tmp_path / "obs3.json"
     write_obs(obs, OBS3)
     commands = [
@@ -675,10 +703,10 @@ def test_verify_space_error_fails_only_its_rows(monkeypatch, capsys):
 
     eigendecompose = hecke.eigendecompose
 
-    def failing_at_9(group):
+    def failing_at_9(group, *args):
         if group.pp.N == 9:
             raise EigenClusterError("injected")
-        return eigendecompose(group)
+        return eigendecompose(group, *args)
 
     monkeypatch.setattr(hecke, "eigendecompose", failing_at_9)
     assert run_cli(["verify", "--p", "3", "--k", "1-3"]) == 1
@@ -790,7 +818,7 @@ def test_verify_zeroed_traces_fail_under_optimize_flag():
         "import numpy as np\n"
         "from qcatmap import hecke\n"
         "from qcatmap.cli import main\n"
-        "hecke.trace_magnitudes_sq_via_spectrum = lambda decomp: np.zeros(decomp.group.order)\n"
+        "hecke.trace_magnitudes_sq_via_spectrum = lambda eigenvalues, order: np.zeros(order)\n"
         "sys.exit(main(['verify', '--p', '3,7', '--k', '1-3']))\n"
     )
     out = run_python("-O", "-c", code)
@@ -838,7 +866,8 @@ def test_benchmark_tracer_finds_its_targets(tmp_path):
 def test_benchmark_tracer_counts_distribution_spans(tmp_path):
     """The tracer wraps the qcatmap modules loaded once qcatmap.cli is
     imported: a dense distribution report at 13^2 makes one call of each
-    statistics step it traces."""
+    statistics step it traces, and two timed calls of eigendecompose, one
+    per parity."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     tracer_py = os.path.join(root, "perfbench", "tracer.py")
     obs, spans = tmp_path / "obs.json", tmp_path / "spans.json"
@@ -846,9 +875,11 @@ def test_benchmark_tracer_counts_distribution_spans(tmp_path):
     argv = ["distribution", "--p", "13", "--k", "2", "--obs", str(obs), "--out", str(tmp_path / "report.json")]
     out = run_python(tracer_py, str(spans), *argv)
     assert out.returncode == 0, out.stderr
-    calls = {name: f["calls"] for name, f in json.loads(spans.read_text())["functions"].items()}
+    functions = json.loads(spans.read_text())["functions"]
+    calls = {name: f["calls"] for name, f in functions.items()}
     steps = ("normalized_elements", "verify_matrix_element_formula", "compare_distribution")
     assert [calls[f"distribution.{name}"] for name in steps] == [1, 1, 1]
+    assert calls["hecke.eigendecompose"] == 2 and functions["hecke.eigendecompose"]["s"] > 0
 
 
 def test_every_public_name_resolves():

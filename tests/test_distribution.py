@@ -15,10 +15,9 @@ from qcatmap.quantization import (
     DENSE_CAP_DEFAULT,
     FourierObservable,
     TorusAutomorphism,
-    elementary_diagonals,
 )
-from qcatmap.hecke import build_group, eigendecompose
-from qcatmap import cli, expsum
+from qcatmap.hecke import build_group
+from qcatmap import cli, expsum, hecke
 from qcatmap.distribution import (
     FORMULA_TOL,
     MOMENT_ORDERS,
@@ -44,7 +43,7 @@ from qcatmap.distribution import (
     verify_matrix_element_formula,
 )
 
-from conftest import HYPERBOLIC, by_character, decompose, model_moment
+from conftest import HYPERBOLIC, by_character, decompose, group_at, model_moment
 
 
 # -- quadratic form and twisted spectrum --------------------------------
@@ -252,7 +251,7 @@ def test_property_winsorized_moments_equal_powers(values, bound):
 
 def test_normalized_elements_constant_observable(cat_map):
     f = FourierObservable({(0, 0): 2.5})
-    out = normalized_elements(f, matrix_elements(decompose(cat_map, 3, 2), f.coeffs))
+    out = normalized_elements(f, matrix_elements(group_at(cat_map, 3, 2), f.coeffs))
     assert np.abs(out).max() < 1e-9
 
 
@@ -260,7 +259,7 @@ def test_normalized_elements_real_and_slow_decay_scale(cat_map):
     # p = 3, k = 3: the N^(-1/3)-scale element exists: max |F_j| >= sqrt(N)/(p+1)
     pp = PrimePower(3, 3)
     f = FourierObservable.harmonic_pair((1, 0))
-    out = normalized_elements(f, matrix_elements(eigendecompose(build_group(cat_map, pp)), f.coeffs))
+    out = normalized_elements(f, matrix_elements(build_group(cat_map, pp), f.coeffs))
     assert out.dtype == float
     assert np.abs(out).max() >= math.sqrt(pp.N) / 4 * (1 - 1e-9)
 
@@ -270,19 +269,19 @@ def test_normalized_elements_scale_with_the_observable(cat_map):
     s times the sample: the realness tolerance scales with sum |fhat(n)|."""
     f = FourierObservable({m: 0.5 for n in ((1, 0), (0, 1), (1, 2)) for m in (n, (-n[0], -n[1]))})
     s = 1e10
-    elements = matrix_elements(decompose(cat_map, 11, 2), f.coeffs)
+    elements = matrix_elements(group_at(cat_map, 11, 2), f.coeffs)
     want = s * normalized_elements(f, elements)
     got = normalized_elements(FourierObservable({n: s * c for n, c in f.coeffs.items()}), elements)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_normalized_elements_rejects_divisible_class(cat_map):
-    decomp = decompose(cat_map, 3, 2)
+    group = group_at(cat_map, 3, 2)
     f = FourierObservable.harmonic_pair((1, 2))  # Q = 5 ... fine at 3? 5 % 3 != 0
-    normalized_elements(f, matrix_elements(decomp, f.coeffs))
+    normalized_elements(f, matrix_elements(group, f.coeffs))
     g = FourierObservable.harmonic_pair((0, 3))  # Q(0,3) = 9, divisible by 3
     with pytest.raises(BadNuError):
-        normalized_elements(g, matrix_elements(decomp, g.coeffs))
+        normalized_elements(g, matrix_elements(group, g.coeffs))
 
 
 def test_bad_character_exceptional_bound(cat_map):
@@ -291,7 +290,7 @@ def test_bad_character_exceptional_bound(cat_map):
         pp = PrimePower(p, k)
         group = build_group(cat_map, pp)
         f = FourierObservable.harmonic_pair((1, 0))
-        out = normalized_elements(f, matrix_elements(eigendecompose(group), f.coeffs))
+        out = normalized_elements(f, matrix_elements(group, f.coeffs))
         total = sum(abs(w) for w in twisted_coefficients(f, cat_map).values())
         ceiling = 2 * total * (1 + p**-0.5) * math.sqrt(pp.N) * p ** (k / 2) / group.order
         n_exceed = int(np.sum(np.abs(out) > ceiling))
@@ -306,78 +305,80 @@ MODES = [(1, 0), (0, 1), (1, 2), (1, 4), (1, 5), (2, 7)]
 
 
 def test_formula_brute_force_anchor_k1(cat_map):
-    rep = verify_matrix_element_formula(matrix_elements(decompose(cat_map, 3, 1), MODES), MODES)
+    rep = verify_matrix_element_formula(matrix_elements(group_at(cat_map, 3, 1), MODES), MODES)
     assert rep.unique
     assert rep.sign == -1  # inert, odd k
 
 
 def test_formula_requires_unit_classes(cat_map):
     with pytest.raises(BadNuError):
-        verify_matrix_element_formula(matrix_elements(decompose(cat_map, 3, 2), [(0, 3)]), [(0, 3)])
+        verify_matrix_element_formula(matrix_elements(group_at(cat_map, 3, 2), [(0, 3)]), [(0, 3)])
 
 
 def test_formula_sign_pattern(cat_map):
     # sign +1 except inert with odd k
     for p, k in [(3, 2), (3, 3), (11, 2), (11, 3)]:
-        rep = verify_matrix_element_formula(matrix_elements(decompose(cat_map, p, k), MODES), MODES)
+        rep = verify_matrix_element_formula(matrix_elements(group_at(cat_map, p, k), MODES), MODES)
         assert rep.unique
         inert = p in (3, 7, 13)
         assert rep.sign == (-1 if inert and k % 2 else 1)
 
 
-def traced_dense_peaks(A: TorusAutomorphism, p: int, kind: str) -> tuple[int, int, int]:
-    """tracemalloc peaks at p^2 (of that kind), which see every numpy
-    allocation: of eigendecompose, and of the one matrix-element pass that
-    normalized_elements and the formula check read, as distribution runs
-    them; and the bytes of one folded orbit, #C x (N+1)/2 complex."""
+def traced_dense_peak(A: TorusAutomorphism, p: int, kind: str, monkeypatch) -> tuple[int, int]:
+    """The tracemalloc peak at p^2 (of that kind), which sees every numpy
+    allocation, of the dense pipeline as distribution runs it: the one
+    matrix-element pass over both halves of the eigendecomposition, and
+    normalized_elements and the formula check, which read it; and the
+    bytes of a folded orbit of both parities, #C x (N+1)/2 complex.  The
+    orbits come from np.empty here, which tracemalloc sees, and not from
+    the memory maps of hecke._mapped_empty, which it does not."""
+    monkeypatch.setattr(hecke, "_mapped_empty", lambda shape: np.empty(shape, dtype=np.complex128))
     group = build_group(A, PrimePower(p, 2))
     assert group.kind == kind
     modes = [n for n in MODES if quadratic_form(A, n) % p]
+    f = FourierObservable({(1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.25, (-1, -2): 0.25})
     tracemalloc.start()
     try:
-        decomp = eigendecompose(group)
-        eig_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        f = FourierObservable({(1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.25, (-1, -2): 0.25})
-        elements = matrix_elements(decomp, [*f.coeffs, *modes])
+        elements = matrix_elements(group, [*f.coeffs, *modes])
         normalized_elements(f, elements)
         verify_matrix_element_formula(elements, modes)
-        elements_peak = tracemalloc.get_traced_memory()[1] - base
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return eig_peak, elements_peak, group.order * ((group.pp.N + 1) // 2) * 16
+    return peak, group.order * ((group.pp.N + 1) // 2) * 16
 
 
-def test_dense_pipeline_memory_footprint(cat_map):
-    """At the inert 37^2 the orbit eigensolver keeps its folded basis in the
-    first folded orbit.  Beyond that orbit, and in the matrix elements, the
-    residual check and the element pass each hold two buffers of a
-    BLOCK_BYTES column block, whatever N: 3 blocks bound each with room
-    for the small arrays beside them."""
-    eig_peak, elements_peak, orbit_bytes = traced_dense_peaks(cat_map, 37, "inert")
-    assert eig_peak < orbit_bytes + 3 * BLOCK_BYTES
-    assert elements_peak < 3 * BLOCK_BYTES
+def test_dense_pipeline_memory_footprint(cat_map, monkeypatch):
+    """At the inert 37^2 the orbit eigensolver keeps each half's folded
+    basis in that half's folded orbit, half of orbit_bytes, and drops it
+    before the other half is built.  Beyond that orbit the residual check
+    and the element pass each hold two buffers of a BLOCK_BYTES column
+    block, whatever N, one pass after the other: 4 blocks bound the whole
+    pipeline with room for the small arrays beside them."""
+    peak, orbit_bytes = traced_dense_peak(cat_map, 37, "inert", monkeypatch)
+    assert peak < orbit_bytes / 2 + 4 * BLOCK_BYTES
 
 
 def test_dense_eigensolve_is_deterministic(cat_map):
     """Two eigendecompositions of one space, each from a fresh group, give
-    the same eigenvalues and folded basis bit for bit: the start vectors
-    are seeded from (p, k, A mod N)."""
+    the same eigenvalues, folded basis, labels and phase bit for bit, half
+    by half: the start vectors are seeded from (p, k, A mod N)."""
     first, second = (decompose(cat_map, 37, 2) for _ in range(2))
-    assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    assert np.array_equal(first.folded, second.folded)
-    assert np.array_equal(first.parity, second.parity)
+    for a, b, parity in zip(first, second, (1, -1)):
+        assert a.parity == b.parity == parity
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.folded, b.folded)
+        assert np.array_equal(a.labels, b.labels)
+        assert a.phase == b.phase
 
 
-def test_split_dense_pipeline_memory_footprint(cat_map):
-    """At the split 29^2 a second folded orbit, and then the stacked folded
-    basis, come on top of the first folded orbit: two folded orbits is the
-    eigensolver's floor, and only column blocks of at most BLOCK_BYTES are
-    held beyond it."""
-    eig_peak, elements_peak, orbit_bytes = traced_dense_peaks(cat_map, 29, "split")
-    assert eig_peak < 2 * orbit_bytes + 8 * BLOCK_BYTES
-    assert elements_peak < 8 * BLOCK_BYTES
+def test_split_dense_pipeline_memory_footprint(cat_map, monkeypatch):
+    """At the split 29^2 a second folded orbit of the half, and then the
+    stacked folded basis, come on top of the half's first folded orbit:
+    two half orbits, one orbit_bytes, is the eigensolver's floor, and only
+    column blocks of at most BLOCK_BYTES are held beyond it."""
+    peak, orbit_bytes = traced_dense_peak(cat_map, 29, "split", monkeypatch)
+    assert peak < orbit_bytes + 8 * BLOCK_BYTES
 
 
 @pytest.mark.parametrize("p,kind", [(37, "inert"), (29, "split")])
@@ -385,26 +386,26 @@ def test_one_pass_equals_separate_passes(cat_map, p, kind):
     """The pass that distribution runs, over the observable's modes and the
     default ones together, gives normalized_elements and the formula match
     bit for bit what a pass of each one's own modes gives."""
-    decomp = decompose(cat_map, p, 2)
-    assert decomp.group.kind == kind
+    group = group_at(cat_map, p, 2)
+    assert group.kind == kind
     modes = cli._usable_modes(cat_map, p)
     f = FourierObservable({(1, 0): 0.5, (-1, 0): 0.5, (2, 3): -0.3, (-2, -3): -0.3, (1, 2): 0.2, (-1, -2): 0.2})
-    fused = matrix_elements(decomp, [*f.coeffs, *modes])
-    alone = normalized_elements(f, matrix_elements(decomp, f.coeffs))
+    fused = matrix_elements(group, [*f.coeffs, *modes])
+    alone = normalized_elements(f, matrix_elements(group, f.coeffs))
     together = normalized_elements(f, fused)
     assert np.array_equal(together, alone)
     rep = verify_matrix_element_formula(fused, modes)
-    assert rep == verify_matrix_element_formula(matrix_elements(decomp, modes), modes)
+    assert rep == verify_matrix_element_formula(matrix_elements(group, modes), modes)
     assert rep.unique
 
 
-def matched_characters(decomp, sign: int) -> dict[int, set[int] | None]:
+def matched_characters(elements, sign: int) -> dict[int, set[int] | None]:
     """Label -> the characters j whose model rows sign * (-1)^(n1 n2)
     E(Q(n)/2, chi_j) / #C over MODES lie within FORMULA_TOL of the measured
     <T(n) psi, psi> of that multiplicity-one eigenfunction (more than one
     where rows tie on MODES); None when the measured vector vanishes.  The
     all-pairs oracle of the one-shift match, on brute-force sums."""
-    group = decomp.group
+    group = elements.group
     N, order = group.pp.N, group.order
     model = np.column_stack(
         [
@@ -413,10 +414,9 @@ def matched_characters(decomp, sign: int) -> dict[int, set[int] | None]:
             for n in MODES
         ]
     ) * (sign / order)
-    items = decomp.multiplicity_one_items()
-    measured = elementary_diagonals(MODES, decomp, [col for _, col in items]).real.T
+    measured = np.array([elements.rows[n] for n in MODES]).real.T
     out: dict[int, set[int] | None] = {}
-    for (label, _), meas in zip(items, measured):
+    for label, meas in zip(elements.labels.tolist(), measured):
         fits = set(np.flatnonzero(np.abs(model - meas[None, :]).max(axis=1) < FORMULA_TOL).tolist())
         assert fits
         out[label] = None if np.abs(meas).max() < FORMULA_TOL else fits
@@ -428,12 +428,12 @@ def test_one_shift_equals_all_pairs_match(cat_map, p, k):
     """Every eigenfunction whose elements do not vanish matches, over all
     characters, the one its label plus the global shift names, and only it
     unless another character's row ties with it on MODES."""
-    decomp = decompose(cat_map, p, k)
-    order = decomp.group.order
-    rep = verify_matrix_element_formula(matrix_elements(decomp, MODES), MODES)
+    elements = matrix_elements(group_at(cat_map, p, k), MODES)
+    order = elements.group.order
+    rep = verify_matrix_element_formula(elements, MODES)
     assert rep.unique
-    matched = {label: js for label, js in matched_characters(decomp, rep.sign).items() if js is not None}
-    assert len(matched) > 0.5 * len(decomp.multiplicity_one_items())
+    matched = {label: js for label, js in matched_characters(elements, rep.sign).items() if js is not None}
+    assert len(matched) > 0.5 * len(elements.labels)
     assert all((label + rep.shift) % order in js for label, js in matched.items())
     assert sum(len(js) == 1 for js in matched.values()) > 0.8 * len(matched)
 
@@ -443,17 +443,16 @@ def test_swapped_labels_match_no_shift(cat_map, p, k):
     """Two eigenfunctions with distinct element vectors trade labels: a
     per-eigenfunction search still finds a character for each, but no one
     global shift fits them all."""
-    decomp = decompose(cat_map, p, k)
-    items = decomp.multiplicity_one_items()
-    measured = elementary_diagonals(MODES, decomp, [col for _, col in items]).real.T
+    elements = matrix_elements(group_at(cat_map, p, k), MODES)
+    measured = np.array([elements.rows[n] for n in MODES]).real.T
     live = np.flatnonzero(np.abs(measured).max(axis=1) >= FORMULA_TOL)
     a = live[0]
     b = next(i for i in live[1:] if np.abs(measured[i] - measured[a]).max() > 1e-3)
-    labels = decomp.labels.copy()
-    (la, ca), (lb, cb) = items[a], items[b]
-    labels[ca], labels[cb] = lb, la
+    labels = elements.labels.copy()
+    labels[a], labels[b] = labels[b], labels[a]
+    assert verify_matrix_element_formula(elements, MODES).unique
     with pytest.raises(NoMatchError):
-        verify_matrix_element_formula(matrix_elements(dataclasses.replace(decomp, labels=labels), MODES), MODES)
+        verify_matrix_element_formula(dataclasses.replace(elements, labels=labels), MODES)
 
 
 def test_pipeline_coherence_dense_vs_closed_form(cat_map):
@@ -464,8 +463,7 @@ def test_pipeline_coherence_dense_vs_closed_form(cat_map):
         group = build_group(cat_map, pp)
         n0 = (1, 0)
         f = FourierObservable.harmonic_pair(n0)
-        decomp = eigendecompose(group)
-        elements = matrix_elements(decomp, [*f.coeffs, *MODES])
+        elements = matrix_elements(group, [*f.coeffs, *MODES])
         out = normalized_elements(f, elements)
         rep = verify_matrix_element_formula(elements, MODES)
         nu = quadratic_form(cat_map, n0)
@@ -487,10 +485,10 @@ def test_property_one_shift_match_random_matrix(mat, space):
     assume(A.disc % p != 0)
     modes = [n for n in MODES if quadratic_form(A, n) % p != 0]
     assume(len({quadratic_form(A, n) for n in modes}) >= 4)
-    decomp = decompose(A, p, k)
-    rep = verify_matrix_element_formula(matrix_elements(decomp, modes), modes)
+    group = group_at(A, p, k)
+    rep = verify_matrix_element_formula(matrix_elements(group, modes), modes)
     assert rep.unique
-    assert rep.sign == (-1 if decomp.group.kind == "inert" and k % 2 else 1)
+    assert rep.sign == (-1 if group.kind == "inert" and k % 2 else 1)
 
 
 def character_mask(group) -> np.ndarray:
@@ -515,14 +513,15 @@ VERIFY_SWEEP = [
 @pytest.mark.parametrize("p,k", VERIFY_SWEEP)
 def test_eigenvectors_have_their_recorded_parity(p, k):
     """On every dense space of the default verify sweep, each unfolded
-    column satisfies v(-x) = s v(x) for its recorded parity s, and exactly
-    (N+1)/2 columns are even: the trace of the parity operator is
+    column of a half satisfies v(-x) = s v(x) for the half's parity s, and
+    exactly (N+1)/2 columns are even: the trace of the parity operator is
     #{x : x = -x} = 1, at inert and split primes alike."""
-    decomp = decompose(TorusAutomorphism(*cli.DEFAULT_MATRIX), p, k)
-    N = decomp.group.pp.N
-    V = decomp.columns(np.arange(N))
-    assert np.abs(V[-np.arange(N) % N] - V * decomp.parity).max() <= 1e-10
-    assert np.count_nonzero(decomp.parity == 1) == (N + 1) // 2
+    halves = decompose(TorusAutomorphism(*cli.DEFAULT_MATRIX), p, k)
+    N = halves[0].group.pp.N
+    for half, s in zip(halves, (1, -1)):
+        V = half.columns(slice(None))
+        assert half.parity == s and V.shape == (N, (N + s) // 2)
+        assert np.abs(V[-np.arange(N) % N] - V * s).max() <= 1e-10
 
 
 @pytest.mark.parametrize("p,k", VERIFY_SWEEP)
@@ -530,11 +529,11 @@ def test_one_shift_match_equals_character_mask(p, k):
     """On every dense space of the default verify sweep, the matched
     characters (label + shift) of the multiplicity-one eigenfunctions are
     the character mask, each once."""
-    decomp = decompose(TorusAutomorphism(*cli.DEFAULT_MATRIX), p, k)
-    rep = verify_matrix_element_formula(matrix_elements(decomp, MODES), MODES)
-    order = decomp.group.order
-    matched = sorted((label + rep.shift) % order for label, _ in decomp.multiplicity_one_items())
-    assert matched == np.flatnonzero(character_mask(decomp.group)).tolist()
+    elements = matrix_elements(group_at(TorusAutomorphism(*cli.DEFAULT_MATRIX), p, k), MODES)
+    rep = verify_matrix_element_formula(elements, MODES)
+    order = elements.group.order
+    matched = np.sort((elements.labels + rep.shift) % order).tolist()
+    assert matched == np.flatnonzero(character_mask(elements.group)).tolist()
 
 
 @pytest.mark.parametrize("p,k", VERIFY_SWEEP)
@@ -545,8 +544,8 @@ def test_character_mask_and_sign_give_the_dense_sample(p, k):
     F_j = sqrt(N)/#C * (E(nu/2, chi_j).real @ f#), with s = +1 at split
     primes and (-1)^k at inert ones, for three mode pairs."""
     A = TorusAutomorphism(*cli.DEFAULT_MATRIX)
-    decomp = decompose(A, p, k)
-    group, pp = decomp.group, decomp.group.pp
+    group = group_at(A, p, k)
+    pp = group.pp
     modes = cli._usable_modes(A, p)[:3]
     f = FourierObservable({m: c for n, c in zip(modes, (0.5, -0.3, 0.2)) for m in (n, (-n[0], -n[1]))})
     spectrum = twisted_coefficients(f, A)
@@ -556,7 +555,7 @@ def test_character_mask_and_sign_give_the_dense_sample(p, k):
     F = normalized_elements_closed(f, group)  # in character-index order
     assert np.abs(F - F_j).max() < 1e-12
     sign = 1 if group.kind == "split" else (-1) ** k
-    dense = np.sort(normalized_elements(f, matrix_elements(decomp, f.coeffs)))
+    dense = np.sort(normalized_elements(f, matrix_elements(group, f.coeffs)))
     assert np.abs(dense - np.sort(sign * F[character_mask(group)])).max() < 1e-9
 
 

@@ -37,7 +37,19 @@ from qcatmap.hecke import (
     unfold,
 )
 
-from conftest import A_DEFAULT, HYPERBOLIC, decompose, group_walk, kernel_count_exhaustive, matrix_for_prime, unit_walk
+from conftest import (
+    A_DEFAULT,
+    HYPERBOLIC,
+    decompose,
+    group_walk,
+    halves_of,
+    kernel_count_exhaustive,
+    matrix_for_prime,
+    stacked,
+    stacked_clusters,
+    unfolded,
+    unit_walk,
+)
 
 
 def test_classify_prime(cat_map):
@@ -382,23 +394,26 @@ def test_hecke_operators_commute(cat_map):
 
 
 def test_eigendecompose_inert_multiplicity_one(cat_map):
-    decomp = decompose(cat_map, 3, 2)
-    assert len(decomp.clusters) == 9
-    assert all(len(cols) == 1 for cols in decomp.clusters.values())
-    # eigenvalues sit on the fitted root-of-unity grid
-    lam = decomp.eigenvalues / np.abs(decomp.eigenvalues)
-    model = np.exp(1j * (decomp.phase + 2 * np.pi * decomp.labels / decomp.group.order))
-    assert np.abs(lam - model).max() < 1e-6
+    halves = decompose(cat_map, 3, 2)
+    assert [half.shape for half in halves] == [(9, 5), (9, 4)]
+    assert len(stacked_clusters(halves)) == 9
+    for half in halves:
+        assert all(len(cols) == 1 for cols in half.clusters.values())
+        # eigenvalues sit on the fitted root-of-unity grid
+        lam = half.eigenvalues / np.abs(half.eigenvalues)
+        model = np.exp(1j * (half.phase + 2 * np.pi * half.labels / half.group.order))
+        assert np.abs(lam - model).max() < 1e-6
 
 
 def test_eigendecompose_character_count_identity(cat_map):
     # sum of n_chi^2 equals (1/#C) sum |Tr U(iota(beta))|^2 = p^k
     for p, k in [(3, 2), (3, 3)]:
         pp = PrimePower(p, k)
-        decomp = eigendecompose(build_group(cat_map, pp))
-        tr2 = hecke.trace_magnitudes_sq_via_spectrum(decomp)
-        assert abs(tr2.sum() / decomp.group.order - pp.N) < 1e-6 * pp.N
-        assert sum(len(c) for c in decomp.clusters.values()) == pp.N
+        halves = decompose(cat_map, p, k)
+        order = halves[0].group.order
+        tr2 = hecke.trace_magnitudes_sq_via_spectrum(stacked(halves, "eigenvalues"), order)
+        assert abs(tr2.sum() / order - pp.N) < 1e-6 * pp.N
+        assert sum(len(c) for c in stacked_clusters(halves).values()) == pp.N
 
 
 @example(1, 0)  # N = 3
@@ -430,28 +445,29 @@ def test_property_fold_unfold_round_trip(h, seed):
         assert np.abs(w[:, cols].conj().T @ w[:, cols] - gram).max() <= 1e-13 * np.abs(gram).max()
 
 
-def dense_oracle_eig(U: np.ndarray):
+def dense_oracle_eig(U: np.ndarray, parity: int):
     """The eigenpairs of the dense _eig_unitary in the form _orbit_eig
-    returns them: the eigenvalues, the folded columns and their parities.
-    Every dense column must be even or odd: U(g)^(#C/2) is the parity
-    operator up to a phase."""
+    returns them: the eigenvalues and the folded columns of the given
+    parity.  Every dense column must be even or odd: U(g)^(#C/2) is the
+    parity operator up to a phase."""
     lam, V = hecke._eig_unitary(U)
     reflected = V[-np.arange(len(V)) % len(V)]
-    parity = np.where(np.einsum("ij,ij->j", V.conj(), reflected).real > 0, 1, -1)
-    assert np.abs(reflected - V * parity).max() < 1e-10
-    return lam, fold(V, parity), parity
+    parities = np.where(np.einsum("ij,ij->j", V.conj(), reflected).real > 0, 1, -1)
+    assert np.abs(reflected - V * parities).max() < 1e-10
+    keep = parities == parity
+    return lam[keep], fold(V[:, keep], parity)
 
 
 def assert_orbit_matches_dense_oracle(group, monkeypatch):
     """eigendecompose through the orbit solver against the dense _eig_unitary
-    route: orthonormality, residuals and cluster projectors; returns the
-    orbit decomposition."""
+    route, both halves stacked: orthonormality, residuals and cluster
+    projectors; returns the orbit decomposition's halves."""
     N, order = group.pp.N, group.order
-    orbit = eigendecompose(group)
+    orbit = halves_of(group)
     U = propagator(group.ring.matrix_of(group.gen), group.pp)
-    monkeypatch.setattr(hecke, "_orbit_eig", lambda group: dense_oracle_eig(U))
-    dense = eigendecompose(group)
-    V = orbit.columns(np.arange(N))
+    monkeypatch.setattr(hecke, "_orbit_eig", lambda group, parity: dense_oracle_eig(U, parity))
+    dense = halves_of(group)
+    V = unfolded(orbit)
     assert np.abs(V.conj().T @ V - np.eye(N)).max() < 1e-10
     # residual against the dense propagator; its Rayleigh quotients fit its phase
     W = U @ V
@@ -460,13 +476,15 @@ def assert_orbit_matches_dense_oracle(group, monkeypatch):
     # the same cluster projectors up to one label shift: for orthonormal
     # bases, ||P_c - P'_c||_F^2 = dim P' - dim P + 2 * (the weight of cluster
     # c's columns outside dense cluster c' = c + shift)
-    M = np.abs(dense.columns(np.arange(N)).conj().T @ V) ** 2
-    shift = (dense.labels[np.argmax(M[:, 0])] - orbit.labels[0]) % order
-    outside = (dense.labels[:, None] - orbit.labels[None, :] - shift) % order != 0
+    M = np.abs(unfolded(dense).conj().T @ V) ** 2
+    dense_labels, orbit_labels = stacked(dense, "labels"), stacked(orbit, "labels")
+    shift = (dense_labels[np.argmax(M[:, 0])] - orbit_labels[0]) % order
+    outside = (dense_labels[:, None] - orbit_labels[None, :] - shift) % order != 0
     leak = (M * outside).sum(axis=0)
+    dense_multiplicity = Counter(dense_labels.tolist())
     worst = max(
-        math.sqrt(dense.multiplicity((label + shift) % order) - len(cols) + 2 * leak[cols].sum())
-        for label, cols in orbit.clusters.items()
+        math.sqrt(dense_multiplicity[(label + shift) % order] - len(cols) + 2 * leak[cols].sum())
+        for label, cols in stacked_clusters(orbit).items()
     )
     assert worst < 1e-9
     return orbit
@@ -488,9 +506,29 @@ def test_orbit_eigendecompose_when_generator_power_is_minus_identity(monkeypatch
     for _ in range(group.order):
         W = apply(W)
     assert np.abs(W + np.eye(group.pp.N)).max() < 1e-12
-    orbit = assert_orbit_matches_dense_oracle(group, monkeypatch)
-    assert len(orbit.clusters) == 10
-    assert Counter(len(cols) for cols in orbit.clusters.values()) == {1: 9, 2: 1}
+    clusters = stacked_clusters(assert_orbit_matches_dense_oracle(group, monkeypatch))
+    assert len(clusters) == 10
+    assert Counter(len(cols) for cols in clusters.values()) == {1: 9, 2: 1}
+
+
+def test_halves_share_one_label_grid_when_generator_power_is_minus_identity():
+    """At (1, 1, -5, -4), split 11^1, U(g)^#C = -I puts the fitted phase
+    at +-pi / #C, a sign roundoff decides.  The odd half takes the even
+    half's phase, so the halves label on one grid: their labels are
+    disjoint, of opposite parity as integers (chi_j(-1) = (-1)^j), and
+    together name every character once.  On the other branch of the phase
+    the odd labels move by one and meet the even ones."""
+    group = build_group(TorusAutomorphism(1, 1, -5, -4), PrimePower(11, 1))
+    even, odd = halves_of(group)
+    order = group.order
+    assert odd.phase == even.phase
+    assert abs(abs(even.phase) - math.pi / order) < 1e-12
+    assert {int(j) % 2 for j in even.labels} == {int(odd.labels[0] + 1) % 2}
+    assert {int(j) % 2 for j in odd.labels} == {int(odd.labels[0]) % 2}
+    assert sorted(set(even.labels.tolist()) | set(odd.labels.tolist())) == list(range(order))
+    other = eigendecompose(group, -1, even.phase - math.copysign(2 * math.pi / order, even.phase))
+    assert np.array_equal(other.labels, (odd.labels + int(math.copysign(1, even.phase))) % order)
+    assert set(other.labels.tolist()) & set(even.labels.tolist())
 
 
 @pytest.mark.parametrize("p,kind", [(37, "inert"), (29, "split")])
@@ -505,15 +543,19 @@ def test_orbit_start_vectors_are_pinned(cat_map, p, kind, monkeypatch):
     N, starts = group.pp.N, []
     projections = hecke._orbit_projections
 
-    def spy(apply, v, half, angles):
+    def spy(apply, v, half, parity, angle):
         starts.append(v.copy())
-        return projections(apply, v, half, angles)
+        return projections(apply, v, half, parity, angle)
 
     monkeypatch.setattr(hecke, "_orbit_projections", spy)
-    hecke._orbit_eig(group)
-    raw = random.Random(f"orbit start {p} 2 [2, 1, 1, 1]").randbytes(16 * N * len(starts))
-    assert len(starts) == (1 if kind == "inert" else 3)
-    for i, v in enumerate(starts):
+    hecke._orbit_eig(group, 1)
+    count = len(starts)
+    assert count == (1 if kind == "inert" else 3)
+    hecke._orbit_eig(group, -1)  # both parities walk from the same vectors
+    assert len(starts) == 2 * count
+    assert all(np.array_equal(a, b) for a, b in zip(starts[:count], starts[count:]))
+    raw = random.Random(f"orbit start {p} 2 [2, 1, 1, 1]").randbytes(16 * N * count)
+    for i, v in enumerate(starts[:count]):
         words = np.frombuffer(raw[16 * N * i : 16 * N * (i + 1)], dtype="<u8")
         expected = ((words >> 11) * 2.0**-52 - 1.0).view(np.complex128)
         assert np.array_equal(v, expected / np.linalg.norm(expected))
@@ -543,61 +585,71 @@ def test_dense_oracle_retries_a_colliding_gamma(monkeypatch):
     assert np.allclose(np.sort(np.angle(lam)), np.sort(phases))
 
 
+class Reached(Exception):
+    pass
+
+
+def reached(group, parity):
+    raise Reached
+
+
 def test_eigendecompose_size_cap(cat_map, monkeypatch):
-    # inert 127^2: a folded orbit is #C x (N+1)/2 = 16256 x 8065, 1.31e8 entries
+    """The check counts one parity's folded orbit, #C/2 x (N+1)/2: the inert
+    137^2 (9453 x 9385, 8.87e7 entries) is refused before any allocation,
+    and the inert 127^2 (8128 x 8065, 6.56e7 entries) is now admitted."""
+    group = build_group(cat_map, PrimePower(137, 2))
+    assert group.kind == "inert"
+    monkeypatch.setattr(hecke, "_orbit_eig", lambda group, parity: pytest.fail("allocated past the cap"))
+    for parity in (1, -1):
+        with pytest.raises(SizeLimitError):
+            eigendecompose(group, parity)
     group = build_group(cat_map, PrimePower(127, 2))
     assert group.kind == "inert"
-    monkeypatch.setattr(hecke, "_orbit_eig", lambda group: pytest.fail("allocated past the cap"))
-    with pytest.raises(SizeLimitError):
-        eigendecompose(group)
+    monkeypatch.setattr(hecke, "_orbit_eig", reached)
+    with pytest.raises(Reached):
+        eigendecompose(group, 1)
 
 
 def test_eigendecompose_size_cap_admits_split_101_squared(cat_map, monkeypatch):
-    """The split 101^2 needs at most max(N, #C) (N+1)/2 = 10201 x 5101, 5.2e7
-    entries, under the cap: the check lets it through to the solver."""
+    """The split 101^2 needs at most max(#C/2, (N+1)/2) (N+1)/2 = 5101 x
+    5101, 2.6e7 entries, under the cap: the check lets it through to the
+    solver."""
     group = build_group(cat_map, PrimePower(101, 2))
     assert group.kind == "split"
-
-    class Reached(Exception):
-        pass
-
-    def reached(group):
-        raise Reached
-
     monkeypatch.setattr(hecke, "_orbit_eig", reached)
     with pytest.raises(Reached):
-        eigendecompose(group)
+        eigendecompose(group, 1)
 
 
 @pytest.mark.parametrize("p,kind", [(13, "inert"), (11, "split")])
 def test_residual_check_rejects_mixed_and_misparity_columns(cat_map, p, kind):
-    """The paired residual check passes the solver's own basis, with the
-    eigenvalues eigendecompose reports, and raises EigenClusterError when
-    one folded column, even or odd, is mixed with the nearest eigenspace of
-    its parity, or when its parity label is flipped."""
+    """The residual check passes each half of the solver's own basis, with
+    the eigenvalues eigendecompose reports, and raises EigenClusterError
+    when one folded column, even or odd, is mixed with the nearest
+    eigenspace of its parity, or when a column of the other parity takes
+    its place, so that it is unfolded with the wrong parity."""
     group = build_group(cat_map, PrimePower(p, 2))
     assert group.kind == kind
-    decomp = eigendecompose(group)
+    halves = halves_of(group)
     apply = propagator_apply(group.ring.matrix_of(group.gen), group.pp)
-    V, parity, lam, labels = decomp.folded, decomp.parity, decomp.eigenvalues, decomp.labels
-    assert np.array_equal(hecke._checked_eigenvalues(apply, V, parity), lam)
-    for s in (1, -1):
-        col = int(np.flatnonzero(parity == s)[len(V) // 3])
-        other = np.flatnonzero((parity == s) & (labels != labels[col]))
+    for decomp, other_half in zip(halves, halves[::-1]):
+        V, s, lam, labels = decomp.folded, decomp.parity, decomp.eigenvalues, decomp.labels
+        assert np.array_equal(hecke._checked_eigenvalues(apply, V, s), lam)
+        col = len(V) // 3
+        other = np.flatnonzero(labels != labels[col])
         near = int(other[np.argmin(np.abs(lam[other] - lam[col]))])
         mixed = V.copy()
         mixed[:, col] = (V[:, col] + V[:, near]) / math.sqrt(2)
         with pytest.raises(EigenClusterError, match="residual"):
-            hecke._checked_eigenvalues(apply, mixed, parity)
-        flipped = parity.copy()
-        flipped[col] = -s
+            hecke._checked_eigenvalues(apply, mixed, s)
+        flipped = V.copy()
+        flipped[:, col] = other_half.folded[:, col]
         with pytest.raises(EigenClusterError, match="residual"):
-            hecke._checked_eigenvalues(apply, V, flipped)
+            hecke._checked_eigenvalues(apply, flipped, s)
 
 
 def test_eigendecompose_split_multiplicity_pattern(cat_map):
-    decomp = decompose(cat_map, 11, 2)
-    sizes = Counter(len(cols) for cols in decomp.clusters.values())
+    sizes = Counter(len(cols) for cols in stacked_clusters(decompose(cat_map, 11, 2)).values())
     # mult k-l+1 at level l: 1 three-dim (trivial), p-2 two-dim, rest simple
     assert sizes == {1: 100, 2: 9, 3: 1}
 
@@ -638,7 +690,7 @@ def test_split_eigenfunction_is_joint_eigenfunction(cat_map):
 
 
 def test_split_match_report_small(cat_map):
-    rep = split_match_report(decompose(cat_map, 11, 2))
+    rep = split_match_report(build_group(cat_map, PrimePower(11, 2)))
     assert rep.max_residual < 1e-7
     assert rep.multiplicities_ok
     assert rep.shift_ok
@@ -647,7 +699,7 @@ def test_split_match_report_small(cat_map):
 def test_trace_sweep_matches_dense_propagator(cat_map):
     pp = PrimePower(3, 3)
     group = build_group(cat_map, pp)
-    sweep = trace_sweep(eigendecompose(group))
+    sweep = trace_sweep(group, stacked(halves_of(group), "eigenvalues"))
     # the identity: level 3, |Tr|^2 = #ker = p^(2k)
     assert sweep.level[0] == 3 and sweep.kernel[0] == 3**6
     # one element of each level 0, 1, 2 (inert: #ker = p^(2l)), and a few more
@@ -666,9 +718,8 @@ def test_trace_sweep_matches_dense_propagator(cat_map):
 def test_trace_spectral_sweep_matches_kernels(cat_map):
     for p, k in [(3, 3), (7, 2), (13, 2), (11, 2)]:
         pp = PrimePower(p, k)
-        decomp = eigendecompose(build_group(cat_map, pp))
-        group = decomp.group
-        sweep = trace_sweep(decomp)
+        group = build_group(cat_map, pp)
+        sweep = trace_sweep(group, stacked(halves_of(group), "eigenvalues"))
         assert sweep.worst_gap <= hecke.TRACE_TOL
         oracle = [
             kernel_count_exhaustive(mat_sub(group.ring.matrix_of(group.element(m)), IDENTITY2), pp.N)

@@ -26,7 +26,7 @@ from qcatmap.quantization import (
     uniforms,
 )
 
-from conftest import decompose, kernel_count_exhaustive
+from conftest import decompose, kernel_count_exhaustive, unfolded
 
 PP5 = PrimePower(5, 1)
 PP9 = PrimePower(3, 2)
@@ -327,9 +327,9 @@ def test_property_twisted_egorov(case, modes):
 
 @pytest.mark.parametrize("p,k", [(13, 2), (7, 3), (11, 2)])
 def test_elementary_diagonal_matches_dense_oracles(cat_map, p, k):
-    decomp = decompose(cat_map, p, k)
-    pp = decomp.group.pp
-    V = decomp.columns(np.arange(pp.N))
+    halves = decompose(cat_map, p, k)
+    pp = halves[0].group.pp
+    V = unfolded(halves)
     f = FourierObservable(
         {(0, 0): 0.7, (1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.3 - 0.1j, (-1, -2): 0.3 + 0.1j, (2, 7): 0.2, (-2, -7): 0.2}
     )
@@ -342,17 +342,20 @@ def test_elementary_diagonal_matches_dense_oracles(cat_map, p, k):
         # <T(n) psi, psi> of the unit vector psi = sqrt(N) v of H_N is vdot(v, T(n) v)
         oracle = [np.vdot(V[:, j], apply_elementary(n, V[:, j])) for j in range(pp.N)]
         assert np.abs(diag - np.array(oracle)).max() < 1e-12
-        # the folded basis, unfolded a block at a time
-        assert np.abs(elementary_diagonals([n], decomp)[0] - np.array(oracle)).max() < 1e-12
+        # each half's folded basis, unfolded a block at a time
+        by_halves = np.concatenate([elementary_diagonals([n], half)[0] for half in halves])
+        assert np.abs(by_halves - np.array(oracle)).max() < 1e-12
     # columns gathered and unfolded in a given array are those of unfold;
     # a negative index counts from the end, as it does in folded[:, cols]
-    for cols in (np.arange(1, pp.N, 3), [-1, 0, -pp.N]):
-        want = unfold(decomp.folded[:, cols], decomp.parity[cols], pp.N)
-        out = np.empty((pp.N, len(cols)), dtype=complex)
-        assert decomp.columns(cols, out=out) is out and np.array_equal(out, want)
-        assert np.array_equal(decomp.columns(cols), want)
-    with pytest.raises(IndexError):
-        decomp.columns([pp.N])
+    for half in halves:
+        width = half.shape[1]
+        for cols in (np.arange(1, width, 3), [-1, 0, -width]):
+            want = unfold(half.folded[:, cols], half.parity, pp.N)
+            out = np.empty((pp.N, len(cols)), dtype=complex)
+            assert half.columns(cols, out=out) is out and np.array_equal(out, want)
+            assert np.array_equal(half.columns(cols), want)
+        with pytest.raises(IndexError):
+            half.columns([width])
 
 
 def diagonals_by_dense_oracle(modes, V: np.ndarray, pp: PrimePower) -> np.ndarray:
