@@ -51,8 +51,11 @@ Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
                    `eigendecompose_peak_rss_mb` is the peak RSS when the
                    last of them returns.
   eigen p^3     -- `hecke.eigendecompose` of both parities at 13^3 (inert)
-                   and 19^3 (split), the even half dropped before the odd
-                   half is built; the group build is not timed.
+                   and 19^3 (split), as `distribution.matrix_elements(group,
+                   [])` runs them, the even half dropped before the odd
+                   half is built; `s` is the time inside the
+                   `eigendecompose` calls, in sum, and the group build is
+                   not timed.
   cli-distribution 37^2, cli-expsum 29^3, cli-verify 3,7,11,13^1-3
                 -- the commands `distribution --p 37 --k 2` (dense, inert)
                    with the observable above, `expsum --p 29 --k 3`
@@ -94,10 +97,9 @@ VERIFY_DENSE_CAP = 400
 
 # argv: layer, p, k.  Prints {"s": layer seconds, "peak_rss_mb": ..., "items": ...},
 # for the elements layer also the eigendecompose_* keys, and for the closed
-# layer sample_peak_arrays.  A tree whose eigendecompose takes no parity
-# solves both parities in one call, and its matrix_elements reads that.
+# layer sample_peak_arrays.
 CHILD = r"""
-import inspect, json, resource, sys, time, tracemalloc
+import json, resource, sys, time, tracemalloc
 import numpy.fft
 from qcatmap import cli, distribution, expsum, hecke
 from qcatmap.modarith import PrimePower
@@ -106,7 +108,6 @@ from qcatmap.quantization import FourierObservable, TorusAutomorphism
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-HALVES = "parity" in inspect.signature(hecke.eigendecompose).parameters
 eig = {"s": 0.0, "peak_rss_mb": 0.0}
 solve = hecke.eigendecompose
 
@@ -150,20 +151,14 @@ elif layer == "csv":
     text = cli.records_to_csv(table)
     s, items = time.perf_counter() - t0, len(text)
 elif layer == "eigen":
-    group = hecke.build_group(A, pp)
-    t0 = time.perf_counter()
-    if HALVES:
-        phase = hecke.eigendecompose(group, 1).phase
-        hecke.eigendecompose(group, -1, phase)
-    else:
-        hecke.eigendecompose(group)
-    s, items = time.perf_counter() - t0, pp.N
+    distribution.matrix_elements(hecke.build_group(A, pp), [])
+    s, items = eig["s"], pp.N
 else:
     group = hecke.build_group(A, pp)
     f = FourierObservable({m: 0.5 for n in cli.DEFAULT_MODES for m in (n, (-n[0], -n[1]))})
     modes = cli._usable_modes(A, p)
     t0 = time.perf_counter()
-    elements = distribution.matrix_elements(group if HALVES else hecke.eigendecompose(group), [*f.coeffs, *modes])
+    elements = distribution.matrix_elements(group, [*f.coeffs, *modes])
     distribution.normalized_elements(f, elements)
     distribution.verify_matrix_element_formula(elements, modes)
     s, items = time.perf_counter() - t0 - eig["s"], pp.N

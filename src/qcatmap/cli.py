@@ -226,8 +226,8 @@ class Space:
 
     @functools.cached_property
     def elements(self) -> dist.MatrixElements:
-        """The eigenvalues, eigenspace dimensions and matrix elements of the
-        default modes whose class is a unit mod p, from one pass over the
+        """The eigenspace dimensions, and the matrix elements of the default
+        modes whose class is a unit mod p, from one pass over the
         eigendecomposition, half by half, for every check that reads it."""
         return dist.matrix_elements(self.group, _unit_modes(self.A, self.pp.p))
 
@@ -300,17 +300,17 @@ def _hecke_part(space: Space) -> tuple[str, list[str], float]:
     of its trace sweep."""
     pp, group = space.pp, space.group
     note = f"{pp}:{group.kind[0]}"
-    mults = space.elements.multiplicities
+    mults = space.elements.multiplicity
     faults = []
     # brute_force_norm_one checks its N^2 pairs against the size cap itself
     count = len(hecke.brute_force_norm_one(space.A, pp))
     if group.order != count:
         faults.append(f"{note} order {group.order}, brute-force count {count}")
-    if sum(mults) != pp.N:
-        faults.append(f"{note} multiplicities sum to {sum(mults)}, expected {pp.N}")
-    if group.kind == "inert" and max(mults) > 1:
-        faults.append(f"{note} inert multiplicity {max(mults)}")
-    return note, faults, hecke.trace_sweep(group, space.elements.eigenvalues).worst_gap
+    if mults.sum() != pp.N:
+        faults.append(f"{note} multiplicities sum to {mults.sum()}, expected {pp.N}")
+    if group.kind == "inert" and mults.max() > 1:
+        faults.append(f"{note} inert multiplicity {mults.max()}")
+    return note, faults, hecke.trace_sweep(group, mults).worst_gap
 
 
 def _hecke_summary(parts) -> tuple[bool, str]:

@@ -214,14 +214,13 @@ def reduced_classes(spectrum: dict[int, complex], pp: PrimePower) -> dict[int, c
 @dataclass
 class MatrixElements:
     """What one pass over the dense eigendecomposition reads: the
-    eigenvalues, the eigenspace dimensions, and <T(n) psi, psi> of the
-    multiplicity-one eigenfunctions psi for a set of modes n."""
+    eigenspace dimensions, and <T(n) psi, psi> of the multiplicity-one
+    eigenfunctions psi for a set of modes n."""
 
     group: HeckeGroup
     labels: np.ndarray  # cluster label per multiplicity-one eigenfunction, ascending
     rows: dict[tuple[int, int], np.ndarray]  # mode n -> its element per eigenfunction
-    eigenvalues: np.ndarray  # all N eigenvalues of U(iota(g)), the even ones first
-    multiplicities: list[int]  # the dimension of each eigenspace
+    multiplicity: np.ndarray  # the dimension of the eigenspace of each label 0..#C-1, both halves
 
     @property
     def n_excluded_multiplicity(self) -> int:
@@ -233,28 +232,27 @@ def matrix_elements(group: HeckeGroup, modes) -> MatrixElements:
     """The matrix elements of every distinct mode over the dense
     eigendecomposition of the group's space, one parity at a time: each
     half is solved, read in one elementary_diagonals pass and dropped
-    before the other half is built, the odd half on the even half's phase
-    grid, so the pass holds one half's orbit or basis at its peak.
+    before the other half is built, the odd half on the even half's angle,
+    so the pass holds one half's orbit or basis at its peak.
     Higher-multiplicity clusters are excluded and counted.  A row does not
     depend on the other modes of the pass, so one pass serves the sample
     and the formula match alike."""
     modes = list(dict.fromkeys((int(n1), int(n2)) for n1, n2 in modes))
-    labels, rows, eigenvalues, multiplicities = [], [], [], []
-    phase = None
+    labels, rows = [], []
+    multiplicity = np.zeros(group.order, dtype=np.int64)
+    angle = None
     for parity in (1, -1):
-        decomp = hecke.eigendecompose(group, parity, phase)
-        phase = decomp.phase
+        decomp = hecke.eigendecompose(group, parity, angle)
+        angle = decomp.angle
         items = decomp.multiplicity_one_items()
         labels.append(np.array([lab for lab, _ in items], dtype=np.int64))
         rows.append(elementary_diagonals(modes, decomp, [col for _, col in items]))
-        eigenvalues.append(decomp.eigenvalues)
-        multiplicities += [len(cols) for cols in decomp.clusters.values()]
+        multiplicity += np.bincount(decomp.labels, minlength=group.order)
         del decomp  # before the other half is built
     # the labels of the two halves are disjoint: merged in ascending order
     by_label = np.argsort(np.concatenate(labels))
     rows = np.concatenate(rows, axis=1)[:, by_label]
-    return MatrixElements(group, np.concatenate(labels)[by_label], dict(zip(modes, rows)),
-                          np.concatenate(eigenvalues), multiplicities)
+    return MatrixElements(group, np.concatenate(labels)[by_label], dict(zip(modes, rows)), multiplicity)
 
 
 def normalized_elements(f: FourierObservable, elements: MatrixElements) -> np.ndarray:

@@ -11,9 +11,10 @@ walk table, is built only where it is read: the brute-force Cayley table,
 the split eigenvectors and the tests' oracle.  It decomposes H_N into the
 joint eigenspaces of the propagator of g, by FFTs along its orbits.  Every
 joint eigenfunction is even or odd, since -1 is in C, each parity is
-solved on its own, and each eigenfunction is stored folded onto
-x = 0..(N-1)/2.  A character of C is its integer index j:
-chi_j(g^m) = e(j m / #C).
+solved on its own, each eigenfunction is stored folded onto
+x = 0..(N-1)/2, and each eigenspace is labelled by the orbit row that
+holds it, on one angle for both parities.  A character of C is its
+integer index j: chi_j(g^m) = e(j m / #C).
 """
 
 from __future__ import annotations
@@ -511,11 +512,11 @@ def _eig_unitary(U: np.ndarray):
     raise EigenClusterError(f"unitary eigensolver residual {resid:.2e} > {RESIDUAL_TOL}")
 
 
-def fold(v: np.ndarray, parity, out: np.ndarray | None = None) -> np.ndarray:
+def fold(v: np.ndarray, parity: int, out: np.ndarray | None = None) -> np.ndarray:
     """The fold of the part of the N-vectors v (along axis 0, N odd) of the
-    given parity, +1 (even) or -1 (odd), one per vector of v or one for all:
-    rows x = 0..(N-1)/2 of (v(x) + parity v(-x)) / 2, the rows x >= 1 times
-    sqrt(2); written into out when it is given.
+    given parity, +1 (even) or -1 (odd): rows x = 0..(N-1)/2 of
+    (v(x) + parity v(-x)) / 2, the rows x >= 1 times sqrt(2); written into
+    out when it is given.
 
     An even vector, v(-x) = v(x), and an odd one, v(-x) = -v(x), are fixed
     by these rows, and on either parity the fold is an isometry: it keeps
@@ -523,18 +524,18 @@ def fold(v: np.ndarray, parity, out: np.ndarray | None = None) -> np.ndarray:
     """
     h = (len(v) + 1) // 2
     w = np.empty((h,) + v.shape[1:], dtype=np.complex128) if out is None else out
-    w[0] = v[0] * ((1 + np.asarray(parity)) // 2)
+    w[0] = v[0] * ((1 + parity) // 2)
     np.multiply(v[: h - 1 : -1], parity, out=w[1:])  # parity v(N - x), x = 1..h-1
     w[1:] += v[1:h]
     w[1:] *= math.sqrt(0.5)
     return w
 
 
-def unfold(w: np.ndarray, parity, N: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The N-vectors whose fold is w (along axis 0), each of its parity:
-    +1 (even) or -1 (odd), one per vector of w or one for all; written
-    into out when it is given.  w may lie in the memory of out's first
-    len(w) rows, in any layout: it is read before those rows are written."""
+def unfold(w: np.ndarray, parity: int, N: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The N-vectors of the given parity, +1 (even) or -1 (odd), whose
+    fold is w (along axis 0); written into out when it is given.  w may
+    lie in the memory of out's first len(w) rows, in any layout: it is
+    read before those rows are written."""
     h = len(w)
     v = np.empty((N,) + w.shape[1:], dtype=np.complex128) if out is None else out
     row0 = w[0].copy()
@@ -616,10 +617,10 @@ def _orbit_projections(apply, v: np.ndarray, half: int, parity: int, angle: floa
     return orbit, angle
 
 
-def _checked_eigenvalues(apply, V: np.ndarray, parity: int) -> np.ndarray:
-    """The Rayleigh quotients lam_j = <v_j, U v_j> of the unfolded columns
-    v_j of V (folded, all of the given parity) under U = apply, once
-    max_j ||U v_j - lambda_j v_j|| < RESIDUAL_TOL; EigenClusterError if not.
+def _check_residuals(apply, V: np.ndarray, parity: int, lam: np.ndarray) -> None:
+    """EigenClusterError unless max_j ||U v_j - lam_j v_j|| < RESIDUAL_TOL
+    for the unfolded columns v_j of V (folded, all of the given parity)
+    under U = apply, against the eigenvalue lam_j of each.
 
     The columns go through block_columns(N) at a time, in two buffers
     allocated once: `images` takes U of the unfolded columns, and `folds`,
@@ -629,7 +630,6 @@ def _checked_eigenvalues(apply, V: np.ndarray, parity: int) -> np.ndarray:
     """
     h, count = V.shape
     N = 2 * h - 1
-    lam = np.empty(count, dtype=np.complex128)
     resid = 0.0
     step = max(1, min(block_columns(N), count))
     folds = np.empty((N + 1) * step, dtype=np.complex128)
@@ -642,25 +642,26 @@ def _checked_eigenvalues(apply, V: np.ndarray, parity: int) -> np.ndarray:
         Vc = folds[: h * width].reshape(width, h).T
         Vc[:] = V[:, cols]
         Wc = fold(W, parity, out=folds[h * width : 2 * h * width].reshape(width, h).T)  # beside Vc
-        lam_c = np.vecdot(Vc, Wc, axis=0)
-        Vc *= lam_c
+        Vc *= lam[cols]
         Wc -= Vc
         resid = float(np.sqrt(np.vecdot(Wc, Wc, axis=0).real).max(initial=resid))  # keeps a NaN
-        lam[cols] = lam_c
     if not resid < RESIDUAL_TOL:
         raise EigenClusterError(f"orbit eigensolver residual {resid:.2e}, tolerance {RESIDUAL_TOL}")
-    return lam
 
 
-def _orbit_eig(group: HeckeGroup, parity: int):
-    """Eigenpairs of U(iota(g)) for the group generator g on the vectors
-    of the given parity, +1 (even) or -1 (odd), from orbit FFTs: the
-    eigenvalues, and the folded eigenvectors (see fold) as the columns of
-    a (N+1)/2 x (N + parity)/2 array.
+def _orbit_eig(group: HeckeGroup, parity: int, angle: float | None = None):
+    """Eigenvectors of U = U(iota(g)) for the group generator g on the
+    vectors of the given parity, +1 (even) or -1 (odd), from orbit FFTs:
+    the folded eigenvectors (see fold) as the columns of a
+    (N+1)/2 x (N + parity)/2 array, the orbit row j of each, ascending,
+    and the angle of U^half (half = #C/2) on the even vectors, measured on
+    the first walk unless given.  U^half is -e^(i angle) on the odd
+    vectors, so they walk on angle + pi, and row j holds the eigenvalue
+    e^(i angle / half) e(l / #C), l = 2j (even) or 2j + 1 (odd).
 
     Each seeded random start vector is projected onto every eigenspace of
     the parity by _orbit_projections; every eigenspace lies in one parity,
-    since U^(#C/2) is the parity operator up to a phase.  The start
+    since U^half is the parity operator up to a phase.  The start
     vectors have real and imaginary parts 2u - 1, uniform on [-1, 1), for
     u from uniforms() of one random.Random seeded with (p, k, A mod N), so
     both parities walk from the same vectors.  Eigenspaces are at most
@@ -672,21 +673,22 @@ def _orbit_eig(group: HeckeGroup, parity: int):
     inert primes the basis is a view of the first orbit's array, its live
     rows moved to the front; at split primes the QR bases are stacked into
     a new array.  Either way the basis is laid out by columns.  The
-    residual max ||U v - lambda v|| over the unfolded columns, with the
-    cluster gap 2 pi / #C, bounds the overlap between eigenspaces;
-    _checked_eigenvalues checks it in two BLOCK_BYTES, so beyond the
-    orbits of this parity the eigensolver holds about that.
+    residual max ||U v - lambda v|| against the eigenvalue of each
+    column's row, with the gap 2 pi / #C between rows, bounds the overlap
+    between eigenspaces; _check_residuals checks it in two BLOCK_BYTES, so
+    beyond the orbits of this parity the eigensolver holds about that.
     """
     pp, half = group.pp, group.order // 2
     N = pp.N
     apply = propagator_apply(group.ring.matrix_of(group.gen), pp)
     rng = random.Random(f"orbit start {pp.p} {pp.k} {[v % N for row in group.A.mat() for v in row]}")
 
-    def projections(angle: float | None) -> tuple[np.ndarray, float]:
+    def projections(walk: float | None) -> tuple[np.ndarray, float]:
         v = (2.0 * uniforms(rng, 2 * N) - 1.0).view(np.complex128)
-        return _orbit_projections(apply, v / np.linalg.norm(v), half, parity, angle)
+        return _orbit_projections(apply, v / np.linalg.norm(v), half, parity, walk)
 
-    first, angle = projections(None)  # every later orbit reuses this phase
+    shift = 0.0 if parity > 0 else math.pi  # U^half is -e^(i angle) on the odd vectors
+    first, walk = projections(None if angle is None else angle + shift)  # every later orbit walks on it
     flat = first.view(np.float64)  # no temporary the size of the orbit
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     live = norms > RANK_TOL
@@ -695,7 +697,7 @@ def _orbit_eig(group: HeckeGroup, parity: int):
     # eigenspace row -> orthonormal folded rows; views keep the first orbit alive
     bases = {j: first[j : j + 1] for j in growing}
     for _ in range(pp.k if group.kind == "split" else 0):
-        proj, _ = projections(angle)
+        proj, _ = projections(walk)
         still = []
         for j in growing:
             q, r = np.linalg.qr(np.vstack([bases[j], proj[j : j + 1]]).T)
@@ -708,11 +710,12 @@ def _orbit_eig(group: HeckeGroup, parity: int):
     dim = (N + parity) // 2  # the trace of the parity operator is 1
     if found != dim:
         raise EigenClusterError(f"orbit eigensolver found {found} eigenvectors of parity {parity:+d}, dimension {dim}")
+    rows = np.repeat(np.array(sorted(bases), dtype=np.int64), [len(bases[j]) for j in sorted(bases)])
     if group.kind == "inert":
         del bases  # a view object per row
         # every eigenspace is one live row of the first orbit; moving rows
         # forward in increasing order never overwrites a row still to move
-        for dst, src in enumerate(np.flatnonzero(live).tolist()):
+        for dst, src in enumerate(rows.tolist()):
             if dst != src:
                 first[dst] = first[src]
         V = first[:dim].T
@@ -720,7 +723,8 @@ def _orbit_eig(group: HeckeGroup, parity: int):
         # stacked into a C-contiguous array, so V is laid out by columns
         V = np.concatenate([bases[j] for j in sorted(bases)], out=_mapped_empty((dim, (N + 1) // 2))).T
         del first, bases
-    return _checked_eigenvalues(apply, V, parity), V
+    _check_residuals(apply, V, parity, np.exp(1j * (walk + 2 * np.pi * rows) / half))
+    return V, rows, walk - shift if angle is None else angle
 
 
 def unit_character_level(group: HeckeGroup, index: int) -> int:
@@ -733,14 +737,14 @@ def unit_character_level(group: HeckeGroup, index: int) -> int:
 @dataclass
 class EigenDecomposition:
     """The joint eigenspaces of the symmetry group within one parity, from
-    one generator unitary."""
+    one generator unitary, whose eigenvalue is e^(i angle / (#C/2)) e(l / #C)
+    on the columns labelled l."""
 
     group: HeckeGroup
     parity: int  # +1: every column is even; -1: every column is odd
-    eigenvalues: np.ndarray  # per column, a unitary eigenvalue of U(iota(g))
     folded: np.ndarray  # (N+1)/2 x (N + parity)/2: the folds of std-orthonormal columns
-    labels: np.ndarray  # per-column exponent relative to the fitted phase
-    phase: float  # fitted global phase angle
+    labels: np.ndarray  # per column, ascending: 2j (even) or 2j + 1 (odd) for its orbit row j
+    angle: float  # the angle of U^(#C/2) on the even vectors
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -762,78 +766,42 @@ class EigenDecomposition:
     @functools.cached_property
     def clusters(self) -> dict[int, np.ndarray]:
         """Label -> its columns, ascending; labels in ascending order."""
-        by_label = np.argsort(self.labels, kind="stable")
-        labels, starts = np.unique(self.labels[by_label], return_index=True)
-        return {int(label): cols for label, cols in zip(labels, np.split(by_label, starts[1:]))}
+        labels, starts = np.unique(self.labels, return_index=True)
+        return {int(label): cols for label, cols in zip(labels, np.split(np.arange(len(self.labels)), starts[1:]))}
 
     def multiplicity_one_items(self) -> list[tuple[int, int]]:
         """(label, column) pairs for the one-dimensional eigenspaces."""
         return [(lab, int(cols[0])) for lab, cols in self.clusters.items() if len(cols) == 1]
 
 
-CLUSTER_TOL = 1e-6
-
-
-def _phase_labels(lam: np.ndarray, phase: float, order: int) -> np.ndarray:
-    """The nearest exponent j with lam ~ e^(i phase) e(j / order), mod order."""
-    rel = np.angle(lam) - phase
-    return np.rint(rel * order / (2 * np.pi)).astype(np.int64) % order
-
-
-def eigendecompose(group: HeckeGroup, parity: int, phase: float | None = None) -> EigenDecomposition:
+def eigendecompose(group: HeckeGroup, parity: int, angle: float | None = None) -> EigenDecomposition:
     """Diagonalize U(iota(g)) for a group generator g on the vectors of one
-    parity, +1 (even) or -1 (odd), and label the clusters.
+    parity, +1 (even) or -1 (odd), and label its eigenspaces.
 
     The group is cyclic, so eigenspaces of this single unitary are exactly
-    the joint eigenspaces, and each lies in one parity.  Labels are
-    exponents of the eigenvalues relative to a global phase, fitted to
-    this parity's eigenvalues unless phase is given, and are therefore
-    only defined up to one common shift (a global character twist).  The
-    other parity takes this one's phase, so that both label on one grid:
-    where U^#C = -I the fitted phase sits at +-pi / #C, and roundoff alone
-    decides the sign.  The largest array made is one parity's folded orbit
-    or basis, which is checked against the size cap first.
+    the joint eigenspaces, and each lies in one parity.  A column's label
+    is l = 2j (even) or 2j + 1 (odd) for its orbit row j (see _orbit_eig),
+    defined up to one common shift (a global character twist).  The other
+    parity takes this one's angle, so that both halves label on one grid.
+    The largest array made is one parity's folded orbit or basis, which is
+    checked against the size cap first.
     """
     pp, order = group.pp, group.order
     if parity not in (1, -1):
         raise ValueError(f"parity {parity!r} is neither +1 nor -1")
     # the larger of a folded orbit, #C/2 x (N+1)/2, and the folded basis, (N+1)/2 x (N + parity)/2
     check_array_size(max(order // 2, (pp.N + 1) // 2) * ((pp.N + 1) // 2), f"orbit eigensolver at {pp}")
-    lam, folded = _orbit_eig(group, parity)
-    unit_lam = lam / np.abs(lam)
-    if phase is None:
-        phase = float(np.angle(np.mean(unit_lam**order))) / order
-    labels = _phase_labels(unit_lam, phase, order)
-    model = np.exp(1j * (phase + 2 * np.pi * labels / order))
-    err = float(np.abs(unit_lam - model).max())
-    if err > CLUSTER_TOL:
-        raise EigenClusterError(f"eigenvalue off the root-of-unity grid by {err:.2e}")
-    decomp = EigenDecomposition(group, parity, lam, folded, labels, phase)
+    folded, rows, angle = _orbit_eig(group, parity, angle)
+    decomp = EigenDecomposition(group, parity, folded, 2 * rows + (1 - parity) // 2, angle)
     # distinct joint eigenvalues of a parity: one per column (inert), half
     # of phi(p^k) = #C (split: every character of the unit group appears,
     # and chi_j is even or odd as (-1)^j)
-    expected = len(lam) if group.kind == "inert" else order // 2
+    expected = folded.shape[1] if group.kind == "inert" else order // 2
     if len(decomp.clusters) != expected:
         raise EigenClusterError(
             f"{len(decomp.clusters)} clusters of parity {parity:+d}, predicted {expected} for {group.kind} {pp}"
         )
     return decomp
-
-
-def trace_magnitudes_sq_via_spectrum(eigenvalues: np.ndarray, order: int) -> np.ndarray:
-    """|Tr U(iota(g^m))|^2 for m = 0..order-1, from all N eigenvalues of
-    the generator's U.
-
-    The propagator is a representation up to phase, so the trace of the
-    m-th Hecke operator equals sum_i lambda_i^m up to a unimodular factor.
-    """
-    lam = eigenvalues / np.abs(eigenvalues)
-    out = np.empty(order)
-    cur = np.ones_like(lam)
-    for m in range(order):
-        out[m] = abs(cur.sum()) ** 2
-        cur *= lam
-    return out
 
 
 # relative tolerance of |Tr U(iota(beta))|^2 against #ker(iota(beta) - I)
@@ -846,7 +814,7 @@ class TraceSweep:
     with the congruence level l of g^m; at inert primes the kernel is
     p^(2l), which makes every joint eigenspace one-dimensional."""
 
-    trace_sq: np.ndarray  # from the spectrum of the decomposition
+    trace_sq: np.ndarray  # from the multiplicity histogram of the labels
     kernel: np.ndarray  # Smith normal form count
     level: np.ndarray
 
@@ -856,9 +824,11 @@ class TraceSweep:
         return float(np.max(np.abs(self.trace_sq - self.kernel) / self.kernel))
 
 
-def trace_sweep(group: HeckeGroup, eigenvalues: np.ndarray) -> TraceSweep:
-    """The trace identity over every element g^m of the group, from all N
-    eigenvalues of U(iota(g)), both parities'."""
+def trace_sweep(group: HeckeGroup, multiplicity: np.ndarray) -> TraceSweep:
+    """The trace identity over every element g^m of the group, from the
+    eigenspace dimension multiplicity[l] of each label l, both parities':
+    U(iota(g^m)) is U(iota(g))^m up to a phase, so |Tr U(iota(g^m))|^2 is
+    |sum_l multiplicity[l] e(l m / #C)|^2 = |FFT(multiplicity)[m]|^2."""
     ring = group.ring
     kernel, level = [], []
     beta = ring.one
@@ -866,7 +836,7 @@ def trace_sweep(group: HeckeGroup, eigenvalues: np.ndarray) -> TraceSweep:
         kernel.append(qz.fixed_point_count(ring.matrix_of(beta), group.pp))
         level.append(ring.congruence_level(beta))
         beta = ring.mul(beta, group.gen)
-    return TraceSweep(trace_magnitudes_sq_via_spectrum(eigenvalues, group.order), np.array(kernel), np.array(level))
+    return TraceSweep(np.abs(np.fft.fft(multiplicity)) ** 2, np.array(kernel), np.array(level))
 
 
 # -- split-case verification -----------------------------------------
@@ -885,19 +855,20 @@ def split_match_report(group: HeckeGroup) -> SplitMatchReport:
     """Locate explicit split eigenfunctions in the numerical eigenbasis.
 
     The eigendecomposition is built one parity at a time, the odd half on
-    the even half's phase grid, and each half is matched and dropped
-    before the other is built.  The character chi_j is even or odd as
+    the even half's angle, and each half is matched and dropped before the
+    other is built.  The character chi_j is even or odd as
     chi_j(-1) = (-1)^j, and so is its eigenfunction b, built by
     split_eigenvectors, since U(M) commutes with the parity.  Each b is
     matched in the half of its parity: its label comes from the Rayleigh
-    quotient <U(g) b, b> on the phase grid, and its residual ||b - V_c
-    V_c^* b|| from the columns V_c of that label's cluster alone (all of b
-    when the half has no such cluster).  The matched labels must differ
-    from the character indices by one common shift (the free global
-    twist).  Using that shift, the multiplicity of every character's
-    cluster is then checked against the predicted k - l + 1 for its level
-    l, over the whole dual group.  The characters are built and matched
-    block_columns(N) at a time, so the blocks take a few BLOCK_BYTES.
+    quotient <U(g) b, b> on the label grid e^(i angle / (#C/2)) e(l / #C),
+    and its residual ||b - V_c V_c^* b|| from the columns V_c of that
+    label's cluster alone (all of b when the half has no such cluster).
+    The matched labels must differ from the character indices by one
+    common shift (the free global twist).  Using that shift, the
+    multiplicity of every character's cluster is then checked against the
+    predicted k - l + 1 for its level l, over the whole dual group.  The
+    characters are built and matched block_columns(N) at a time, so the
+    blocks take a few BLOCK_BYTES.
     """
     pp = group.pp
     diag = build_split_diagonalizer(group.A, pp)
@@ -907,19 +878,20 @@ def split_match_report(group: HeckeGroup) -> SplitMatchReport:
 
     matched = np.empty(order, dtype=np.int64)
     resid = np.empty(order)
-    multiplicity: dict[int, int] = {}
+    multiplicity = np.zeros(order, dtype=np.int64)
     step = block_columns(pp.N)
-    phase = None
+    angle = None
     for parity in (1, -1):
-        decomp = eigendecompose(group, parity, phase)
-        phase = decomp.phase
-        multiplicity.update((label, len(cols)) for label, cols in decomp.clusters.items())
+        decomp = eigendecompose(group, parity, angle)
+        angle = decomp.angle
+        multiplicity += np.bincount(decomp.labels, minlength=order)
         index = np.arange(0 if parity > 0 else 1, order, 2)  # the characters of this parity
         for start in range(0, len(index), step):
             js = index[start : start + step]
             block = split_eigenvectors(group, diag, unit_dlogs, js)
             rayleigh = np.einsum("ij,ij->j", block.conj(), apply_g(block))
-            labels = _phase_labels(rayleigh, phase, order)
+            # the nearest l with rayleigh = e^(i angle / (#C/2)) e(l / #C)
+            labels = np.rint((np.angle(rayleigh) - 2 * angle / order) * order / (2 * np.pi)).astype(np.int64) % order
             matched[js] = labels
             for j, b, label in zip(js.tolist(), block.T, labels.tolist()):
                 Vc = decomp.columns(decomp.clusters.get(label, []))
@@ -931,7 +903,7 @@ def split_match_report(group: HeckeGroup) -> SplitMatchReport:
     shift = int(shifts[0])
     # a level-l character's eigenspace has dimension k - l + 1
     mult_ok = shift_ok and all(
-        multiplicity.get((ci + shift) % order, 0) == pp.k - unit_character_level(group, ci) + 1
+        multiplicity[(ci + shift) % order] == pp.k - unit_character_level(group, ci) + 1
         for ci in range(order)
     )
     return SplitMatchReport(

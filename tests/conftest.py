@@ -51,9 +51,9 @@ def group_at(A: TorusAutomorphism, p: int, k: int):
 
 def halves_of(group):
     """Both halves of the dense eigendecomposition of the group's space:
-    the even half, then the odd half on its phase grid."""
+    the even half, then the odd half on its angle."""
     even = eigendecompose(group, 1)
-    return even, eigendecompose(group, -1, even.phase)
+    return even, eigendecompose(group, -1, even.angle)
 
 
 def decompose(A: TorusAutomorphism, p: int, k: int):
@@ -62,10 +62,14 @@ def decompose(A: TorusAutomorphism, p: int, k: int):
     return halves_of(group_at(A, p, k))
 
 
-def stacked(halves, name: str) -> np.ndarray:
-    """The per-column array `name` (eigenvalues, labels) of both halves,
-    the even columns first."""
-    return np.concatenate([getattr(half, name) for half in halves])
+def stacked_labels(halves) -> np.ndarray:
+    """The labels of both halves, the even columns first."""
+    return np.concatenate([half.labels for half in halves])
+
+
+def multiplicity(halves) -> np.ndarray:
+    """The dimension of the eigenspace of each label 0..#C-1, both halves."""
+    return np.bincount(stacked_labels(halves), minlength=halves[0].group.order)
 
 
 def unfolded(halves) -> np.ndarray:

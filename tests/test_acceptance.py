@@ -6,6 +6,8 @@ for the default matrix.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from qcatmap import expsum, hecke
 from qcatmap import distribution as dist
 from qcatmap.hecke import build_group, split_match_report
 
-from conftest import group_at, halves_of, matrix_for_prime, model_moment, stacked, stacked_clusters
+from conftest import group_at, halves_of, matrix_for_prime, model_moment, multiplicity, stacked_clusters
 
 EGOROV_MODES = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 5)]
 FORMULA_MODES = [(1, 0), (0, 1), (1, 2), (1, 4), (1, 5), (2, 7)]  # Q: -1,1,5,19,29,59
@@ -63,7 +65,7 @@ def test_criterion2_inert_trace_and_multiplicity(p):
         mults = [len(c) for c in stacked_clusters(halves).values()]
         assert sum(mults) == pp.N
         assert max(mults) == 1
-        sweep = hecke.trace_sweep(group, stacked(halves, "eigenvalues"))
+        sweep = hecke.trace_sweep(group, multiplicity(halves))
         assert sweep.worst_gap <= 1e-6
         assert np.array_equal(sweep.kernel, p ** (2 * sweep.level))
     _pass(f"criterion 2: p={p}, k<=3: traces match kernels, all multiplicities 1")
@@ -220,3 +222,15 @@ def test_criterion8_counting_oracles():
         f"criterion 8: square densities at 2^-r (r<=3), |Y'-p| <= {worst_c:.2f} sqrt(p), "
         f"relation counts within 20 p^(l-1)"
     )
+
+
+def test_readme_python_examples_run():
+    """README's fenced Python examples run as written, in order, in one
+    namespace: the later ones read the group the first one builds."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].unique and namespace["odd"].parity == -1

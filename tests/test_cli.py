@@ -517,9 +517,9 @@ def test_one_eigendecomposition_per_dense_space(monkeypatch, tmp_path):
     sizes = []
     orbit_eig = hecke._orbit_eig
 
-    def counted(group, parity):
+    def counted(group, parity, angle):
         sizes.append((group.pp.N, parity))
-        return orbit_eig(group, parity)
+        return orbit_eig(group, parity, angle)
 
     monkeypatch.setattr(hecke, "_orbit_eig", counted)
     assert run_cli(["verify", "--p", "3,7", "--k", "1-3"]) == 0
@@ -813,17 +813,26 @@ def test_verify_checks_survive_optimize_flag():
 
 
 def test_verify_zeroed_traces_fail_under_optimize_flag():
+    """The traces come out wrong when the eigenspace dimensions are sorted
+    onto the top labels: that keeps their sum and their largest value, and
+    breaks the trace identity at every space whose histogram has more than
+    one empty label.  verify fails the hecke row alone, also under -O, so
+    the check is not an assert."""
     code = (
         "import sys\n"
-        "import numpy as np\n"
-        "from qcatmap import hecke\n"
+        "from qcatmap import distribution\n"
         "from qcatmap.cli import main\n"
-        "hecke.trace_magnitudes_sq_via_spectrum = lambda eigenvalues, order: np.zeros(order)\n"
+        "solve = distribution.matrix_elements\n"
+        "def sorted_histogram(group, modes):\n"
+        "    elements = solve(group, modes)\n"
+        "    elements.multiplicity.sort()\n"
+        "    return elements\n"
+        "distribution.matrix_elements = sorted_histogram\n"
         "sys.exit(main(['verify', '--p', '3,7', '--k', '1-3']))\n"
     )
     out = run_python("-O", "-c", code)
     assert out.returncode == 1, out.stderr
-    assert "[FAIL] hecke group/eigen: trace gap 1.0e+00 > tol 1e-06 at 3^1:i" in out.stdout
+    assert "[FAIL] hecke group/eigen: trace gap 2.3e+03 > tol 1e-06 at 3^2:i 3^3:i 7^2:i 7^3:i\n" in out.stdout
     assert "[FAIL]" not in out.stdout.replace("[FAIL] hecke group/eigen", "")
 
 

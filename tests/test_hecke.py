@@ -45,8 +45,9 @@ from conftest import (
     halves_of,
     kernel_count_exhaustive,
     matrix_for_prime,
-    stacked,
+    multiplicity,
     stacked_clusters,
+    stacked_labels,
     unfolded,
     unit_walk,
 )
@@ -399,10 +400,25 @@ def test_eigendecompose_inert_multiplicity_one(cat_map):
     assert len(stacked_clusters(halves)) == 9
     for half in halves:
         assert all(len(cols) == 1 for cols in half.clusters.values())
-        # eigenvalues sit on the fitted root-of-unity grid
-        lam = half.eigenvalues / np.abs(half.eigenvalues)
-        model = np.exp(1j * (half.phase + 2 * np.pi * half.labels / half.group.order))
-        assert np.abs(lam - model).max() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "matrix,p,k", [(A_DEFAULT, 37, 2), (A_DEFAULT, 11, 3), (TorusAutomorphism(1, 1, -5, -4), 11, 1)]
+)
+def test_rayleigh_quotients_are_the_label_eigenvalues(matrix, p, k):
+    """Each column's Rayleigh quotient <v, U v> under the matrix-free
+    U = U(iota(g)) is the eigenvalue e^(i angle / (#C/2)) e(l / #C) of its
+    label l, within 1e-12.  The labels ascend, even on the even half and
+    odd on the odd half."""
+    group = build_group(matrix, PrimePower(p, k))
+    apply = propagator_apply(group.ring.matrix_of(group.gen), group.pp)
+    for half in halves_of(group):
+        V = half.columns(slice(None))
+        rayleigh = np.einsum("ij,ij->j", V.conj(), apply(V))
+        model = np.exp(1j * (half.angle / (group.order // 2) + 2 * np.pi * half.labels / group.order))
+        assert np.abs(rayleigh - model).max() < 1e-12
+        assert np.all(half.labels % 2 == (1 - half.parity) // 2)
+        assert np.all(np.diff(half.labels) >= 0)
 
 
 def test_eigendecompose_character_count_identity(cat_map):
@@ -411,7 +427,7 @@ def test_eigendecompose_character_count_identity(cat_map):
         pp = PrimePower(p, k)
         halves = decompose(cat_map, p, k)
         order = halves[0].group.order
-        tr2 = hecke.trace_magnitudes_sq_via_spectrum(stacked(halves, "eigenvalues"), order)
+        tr2 = trace_sweep(halves[0].group, multiplicity(halves)).trace_sq
         assert abs(tr2.sum() / order - pp.N) < 1e-6 * pp.N
         assert sum(len(c) for c in stacked_clusters(halves).values()) == pp.N
 
@@ -419,43 +435,52 @@ def test_eigendecompose_character_count_identity(cat_map):
 @example(1, 0)  # N = 3
 @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_property_fold_unfold_round_trip(h, seed):
-    """At odd N = 2h + 1, unfold inverts fold on even and odd columns side
-    by side, the fold of any vector is that of its part of the given
-    parity, and the fold keeps the norms and the inner products of the
-    columns of one parity."""
+    """At odd N = 2h + 1, unfold inverts fold on even columns and on odd
+    ones, the fold of any vector is that of its part of the given parity,
+    and the fold keeps the norms and the inner products of the columns of
+    one parity."""
     N = 2 * h + 1
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((N, 4)) + 1j * rng.standard_normal((N, 4))
-    parity = np.array([1, -1, 1, -1])
-    v = (u + u[-np.arange(N) % N] * parity) / 2
-    w = fold(v, parity)
-    assert w.shape == (h + 1, 4)
-    assert np.abs(fold(u, parity) - w).max() <= 1e-14 * np.abs(u).max()
-    assert np.array_equal(fold(u[:, 0], 1), fold(u, 1)[:, 0])
-    assert np.abs(unfold(w, parity, N) - v).max() <= 1e-14 * np.abs(v).max()
-    # unfolded in place: w held in the memory of out's first h + 1 rows,
-    # laid out by columns, as EigenDecomposition.columns gathers it
-    out = np.empty((N, 4), dtype=complex)
-    w_in = out.reshape(-1)[: w.size].reshape(4, h + 1).T
-    w_in[:] = w
-    assert unfold(w_in, parity, N, out=out) is out and np.array_equal(out, unfold(w, parity, N))
-    for s in (1, -1):
-        cols = parity == s
-        gram = v[:, cols].conj().T @ v[:, cols]
-        assert np.abs(w[:, cols].conj().T @ w[:, cols] - gram).max() <= 1e-13 * np.abs(gram).max()
+    for parity in (1, -1):
+        cols = u[:, [0, 1] if parity > 0 else [2, 3]]
+        v = (cols + cols[-np.arange(N) % N] * parity) / 2
+        w = fold(v, parity)
+        assert w.shape == (h + 1, 2)
+        assert np.abs(fold(cols, parity) - w).max() <= 1e-14 * np.abs(cols).max()
+        assert np.array_equal(fold(cols[:, 0], parity), fold(cols, parity)[:, 0])
+        assert np.abs(unfold(w, parity, N) - v).max() <= 1e-14 * np.abs(v).max()
+        # unfolded in place: w held in the memory of out's first h + 1 rows,
+        # laid out by columns, as EigenDecomposition.columns gathers it
+        out = np.empty((N, 2), dtype=complex)
+        w_in = out.reshape(-1)[: w.size].reshape(2, h + 1).T
+        w_in[:] = w
+        assert unfold(w_in, parity, N, out=out) is out and np.array_equal(out, unfold(w, parity, N))
+        gram = v.conj().T @ v
+        assert np.abs(w.conj().T @ w - gram).max() <= 1e-13 * np.abs(gram).max()
 
 
-def dense_oracle_eig(U: np.ndarray, parity: int):
+def dense_oracle_eig(U: np.ndarray, half: int, parity: int, angle: float | None):
     """The eigenpairs of the dense _eig_unitary in the form _orbit_eig
-    returns them: the eigenvalues and the folded columns of the given
-    parity.  Every dense column must be even or odd: U(g)^(#C/2) is the
-    parity operator up to a phase."""
+    returns them: the folded columns of the given parity, the row j of
+    each, ascending, and the angle of U^half on the even vectors, measured
+    on these columns' eigenvalues unless it is given.  A column's row is
+    the nearest j with lambda = e^(i walk / half) e(j / half), where walk
+    is angle on the even vectors and angle + pi on the odd ones.  Every
+    dense column must be even or odd: U(g)^half is the parity operator up
+    to a phase."""
     lam, V = hecke._eig_unitary(U)
     reflected = V[-np.arange(len(V)) % len(V)]
     parities = np.where(np.einsum("ij,ij->j", V.conj(), reflected).real > 0, 1, -1)
     assert np.abs(reflected - V * parities).max() < 1e-10
     keep = parities == parity
-    return lam[keep], fold(V[:, keep], parity)
+    lam, V = lam[keep], V[:, keep]
+    shift = 0.0 if parity > 0 else math.pi
+    walk = float(np.angle(np.mean(lam**half))) if angle is None else angle + shift
+    rows = np.rint((np.angle(lam) - walk / half) * half / (2 * np.pi)).astype(np.int64) % half
+    assert np.abs(lam - np.exp(1j * (walk + 2 * np.pi * rows) / half)).max() < 1e-8
+    order = np.argsort(rows, kind="stable")
+    return fold(V[:, order], parity), rows[order], walk - shift if angle is None else angle
 
 
 def assert_orbit_matches_dense_oracle(group, monkeypatch):
@@ -465,7 +490,9 @@ def assert_orbit_matches_dense_oracle(group, monkeypatch):
     N, order = group.pp.N, group.order
     orbit = halves_of(group)
     U = propagator(group.ring.matrix_of(group.gen), group.pp)
-    monkeypatch.setattr(hecke, "_orbit_eig", lambda group, parity: dense_oracle_eig(U, parity))
+    monkeypatch.setattr(
+        hecke, "_orbit_eig", lambda group, parity, angle: dense_oracle_eig(U, order // 2, parity, angle)
+    )
     dense = halves_of(group)
     V = unfolded(orbit)
     assert np.abs(V.conj().T @ V - np.eye(N)).max() < 1e-10
@@ -477,7 +504,7 @@ def assert_orbit_matches_dense_oracle(group, monkeypatch):
     # bases, ||P_c - P'_c||_F^2 = dim P' - dim P + 2 * (the weight of cluster
     # c's columns outside dense cluster c' = c + shift)
     M = np.abs(unfolded(dense).conj().T @ V) ** 2
-    dense_labels, orbit_labels = stacked(dense, "labels"), stacked(orbit, "labels")
+    dense_labels, orbit_labels = stacked_labels(dense), stacked_labels(orbit)
     shift = (dense_labels[np.argmax(M[:, 0])] - orbit_labels[0]) % order
     outside = (dense_labels[:, None] - orbit_labels[None, :] - shift) % order != 0
     leak = (M * outside).sum(axis=0)
@@ -512,23 +539,23 @@ def test_orbit_eigendecompose_when_generator_power_is_minus_identity(monkeypatch
 
 
 def test_halves_share_one_label_grid_when_generator_power_is_minus_identity():
-    """At (1, 1, -5, -4), split 11^1, U(g)^#C = -I puts the fitted phase
-    at +-pi / #C, a sign roundoff decides.  The odd half takes the even
-    half's phase, so the halves label on one grid: their labels are
-    disjoint, of opposite parity as integers (chi_j(-1) = (-1)^j), and
-    together name every character once.  On the other branch of the phase
-    the odd labels move by one and meet the even ones."""
+    """At (1, 1, -5, -4), split 11^1, U(g)^#C = -I, so U(g)^(#C/2) is +-i
+    on the even vectors.  The odd half walks on the even half's angle plus
+    pi, so the halves label on one grid: the even labels are even, the odd
+    ones odd, and together they name every character once.  Walked on the
+    other branch of that angle, 2 pi lower, each odd eigenspace moves one
+    orbit row, and its label two: off the even half's grid by one twist."""
     group = build_group(TorusAutomorphism(1, 1, -5, -4), PrimePower(11, 1))
     even, odd = halves_of(group)
     order = group.order
-    assert odd.phase == even.phase
-    assert abs(abs(even.phase) - math.pi / order) < 1e-12
-    assert {int(j) % 2 for j in even.labels} == {int(odd.labels[0] + 1) % 2}
-    assert {int(j) % 2 for j in odd.labels} == {int(odd.labels[0]) % 2}
+    assert odd.angle == even.angle
+    assert abs(abs(even.angle) - math.pi / 2) < 1e-12
+    assert np.all(even.labels % 2 == 0) and np.all(odd.labels % 2 == 1)
     assert sorted(set(even.labels.tolist()) | set(odd.labels.tolist())) == list(range(order))
-    other = eigendecompose(group, -1, even.phase - math.copysign(2 * math.pi / order, even.phase))
-    assert np.array_equal(other.labels, (odd.labels + int(math.copysign(1, even.phase))) % order)
-    assert set(other.labels.tolist()) & set(even.labels.tolist())
+    other = eigendecompose(group, -1, even.angle - 2 * math.pi)
+    # the column of other holding each odd column: the folds are isometries
+    match = np.argmax(np.abs(other.folded.conj().T @ odd.folded), axis=0)
+    assert np.array_equal(other.labels[match], (odd.labels + 2) % order)
 
 
 @pytest.mark.parametrize("p,kind", [(37, "inert"), (29, "split")])
@@ -589,7 +616,7 @@ class Reached(Exception):
     pass
 
 
-def reached(group, parity):
+def reached(group, parity, angle):
     raise Reached
 
 
@@ -599,7 +626,7 @@ def test_eigendecompose_size_cap(cat_map, monkeypatch):
     and the inert 127^2 (8128 x 8065, 6.56e7 entries) is now admitted."""
     group = build_group(cat_map, PrimePower(137, 2))
     assert group.kind == "inert"
-    monkeypatch.setattr(hecke, "_orbit_eig", lambda group, parity: pytest.fail("allocated past the cap"))
+    monkeypatch.setattr(hecke, "_orbit_eig", lambda group, parity, angle: pytest.fail("allocated past the cap"))
     for parity in (1, -1):
         with pytest.raises(SizeLimitError):
             eigendecompose(group, parity)
@@ -623,8 +650,8 @@ def test_eigendecompose_size_cap_admits_split_101_squared(cat_map, monkeypatch):
 
 @pytest.mark.parametrize("p,kind", [(13, "inert"), (11, "split")])
 def test_residual_check_rejects_mixed_and_misparity_columns(cat_map, p, kind):
-    """The residual check passes each half of the solver's own basis, with
-    the eigenvalues eigendecompose reports, and raises EigenClusterError
+    """The residual check passes each half of the solver's own basis
+    against the eigenvalues of its labels, and raises EigenClusterError
     when one folded column, even or odd, is mixed with the nearest
     eigenspace of its parity, or when a column of the other parity takes
     its place, so that it is unfolded with the wrong parity."""
@@ -633,19 +660,37 @@ def test_residual_check_rejects_mixed_and_misparity_columns(cat_map, p, kind):
     halves = halves_of(group)
     apply = propagator_apply(group.ring.matrix_of(group.gen), group.pp)
     for decomp, other_half in zip(halves, halves[::-1]):
-        V, s, lam, labels = decomp.folded, decomp.parity, decomp.eigenvalues, decomp.labels
-        assert np.array_equal(hecke._checked_eigenvalues(apply, V, s), lam)
+        V, s, labels = decomp.folded, decomp.parity, decomp.labels
+        lam = np.exp(1j * (decomp.angle / (group.order // 2) + 2 * np.pi * labels / group.order))
+        hecke._check_residuals(apply, V, s, lam)
         col = len(V) // 3
         other = np.flatnonzero(labels != labels[col])
         near = int(other[np.argmin(np.abs(lam[other] - lam[col]))])
         mixed = V.copy()
         mixed[:, col] = (V[:, col] + V[:, near]) / math.sqrt(2)
         with pytest.raises(EigenClusterError, match="residual"):
-            hecke._checked_eigenvalues(apply, mixed, s)
+            hecke._check_residuals(apply, mixed, s, lam)
         flipped = V.copy()
         flipped[:, col] = other_half.folded[:, col]
         with pytest.raises(EigenClusterError, match="residual"):
-            hecke._checked_eigenvalues(apply, flipped, s)
+            hecke._check_residuals(apply, flipped, s, lam)
+
+
+@pytest.mark.parametrize(
+    "p,kind,offset,fault",
+    [(37, "inert", 1e-5, "found"), (11, "split", 1e-5, "found"), (37, "inert", 1e-7, "residual")],
+)
+def test_odd_half_off_the_even_angle_fails(cat_map, p, kind, offset, fault):
+    """An odd half walked on the even half's angle plus an offset leaves in
+    each orbit row a little of the eigenspaces of the other rows: at 1e-5
+    rows that hold no eigenspace pass the rank test, and the solver finds
+    more eigenvectors than the parity has; at 1e-7 the columns are off
+    their label eigenvalues by more than the residual tolerance."""
+    group = build_group(cat_map, PrimePower(p, 2))
+    assert group.kind == kind
+    even = eigendecompose(group, 1)
+    with pytest.raises(EigenClusterError, match=fault):
+        eigendecompose(group, -1, even.angle + offset)
 
 
 def test_eigendecompose_split_multiplicity_pattern(cat_map):
@@ -699,7 +744,7 @@ def test_split_match_report_small(cat_map):
 def test_trace_sweep_matches_dense_propagator(cat_map):
     pp = PrimePower(3, 3)
     group = build_group(cat_map, pp)
-    sweep = trace_sweep(group, stacked(halves_of(group), "eigenvalues"))
+    sweep = trace_sweep(group, multiplicity(halves_of(group)))
     # the identity: level 3, |Tr|^2 = #ker = p^(2k)
     assert sweep.level[0] == 3 and sweep.kernel[0] == 3**6
     # one element of each level 0, 1, 2 (inert: #ker = p^(2l)), and a few more
@@ -719,7 +764,7 @@ def test_trace_spectral_sweep_matches_kernels(cat_map):
     for p, k in [(3, 3), (7, 2), (13, 2), (11, 2)]:
         pp = PrimePower(p, k)
         group = build_group(cat_map, pp)
-        sweep = trace_sweep(group, stacked(halves_of(group), "eigenvalues"))
+        sweep = trace_sweep(group, multiplicity(halves_of(group)))
         assert sweep.worst_gap <= hecke.TRACE_TOL
         oracle = [
             kernel_count_exhaustive(mat_sub(group.ring.matrix_of(group.element(m)), IDENTITY2), pp.N)
