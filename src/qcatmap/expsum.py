@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BoundExceededError, KTooSmallError, NonUnitError, WrongKError
 from .hecke import HeckeGroup
-from .modarith import PrimePower, gauss_quadratic_closed, inv_mod, roots_table, unit_roots
+from .modarith import PrimePower, gauss_quadratic_closed, inv_mod, roots_table, square_roots, unit_roots
 from .quantization import block_columns, check_array_size
 
 LIFT_CHECK_TOL = 1e-9
@@ -151,8 +151,8 @@ class _Fiber:
     """The tables of one closed-form call, over x in [0, p^l) (row 0) and
     the lifts x + p^l (row 1): dlog beta(x) by Pohlig-Hellman, -1 outside
     the domain, and for odd k 1/(D x^2 - 1) mod p^(l+1); and the square
-    roots mod p^l of every w, from one stable sort of the squares: the
-    roots of w are by_square[first[w] : first[w] + count[w]]."""
+    roots mod p^l of every w, modarith.square_roots(p^l): the roots of w
+    are by_square[first[w] : first[w] + count[w]]."""
 
     def __init__(self, group: HeckeGroup):
         pp = group.pp
@@ -170,10 +170,7 @@ class _Fiber:
             if pp.k % 2 == 1:
                 pl1 = pl * pp.p
                 self.den_inv[lift, dom] = inv_mod(D * shifted % pl1 * shifted - 1, PrimePower(pp.p, l + 1))
-        squares = xs * xs % pl
-        self.by_square = np.argsort(squares, kind="stable")
-        self.count = np.bincount(squares, minlength=pl)
-        self.first = np.cumsum(self.count) - self.count
+        self.by_square, self.first, self.count = square_roots(pl)
         self.phases = np.tile(roots_table(group.order // group.t_modulus), 2)  # e(i / Q), i < 2Q
 
     def residue_rows(self, nu: int, r: np.ndarray, block: np.ndarray):

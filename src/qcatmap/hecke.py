@@ -114,15 +114,12 @@ class QuadOrderMod:
         s = inv_mod(self.D * x % self.N * x - 1, self.pp)
         return self.mul(self.mul(num, num), (s, 0))
 
-    def congruence_level(self, u: OrderElement) -> int:
-        """Largest l <= k with u = 1 (mod p^l)."""
+    def congruence_level(self, u: OrderElement):
+        """Largest l <= k with u = 1 (mod p^l), of a Python pair or
+        elementwise of a pair of int64 arrays."""
         a, b = (u[0] - 1) % self.N, u[1] % self.N
-        level = 0
-        q = self.pp.p
-        while level < self.pp.k and a % q == 0 and b % q == 0:
-            level += 1
-            q *= self.pp.p
-        return level
+        p = self.pp.p
+        return sum((a % p**l == 0) & (b % p**l == 0) for l in range(1, self.pp.k + 1))
 
 
 # entries of one block of _power_blocks; each is an int64 pair, so a block
@@ -408,6 +405,8 @@ def build_split_diagonalizer(A: TorusAutomorphism, pp: PrimePower) -> SplitDiago
     if classify_prime(A, pp.p) != "split":
         raise NotSplitError(f"{pp.p} is not split for D = {A.disc}")
     N, p = pp.N, pp.p
+    # sqrt_set reads a table of the square roots of every class mod N
+    check_array_size(N, f"square-root table at {pp}")
     d = min(sqrt_set(A.disc % N, p, pp.k))
     inv2 = pow(2, -1, N)
     y = (A.trace + d) * inv2 % N
@@ -828,15 +827,12 @@ def trace_sweep(group: HeckeGroup, multiplicity: np.ndarray) -> TraceSweep:
     """The trace identity over every element g^m of the group, from the
     eigenspace dimension multiplicity[l] of each label l, both parities':
     U(iota(g^m)) is U(iota(g))^m up to a phase, so |Tr U(iota(g^m))|^2 is
-    |sum_l multiplicity[l] e(l m / #C)|^2 = |FFT(multiplicity)[m]|^2."""
+    |sum_l multiplicity[l] e(l m / #C)|^2 = |FFT(multiplicity)[m]|^2.
+    The kernels and levels are evaluated on the arrays of all g^m."""
     ring = group.ring
-    kernel, level = [], []
-    beta = ring.one
-    for _ in range(group.order):
-        kernel.append(qz.fixed_point_count(ring.matrix_of(beta), group.pp))
-        level.append(ring.congruence_level(beta))
-        beta = ring.mul(beta, group.gen)
-    return TraceSweep(np.abs(np.fft.fft(multiplicity)) ** 2, np.array(kernel), np.array(level))
+    beta = group._powers(group.gen, group.order)
+    kernel = qz.kernel_count(qz.mat_sub(ring.matrix_of(beta), qz.IDENTITY2), group.pp.N)
+    return TraceSweep(np.abs(np.fft.fft(multiplicity)) ** 2, kernel, ring.congruence_level(beta))
 
 
 # -- split-case verification -----------------------------------------

@@ -1,8 +1,9 @@
 """Exact arithmetic over Z/p^k for odd primes p.
 
-Inverses, Legendre symbols, square-root sets with Hensel lifting, a
-table of roots of unity, and quadratic Gauss sums.  All of it is exact, on
-Python integers or int64 arrays; nothing modular ever passes through floats.
+Inverses, Legendre symbols, one table of the square roots of every class
+mod m, a table of roots of unity, and quadratic Gauss sums.  All of it is
+exact, on Python integers or int64 arrays; nothing modular ever passes
+through floats.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (valid far beyond desk scale)."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -106,75 +107,23 @@ def legendre(a: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-def tonelli_shanks(a: int, p: int) -> int:
-    """One square root of a quadratic residue a modulo an odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        raise ValueError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, x = 0, t
-        while x != 1:
-            x = x * x % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
-
-
-def hensel_sqrt(a: int, p: int, m: int) -> int:
-    """Lift the mod-p square root of a unit square a to modulus p^m."""
-    root = tonelli_shanks(a % p, p)
-    modulus = p
-    while modulus < p**m:
-        modulus = min(modulus * modulus, p**m)
-        # Newton step x -> x - (x^2 - a) / (2x), exact in Z/modulus
-        root = (root - (root * root - a) * pow(2 * root, -1, modulus)) % modulus
-    return root % p**m
+def square_roots(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The square roots mod m of every w < m, from one stable sort of the
+    squares x^2 mod m over x < m: the roots of w, ascending, are
+    by_square[first[w] : first[w] + count[w]].  Returns (by_square, first,
+    count), three int64 arrays of m entries."""
+    x = np.arange(m, dtype=np.int64)
+    squares = x * x % m
+    count = np.bincount(squares, minlength=m)
+    return np.argsort(squares, kind="stable"), np.cumsum(count) - count, count
 
 
 def sqrt_set(nu: int, p: int, l: int) -> tuple[int, ...]:
-    """All x mod p^l with x^2 = nu (mod p^l), as a sorted tuple.
-
-    For nu = p^a * u with u a unit, solutions exist iff a is even and u is
-    a square mod p; there are then 2*p^(a/2) of them, lifted from a root
-    of u by Tonelli-Shanks and Hensel lifting.  For nu = 0 the set is the
-    multiples of p^ceil(l/2).
-    """
-    N = p**l
-    nu %= N
-    if nu == 0:
-        step = p ** ((l + 1) // 2)
-        return tuple(range(0, N, step))
-    a = valuation(nu, p)
-    u = nu // p**a
-    if a % 2 == 1 or legendre(u, p) != 1:
-        return ()
-    y0 = hensel_sqrt(u, p, l - a)
-    half = p ** (a // 2)
-    mod_y = p ** (l - a)
-    roots = set()
-    for y in (y0, mod_y - y0):
-        for j in range(half):
-            roots.add(half * (y + mod_y * j) % N)
-    return tuple(sorted(roots))
+    """All x mod p^l with x^2 = nu (mod p^l), as a sorted tuple, read from
+    square_roots(p^l): O(p^l) time and memory."""
+    by_square, first, count = square_roots(p**l)
+    w = nu % p**l
+    return tuple(by_square[first[w] : first[w] + count[w]].tolist())
 
 
 def unit_roots(x, N: int) -> np.ndarray:
@@ -212,9 +161,8 @@ def gauss_quadratic_closed(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     f = np.asarray(f, dtype=np.int64) % p
     g = np.asarray(g, dtype=np.int64) % p
     units = np.arange(1, p, dtype=np.int64)
-    symbol = np.full(p, -1.0)
+    symbol = np.where(square_roots(p)[2] > 0, 1.0, -1.0)
     symbol[0] = 0.0
-    symbol[units * units % p] = 1.0
     inverse = np.zeros(p, dtype=np.int64)
     inverse[units] = inv_mod(units, PrimePower(p, 1))
     eps_sqrt = math.sqrt(p) * (1 if p % 4 == 1 else 1j)

@@ -131,14 +131,14 @@ def mat_sub(X: Mat2, Y: Mat2) -> Mat2:
 IDENTITY2: Mat2 = ((1, 0), (0, 1))
 
 
-def kernel_count(M: Mat2, N: int) -> int:
+def kernel_count(M: Mat2, N: int):
     """#{n in (Z/NZ)^2 : nM = 0 (mod N)} from the Smith normal form
     diag(d1, d2) of M, with d1 the gcd of the entries and d1 d2 = |det M|:
-    gcd(d1, N) * gcd(d2, N), the same for every integer lift of M mod N."""
-    d1 = math.gcd(*M[0], *M[1])
-    if d1 == 0:
-        return N * N
-    return math.gcd(d1, N) * math.gcd(abs(mat_det(M)) // d1, N)
+    gcd(d1, N) * gcd(d2, N), the same for every integer lift of M mod N
+    (N^2 for M = 0, where d1 = d2 = 0).  Of Python ints, or elementwise
+    of int64 arrays whose determinant fits."""
+    d1 = np.gcd.reduce([*M[0], *M[1]])
+    return np.gcd(d1, N) * np.gcd(np.abs(mat_det(M)) // np.maximum(d1, 1), N)
 
 
 @dataclass(frozen=True)
@@ -395,9 +395,3 @@ def propagator_apply(B, pp: PrimePower) -> Callable[..., np.ndarray]:
     right = _chirp_apply(((a, b), ((c - a) % N, (d - b) % N)), N)
     left = _chirp_apply(((1, 0), (1, 1)), N)
     return lambda psi, out=None: left(right(psi), out=out)
-
-
-def fixed_point_count(B, pp: PrimePower) -> int:
-    """#ker(B - I) over (Z/NZ)^2."""
-    N = pp.N
-    return kernel_count(mat_sub(_reduce_mat(B, N), IDENTITY2), N)

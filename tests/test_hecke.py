@@ -718,6 +718,18 @@ def test_split_diagonalizer(cat_map):
         build_split_diagonalizer(cat_map, PrimePower(3, 2))
 
 
+def test_split_diagonalizer_size_cap(cat_map, monkeypatch):
+    """At the split 11^2 a cap of 115 refuses the table of square roots
+    mod N = 121 before sqrt_set builds it."""
+    def no_table(*args):
+        raise AssertionError("sqrt_set called past the size check")
+
+    monkeypatch.setattr(quantization, "MAX_ARRAY_ENTRIES", 115)
+    monkeypatch.setattr(hecke, "sqrt_set", no_table)
+    with pytest.raises(SizeLimitError, match="square-root table at 11\\^2 needs 121"):
+        build_split_diagonalizer(cat_map, PrimePower(11, 2))
+
+
 def test_split_eigenfunction_is_joint_eigenfunction(cat_map):
     for p, k in [(11, 1), (11, 2)]:
         pp = PrimePower(p, k)

@@ -11,12 +11,10 @@ from qcatmap.errors import BadPrimePowerError, EvenPrimeError, NonUnitError
 from qcatmap.modarith import (
     PrimePower,
     gauss_quadratic,
-    hensel_sqrt,
     inv_mod,
     is_prime,
     legendre,
     sqrt_set,
-    tonelli_shanks,
     valuation,
 )
 
@@ -104,25 +102,6 @@ def test_legendre_against_exhaustive_squaring():
             assert legendre(a, p) == expect
 
 
-def test_tonelli_shanks_roots():
-    rng = random.Random(11)
-    for p in [3, 7, 11, 13, 101, 1009, 2447]:  # both p mod 4 classes
-        for _ in range(20):
-            x = rng.randrange(1, p)
-            r = tonelli_shanks(x * x % p, p)
-            assert r * r % p == x * x % p
-
-
-def test_hensel_sqrt_lift():
-    for p, m in [(3, 5), (7, 4), (101, 3)]:
-        for x in (1, 2, 5, 12):
-            a = x * x % p**m
-            if a % p == 0 or legendre(a, p) != 1:
-                continue
-            r = hensel_sqrt(a, p, m)
-            assert r * r % p**m == a
-
-
 def test_sqrt_set_examples():
     # +-1 mod 3
     assert sqrt_set(1, 3, 1) == (1, 2)
@@ -154,7 +133,7 @@ def test_sqrt_set_complete_and_unit_counts():
 
 
 def test_sqrt_set_paths_agree_on_overlap():
-    # Tonelli-Shanks + Hensel against exhaustive search on the same moduli
+    # 40 random classes of larger moduli, odd and even exponents, against exhaustive search
     rng = random.Random(3)
     for p, l in [(3, 7), (7, 4), (11, 3), (97, 2)]:
         for _ in range(40):
