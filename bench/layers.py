@@ -56,8 +56,9 @@ Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
                    half is built; `s` is the time inside the
                    `eigendecompose` calls, in sum, and the group build is
                    not timed.
-  cli-distribution 37^2, cli-expsum 29^3, cli-verify 3,7,11,13^1-3
+  cli-distribution 37^2 and 1009^2, cli-expsum 29^3, cli-verify 3,7,11,13^1-3
                 -- the commands `distribution --p 37 --k 2` (dense, inert)
+                   and `distribution --p 1009 --k 2` (closed form, split)
                    with the observable above, `expsum --p 29 --k 3`
                    (nu = 1) and the perfbench `dense-spectrum` sweep
                    `verify --p 3,7,11,13 --k 1-3` with `dense_cap` 400 from
@@ -90,7 +91,8 @@ CASES = [
     ("group", 349, 2), ("group", 1009, 2), ("group", 3001, 2), ("scan", 1009, 2), ("scan", 3001, 2), ("scan", 101, 3),
     ("csv", 349, 2), ("csv", 1009, 2), ("closed", 347, 2), ("closed", 1009, 2), ("closed", 3001, 2),
     ("elements", 37, 2), ("elements", 41, 2), ("eigen", 13, 3), ("eigen", 19, 3),
-    ("cli-distribution", 37, 2), ("cli-expsum", 29, 3), ("cli-verify", "3,7,11,13", "1-3"),
+    ("cli-distribution", 37, 2), ("cli-distribution", 1009, 2), ("cli-expsum", 29, 3),
+    ("cli-verify", "3,7,11,13", "1-3"),
 ]
 REPEATS = 3
 VERIFY_DENSE_CAP = 400

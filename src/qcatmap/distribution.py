@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from . import expsum, hecke
+from . import expsum, hecke, quantization
 from .errors import BadNuError, EmptySetError, NoMatchError
 from .hecke import HeckeGroup, build_group
 from .modarith import PrimePower, legendre
@@ -94,6 +94,13 @@ class ScaledLimitLaw:
 # -- the model sample ----------------------------------------------------
 
 
+def _block_values() -> int:
+    """Values per block of a statistics pass, so that its temporaries fit
+    together in BLOCK_BYTES: a dozen float arrays of this length and, in
+    the law's CDF, a Python float per value."""
+    return max(1, quantization.BLOCK_BYTES // 256)
+
+
 def sample_limit_variable(spectrum: dict[int, complex], seed: int, count: int) -> np.ndarray:
     """count independent draws of Y_f = 2 sum f#(nu) cos(theta_nu).
 
@@ -102,15 +109,20 @@ def sample_limit_variable(spectrum: dict[int, complex], seed: int, count: int) -
     random.Random(seed) per class and draw is the atom if u < 1/2 (the top
     bit of its word) and else theta_nu = (2u - 1) pi (the next 52 bits).
     The classes draw in the order of the mapping (twisted_coefficients and
-    reduced_classes list them by integer class).
+    reduced_classes list them by integer class).  Each class draws its
+    count values block by block from the one stream and adds them into the
+    returned array in place, so beyond it the sampler holds one
+    BLOCK_BYTES, and a draw does not depend on the block size.
     """
     rng = random.Random(operator.index(seed))  # a numpy int too, not a float
     total = np.zeros(count)
+    step = _block_values()
     for w in map(complex, spectrum.values()):
         if abs(w.imag) > 1e-12 * (1 + abs(w)):
             raise ValueError("sampler needs a real twisted spectrum")
-        u = uniforms(rng, count)
-        total += np.where(u < 0.5, 0.0, 2.0 * w.real * np.cos((2.0 * u - 1.0) * math.pi))
+        for start in range(0, count, step):
+            u = uniforms(rng, min(step, count - start))
+            total[start : start + len(u)] += np.where(u < 0.5, 0.0, 2.0 * w.real * np.cos((2.0 * u - 1.0) * math.pi))
     return total
 
 
@@ -118,32 +130,70 @@ def sample_limit_variable(spectrum: dict[int, complex], seed: int, count: int) -
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    """sup |F_a - F_b| for two empirical CDFs (ties handled exactly)."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / len(a)
-    fb = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.abs(fa - fb).max())
+    """sup |F_a - F_b| for two empirical CDFs (ties handled exactly); see
+    _ks_two_sorted."""
+    return _ks_two_sorted(np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float)))
+
+
+def _ks_two_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    """ks_two_sample of two samples sorted ascending.  Both empirical CDFs
+    are right-continuous steps that jump only at sample points, so the sup
+    is attained at a point of a or of b: each sorted sample's points go
+    through, block by block, and both CDFs are read there by binary
+    search.  No grid of both samples is built; the blocks hold one
+    BLOCK_BYTES."""
+    step = _block_values()
+    worst = [
+        np.abs(np.searchsorted(a, at, side="right") / len(a) - np.searchsorted(b, at, side="right") / len(b)).max()
+        for grid in (a, b)
+        for at in (grid[start : start + step] for start in range(0, len(grid), step))
+    ]
+    return float(np.max(worst, initial=0.0))
 
 
 def ks_vs_law(values: np.ndarray, law: ScaledLimitLaw) -> float:
-    """sup |F_n - F| against a CDF with one jump, using both one-sided
-    limits so the atom is compared correctly: at each distinct value u, F(u)
+    """sup |F_n - F| against a CDF with one jump; see _ks_law_sorted."""
+    return _ks_law_sorted(np.sort(np.asarray(values, dtype=float)), law)
+
+
+def _ks_law_sorted(values: np.ndarray, law: ScaledLimitLaw) -> float:
+    """ks_vs_law of a sample sorted ascending, using both one-sided limits
+    so the atom is compared correctly: at each distinct value u, F(u)
     against the sample CDF and the left limit of F (F minus the atom at 0)
-    against the sample CDF just below u."""
-    uniq, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
-    cum = np.cumsum(counts) / len(values)
-    cum_prev = cum - counts / len(values)
-    at = law.cdf(uniq)
-    left = at - np.where(uniq == 0.0, 0.5, 0.0)
-    return float(max(np.abs(at - cum).max(initial=0.0), np.abs(left - cum_prev).max(initial=0.0)))
+    against the sample CDF just below u.
+
+    The sample goes through in blocks that hold one BLOCK_BYTES.  A block
+    reads the runs of equal values that start in it, each counted whole:
+    the end of the last one, which may run on into later blocks, comes
+    from a binary search.  The sample CDF at u is (values up to u) / n
+    and just below u that minus count(u) / n, in that arithmetic."""
+    n, step = len(values), _block_values()
+    worst = []
+    for start in range(0, n, step):
+        blk = values[start : start + step]
+        starts = np.empty(len(blk), dtype=bool)
+        starts[0] = start == 0 or blk[0] != values[start - 1]
+        np.not_equal(blk[1:], blk[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        if not len(first):  # inside a run that started in an earlier block
+            continue
+        uniq = blk[first]
+        ends = np.append(first[1:] + start, np.searchsorted(values, uniq[-1], side="right"))
+        counts = ends - (first + start)
+        cum = ends / n
+        cum_prev = cum - counts / n
+        at = law.cdf(uniq)
+        left = at - np.where(uniq == 0.0, 0.5, 0.0)
+        worst += [np.abs(at - cum).max(), np.abs(left - cum_prev).max()]
+    return float(np.max(worst, initial=0.0))
 
 
-def snap_zeros(values: np.ndarray) -> np.ndarray:
-    """Collapse numerical noise around the atom at 0 to exact zeros."""
-    out = np.asarray(values, dtype=float).copy()
-    out[np.abs(out) < SNAP_ZERO_TOL] = 0.0
+def _sorted_snapped(values: np.ndarray) -> np.ndarray:
+    """A sorted copy of values with the numerical noise around the atom at
+    0 collapsed to exact zeros in place: the |v| < SNAP_ZERO_TOL are one
+    run of the copy, which stays sorted."""
+    out = np.sort(np.asarray(values, dtype=float))
+    out[np.searchsorted(out, -SNAP_ZERO_TOL, side="right") : np.searchsorted(out, SNAP_ZERO_TOL, side="left")] = 0.0
     return out
 
 
@@ -158,8 +208,10 @@ def _winsorized_moments(values: np.ndarray, bound: float | None) -> tuple[list[f
     v = np.asarray(values, dtype=float)
     clipped = 0
     if bound is not None:
-        clipped = int(np.count_nonzero(np.abs(v) > bound))
-        v = np.clip(v, -bound, bound)
+        step = _block_values()
+        clipped = sum(int(np.count_nonzero(np.abs(v[start : start + step]) > bound)) for start in range(0, len(v), step))
+        if clipped:  # clipping anything else changes nothing
+            v = np.clip(v, -bound, bound)
     # running products v, v*v, v*v*v, ... in one buffer: no pow() per element
     moments, power = [], np.ones_like(v)
     for m in range(1, max(MOMENT_ORDERS) + 1):
@@ -180,18 +232,22 @@ def compare_distribution(
     Moments are winsorized at +-winsor_bound (exceptional values clipped,
     their count reported) so rare unbounded elements cannot dominate.  They
     sum the sample in ascending order, so a sample's moments do not depend
-    on the order it comes in.
+    on the order it comes in.  The sample is sorted into one copy and its
+    zeros snapped there, a second sample likewise into its own copy, and
+    both KS distances read them in blocks: beyond those copies the
+    comparison holds one buffer of the sample's powers (and a clipped copy
+    when some value exceeds the bound) and one BLOCK_BYTES.
     """
     if len(left) == 0:
         raise EmptySetError("left sample is empty")
-    lv = snap_zeros(np.sort(left))
+    lv = _sorted_snapped(left)
     ml, wl = _winsorized_moments(lv, winsor_bound)
     if isinstance(right, ScaledLimitLaw):
-        ks = ks_vs_law(lv, right)
+        ks = _ks_law_sorted(lv, right)
     else:
         if len(right) == 0:
             raise EmptySetError("right sample is empty")
-        ks = ks_two_sample(lv, snap_zeros(right))
+        ks = _ks_two_sorted(lv, _sorted_snapped(right))
     return ComparisonReport(ks, ml, wl)
 
 

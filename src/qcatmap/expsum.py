@@ -205,12 +205,19 @@ class _Fiber:
             full_amp[has], full_m[has] = pl * amp, m % Q
             amp, m = full_amp[cols], full_m[cols]
             # q m mod Q at row q0 + i of a block of isqrt(Q) rows is i m mod Q,
-            # formed once, plus q0 m mod Q, read from two periods of e(i / Q)
+            # formed once, plus q0 m mod Q, read from two periods of e(i / Q);
+            # every block reuses two buffers, as fresh temporaries of this
+            # size come from mmap and page-fault anew whenever glibc's
+            # threshold has not been raised above them
             step = math.isqrt(Q)
             head = np.multiply.outer(np.arange(step), m) % Q
+            index, term = np.empty_like(head), np.empty(head.shape, dtype=np.complex128)
             for q0 in range(0, Q, step):
                 rows = min(step, Q - q0)
-                block[q0 : q0 + rows, cols] += amp * self.phases[head[:rows] + q0 * m % Q]
+                np.add(head[:rows], q0 * m % Q, out=index[:rows])
+                # mode="clip" writes straight into term; every index is below 2Q
+                np.take(self.phases, index[:rows], mode="clip", out=term[:rows])
+                block[q0 : q0 + rows, cols] += np.multiply(amp, term[:rows], out=term[:rows])
         return masks
 
     def _amplitude(self, nu: int, r, t, x, lift: int):

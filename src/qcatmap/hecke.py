@@ -621,16 +621,16 @@ def _check_residuals(apply, V: np.ndarray, parity: int, lam: np.ndarray) -> None
     for the unfolded columns v_j of V (folded, all of the given parity)
     under U = apply, against the eigenvalue lam_j of each.
 
-    The columns go through block_columns(N) at a time, in two buffers
-    allocated once: `images` takes U of the unfolded columns, and `folds`,
-    of N + 1 rows, first the unfolded columns, which the apply uses as its
-    scratch space, then the folded columns beside the folds of their
-    images.  So beyond V the check holds two BLOCK_BYTES.
+    The columns go through block_columns(2N + 1) at a time, in two
+    buffers allocated once: `images` takes U of the unfolded columns, and
+    `folds`, of N + 1 rows, first the unfolded columns, which the apply
+    uses as its scratch space, then the folded columns beside the folds of
+    their images.  So beyond V the check holds one BLOCK_BYTES.
     """
     h, count = V.shape
     N = 2 * h - 1
     resid = 0.0
-    step = max(1, min(block_columns(N), count))
+    step = max(1, min(block_columns(2 * N + 1), count))
     folds = np.empty((N + 1) * step, dtype=np.complex128)
     images = np.empty(N * step, dtype=np.complex128)
     for start in range(0, count, step):
@@ -674,7 +674,7 @@ def _orbit_eig(group: HeckeGroup, parity: int, angle: float | None = None):
     a new array.  Either way the basis is laid out by columns.  The
     residual max ||U v - lambda v|| against the eigenvalue of each
     column's row, with the gap 2 pi / #C between rows, bounds the overlap
-    between eigenspaces; _check_residuals checks it in two BLOCK_BYTES, so
+    between eigenspaces; _check_residuals checks it in one BLOCK_BYTES, so
     beyond the orbits of this parity the eigensolver holds about that.
     """
     pp, half = group.pp, group.order // 2

@@ -209,8 +209,8 @@ def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
     which unfolds them).  For a std-unit column v, psi = sqrt(N) v is a
     unit vector of H_N and this is its matrix element <T(n) psi, psi>; one
     shift and one phase, O(N) per column and mode.  The columns go
-    through in blocks of block_columns(N), in two buffers allocated once,
-    so the pass holds two BLOCK_BYTES beyond its output and phases.  For
+    through in blocks of block_columns(2N), in two buffers allocated once,
+    so the pass holds one BLOCK_BYTES beyond its output and phases.  For
     each distinct shift n1 the second buffer takes conj(v_j) times v_j
     shifted, by two slice products, and each mode of that shift is one
     phase-vector product with it, so a row is the same, bit for bit,
@@ -227,7 +227,7 @@ def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
     every = np.arange(V.shape[1])
     cols = every if cols is None else every[cols]  # in range, or IndexError
     out = np.empty((len(modes), len(cols)), dtype=np.complex128)
-    step = max(1, min(block_columns(N), len(cols)))
+    step = max(1, min(block_columns(2 * N), len(cols)))
     block, prod = (np.empty(N * step, dtype=np.complex128) for _ in range(2))
     for start in range(0, len(cols), step):
         index = cols[start : start + step]

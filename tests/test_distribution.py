@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -15,12 +16,14 @@ from qcatmap.quantization import (
     DENSE_CAP_DEFAULT,
     FourierObservable,
     TorusAutomorphism,
+    uniforms,
 )
 from qcatmap.hecke import build_group
 from qcatmap import cli, expsum, hecke
 from qcatmap.distribution import (
     FORMULA_TOL,
     MOMENT_ORDERS,
+    _block_values,
     _exp_sum_rows,
     _winsorized_moments,
     ScaledLimitLaw,
@@ -146,6 +149,44 @@ def test_sampler_empty_spectrum_is_degenerate():
     assert np.all(sample == 0.0)
 
 
+def sample_limit_variable_one_shot(spectrum, seed, count):
+    """The model sample with each class's count draws taken at once, the
+    formula before the sampler drew in blocks: the oracle of its bits."""
+    rng = random.Random(seed)
+    total = np.zeros(count)
+    for w in map(complex, spectrum.values()):
+        u = uniforms(rng, count)
+        total += np.where(u < 0.5, 0.0, 2.0 * w.real * np.cos((2.0 * u - 1.0) * math.pi))
+    return total
+
+
+@pytest.mark.parametrize("spectrum", [{1: 0.5}, {-1: 0.7, 3: -0.2, 5: 1.1}])
+@pytest.mark.parametrize("blocks", [0, 1, 2.5])
+def test_sampler_equals_one_shot_draws(spectrum, blocks):
+    """Bit for bit at 1 and 3 classes, for one value, one block and 2.5
+    blocks per class: the blocks continue one stream."""
+    count = max(1, int(blocks * _block_values()))
+    got = sample_limit_variable(spectrum, 9, count)
+    assert got.view(np.int64).tolist() == sample_limit_variable_one_shot(spectrum, 9, count).view(np.int64).tolist()
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_holds_its_output_and_one_block():
+    """Three classes of 10^6 draws trace the returned array and at most one
+    BLOCK_BYTES beside it."""
+    count = 10**6
+    peak = traced_peak(lambda: sample_limit_variable({1: 0.5, 3: 0.3, 5: -0.2}, 3, count))
+    assert peak <= 8 * count + BLOCK_BYTES
+
+
 # -- KS machinery --------------------------------------------------------
 
 
@@ -204,6 +245,69 @@ def test_ks_vs_law_equals_loop_oracle(scale, seed):
     assert ks_vs_law(no_atom, ScaledLimitLaw(scale)) == ks_vs_law_loop(no_atom, scale)
 
 
+def ks_two_sample_grid(a: np.ndarray, b: np.ndarray) -> float:
+    """sup |F_a - F_b| read on the concatenated grid of both sorted
+    samples, every point at once, as ks_two_sample did before it read
+    them in blocks: its oracle."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / len(a)
+    fb = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.abs(fa - fb).max())
+
+
+KS_SIZES = [1, _block_values() - 1, _block_values(), _block_values() + 1, 3 * _block_values() + 5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(KS_SIZES),
+    st.sampled_from(KS_SIZES),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 4, 64, None]),
+)
+def test_property_ks_two_sample_equals_grid_oracle(n, m, seed, levels):
+    """== on samples of one value, one block, one block +- 1 and several
+    blocks, with ties forced: values on a grid of `levels` steps per unit
+    (None: no grid), a share of b copied from a, and values within the
+    snap tolerance of 0, which compare_distribution makes exact zeros."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=n), rng.normal(0.1, 1.3, size=m)
+    if levels:
+        a, b = np.round(a * levels) / levels, np.round(b * levels) / levels
+    shared = int(rng.integers(0, min(n, m) + 1))
+    b[:shared] = rng.choice(a, shared)
+    a[rng.random(n) < 0.2] = 1e-12
+    b[rng.random(m) < 0.2] = -1e-12
+    assert ks_two_sample(a, b) == ks_two_sample_grid(a, b)
+    snapped = [np.where(np.abs(v) < 1e-9, 0.0, v) for v in (a, b)]
+    assert compare_distribution(a, b).ks == ks_two_sample_grid(*snapped)
+
+
+@pytest.mark.parametrize("scale", [0.7, -1.3])
+@pytest.mark.parametrize("run", ["tie", "zeros", "zeros over a block"])
+def test_ks_vs_law_counts_runs_across_block_edges(scale, run):
+    """Bit for bit against the loop oracle when, in sorted order, a run of
+    equal values or of exact zeros crosses the first block edge, or a run
+    of zeros covers the second block; the first two runs are half a block
+    long, so that the sup sits at their jumps."""
+    B, c = _block_values(), abs(scale)
+    rng = np.random.default_rng(len(run))
+    if run == "tie":
+        values = np.sort(2 * c * np.cos(rng.random(3 * B) * math.pi))
+        values[B - B // 4 : B + B // 4] = values[B - B // 4]
+        edge = B
+    else:
+        before, zeros, after = (B - B // 4, B // 2, 7 * B // 4) if run == "zeros" else (B // 2 + 1, 5 * B // 2, B)
+        values = np.concatenate([-2 * c * rng.random(before), np.zeros(zeros), 2 * c * rng.random(after)])
+        edge = B if run == "zeros" else 2 * B
+    ordered = np.sort(values)
+    assert ordered[edge - 1] == ordered[edge]  # the run crosses the edge
+    rng.shuffle(values)
+    assert ks_vs_law(values, ScaledLimitLaw(scale)) == ks_vs_law_loop(values, scale)
+
+
 def test_compare_distribution_identical_and_empty():
     vals = np.linspace(-1, 1, 101)
     rep = compare_distribution(vals, vals[::-1].copy())
@@ -217,6 +321,22 @@ def test_compare_distribution_winsorizes():
     rep = compare_distribution(vals, vals.copy(), winsor_bound=10.0)
     assert rep.winsorized_left == 2
     assert rep.moments_left[1] == pytest.approx(2 * 100 / 100.0)
+
+
+@pytest.mark.parametrize("against", ["model", "law"])
+def test_compare_distribution_memory(against):
+    """A 10^6-value sample against a 10^5-value model sample, or the law,
+    traces at most the sample's sorted copy, one buffer of its powers, the
+    model's snapped copy and one BLOCK_BYTES: no value exceeds the bound,
+    so nothing is clipped into a copy."""
+    rng = np.random.default_rng(4)
+    n, m = 10**6, 10**5
+    sample = 1.3 * np.cos(rng.random(n) * math.pi)
+    sample[rng.random(n) < 0.5] = 1e-12
+    model = sample_limit_variable({1: 0.5, 3: 0.3}, 3, m)
+    right = model if against == "model" else ScaledLimitLaw(0.65)
+    peak = traced_peak(lambda: compare_distribution(sample, right, winsor_bound=10.0))
+    assert peak <= 8 * n + 8 * n + (8 * m if against == "model" else 0) + BLOCK_BYTES
 
 
 def float_bits(x: float) -> int:
@@ -352,11 +472,12 @@ def test_dense_pipeline_memory_footprint(cat_map, monkeypatch):
     """At the inert 37^2 the orbit eigensolver keeps each half's folded
     basis in that half's folded orbit, half of orbit_bytes, and drops it
     before the other half is built.  Beyond that orbit the residual check
-    and the element pass each hold two buffers of a BLOCK_BYTES column
-    block, whatever N, one pass after the other: 4 blocks bound the whole
-    pipeline with room for the small arrays beside them."""
+    and the element pass each hold two buffers that together take one
+    BLOCK_BYTES, whatever N, one pass after the other: one block for them
+    and one for the small arrays beside them (the element pass's phases,
+    the rows read so far) bound the whole pipeline."""
     peak, orbit_bytes = traced_dense_peak(cat_map, 37, "inert", monkeypatch)
-    assert peak < orbit_bytes / 2 + 4 * BLOCK_BYTES
+    assert peak < orbit_bytes / 2 + 2 * BLOCK_BYTES
 
 
 def test_dense_eigensolve_is_deterministic(cat_map):
@@ -374,10 +495,11 @@ def test_dense_eigensolve_is_deterministic(cat_map):
 def test_split_dense_pipeline_memory_footprint(cat_map, monkeypatch):
     """At the split 29^2 a second folded orbit of the half, and then the
     stacked folded basis, come on top of the half's first folded orbit:
-    two half orbits, one orbit_bytes, is the eigensolver's floor, and only
-    column blocks of at most BLOCK_BYTES are held beyond it."""
+    two half orbits, one orbit_bytes, is the eigensolver's floor, and
+    beyond it the residual check's and the element pass's buffers take
+    one BLOCK_BYTES and the small arrays beside them less than another."""
     peak, orbit_bytes = traced_dense_peak(cat_map, 29, "split", monkeypatch)
-    assert peak < orbit_bytes + 8 * BLOCK_BYTES
+    assert peak < orbit_bytes + 2 * BLOCK_BYTES
 
 
 @pytest.mark.parametrize("p,kind", [(37, "inert"), (29, "split")])
