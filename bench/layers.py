@@ -41,21 +41,22 @@ Cases (matrix (2, 1, 1, 1): inert at 37 and 13, split at every other p below):
                    `distribution.matrix_elements` pass over the modes +-n
                    of `cli.DEFAULT_MODES` and the usable default modes,
                    which solves and reads the eigendecomposition one
-                   parity at a time, then
+                   parity and one block at a time, then
                    `distribution.normalized_elements` of the observable
                    with those +-n and
                    `distribution.verify_matrix_element_formula` over the
-                   usable modes, both read from that pass.  The
-                   `hecke.eigendecompose` calls are timed apart, in sum, as
+                   usable modes, both read from that pass.  The solve,
+                   the steps of the `hecke.eigen_blocks` streams that the
+                   pass reads (the `hecke.eigendecompose` calls in trees
+                   before them), is timed apart, in sum, as
                    `eigendecompose_s`, and `s` is the rest;
                    `eigendecompose_peak_rss_mb` is the peak RSS when the
-                   last of them returns.
-  eigen p^3     -- `hecke.eigendecompose` of both parities at 13^3 (inert)
-                   and 19^3 (split), as `distribution.matrix_elements(group,
-                   [])` runs them, the even half dropped before the odd
-                   half is built; `s` is the time inside the
-                   `eigendecompose` calls, in sum, and the group build is
-                   not timed.
+                   last step of the solve returns.
+  eigen p^3     -- the solve of both parities at 13^3 (inert) and 19^3
+                   (split), as `distribution.matrix_elements(group, [])`
+                   runs it, the even half dropped before the odd half is
+                   solved; `s` is the time inside the solve, timed as in
+                   the elements cases, and the group build is not timed.
   cli-distribution 37^2 and 1009^2, cli-expsum 29^3, cli-verify 3,7,11,13^1-3
                 -- the commands `distribution --p 37 --k 2` (dense, inert)
                    and `distribution --p 1009 --k 2` (closed form, split)
@@ -101,7 +102,7 @@ VERIFY_DENSE_CAP = 400
 # for the elements layer also the eigendecompose_* keys, and for the closed
 # layer sample_peak_arrays.
 CHILD = r"""
-import json, resource, sys, time, tracemalloc
+import functools, json, resource, sys, time, tracemalloc
 import numpy.fft
 from qcatmap import cli, distribution, expsum, hecke
 from qcatmap.modarith import PrimePower
@@ -111,16 +112,28 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 eig = {"s": 0.0, "peak_rss_mb": 0.0}
-solve = hecke.eigendecompose
 
-def timed_solve(*args):  # the module attribute, which matrix_elements calls
+def timed(solve, *args):  # solve(*args), its time added to eig["s"], the peak RSS read as it returns
     t0 = time.perf_counter()
-    out = solve(*args)
-    eig["s"] += time.perf_counter() - t0
-    eig["peak_rss_mb"] = peak_rss_mb()
-    return out
+    try:
+        return solve(*args)
+    finally:
+        eig["s"] += time.perf_counter() - t0
+        eig["peak_rss_mb"] = peak_rss_mb()
 
-hecke.eigendecompose = timed_solve
+# the module attribute that matrix_elements calls: the block stream, whose
+# every step is the solve's, or in the trees before it eigendecompose
+if hasattr(hecke, "eigen_blocks"):
+    blocks = hecke.eigen_blocks
+
+    def timed_blocks(*args):
+        stream = blocks(*args)
+        while (block := timed(next, stream, None)) is not None:
+            yield block
+
+    hecke.eigen_blocks = timed_blocks
+else:
+    hecke.eigendecompose = functools.partial(timed, hecke.eigendecompose)
 
 layer, p, k = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 A, pp = TorusAutomorphism(2, 1, 1, 1), PrimePower(p, k)

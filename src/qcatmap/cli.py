@@ -228,7 +228,7 @@ class Space:
     def elements(self) -> dist.MatrixElements:
         """The eigenspace dimensions, and the matrix elements of the default
         modes whose class is a unit mod p, from one pass over the
-        eigendecomposition, half by half, for every check that reads it."""
+        eigendecomposition, block by block, for every check that reads it."""
         return dist.matrix_elements(self.group, _unit_modes(self.A, self.pp.p))
 
 
@@ -610,8 +610,8 @@ def distribution_report(cfg: RunConfig) -> dict:
     if pp.N <= cfg.dense_cap:
         # the sign is a property of (p, k); pin it on the default mode set
         modes = _usable_modes(A, p)
-        # one pass for the observable's modes and the default ones, half by
-        # half; each half's basis is freed before the other is built
+        # one pass for the observable's modes and the default ones, block by
+        # block; each block is dropped before the next one is made
         elements = dist.matrix_elements(group, [*f.coeffs, *modes])
         sample = dist.normalized_elements(f, elements)
         n_eig = len(sample)

@@ -32,7 +32,7 @@ from .quantization import (
     FourierObservable,
     TorusAutomorphism,
     check_array_size,
-    elementary_diagonals,
+    diagonal_reader,
     row_action,
     uniforms,
 )
@@ -286,29 +286,36 @@ class MatrixElements:
 
 def matrix_elements(group: HeckeGroup, modes) -> MatrixElements:
     """The matrix elements of every distinct mode over the dense
-    eigendecomposition of the group's space, one parity at a time: each
-    half is solved, read in one elementary_diagonals pass and dropped
-    before the other half is built, the odd half on the even half's angle,
-    so the pass holds one half's orbit or basis at its peak.
-    Higher-multiplicity clusters are excluded and counted.  A row does not
-    depend on the other modes of the pass, so one pass serves the sample
-    and the formula match alike."""
+    eigendecomposition of the group's space, one parity at a time, the odd
+    half on the even half's angle, and in each parity one block of
+    hecke.eigen_blocks at a time: each block is read as it is made (its
+    labels, its dimensions into the multiplicity histogram, and the
+    elementary_diagonals of its multiplicity-one columns, by one
+    diagonal_reader for the whole pass) and then dropped, so the pass
+    never holds an orbit or a basis.  The solver checks every block's
+    residuals and, after the last block of a parity, its eigenvector and
+    eigenspace counts, and raises EigenClusterError from this call when
+    one fails.  Higher-multiplicity clusters are excluded and counted.  A
+    row does not depend on the other modes of the pass, so one pass serves
+    the sample and the formula match alike."""
     modes = list(dict.fromkeys((int(n1), int(n2)) for n1, n2 in modes))
     labels, rows = [], []
     multiplicity = np.zeros(group.order, dtype=np.int64)
+    read = diagonal_reader(modes, group.pp.N)
     angle = None
     for parity in (1, -1):
-        decomp = hecke.eigendecompose(group, parity, angle)
-        angle = decomp.angle
-        items = decomp.multiplicity_one_items()
-        labels.append(np.array([lab for lab, _ in items], dtype=np.int64))
-        rows.append(elementary_diagonals(modes, decomp, [col for _, col in items]))
-        multiplicity += np.bincount(decomp.labels, minlength=group.order)
-        del decomp  # before the other half is built
-    # the labels of the two halves are disjoint: merged in ascending order
-    by_label = np.argsort(np.concatenate(labels))
+        for block in hecke.eigen_blocks(group, parity, angle):
+            items = block.multiplicity_one_items()
+            labels.append(np.array([lab for lab, _ in items], dtype=np.int64))
+            rows.append(read(block, [col for _, col in items]))
+            np.add.at(multiplicity, block.labels, 1)
+            angle = block.angle
+            del block  # before the next block is made
+    # the labels of the blocks are disjoint: merged in ascending order
+    labels = np.concatenate(labels)
+    by_label = np.argsort(labels)
     rows = np.concatenate(rows, axis=1)[:, by_label]
-    return MatrixElements(group, np.concatenate(labels)[by_label], dict(zip(modes, rows)), multiplicity)
+    return MatrixElements(group, labels[by_label], dict(zip(modes, rows)), multiplicity)
 
 
 def normalized_elements(f: FourierObservable, elements: MatrixElements) -> np.ndarray:

@@ -9,12 +9,13 @@ C from a generator g, with discrete logs by Pohlig-Hellman from tables of
 p -+ 1 and (k - 1) p entries; the sorted table of all #C powers of g, the
 walk table, is built only where it is read: the brute-force Cayley table,
 the split eigenvectors and the tests' oracle.  It decomposes H_N into the
-joint eigenspaces of the propagator of g, by FFTs along its orbits.  Every
-joint eigenfunction is even or odd, since -1 is in C, each parity is
-solved on its own, each eigenfunction is stored folded onto
-x = 0..(N-1)/2, and each eigenspace is labelled by the orbit row that
-holds it, on one angle for both parities.  A character of C is its
-integer index j: chi_j(g^m) = e(j m / #C).
+joint eigenspaces of the propagator of g, by DFTs along its orbits, each
+run as a two-level walk whose eigenvectors come a few residue classes of
+orbit rows at a time.  Every joint eigenfunction is even or odd, since
+-1 is in C, each parity is solved on its own, each eigenfunction is
+stored folded onto x = 0..(N-1)/2, and each eigenspace is labelled by
+the orbit row that holds it, on one angle for both parities.  A
+character of C is its integer index j: chi_j(g^m) = e(j m / #C).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import mmap
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -473,6 +474,8 @@ def split_eigenvectors(group: HeckeGroup, diag: SplitDiagonalizer, unit_dlogs: n
 # a projection of a unit start vector below this norm is roundoff (about 1e-13)
 RANK_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
+# largest ||c| - 1| for the phase c of a giant step against single steps
+PHASE_TOL = 1e-12
 
 
 def _eig_unitary(U: np.ndarray):
@@ -554,66 +557,120 @@ def _gather(V: np.ndarray, cols: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     return np.take(V.T, cols, axis=0, mode="clip", out=buffer[: h * len(cols)].reshape(len(cols), h)).T
 
 
-def _mapped_empty(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialized complex array in an anonymous memory map of its
-    own, which goes back to the OS when the array is freed: the orbits and
-    the stacked split basis of the eigensolver.  From malloc they would
-    not: glibc raises its mmap threshold to the size of each large block
-    it frees, so after one parity's orbit is freed the next array of about
-    that size comes from the heap, whose freed top stays resident below
-    the trim threshold (twice the mmap threshold).  The map is private and
-    asks for transparent huge pages where the platform has them, as numpy
-    does for its large arrays: with 4 KiB pages, first writing the
-    orbits at 19^3 took 8 times the page faults and about 1.5 s more.
-    tracemalloc does not see these arrays."""
-    buf = mmap.mmap(-1, 16 * shape[0] * shape[1], flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=np.complex128).reshape(shape)
+def _walk_sizes(half: int) -> tuple[int, int]:
+    """(a, b) with a b = half: a, the steps of each baby walk, is the
+    divisor of half nearest sqrt(half) other than 1, and b the number of
+    giant steps.  A prime half gives a = half and b = 1, one walk."""
+    root = math.sqrt(half)
+    divisors = [d for i in range(1, math.isqrt(half) + 1) if half % i == 0 for d in (i, half // i) if d > 1]
+    a = min(divisors, key=lambda d: abs(d - root), default=1)
+    return a, half // a
 
 
-def _orbit_projections(apply, v: np.ndarray, half: int, parity: int, angle: float | None) -> tuple[np.ndarray, float]:
-    """Row j (< half): the folded projection of v onto the eigenspace of
-    U = apply of the given parity, +1 (even) or -1 (odd), with eigenvalue
-    e^(i angle / half) e(j / half).  Also returns angle.
+def _giant_step(group: HeckeGroup, a: int):
+    """U(iota(g^a)) for the group generator g, matrix-free: U(iota(g))^a up
+    to a phase, since propagator_apply is exact only up to one."""
+    return propagator_apply(group.ring.matrix_of(group.ring.pow(group.gen, a)), group.pp)
 
-    g^half = -1 in C, for half = #C / 2, and U(-I) is the parity v(x) ->
-    v(-x) up to a phase, so U^half is a scalar on the even part of v and
-    minus that scalar on its odd part.  With the phase divided out, the
-    orbit v_s, U v_s, ..., U^(half-1) v_s of the part v_s of that parity
-    is periodic in m, and its DFT along m separates every eigenspace of
-    that parity at once.  U commutes with the parity, so the part of U^m v
-    of a parity is U^m of that part of v: the walk takes one column per
-    step, v alone, and folds the part of the parity off U^m v.  Only those
-    folds are stored, a half x (N+1)/2 array in a memory map of its own
-    (see _mapped_empty), and the DFT is taken in place, block_columns(half)
-    columns at a time, with no copy.  angle = None takes it from U^half
-    of this v's part.  Orbits that share angle share one row numbering:
-    where the scalar is -1, roundoff alone would put one orbit's angle at
-    +pi and another's at -pi, a shift of one row.
-    """
-    N = len(v)
-    h = (N + 1) // 2
-    orbit = _mapped_empty((half, h))
-    combine = np.add if parity > 0 else np.subtract
+
+def _step_turn(apply, giant, v: np.ndarray, a: int) -> float:
+    """The angle of the phase c in giant = c apply^a, measured once, on
+    the unit vector v against a single steps.  EigenClusterError unless
+    |c| = 1 within PHASE_TOL: otherwise giant is not apply^a up to a
+    phase."""
     w = v
-    for m in range(half):
-        # fold(w, parity) in place, rows x >= 1 not yet times sqrt(1/2)
-        combine(w[1:h], w[: h - 1 : -1], out=orbit[m, 1:])
-        orbit[m, 0] = w[0]
+    for _ in range(a):
         w = apply(w)
-    if parity < 0:
-        orbit[:, 0] = 0
-    if angle is None:  # U^half v_s = scalar * v_s
-        angle = float(np.angle(np.vdot(fold(v, parity), fold(w, parity))))
-    orbit *= np.exp(-1j * angle / half * np.arange(half))[:, None]
-    step = block_columns(half)
-    for start in range(0, h, step):
-        blk = orbit[:, start : start + step]
+    c = complex(np.vdot(w, giant(v)))
+    if not abs(abs(c) - 1.0) < PHASE_TOL:
+        raise EigenClusterError(f"giant step against {a} steps has |phase| {abs(c):.3e}, tolerance {PHASE_TOL}")
+    return math.atan2(c.imag, c.real)
+
+
+def _fft_rows(X: np.ndarray) -> np.ndarray:
+    """X, replaced by its DFT along axis 0 in place, block_columns(len(X))
+    columns at a time."""
+    step = block_columns(len(X))
+    for start in range(0, X.shape[1], step):
+        blk = X[:, start : start + step]
         np.fft.fft(blk, axis=0, out=blk)
-    orbit[:, 0] /= half
-    orbit[:, 1:] *= math.sqrt(0.5) / half
-    return orbit, angle
+    return X
+
+
+def _fold_walk(step, w: np.ndarray, parity: int, out: np.ndarray) -> np.ndarray:
+    """out[r], for r < len(out): the fold (see fold) of step^r w, for the
+    N-vectors w (along axis 0) of any parity and the given parity of the
+    fold, +1 (even) or -1 (odd).  Each step's folds are stored unscaled
+    and all of them scaled at the end.  Returns the last step,
+    step^(len(out) - 1) w."""
+    h = out.shape[1]
+    combine = np.add if parity > 0 else np.subtract
+    for r in range(len(out)):
+        if r:
+            w = step(w)
+        combine(w[1:h], w[: h - 1 : -1], out=out[r, 1:])
+        out[r, 0] = w[0]
+    if parity < 0:
+        out[:, 0] = 0
+    out[:, 1:] *= math.sqrt(0.5)
+    return w
+
+
+def _giant_rows(giant, v: np.ndarray, parity: int, b: int, turn: float, walk: float | None) -> tuple[np.ndarray, float]:
+    """Row t < b: the fold (see fold) of
+
+        y_t = sum_(q < b) e(-t q / b) lambda^(-a q) U^(a q) v_s,
+
+    where v_s is the part of the unit vector v of the given parity, +1
+    (even) or -1 (odd), lambda = e^(i walk / half), half = a b, and U^a
+    is e^(-i turn) giant, giant = U(iota(g^a)) (see _step_turn).  Also
+    returns walk.  The giant walk stores only its folds, a b x (N+1)/2
+    array, which the twist and the DFT along q then turn into the rows in
+    place.  walk = None takes the angle of U^half = (e^(-i turn) giant)^b
+    on v_s, one giant step more: U^half is a scalar on each parity (see
+    eigen_blocks).
+    """
+    Y = np.empty((b, (len(v) + 1) // 2), dtype=np.complex128)
+    w = _fold_walk(giant, v, parity, Y)
+    if walk is None:  # U^half v_s = scalar * v_s, and Y[0] is v_s folded
+        walk = float(np.angle(np.vdot(Y[0], fold(giant(w), parity)) * np.exp(-1j * b * turn)))
+    Y *= np.exp(-1j * (walk / b + turn) * np.arange(b))[:, None]
+    return _fft_rows(Y), walk
+
+
+def _baby_rows(apply, Y: np.ndarray, parity: int, walk: float, half: int, classes: np.ndarray, a: int) -> np.ndarray:
+    """An a x (N+1)/2 x len(classes) array R whose slice R[s, :, c] is
+
+        sum_(r < a) e(-s r / a) lambda^(-r) e(-t r / half) fold(U^r unfold(y)) / half,
+
+    for t = classes[c] and y = Y[c], a folded vector of the given parity,
+    U = apply and lambda = e^(i walk / half).  With y the row t of
+    _giant_rows (half = a b), R[s, :, c] is the folded projection of v
+    onto the eigenspace of that parity with the eigenvalue
+    lambda e(j / half), j = t + b s: the orbit DFT of v_s, its index
+    m = a q + r split as Cooley and Tukey split one.  The classes walk
+    together, one column each, and each step's folds are one slice R[r].
+    """
+    R = np.empty((a, Y.shape[1], len(classes)), dtype=np.complex128)
+    _fold_walk(apply, unfold(Y.T, parity, 2 * Y.shape[1] - 1), parity, R)
+    R *= (np.exp(-1j * np.outer(np.arange(a), walk + 2 * np.pi * classes) / half) / half)[:, None, :]
+    _fft_rows(R.reshape(a, -1))
+    return R
+
+
+def _live_rows(R: np.ndarray, classes: np.ndarray, b: int) -> tuple[list[int], np.ndarray]:
+    """The rows j = classes[c] + b s, ascending, whose slice R[s, :, c] of
+    _baby_rows has a norm above RANK_TOL, and those slices scaled to unit
+    rows, one row each: the eigenspaces of the classes that the first
+    start vector reaches, each with its first orthonormal folded row."""
+    flat = R.view(np.float64)  # the real and imaginary parts side by side
+    norms = np.sqrt(np.einsum("srx,srx->sx", flat, flat).reshape(len(R), len(classes), 2).sum(axis=2))
+    s, c = np.nonzero(norms > RANK_TOL)
+    order = np.argsort(classes[c] + b * s)
+    s, c = s[order], c[order]
+    first = R[s, :, c]
+    first /= norms[s, c, None]
+    return (classes[c] + b * s).tolist(), first
 
 
 def _check_residuals(apply, V: np.ndarray, parity: int, lam: np.ndarray) -> None:
@@ -648,84 +705,6 @@ def _check_residuals(apply, V: np.ndarray, parity: int, lam: np.ndarray) -> None
         raise EigenClusterError(f"orbit eigensolver residual {resid:.2e}, tolerance {RESIDUAL_TOL}")
 
 
-def _orbit_eig(group: HeckeGroup, parity: int, angle: float | None = None):
-    """Eigenvectors of U = U(iota(g)) for the group generator g on the
-    vectors of the given parity, +1 (even) or -1 (odd), from orbit FFTs:
-    the folded eigenvectors (see fold) as the columns of a
-    (N+1)/2 x (N + parity)/2 array, the orbit row j of each, ascending,
-    and the angle of U^half (half = #C/2) on the even vectors, measured on
-    the first walk unless given.  U^half is -e^(i angle) on the odd
-    vectors, so they walk on angle + pi, and row j holds the eigenvalue
-    e^(i angle / half) e(l / #C), l = 2j (even) or 2j + 1 (odd).
-
-    Each seeded random start vector is projected onto every eigenspace of
-    the parity by _orbit_projections; every eigenspace lies in one parity,
-    since U^half is the parity operator up to a phase.  The start
-    vectors have real and imaginary parts 2u - 1, uniform on [-1, 1), for
-    u from uniforms() of one random.Random seeded with (p, k, A mod N), so
-    both parities walk from the same vectors.  Eigenspaces are at most
-    one-dimensional for inert primes, so one start vector is enough;
-    split eigenspaces have dimension up to k + 1 (the trivial character),
-    so k + 1 vectors are used and each eigenspace is orthonormalized by QR
-    on its folded rows, its rank read from the R diagonal.  After the
-    first vector only the eigenspaces whose rank still grows are kept.  At
-    inert primes the basis is a view of the first orbit's array, its live
-    rows moved to the front; at split primes the QR bases are stacked into
-    a new array.  Either way the basis is laid out by columns.  The
-    residual max ||U v - lambda v|| against the eigenvalue of each
-    column's row, with the gap 2 pi / #C between rows, bounds the overlap
-    between eigenspaces; _check_residuals checks it in one BLOCK_BYTES, so
-    beyond the orbits of this parity the eigensolver holds about that.
-    """
-    pp, half = group.pp, group.order // 2
-    N = pp.N
-    apply = propagator_apply(group.ring.matrix_of(group.gen), pp)
-    rng = random.Random(f"orbit start {pp.p} {pp.k} {[v % N for row in group.A.mat() for v in row]}")
-
-    def projections(walk: float | None) -> tuple[np.ndarray, float]:
-        v = (2.0 * uniforms(rng, 2 * N) - 1.0).view(np.complex128)
-        return _orbit_projections(apply, v / np.linalg.norm(v), half, parity, walk)
-
-    shift = 0.0 if parity > 0 else math.pi  # U^half is -e^(i angle) on the odd vectors
-    first, walk = projections(None if angle is None else angle + shift)  # every later orbit walks on it
-    flat = first.view(np.float64)  # no temporary the size of the orbit
-    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    live = norms > RANK_TOL
-    first /= np.where(live, norms, 1.0)[:, None]
-    growing = np.flatnonzero(live).tolist()
-    # eigenspace row -> orthonormal folded rows; views keep the first orbit alive
-    bases = {j: first[j : j + 1] for j in growing}
-    for _ in range(pp.k if group.kind == "split" else 0):
-        proj, _ = projections(walk)
-        still = []
-        for j in growing:
-            q, r = np.linalg.qr(np.vstack([bases[j], proj[j : j + 1]]).T)
-            if abs(r[-1, -1]) > RANK_TOL:
-                bases[j] = q.T
-                still.append(j)
-        growing = still
-        del proj  # before the next orbit is allocated
-    found = sum(len(b) for b in bases.values())
-    dim = (N + parity) // 2  # the trace of the parity operator is 1
-    if found != dim:
-        raise EigenClusterError(f"orbit eigensolver found {found} eigenvectors of parity {parity:+d}, dimension {dim}")
-    rows = np.repeat(np.array(sorted(bases), dtype=np.int64), [len(bases[j]) for j in sorted(bases)])
-    if group.kind == "inert":
-        del bases  # a view object per row
-        # every eigenspace is one live row of the first orbit; moving rows
-        # forward in increasing order never overwrites a row still to move
-        for dst, src in enumerate(rows.tolist()):
-            if dst != src:
-                first[dst] = first[src]
-        V = first[:dim].T
-    else:
-        # stacked into a C-contiguous array, so V is laid out by columns
-        V = np.concatenate([bases[j] for j in sorted(bases)], out=_mapped_empty((dim, (N + 1) // 2))).T
-        del first, bases
-    _check_residuals(apply, V, parity, np.exp(1j * (walk + 2 * np.pi * rows) / half))
-    return V, rows, walk - shift if angle is None else angle
-
-
 def unit_character_level(group: HeckeGroup, index: int) -> int:
     """Smallest l with chi_index trivial on {beta = 1 mod p^l}."""
     if index % group.order == 0:
@@ -735,19 +714,20 @@ def unit_character_level(group: HeckeGroup, index: int) -> int:
 
 @dataclass
 class EigenDecomposition:
-    """The joint eigenspaces of the symmetry group within one parity, from
-    one generator unitary, whose eigenvalue is e^(i angle / (#C/2)) e(l / #C)
-    on the columns labelled l."""
+    """The joint eigenspaces of the symmetry group within one parity, or
+    within one residue class of orbit rows of it (a block of
+    eigen_blocks), from one generator unitary, whose eigenvalue is
+    e^(i angle / (#C/2)) e(l / #C) on the columns labelled l."""
 
     group: HeckeGroup
     parity: int  # +1: every column is even; -1: every column is odd
-    folded: np.ndarray  # (N+1)/2 x (N + parity)/2: the folds of std-orthonormal columns
+    folded: np.ndarray  # (N+1)/2 x columns, laid out by columns: the folds of std-orthonormal columns
     labels: np.ndarray  # per column, ascending: 2j (even) or 2j + 1 (odd) for its orbit row j
     angle: float  # the angle of U^(#C/2) on the even vectors
 
     @property
     def shape(self) -> tuple[int, int]:
-        """Shape of the unfolded basis, N x (N + parity)/2."""
+        """Shape of the unfolded basis, N x columns."""
         return (self.group.pp.N, self.folded.shape[1])
 
     def columns(self, cols, out: np.ndarray | None = None) -> np.ndarray:
@@ -770,37 +750,174 @@ class EigenDecomposition:
 
     def multiplicity_one_items(self) -> list[tuple[int, int]]:
         """(label, column) pairs for the one-dimensional eigenspaces."""
-        return [(lab, int(cols[0])) for lab, cols in self.clusters.items() if len(cols) == 1]
+        labels, first, counts = np.unique(self.labels, return_index=True, return_counts=True)
+        one = counts == 1
+        return list(zip(labels[one].tolist(), first[one].tolist()))
+
+
+def eigen_blocks(group: HeckeGroup, parity: int, angle: float | None = None) -> Iterator[EigenDecomposition]:
+    """The eigenvectors of U = U(iota(g)) for the group generator g on the
+    vectors of the given parity, +1 (even) or -1 (odd), a few residue
+    classes t mod b of orbit rows at a time: each block is an
+    EigenDecomposition of the eigenspaces in the rows j = t + b s of its
+    classes, made, checked and handed over before the next one is made.
+
+    g^half = -1 in C, for half = #C / 2, and U(-I) is the parity v(x) ->
+    v(-x) up to a phase, so U^half is a scalar on the even vectors and
+    minus that scalar on the odd ones, and every eigenspace lies in one
+    parity.  With its angle divided out, the orbit of the part v_s of a
+    start vector of the parity is periodic, and its DFT along the orbit
+    projects v_s onto every eigenspace of the parity at once: row j holds
+    the eigenvalue e^(i walk / half) e(j / half).  The even half measures
+    angle, that of U^half on the even vectors, on its first start vector
+    unless it is given, and the odd half walks on walk = angle + pi; so
+    row j holds e^(i angle / half) e(l / #C), labelled l = 2j (even) or
+    2j + 1 (odd), and both halves label on one grid.
+
+    The orbit DFT runs as a two-level walk, half = a b (see _walk_sizes):
+    b giant steps by U(iota(g^a)) and one DFT of length b give the b
+    vectors y_t of _giant_rows, and each residue class t then walks its
+    y_t a steps by U and takes one DFT of length a (_baby_rows).  The
+    classes walk together, one column each, as many as their baby rows
+    fit in one BLOCK_BYTES (at least one), and make one block.
+    propagator_apply is exact only up to a global phase, so _step_turn
+    measures the phase of the giant step against a single steps once, on
+    the first start vector.  The start vectors have real and imaginary
+    parts 2u - 1, uniform on [-1, 1), for u from uniforms() of one
+    random.Random seeded with (p, k, A mod N), so both parities walk from
+    the same vectors.  Inert eigenspaces are at most one-dimensional, so
+    one start vector is enough; split eigenspaces have dimension up to
+    k + 1 (the trivial character), so k + 1 vectors are used and each
+    eigenspace is orthonormalized by QR on its folded rows, its rank read
+    from the R diagonal.  After the first vector only the eigenspaces
+    whose rank still grows are kept, and a later vector walks a class
+    only while some row of it grew at the vector before.  So a parity
+    holds the giant rows of its start vectors, and the baby rows and
+    bases of one block: O((a + b)(k + 1)(N + 1)/2) complex values, or a
+    few BLOCK_BYTES, checked against the size cap first.
+
+    Each block's residual max ||U v - lambda v|| against the eigenvalue of
+    each column's row, with the gap 2 pi / #C between rows, bounds the
+    overlap between eigenspaces; _check_residuals checks it in one
+    BLOCK_BYTES.  The checks that need the whole parity raise
+    EigenClusterError as soon as they can: more eigenvectors than the
+    dimension of the parity before the block that overflows it, and after
+    the last block fewer eigenvectors, then the first failed residual
+    check, then a number of eigenspaces other than predicted (one per
+    column at inert primes; half, every character of the parity, at split
+    primes).
+    """
+    if parity not in (1, -1):
+        raise ValueError(f"parity {parity!r} is neither +1 nor -1")
+    pp, half = group.pp, group.order // 2
+    N, h = pp.N, (pp.N + 1) // 2
+    a, b = _walk_sizes(half)
+    starts = pp.k + 1 if group.kind == "split" else 1
+    # the giant rows of every start vector and the baby rows of one class;
+    # more classes walk together only within one BLOCK_BYTES
+    check_array_size((starts * b + a) * h, f"orbit walk at {pp}")
+    apply = propagator_apply(group.ring.matrix_of(group.gen), pp)
+    giant = _giant_step(group, a)
+    rng = random.Random(f"orbit start {pp.p} {pp.k} {[v % N for row in group.A.mat() for v in row]}")
+    shift = 0.0 if parity > 0 else math.pi  # U^half is -e^(i angle) on the odd vectors
+    walk = None if angle is None else angle + shift
+    turn = None
+    giants = []
+    for _ in range(starts):
+        v = (2.0 * uniforms(rng, 2 * N) - 1.0).view(np.complex128)
+        v /= np.linalg.norm(v)
+        if turn is None:
+            turn = _step_turn(apply, giant, v, a)
+        Y, walk = _giant_rows(giant, v, parity, b, turn, walk)  # every later vector walks on the first one's angle
+        giants.append(Y)
+    if angle is None:
+        angle = walk - shift
+    dim = (N + parity) // 2  # the trace of the parity operator is 1
+    found = spaces = 0
+    fault = None
+    chunk = block_columns(a * h)  # classes that walk together: their baby rows take one BLOCK_BYTES
+    for t0 in range(0, b, chunk):
+        classes = np.arange(t0, min(t0 + chunk, b))
+        bases: dict[int, np.ndarray] = {}  # row j -> its orthonormal folded rows
+        for i, Y in enumerate(giants):
+            if i:  # the classes with a row that grew at the vector before
+                classes = np.array(sorted({j % b for j in growing}), dtype=np.int64)
+                if not len(classes):
+                    break
+            R = _baby_rows(apply, Y[classes], parity, walk, half, classes, a)
+            if not i:
+                growing, first = _live_rows(R, classes, b)
+                bases = {j: first[n : n + 1] for n, j in enumerate(growing)}
+            else:
+                column = {t: n for n, t in enumerate(classes.tolist())}
+                still = []
+                for j in growing:
+                    q, r = np.linalg.qr(np.vstack([bases[j], R[j // b, :, column[j % b]]]).T)
+                    if abs(r[-1, -1]) > RANK_TOL:
+                        bases[j] = q.T  # no longer a row of first
+                        still.append(j)
+                growing = still
+            del R  # before the basis is stacked
+        if not bases:
+            continue
+        found += sum(len(basis) for basis in bases.values())
+        spaces += len(bases)
+        if found > dim:
+            raise EigenClusterError(f"orbit eigensolver found {found} eigenvectors of parity {parity:+d}, dimension {dim}")
+        # the keys ascend; the rows of first, or a stack of the bases, are C-contiguous, so V is laid out by columns
+        rows = np.repeat(np.array(list(bases), dtype=np.int64), [len(basis) for basis in bases.values()])
+        V = first.T if len(rows) == len(first) else np.concatenate(list(bases.values())).T
+        del bases, first
+        try:
+            _check_residuals(apply, V, parity, np.exp(1j * (walk + 2 * np.pi * rows) / half))
+        except EigenClusterError as err:
+            fault = fault or err
+        yield EigenDecomposition(group, parity, V, 2 * rows + (1 - parity) // 2, angle)
+        del V  # before the next chunk walks
+    if found != dim:
+        raise EigenClusterError(f"orbit eigensolver found {found} eigenvectors of parity {parity:+d}, dimension {dim}")
+    if fault is not None:
+        raise fault
+    # distinct joint eigenvalues of a parity: one per column (inert), half
+    # of phi(p^k) = #C (split: every character of the unit group appears,
+    # and chi_j is even or odd as (-1)^j)
+    expected = found if group.kind == "inert" else half
+    if spaces != expected:
+        raise EigenClusterError(f"{spaces} clusters of parity {parity:+d}, predicted {expected} for {group.kind} {pp}")
 
 
 def eigendecompose(group: HeckeGroup, parity: int, angle: float | None = None) -> EigenDecomposition:
     """Diagonalize U(iota(g)) for a group generator g on the vectors of one
-    parity, +1 (even) or -1 (odd), and label its eigenspaces.
+    parity, +1 (even) or -1 (odd), and label its eigenspaces: the blocks
+    of eigen_blocks, collected into one EigenDecomposition.
 
     The group is cyclic, so eigenspaces of this single unitary are exactly
     the joint eigenspaces, and each lies in one parity.  A column's label
-    is l = 2j (even) or 2j + 1 (odd) for its orbit row j (see _orbit_eig),
-    defined up to one common shift (a global character twist).  The other
-    parity takes this one's angle, so that both halves label on one grid.
-    The largest array made is one parity's folded orbit or basis, which is
-    checked against the size cap first.
+    is l = 2j (even) or 2j + 1 (odd) for its orbit row j, defined up to one
+    common shift (a global character twist).  The other parity takes this
+    one's angle, so that both halves label on one grid.  The blocks come
+    by residue class, so their columns go into one (N+1)/2 x (N + parity)/2
+    folded basis, checked against the size cap first, in the order they
+    come, and a copy sorted by label is returned.  The dense commands read
+    the blocks as they come (distribution.matrix_elements) and never hold
+    this basis.
     """
-    pp, order = group.pp, group.order
+    pp = group.pp
     if parity not in (1, -1):
         raise ValueError(f"parity {parity!r} is neither +1 nor -1")
-    # the larger of a folded orbit, #C/2 x (N+1)/2, and the folded basis, (N+1)/2 x (N + parity)/2
-    check_array_size(max(order // 2, (pp.N + 1) // 2) * ((pp.N + 1) // 2), f"orbit eigensolver at {pp}")
-    folded, rows, angle = _orbit_eig(group, parity, angle)
-    decomp = EigenDecomposition(group, parity, folded, 2 * rows + (1 - parity) // 2, angle)
-    # distinct joint eigenvalues of a parity: one per column (inert), half
-    # of phi(p^k) = #C (split: every character of the unit group appears,
-    # and chi_j is even or odd as (-1)^j)
-    expected = folded.shape[1] if group.kind == "inert" else order // 2
-    if len(decomp.clusters) != expected:
-        raise EigenClusterError(
-            f"{len(decomp.clusters)} clusters of parity {parity:+d}, predicted {expected} for {group.kind} {pp}"
-        )
-    return decomp
+    h, dim = (pp.N + 1) // 2, (pp.N + parity) // 2
+    check_array_size(h * dim, f"folded eigenbasis at {pp}")
+    columns = np.empty((dim, h), dtype=np.complex128)  # row i: the folded column i
+    labels = np.empty(dim, dtype=np.int64)
+    filled = 0
+    for block in eigen_blocks(group, parity, angle):
+        width = len(block.labels)
+        columns[filled : filled + width] = block.folded.T
+        labels[filled : filled + width] = block.labels
+        filled += width
+        angle = block.angle
+    order = np.argsort(labels, kind="stable")
+    return EigenDecomposition(group, parity, columns[order].T, labels[order], angle)
 
 
 # relative tolerance of |Tr U(iota(beta))|^2 against #ker(iota(beta) - I)

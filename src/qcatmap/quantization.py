@@ -36,12 +36,12 @@ from .modarith import PrimePower, roots_table
 # the cost (large eigenproblems) may pass their own cap.
 DENSE_CAP_DEFAULT = 2048
 
-# Largest dense N x N matrix or folded orbit array, in complex entries
-# (1 GiB); the eigensolver counts one parity's max(#C/2, (N+1)/2) (N+1)/2,
-# 1.2e7 at 19^3 (N = 6859) and 2.6e7 at 101^2.
+# Largest dense N x N matrix or folded eigenbasis, in complex entries
+# (1 GiB); eigendecompose counts one parity's folded basis, about
+# ((N+1)/2)^2, 1.2e7 at 19^3 (N = 6859) and 2.6e7 at 101^2.
 MAX_ARRAY_ENTRIES = 1 << 26
 
-# bytes of one column block of a dense or orbit array; every loop over the
+# bytes of one column block of a dense array or a basis; every loop over the
 # columns of such an array takes blocks of block_columns(rows) columns, so
 # its temporaries are a few BLOCK_BYTES whatever the size of the array
 BLOCK_BYTES = 1 << 20
@@ -201,22 +201,30 @@ def apply_elementary(n: tuple[int, int], v: np.ndarray) -> np.ndarray:
 def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
     """<T(n) v_j, v_j> in the standard inner product: row i for the i-th
     mode n, column j for the j-th column v_j of V[:, cols] (all columns
-    when cols is None).
+    when cols is None); one call of a diagonal_reader.
 
     V is an N x w array, or a basis that hands out its columns on demand:
     V.shape is (N, w) and V.columns(index, out) writes V[:, index] into
     out, a C-contiguous N x len(index) array (hecke.EigenDecomposition,
     which unfolds them).  For a std-unit column v, psi = sqrt(N) v is a
-    unit vector of H_N and this is its matrix element <T(n) psi, psi>; one
-    shift and one phase, O(N) per column and mode.  The columns go
-    through in blocks of block_columns(2N), in two buffers allocated once,
-    so the pass holds one BLOCK_BYTES beyond its output and phases.  For
-    each distinct shift n1 the second buffer takes conj(v_j) times v_j
-    shifted, by two slice products, and each mode of that shift is one
-    phase-vector product with it, so a row is the same, bit for bit,
-    whatever other modes come along.
+    unit vector of H_N and this is its matrix element <T(n) psi, psi>.
     """
-    N = V.shape[0]
+    return diagonal_reader(modes, V.shape[0])(V, cols)
+
+
+def diagonal_reader(modes, N: int) -> Callable[..., np.ndarray]:
+    """read(V, cols=None), elementary_diagonals of these modes for the
+    N-vectors of any number of bases V, with the phase vector of each mode
+    made once.
+
+    One shift and one phase, O(N) per column and mode.  The columns of a
+    call go through in blocks of block_columns(2N), in two buffers
+    allocated once per call, so a call holds one BLOCK_BYTES beyond its
+    output.  For each distinct shift n1 the second buffer takes conj(v_j)
+    times v_j shifted, by two slice products, and each mode of that shift
+    is one phase-vector product with it, so a row is the same, bit for
+    bit, whatever other modes come along.
+    """
     modes = [(int(n1), int(n2)) for n1, n2 in modes]
     y = np.arange(N)
     two_n, one_n = roots_table(2 * N), roots_table(N)
@@ -224,28 +232,32 @@ def elementary_diagonals(modes, V, cols=None) -> np.ndarray:
     rows_of_shift: dict[int, list[int]] = {}
     for i, (n1, _) in enumerate(modes):
         rows_of_shift.setdefault(-n1 % N, []).append(i)
-    every = np.arange(V.shape[1])
-    cols = every if cols is None else every[cols]  # in range, or IndexError
-    out = np.empty((len(modes), len(cols)), dtype=np.complex128)
-    step = max(1, min(block_columns(2 * N), len(cols)))
-    block, prod = (np.empty(N * step, dtype=np.complex128) for _ in range(2))
-    for start in range(0, len(cols), step):
-        index = cols[start : start + step]
-        W = block[: N * len(index)].reshape(N, len(index))
-        if hasattr(V, "columns"):
-            V.columns(index, out=W)
-        else:
-            # mode="clip" writes straight into W
-            np.take(V, index, axis=1, mode="clip", out=W)
-        P = prod[: W.size].reshape(W.shape)
-        for shift, rows in rows_of_shift.items():
-            # P[y] = v(y - shift) conj(v(y)), the rows of np.roll(W, shift) times conj(W)
-            np.conjugate(W, out=P)
-            np.multiply(W[: N - shift], P[shift:], out=P[shift:])
-            np.multiply(W[N - shift :], P[:shift], out=P[:shift])
-            for i in rows:
-                out[i, start : start + len(index)] = phases[i] @ P
-    return out
+
+    def read(V, cols=None) -> np.ndarray:
+        every = np.arange(V.shape[1])
+        cols = every if cols is None else every[cols]  # in range, or IndexError
+        out = np.empty((len(modes), len(cols)), dtype=np.complex128)
+        step = max(1, min(block_columns(2 * N), len(cols)))
+        block, prod = (np.empty(N * step, dtype=np.complex128) for _ in range(2))
+        for start in range(0, len(cols), step):
+            index = cols[start : start + step]
+            W = block[: N * len(index)].reshape(N, len(index))
+            if hasattr(V, "columns"):
+                V.columns(index, out=W)
+            else:
+                # mode="clip" writes straight into W
+                np.take(V, index, axis=1, mode="clip", out=W)
+            P = prod[: W.size].reshape(W.shape)
+            for shift, rows in rows_of_shift.items():
+                # P[y] = v(y - shift) conj(v(y)), the rows of np.roll(W, shift) times conj(W)
+                np.conjugate(W, out=P)
+                np.multiply(W[: N - shift], P[shift:], out=P[shift:])
+                np.multiply(W[N - shift :], P[:shift], out=P[:shift])
+                for i in rows:
+                    out[i, start : start + len(index)] = phases[i] @ P
+        return out
+
+    return read
 
 
 def elementary_matrix(n: tuple[int, int], pp: PrimePower, twisted: bool = False) -> np.ndarray:

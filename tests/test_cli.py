@@ -515,13 +515,13 @@ def test_one_eigendecomposition_per_dense_space(monkeypatch, tmp_path):
     from qcatmap import hecke
 
     sizes = []
-    orbit_eig = hecke._orbit_eig
+    eigen_blocks = hecke.eigen_blocks
 
     def counted(group, parity, angle):
         sizes.append((group.pp.N, parity))
-        return orbit_eig(group, parity, angle)
+        return eigen_blocks(group, parity, angle)
 
-    monkeypatch.setattr(hecke, "_orbit_eig", counted)
+    monkeypatch.setattr(hecke, "eigen_blocks", counted)
     assert run_cli(["verify", "--p", "3,7", "--k", "1-3"]) == 0
     # one solve of each parity per space, the even half first
     assert sizes == [(N, parity) for N in (3, 9, 27, 7, 49, 343) for parity in (1, -1)]
@@ -701,14 +701,14 @@ def test_seed_of_any_size_repeats_its_bytes(command, tmp_path, capsys):
 def test_verify_space_error_fails_only_its_rows(monkeypatch, capsys):
     from qcatmap import hecke
 
-    eigendecompose = hecke.eigendecompose
+    eigen_blocks = hecke.eigen_blocks
 
     def failing_at_9(group, *args):
         if group.pp.N == 9:
             raise EigenClusterError("injected")
-        return eigendecompose(group, *args)
+        return eigen_blocks(group, *args)
 
-    monkeypatch.setattr(hecke, "eigendecompose", failing_at_9)
+    monkeypatch.setattr(hecke, "eigen_blocks", failing_at_9)
     assert run_cli(["verify", "--p", "3", "--k", "1-3"]) == 1
     out = capsys.readouterr().out
     # rows that need the 3^2 decomposition fail with its error ...
@@ -875,8 +875,10 @@ def test_benchmark_tracer_finds_its_targets(tmp_path):
 def test_benchmark_tracer_counts_distribution_spans(tmp_path):
     """The tracer wraps the qcatmap modules loaded once qcatmap.cli is
     imported: a dense distribution report at 13^2 makes one call of each
-    statistics step it traces, and two timed calls of eigendecompose, one
-    per parity."""
+    statistics step it traces and one timed call of build_group.  Its
+    dense pass reads the blocks of hecke.eigen_blocks, which the tracer
+    does not wrap, and no longer calls eigendecompose, whose span reads 0
+    calls."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     tracer_py = os.path.join(root, "perfbench", "tracer.py")
     obs, spans = tmp_path / "obs.json", tmp_path / "spans.json"
@@ -888,7 +890,8 @@ def test_benchmark_tracer_counts_distribution_spans(tmp_path):
     calls = {name: f["calls"] for name, f in functions.items()}
     steps = ("normalized_elements", "verify_matrix_element_formula", "compare_distribution")
     assert [calls[f"distribution.{name}"] for name in steps] == [1, 1, 1]
-    assert calls["hecke.eigendecompose"] == 2 and functions["hecke.eigendecompose"]["s"] > 0
+    assert calls["hecke.build_group"] == 1 and functions["hecke.build_group"]["s"] > 0
+    assert calls["hecke.eigendecompose"] == 0
 
 
 def test_every_public_name_resolves():

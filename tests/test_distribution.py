@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcatmap.errors import BadNuError, BoundExceededError, EmptySetError, NoMatchError
+from qcatmap.errors import BadNuError, BoundExceededError, EigenClusterError, EmptySetError, NoMatchError
 from qcatmap.modarith import PrimePower, valuation
 from qcatmap.quantization import (
     BLOCK_BYTES,
@@ -19,7 +19,7 @@ from qcatmap.quantization import (
     uniforms,
 )
 from qcatmap.hecke import build_group
-from qcatmap import cli, expsum, hecke
+from qcatmap import cli, distribution, expsum, hecke
 from qcatmap.distribution import (
     FORMULA_TOL,
     MOMENT_ORDERS,
@@ -444,16 +444,13 @@ def test_formula_sign_pattern(cat_map):
         assert rep.sign == (-1 if inert and k % 2 else 1)
 
 
-def traced_dense_peak(A: TorusAutomorphism, p: int, kind: str, monkeypatch) -> tuple[int, int]:
-    """The tracemalloc peak at p^2 (of that kind), which sees every numpy
+def traced_dense_peak(A: TorusAutomorphism, p: int, k: int, kind: str) -> int:
+    """The tracemalloc peak at p^k (of that kind), which sees every numpy
     allocation, of the dense pipeline as distribution runs it: the one
-    matrix-element pass over both halves of the eigendecomposition, and
-    normalized_elements and the formula check, which read it; and the
-    bytes of a folded orbit of both parities, #C x (N+1)/2 complex.  The
-    orbits come from np.empty here, which tracemalloc sees, and not from
-    the memory maps of hecke._mapped_empty, which it does not."""
-    monkeypatch.setattr(hecke, "_mapped_empty", lambda shape: np.empty(shape, dtype=np.complex128))
-    group = build_group(A, PrimePower(p, 2))
+    matrix-element pass over the blocks of both halves of the
+    eigendecomposition, and normalized_elements and the formula check,
+    which read it."""
+    group = build_group(A, PrimePower(p, k))
     assert group.kind == kind
     modes = [n for n in MODES if quadratic_form(A, n) % p]
     f = FourierObservable({(1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.25, (-1, -2): 0.25})
@@ -462,22 +459,28 @@ def traced_dense_peak(A: TorusAutomorphism, p: int, kind: str, monkeypatch) -> t
         elements = matrix_elements(group, [*f.coeffs, *modes])
         normalized_elements(f, elements)
         verify_matrix_element_formula(elements, modes)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, group.order * ((group.pp.N + 1) // 2) * 16
 
 
-def test_dense_pipeline_memory_footprint(cat_map, monkeypatch):
-    """At the inert 37^2 the orbit eigensolver keeps each half's folded
-    basis in that half's folded orbit, half of orbit_bytes, and drops it
-    before the other half is built.  Beyond that orbit the residual check
-    and the element pass each hold two buffers that together take one
-    BLOCK_BYTES, whatever N, one pass after the other: one block for them
-    and one for the small arrays beside them (the element pass's phases,
-    the rows read so far) bound the whole pipeline."""
-    peak, orbit_bytes = traced_dense_peak(cat_map, 37, "inert", monkeypatch)
-    assert peak < orbit_bytes / 2 + 2 * BLOCK_BYTES
+def test_dense_pipeline_memory_footprint(cat_map):
+    """At the inert 37^2 (half = #C/2 = 703 = 19 x 37) the pass holds no
+    orbit and no basis: the giant rows of the walk (37 folded vectors of
+    685 entries), the baby rows of the 5 classes that walk together (one
+    BLOCK_BYTES) or their basis, the residual check's or the element
+    pass's two buffers (one BLOCK_BYTES) and the element rows read so
+    far.  Measured at 3.3 MiB; the single-walk solver, which held one
+    parity's folded orbit of 7.7 MB, traced 9.2 MiB."""
+    assert traced_dense_peak(cat_map, 37, 2, "inert") < 5 * BLOCK_BYTES
+
+
+def test_dense_pipeline_memory_footprint_13_cubed(cat_map):
+    """At the inert 13^3 (half = 1183 = 13 x 91) the giant rows, 91 folded
+    vectors of 1099 entries, take 1.6 MB beside the blocks of the pass,
+    which peaks at 4.4 MiB; the single-walk solver's folded orbit of one
+    parity took 20.8 MB, and it traced 21.9 MiB."""
+    assert traced_dense_peak(cat_map, 13, 3, "inert") < 6 * BLOCK_BYTES
 
 
 def test_dense_eigensolve_is_deterministic(cat_map):
@@ -492,14 +495,37 @@ def test_dense_eigensolve_is_deterministic(cat_map):
         assert a.angle == b.angle
 
 
-def test_split_dense_pipeline_memory_footprint(cat_map, monkeypatch):
-    """At the split 29^2 a second folded orbit of the half, and then the
-    stacked folded basis, come on top of the half's first folded orbit:
-    two half orbits, one orbit_bytes, is the eigensolver's floor, and
-    beyond it the residual check's and the element pass's buffers take
-    one BLOCK_BYTES and the small arrays beside them less than another."""
-    peak, orbit_bytes = traced_dense_peak(cat_map, 29, "split", monkeypatch)
-    assert peak < orbit_bytes + 2 * BLOCK_BYTES
+def test_split_dense_pipeline_memory_footprint(cat_map):
+    """At the split 29^2 (half = 406 = 14 x 29) the pass holds the giant
+    rows of all k + 1 = 3 start vectors, the baby rows of the classes
+    that walk together, the QR bases of those classes and the buffers of
+    one check or element pass.  Measured at 4.0 MiB; the single-walk
+    solver, which held two folded orbits of a parity, traced 6.7 MiB."""
+    assert traced_dense_peak(cat_map, 29, 2, "split") < 6 * BLOCK_BYTES
+
+
+def test_giant_step_off_by_one_fails_before_any_element(cat_map, monkeypatch):
+    """With U(iota(g^(a+1))) for the giant step, its phase against a single
+    steps is not of modulus 1, and matrix_elements raises
+    EigenClusterError before any element is read: inert, split, and a
+    prime half (13^1, half = 7, b = 1), where the giant step serves only
+    the angle."""
+    giant_step = hecke._giant_step
+    monkeypatch.setattr(hecke, "_giant_step", lambda group, a: giant_step(group, a + 1))
+    read = []
+    monkeypatch.setattr(distribution, "diagonal_reader", lambda modes, N: lambda *args: read.append(args))
+    for p, k in [(37, 2), (29, 2), (13, 1)]:
+        with pytest.raises(EigenClusterError, match="phase"):
+            matrix_elements(group_at(cat_map, p, k), MODES)
+    assert read == []
+
+
+def test_too_few_eigenvectors_fail_after_the_last_block(cat_map, monkeypatch):
+    """A rank tolerance above every projection norm keeps no row: no block
+    is made, and the eigenvector count fails after the last class."""
+    monkeypatch.setattr(hecke, "RANK_TOL", 1.0)
+    with pytest.raises(EigenClusterError, match="found 0 eigenvectors of parity [+]1"):
+        matrix_elements(group_at(cat_map, 13, 2), MODES)
 
 
 @pytest.mark.parametrize("p,kind", [(37, "inert"), (29, "split")])

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qcatmap.errors import (
@@ -27,6 +27,7 @@ from qcatmap.hecke import (
     build_group,
     build_split_diagonalizer,
     classify_prime,
+    EigenDecomposition,
     eigendecompose,
     fold,
     split_eigenvectors,
@@ -461,14 +462,15 @@ def test_property_fold_unfold_round_trip(h, seed):
 
 
 def dense_oracle_eig(U: np.ndarray, half: int, parity: int, angle: float | None):
-    """The eigenpairs of the dense _eig_unitary in the form _orbit_eig
-    returns them: the folded columns of the given parity, the row j of
-    each, ascending, and the angle of U^half on the even vectors, measured
-    on these columns' eigenvalues unless it is given.  A column's row is
-    the nearest j with lambda = e^(i walk / half) e(j / half), where walk
-    is angle on the even vectors and angle + pi on the odd ones.  Every
-    dense column must be even or odd: U(g)^half is the parity operator up
-    to a phase."""
+    """The eigenpairs of the dense _eig_unitary in the form eigen_blocks
+    hands them out, as one block: the folded columns of the given parity,
+    labelled 2j (even) or 2j + 1 (odd) by the row j of each, ascending,
+    and the angle of U^half on the even vectors, measured on these
+    columns' eigenvalues unless it is given.  A column's row is the
+    nearest j with lambda = e^(i walk / half) e(j / half), where walk is
+    angle on the even vectors and angle + pi on the odd ones.  Every dense
+    column must be even or odd: U(g)^half is the parity operator up to a
+    phase."""
     lam, V = hecke._eig_unitary(U)
     reflected = V[-np.arange(len(V)) % len(V)]
     parities = np.where(np.einsum("ij,ij->j", V.conj(), reflected).real > 0, 1, -1)
@@ -480,7 +482,7 @@ def dense_oracle_eig(U: np.ndarray, half: int, parity: int, angle: float | None)
     rows = np.rint((np.angle(lam) - walk / half) * half / (2 * np.pi)).astype(np.int64) % half
     assert np.abs(lam - np.exp(1j * (walk + 2 * np.pi * rows) / half)).max() < 1e-8
     order = np.argsort(rows, kind="stable")
-    return fold(V[:, order], parity), rows[order], walk - shift if angle is None else angle
+    return fold(V[:, order], parity), 2 * rows[order] + (1 - parity) // 2, walk - shift if angle is None else angle
 
 
 def assert_orbit_matches_dense_oracle(group, monkeypatch):
@@ -491,7 +493,9 @@ def assert_orbit_matches_dense_oracle(group, monkeypatch):
     orbit = halves_of(group)
     U = propagator(group.ring.matrix_of(group.gen), group.pp)
     monkeypatch.setattr(
-        hecke, "_orbit_eig", lambda group, parity, angle: dense_oracle_eig(U, order // 2, parity, angle)
+        hecke,
+        "eigen_blocks",
+        lambda group, parity, angle: iter([EigenDecomposition(group, parity, *dense_oracle_eig(U, order // 2, parity, angle))]),
     )
     dense = halves_of(group)
     V = unfolded(orbit)
@@ -568,17 +572,17 @@ def test_orbit_start_vectors_are_pinned(cat_map, p, kind, monkeypatch):
     group = build_group(cat_map, PrimePower(p, 2))
     assert group.kind == kind
     N, starts = group.pp.N, []
-    projections = hecke._orbit_projections
+    giant_rows = hecke._giant_rows
 
-    def spy(apply, v, half, parity, angle):
+    def spy(giant, v, *args):
         starts.append(v.copy())
-        return projections(apply, v, half, parity, angle)
+        return giant_rows(giant, v, *args)
 
-    monkeypatch.setattr(hecke, "_orbit_projections", spy)
-    hecke._orbit_eig(group, 1)
+    monkeypatch.setattr(hecke, "_giant_rows", spy)
+    list(hecke.eigen_blocks(group, 1))
     count = len(starts)
     assert count == (1 if kind == "inert" else 3)
-    hecke._orbit_eig(group, -1)  # both parities walk from the same vectors
+    list(hecke.eigen_blocks(group, -1))  # both parities walk from the same vectors
     assert len(starts) == 2 * count
     assert all(np.array_equal(a, b) for a, b in zip(starts[:count], starts[count:]))
     raw = random.Random(f"orbit start {p} 2 [2, 1, 1, 1]").randbytes(16 * N * count)
@@ -586,6 +590,68 @@ def test_orbit_start_vectors_are_pinned(cat_map, p, kind, monkeypatch):
         words = np.frombuffer(raw[16 * N * i : 16 * N * (i + 1)], dtype="<u8")
         expected = ((words >> 11) * 2.0**-52 - 1.0).view(np.complex128)
         assert np.array_equal(v, expected / np.linalg.norm(expected))
+
+
+def orbit_projections(apply, v: np.ndarray, half: int, parity: int, angle: float | None):
+    """The single-walk orbit DFT that the two-level walk replaced, kept as
+    its oracle: row j (< half) is the folded projection of the unit vector
+    v onto the eigenspace of U = apply of the given parity, +1 (even) or
+    -1 (odd), with eigenvalue e^(i angle / half) e(j / half).  Also returns
+    angle, taken from U^half on the part of v of the parity when it is
+    None.  Every step U^m v, m < half, is folded into a half x (N+1)/2
+    orbit, which the twist and one DFT along m turn into the rows."""
+    orbit = np.empty((half, (len(v) + 1) // 2), dtype=complex)
+    w = v
+    for m in range(half):
+        fold(w, parity, out=orbit[m])
+        w = apply(w)
+    if angle is None:  # U^half is a scalar on the part of v of the parity
+        angle = float(np.angle(np.vdot(fold(v, parity), fold(w, parity))))
+    orbit *= np.exp(-1j * angle / half * np.arange(half))[:, None]
+    return np.fft.fft(orbit, axis=0) / half, angle
+
+
+def two_level_projections(group, v: np.ndarray, parity: int, walk: float | None):
+    """The rows of orbit_projections for U = U(iota(g)), from the pieces of
+    the two-level walk: the giant rows of v, and the baby rows of every
+    residue class t mod b, all walking together, which are the rows
+    j = t + b s."""
+    half = group.order // 2
+    a, b = hecke._walk_sizes(half)
+    apply = propagator_apply(group.ring.matrix_of(group.gen), group.pp)
+    giant = hecke._giant_step(group, a)
+    Y, walk = hecke._giant_rows(giant, v, parity, b, hecke._step_turn(apply, giant, v, a), walk)
+    R = hecke._baby_rows(apply, Y, parity, walk, half, np.arange(b), a)
+    return R.transpose(0, 2, 1).reshape(half, -1), walk
+
+
+ORACLE_SPACES = [(p, k) for p in (3, 5, 7, 11, 13) for k in (1, 2, 3)]
+
+
+@given(st.sampled_from(HYPERBOLIC), st.sampled_from(ORACLE_SPACES), st.sampled_from([1, -1]), st.integers(0, 2**32 - 1))
+@example((2, 1, 1, 1), (13, 1), 1, 0)  # inert, half = 7: one walk, b = 1
+@example((2, 1, 1, 1), (11, 1), -1, 1)  # split, half = 5: one walk, b = 1
+@example((2, 1, 1, 1), (13, 3), -1, 2)  # half = 1183 = 13 x 91
+def test_property_two_level_rows_equal_the_single_walk(mat, space, parity, seed):
+    """Every projection row of the two-level walk, on the single walk's
+    angle, equals the single walk's row within 1e-12 of the largest row
+    norm, and the angle that the giant steps measure is the single
+    walk's.  A prime half (only at k = 1) has b = 1, the single walk."""
+    A, (p, k) = TorusAutomorphism(*mat), space
+    assume(A.disc % p != 0)
+    group = build_group(A, PrimePower(p, k))
+    half = group.order // 2
+    a, b = hecke._walk_sizes(half)
+    assert a * b == half and (b == 1) == (half == 1 or is_prime(half))
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(group.pp.N) + 1j * rng.standard_normal(group.pp.N)
+    v /= np.linalg.norm(v)
+    apply = propagator_apply(group.ring.matrix_of(group.gen), group.pp)
+    expected, walk = orbit_projections(apply, v, half, parity, None)
+    rows, _ = two_level_projections(group, v, parity, walk)
+    assert np.abs(rows - expected).max() <= 1e-12 * np.linalg.norm(expected, axis=1).max()
+    _, measured = two_level_projections(group, v, parity, None)
+    assert abs(np.exp(1j * measured) - np.exp(1j * walk)) < 1e-12
 
 
 def test_dense_oracle_retries_a_colliding_gamma(monkeypatch):
@@ -616,36 +682,52 @@ class Reached(Exception):
     pass
 
 
-def reached(group, parity, angle):
+def reached(*args):
     raise Reached
 
 
 def test_eigendecompose_size_cap(cat_map, monkeypatch):
-    """The check counts one parity's folded orbit, #C/2 x (N+1)/2: the inert
-    137^2 (9453 x 9385, 8.87e7 entries) is refused before any allocation,
-    and the inert 127^2 (8128 x 8065, 6.56e7 entries) is now admitted."""
+    """The check counts one parity's folded basis, (N+1)/2 x (N + parity)/2:
+    the inert 137^2 (9385 x 9385, 8.81e7 entries) is refused before any
+    allocation, and the inert 127^2 (8065 x 8065, 6.50e7 entries) is
+    admitted."""
     group = build_group(cat_map, PrimePower(137, 2))
     assert group.kind == "inert"
-    monkeypatch.setattr(hecke, "_orbit_eig", lambda group, parity, angle: pytest.fail("allocated past the cap"))
+    monkeypatch.setattr(hecke, "eigen_blocks", lambda group, parity, angle: pytest.fail("allocated past the cap"))
     for parity in (1, -1):
         with pytest.raises(SizeLimitError):
             eigendecompose(group, parity)
     group = build_group(cat_map, PrimePower(127, 2))
     assert group.kind == "inert"
-    monkeypatch.setattr(hecke, "_orbit_eig", reached)
+    monkeypatch.setattr(hecke, "eigen_blocks", reached)
     with pytest.raises(Reached):
         eigendecompose(group, 1)
 
 
 def test_eigendecompose_size_cap_admits_split_101_squared(cat_map, monkeypatch):
-    """The split 101^2 needs at most max(#C/2, (N+1)/2) (N+1)/2 = 5101 x
-    5101, 2.6e7 entries, under the cap: the check lets it through to the
-    solver."""
+    """The split 101^2 needs a folded basis of 5101 x 5101, 2.6e7 entries,
+    under the cap: the check lets it through to the solver."""
     group = build_group(cat_map, PrimePower(101, 2))
     assert group.kind == "split"
-    monkeypatch.setattr(hecke, "_orbit_eig", reached)
+    monkeypatch.setattr(hecke, "eigen_blocks", reached)
     with pytest.raises(Reached):
         eigendecompose(group, 1)
+
+
+def test_orbit_walk_size_cap(cat_map, monkeypatch):
+    """eigen_blocks checks its giant rows and one baby walk, (b (k + 1) + a)
+    (N+1)/2 entries at split primes, against the cap before it walks."""
+    group = build_group(cat_map, PrimePower(29, 2))
+    a, b = hecke._walk_sizes(group.order // 2)
+    need = (3 * b + a) * (group.pp.N + 1) // 2
+    monkeypatch.setattr(quantization, "MAX_ARRAY_ENTRIES", need - 1)
+    monkeypatch.setattr(hecke, "propagator_apply", lambda *args: pytest.fail("walked past the cap"))
+    with pytest.raises(SizeLimitError, match="orbit walk"):
+        next(hecke.eigen_blocks(group, 1))
+    monkeypatch.setattr(quantization, "MAX_ARRAY_ENTRIES", need)
+    monkeypatch.setattr(hecke, "propagator_apply", reached)
+    with pytest.raises(Reached):
+        next(hecke.eigen_blocks(group, 1))
 
 
 @pytest.mark.parametrize("p,kind", [(13, "inert"), (11, "split")])

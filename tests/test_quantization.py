@@ -15,6 +15,7 @@ from qcatmap.quantization import (
     TorusAutomorphism,
     apply_elementary,
     block_columns,
+    diagonal_reader,
     elementary_diagonals,
     elementary_matrix,
     kernel_count,
@@ -346,6 +347,9 @@ def test_elementary_diagonal_matches_dense_oracles(cat_map, p, k):
         # each half's folded basis, unfolded a block at a time
         by_halves = np.concatenate([elementary_diagonals([n], half)[0] for half in halves])
         assert np.abs(by_halves - np.array(oracle)).max() < 1e-12
+        # one reader over both halves gives each half's rows bit for bit
+        read = diagonal_reader([n], pp.N)
+        assert np.array_equal(np.concatenate([read(half)[0] for half in halves]), by_halves)
     # columns gathered and unfolded in a given array are those of unfold;
     # a negative index counts from the end, as it does in folded[:, cols]
     for half in halves:
